@@ -23,11 +23,16 @@ int main(int argc, char** argv) {
     }
     TextTable t(headers);
 
-    for (const auto page : pages) {
-      std::vector<std::string> row{fmt_count(page)};
-      for (const auto n : env.sizes) {
+    // Size outer, page inner: every cell of one size sorts the same gauss
+    // input, which the cache holds between them.
+    std::vector<std::vector<std::string>> rows(pages.size());
+    for (std::size_t k = 0; k < pages.size(); ++k) {
+      rows[k].push_back(fmt_count(pages[k]));
+    }
+    for (const auto n : env.sizes) {
+      for (std::size_t k = 0; k < pages.size(); ++k) {
         machine::MachineParams mp = machine::MachineParams::origin2000();
-        mp.page_bytes = page;
+        mp.page_bytes = pages[k];
         const double seq =
             sort::seq_baseline_ns(n, keys::Dist::kGauss, env.radix_bits, mp,
                                   env.seed);
@@ -39,11 +44,11 @@ int main(int argc, char** argv) {
         spec.radix_bits = env.radix_bits;
         spec.machine = mp;
         const double par = bench::run_spec(spec, env.seed).elapsed_ns;
-        row.push_back(fmt_fixed(seq / 1e3, 0));
-        row.push_back(fmt_fixed(par / 1e3, 0));
+        rows[k].push_back(fmt_fixed(seq / 1e3, 0));
+        rows[k].push_back(fmt_fixed(par / 1e3, 0));
       }
-      t.add_row(std::move(row));
     }
+    for (auto& row : rows) t.add_row(std::move(row));
     std::cout << t.render();
     bench::maybe_csv(env, "ablation_page_size", t);
     return 0;

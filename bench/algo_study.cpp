@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -247,22 +248,29 @@ int main(int argc, char** argv) {
     std::vector<FullCell> full_cells;
     std::cout << "-- full sorts at p=" << procs << " (best of " << full_reps
               << ") --\n";
-    for (const sort::Model model : full_models) {
-      for (const keys::Dist dist :
-           {keys::Dist::kDup, keys::Dist::kAlmostSorted}) {
-        for (const std::uint64_t n : full_sizes) {
-          FullCell cell;
-          cell.model = model;
-          cell.dist = dist;
-          cell.n = n;
+    // Run each (dist, n) input's cells back to back — the input cache holds
+    // one input per thread — then print in model -> dist -> n order.
+    const keys::Dist full_dists[] = {keys::Dist::kDup,
+                                     keys::Dist::kAlmostSorted};
+    full_cells.resize(full_models.size() * std::size(full_dists) *
+                      full_sizes.size());
+    for (std::size_t d = 0; d < std::size(full_dists); ++d) {
+      for (std::size_t k = 0; k < full_sizes.size(); ++k) {
+        for (std::size_t m = 0; m < full_models.size(); ++m) {
+          FullCell& cell =
+              full_cells[(m * std::size(full_dists) + d) * full_sizes.size() +
+                         k];
+          cell.model = full_models[m];
+          cell.dist = full_dists[d];
+          cell.n = full_sizes[k];
           for (std::size_t a = 0; a < 4; ++a) {
             sort::SortSpec spec;
             spec.algo = kStudyAlgos[a];
-            spec.model = model;
+            spec.model = cell.model;
             spec.nprocs = procs;
-            spec.n = static_cast<Index>(n);
+            spec.n = static_cast<Index>(cell.n);
             spec.radix_bits = 11;
-            spec.dist = dist;
+            spec.dist = cell.dist;
             spec.seed = env.seed;
             for (int rep = 0; rep < full_reps; ++rep) {
               const double t0 = now_s();
@@ -272,15 +280,16 @@ int main(int argc, char** argv) {
               cell.virt_ns[a] = r.elapsed_ns;
             }
           }
-          std::printf(
-              "  %-7s %-13s n=%-6s radix=%.4fs sample=%.4fs msd=%.4fs "
-              "merge=%.4fs\n",
-              sort::model_name(model), keys::dist_name(dist),
-              fmt_count(n).c_str(), cell.host_s[0], cell.host_s[1],
-              cell.host_s[2], cell.host_s[3]);
-          full_cells.push_back(cell);
         }
       }
+    }
+    for (const FullCell& cell : full_cells) {
+      std::printf(
+          "  %-7s %-13s n=%-6s radix=%.4fs sample=%.4fs msd=%.4fs "
+          "merge=%.4fs\n",
+          sort::model_name(cell.model), keys::dist_name(cell.dist),
+          fmt_count(cell.n).c_str(), cell.host_s[0], cell.host_s[1],
+          cell.host_s[2], cell.host_s[3]);
     }
 
     // ---- Section 3: calibrated-planner picks + crossover flips. ----

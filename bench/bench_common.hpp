@@ -97,34 +97,34 @@ inline void banner(const std::string& what, const BenchEnv& env) {
 
 /// Sequential radix baseline cache (Table 1 numbers), keyed by
 /// (n, dist, radix); uses the paper's page-size policy for n. Shared
-/// across a whole sweep run: lookups are mutex-guarded so parallel sweep
-/// workers can consult one instance (values are deterministic, so a rare
-/// duplicated compute is harmless — first insert wins).
+/// across a whole sweep run: each baseline is computed once, by its first
+/// caller — in a sweep, the worker about to sort that input, so its
+/// thread-local input cache already holds it — while concurrent callers
+/// for the same key wait for that result.
 class BaselineCache {
  public:
   explicit BaselineCache(std::uint64_t seed) : seed_(seed) {}
 
   double ns(Index n, keys::Dist dist, int radix_bits) {
-    const std::uint64_t key = pack(n, dist, radix_bits);
+    Entry* e = nullptr;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
+      e = &cache_[pack(n, dist, radix_bits)];  // nodes never move
     }
-    const double v = sort::seq_baseline_ns(
-        n, dist, radix_bits, machine::MachineParams::origin2000_for_keys(n),
-        seed_);
-    const std::lock_guard<std::mutex> lock(mu_);
-    return cache_.emplace(key, v).first->second;
-  }
-
-  /// Precompute baselines serially (call before a parallel sweep so
-  /// workers only ever hit).
-  void warm(Index n, keys::Dist dist, int radix_bits) {
-    ns(n, dist, radix_bits);
+    std::call_once(e->once, [&] {
+      e->ns = sort::seq_baseline_ns(
+          n, dist, radix_bits, machine::MachineParams::origin2000_for_keys(n),
+          seed_);
+    });
+    return e->ns;
   }
 
  private:
+  struct Entry {
+    std::once_flag once;
+    double ns = 0;
+  };
+
   static std::uint64_t pack(Index n, keys::Dist dist, int radix_bits) {
     // n < 2^55 keys, dist < 16, radix_bits <= 20 < 32.
     return (static_cast<std::uint64_t>(n) << 9) |
@@ -134,7 +134,7 @@ class BaselineCache {
 
   std::uint64_t seed_;
   std::mutex mu_;
-  std::unordered_map<std::uint64_t, double> cache_;
+  std::unordered_map<std::uint64_t, Entry> cache_;
 };
 
 /// Run one sort with the standard env seed and the paper's page policy.

@@ -24,13 +24,10 @@ int main(int argc, char** argv) {
     const sort::Model kModels[] = {sort::Model::kShmem, sort::Model::kCcSas,
                                    sort::Model::kMpi, sort::Model::kCcSasNew};
 
-    // Warm the baselines serially, then fan the independent (n, p) cells
-    // across the sweep pool; the four models of one cell stay on one
-    // worker so they share its thread-local input cache.
+    // Fan the independent (n, p) cells across the sweep pool; a cell's
+    // baseline and its four models stay on one worker so they share its
+    // thread-local input cache.
     bench::BaselineCache baselines(env.seed);
-    for (const auto n : env.sizes) {
-      baselines.warm(n, keys::Dist::kGauss, env.radix_bits);
-    }
     struct Cell {
       std::uint64_t n = 0;
       int p = 0;

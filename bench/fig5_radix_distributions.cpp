@@ -6,6 +6,8 @@
 // reach, after which `remote` (and `local`) win via their pre-clustered
 // permutation locality; `half` tracks Gauss (aggregate traffic, not
 // message count, is what matters).
+#include <iterator>
+
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -21,30 +23,31 @@ int main(int argc, char** argv) {
     for (const auto n : env.sizes) headers.push_back(fmt_count(n));
     TextTable t(headers);
 
-    std::vector<double> gauss_ns;
-    for (const auto n : env.sizes) {
+    auto time_of = [&](Index n, keys::Dist d) {
       sort::SortSpec spec;
       spec.algo = sort::Algo::kRadix;
       spec.model = sort::Model::kShmem;
       spec.nprocs = p;
       spec.n = n;
       spec.radix_bits = env.radix_bits;
-      spec.dist = keys::Dist::kGauss;
-      gauss_ns.push_back(bench::run_spec(spec, env.seed).elapsed_ns);
+      spec.dist = d;
+      return bench::run_spec(spec, env.seed).elapsed_ns;
+    };
+
+    // Size outer, distribution inner: the gauss reference and the gauss
+    // row sort the same input back to back.
+    std::vector<std::vector<double>> rel(env.sizes.size());
+    for (std::size_t i = 0; i < env.sizes.size(); ++i) {
+      const double gauss_ns = time_of(env.sizes[i], keys::Dist::kGauss);
+      for (const keys::Dist d : keys::kAllDists) {
+        rel[i].push_back(time_of(env.sizes[i], d) / gauss_ns);
+      }
     }
 
-    for (const keys::Dist d : keys::kAllDists) {
-      std::vector<std::string> row{keys::dist_name(d)};
+    for (std::size_t j = 0; j < std::size(keys::kAllDists); ++j) {
+      std::vector<std::string> row{keys::dist_name(keys::kAllDists[j])};
       for (std::size_t i = 0; i < env.sizes.size(); ++i) {
-        sort::SortSpec spec;
-        spec.algo = sort::Algo::kRadix;
-        spec.model = sort::Model::kShmem;
-        spec.nprocs = p;
-        spec.n = env.sizes[i];
-        spec.radix_bits = env.radix_bits;
-        spec.dist = d;
-        const double ns = bench::run_spec(spec, env.seed).elapsed_ns;
-        row.push_back(fmt_fixed(ns / gauss_ns[i], 3));
+        row.push_back(fmt_fixed(rel[i][j], 3));
       }
       t.add_row(std::move(row));
     }

@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
     const sort::Model kModels[] = {sort::Model::kShmem, sort::Model::kCcSas,
                                    sort::Model::kMpi};
     bench::BaselineCache baselines(env.seed);
-    for (const auto n : env.sizes) {
-      baselines.warm(n, keys::Dist::kGauss, env.radix_bits);
-    }
     struct Cell {
       std::uint64_t n = 0;
       int p = 0;

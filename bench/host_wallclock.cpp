@@ -526,20 +526,6 @@ int main(int argc, char** argv) {
     const int micro_p = 64;
     const int micro_reps = quick ? 5 : 20;
     if (!kernels_only) {
-      // Warm the thread-local input cache and the per-size page-policy
-      // state once so both engines start from identical host conditions.
-      std::vector<double> warm_virt;
-      (void)timed_sweep(env, SpmdEngine::kThreads, warm_virt);
-
-      std::vector<double> virt_threads, virt_coop;
-      wall_threads = timed_sweep(env, SpmdEngine::kThreads, virt_threads);
-      wall_coop = timed_sweep(env, SpmdEngine::kCooperative, virt_coop);
-      DSM_CHECK(virt_threads == virt_coop,
-                "engines disagree on virtual times");
-      DSM_CHECK(virt_threads == warm_virt,
-                "virtual times changed between repetitions");
-      sweep_speedup = wall_threads / wall_coop;
-
       (void)timed_barrier_micro(micro_n, micro_p, 1, env.seed,
                                 SpmdEngine::kThreads);  // warm
       micro_threads = timed_barrier_micro(micro_n, micro_p, micro_reps,
@@ -547,6 +533,24 @@ int main(int argc, char** argv) {
       micro_coop = timed_barrier_micro(micro_n, micro_p, micro_reps,
                                        env.seed, SpmdEngine::kCooperative);
       micro_speedup = micro_threads / micro_coop;
+
+      // One size at a time: an untimed sweep warms the thread-local input
+      // cache and the per-size page-policy state, so both engines then
+      // time identical host conditions on the input the cache holds.
+      // (The barrier micro's 64K input is the quick sweep's first size.)
+      for (const auto n : env.sizes) {
+        bench::BenchEnv one = env;
+        one.sizes = {n};
+        std::vector<double> warm_virt, virt_threads, virt_coop;
+        (void)timed_sweep(one, SpmdEngine::kThreads, warm_virt);
+        wall_threads += timed_sweep(one, SpmdEngine::kThreads, virt_threads);
+        wall_coop += timed_sweep(one, SpmdEngine::kCooperative, virt_coop);
+        DSM_CHECK(virt_threads == virt_coop,
+                  "engines disagree on virtual times");
+        DSM_CHECK(virt_threads == warm_virt,
+                  "virtual times changed between repetitions");
+      }
+      sweep_speedup = wall_threads / wall_coop;
     }
 
     // Kernel backends: per-(n, radix_bits) cells with a histogram /

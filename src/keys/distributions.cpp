@@ -20,15 +20,20 @@ Key stateless_u31(std::uint64_t seed, Index global_index) {
 void gen_gauss(std::span<Key> out, const GenSpec& spec, bool force_even) {
   // NAS IS / SPLASH-2: each key is the average of four consecutive draws
   // of x_{k+1} = 513 x_k mod 2^46. Jump-ahead keeps the global stream
-  // independent of the partitioning.
+  // independent of the partitioning. The four draws of a key advance as
+  // four independent lanes (x_{k+4} = 513^4 x_k), so their multiplies
+  // overlap instead of forming one dependent chain.
   NasLcg46 lcg(NasLcg46::kDefaultSeed ^ (spec.seed == 1 ? 0 : spec.seed));
   lcg.jump(4 * spec.global_begin);
+  const std::uint64_t stride = NasLcg46::pow_mult(4);
+  std::uint64_t x[4];
+  for (std::uint64_t& lane : x) lane = lcg.next();
   for (Key& k : out) {
-    std::uint64_t sum = 0;
-    for (int i = 0; i < 4; ++i) sum += lcg.next();
+    const std::uint64_t sum = x[0] + x[1] + x[2] + x[3];
     // Average of values in [0, 2^46), scaled to [0, 2^31).
     k = static_cast<Key>((sum >> 2) >> (46 - kKeyBits));
     if (force_even) k &= ~Key{1};
+    for (std::uint64_t& lane : x) lane = (lane * stride) & NasLcg46::kModMask;
   }
 }
 

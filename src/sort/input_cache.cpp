@@ -1,9 +1,10 @@
 #include "sort/input_cache.hpp"
 
 #include <cstring>
-#include <vector>
+#include <optional>
 
 #include "common/error.hpp"
+#include "common/scratch.hpp"
 
 namespace dsm::sort {
 namespace {
@@ -29,73 +30,99 @@ struct CacheKey {
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };
 
-struct Entry {
-  CacheKey key;
-  std::vector<Key> keys;  // the full global array
+/// One thread's cache: the most recently requested cacheable input. The
+/// storage outlives the input it holds, so a miss regenerates in place and
+/// steady traffic allocates (and zero-fills) nothing.
+struct Slot {
+  std::optional<CacheKey> key;  // the held input; empty when none
+  ScratchVector<Key> storage;   // the held global array is its prefix
   Checksum sum;
-  std::uint64_t tick = 0;
-};
-
-/// One thread's cache: an LRU list of generated data sets bounded by a
-/// byte budget, so long-running heterogeneous traffic (the sort service)
-/// cannot grow it without bound.
-struct Cache {
-  std::vector<Entry> entries;
   std::uint64_t budget = kInputCacheDefaultBudget;
-  std::uint64_t bytes = 0;
-  std::uint64_t tick = 0;
   InputCacheStats stats;
 
-  void evict_to(std::uint64_t limit) {
-    while (bytes > limit && !entries.empty()) {
-      std::size_t lru = 0;
-      for (std::size_t i = 1; i < entries.size(); ++i) {
-        if (entries[i].tick < entries[lru].tick) lru = i;
-      }
-      bytes -= entries[lru].keys.size() * sizeof(Key);
-      entries.erase(entries.begin() +
-                    static_cast<std::ptrdiff_t>(lru));
-      ++stats.evictions;
-    }
+  void release() {
+    if (key.has_value()) ++stats.evictions;
+    key.reset();
+    storage = ScratchVector<Key>();
   }
 };
 
-thread_local Cache tl_cache;
+thread_local Slot tl_slot;
 
-/// Generate rank r's slice parameters — shared by the cached and direct
-/// paths so both produce identical bytes.
-keys::GenSpec gen_spec_for(Index n_total, int nprocs, int radix_bits,
-                           std::uint64_t seed, const sas::HomeMap& homes,
-                           int r) {
-  keys::GenSpec gs;
-  gs.n_total = n_total;
-  gs.global_begin = homes.begin_of(r);
-  gs.rank = r;
-  gs.nprocs = nprocs;
-  gs.radix_bits = radix_bits;
-  gs.seed = seed;
-  return gs;
+/// Generate every rank's slice into `part(r)` and return the combined
+/// checksum — the one generation loop behind the slot and both bypasses,
+/// so every path produces identical bytes.
+Checksum generate_into(keys::Dist dist, Index n_total, int nprocs,
+                       int radix_bits, std::uint64_t seed,
+                       const sas::HomeMap& homes,
+                       const std::function<std::span<Key>(int)>& part) {
+  Checksum total;
+  for (int r = 0; r < nprocs; ++r) {
+    const std::span<Key> out = part(r);
+    DSM_CHECK(out.size() == homes.count_of(r), "partition size mismatch");
+    keys::GenSpec gs;
+    gs.n_total = n_total;
+    gs.global_begin = homes.begin_of(r);
+    gs.rank = r;
+    gs.nprocs = nprocs;
+    gs.radix_bits = radix_bits;
+    gs.seed = seed;
+    keys::generate(dist, out, gs);
+    total = combine(total, checksum_of(out));
+  }
+  return total;
+}
+
+/// The slot holding the requested input — as is on a hit, regenerated in
+/// place on a miss — or nullptr when the input is too large to cache.
+/// Every request that is not a hit counts as a miss.
+const Slot* fill_slot(keys::Dist dist, Index n_total, int nprocs,
+                      int radix_bits, std::uint64_t seed,
+                      const sas::HomeMap& homes) {
+  Slot& slot = tl_slot;
+  if (n_total * sizeof(Key) > slot.budget / 2) {
+    ++slot.stats.misses;
+    return nullptr;
+  }
+  const CacheKey key{dist, n_total, seed,
+                     partition_dependent(dist) ? nprocs : 1,
+                     radix_dependent(dist) ? radix_bits : 0};
+  if (slot.key == key) {
+    ++slot.stats.hits;
+    return &slot;
+  }
+  ++slot.stats.misses;
+  if (slot.key.has_value()) ++slot.stats.evictions;
+  slot.key.reset();  // holds nothing until generation completes
+  const std::span<Key> all = scratch_span(slot.storage, n_total);
+  slot.sum = generate_into(
+      dist, n_total, nprocs, radix_bits, seed, homes, [&](int r) {
+        return all.subspan(homes.begin_of(r), homes.count_of(r));
+      });
+  slot.key = key;
+  return &slot;
 }
 
 }  // namespace
 
 void input_cache_set_budget(std::uint64_t bytes) {
-  tl_cache.budget = bytes;
-  tl_cache.evict_to(bytes);
+  tl_slot.budget = bytes;
+  if (tl_slot.storage.size() * sizeof(Key) > bytes) tl_slot.release();
 }
 
-std::uint64_t input_cache_budget() { return tl_cache.budget; }
+std::uint64_t input_cache_budget() { return tl_slot.budget; }
 
 void input_cache_clear() {
-  tl_cache.entries.clear();
-  tl_cache.bytes = 0;
-  tl_cache.stats = InputCacheStats{};
+  tl_slot.release();
+  tl_slot.stats = InputCacheStats{};
 }
 
 InputCacheStats input_cache_stats() {
-  InputCacheStats s = tl_cache.stats;
-  s.entries = tl_cache.entries.size();
-  s.bytes = tl_cache.bytes;
+  InputCacheStats s = tl_slot.stats;
+  if (tl_slot.key.has_value()) {
+    s.entries = 1;
+    s.bytes = tl_slot.key->n_total * sizeof(Key);
+  }
   return s;
 }
 
@@ -105,73 +132,37 @@ Checksum generate_partitions_cached(
     const std::function<std::span<Key>(int)>& part) {
   DSM_REQUIRE(homes.size() == n_total && homes.nprocs() == nprocs,
               "home map must match the requested data set");
-
-  Cache& cache = tl_cache;
-  const std::uint64_t entry_bytes = n_total * sizeof(Key);
-  if (entry_bytes > cache.budget / 2) {
-    // Too big to share the budget with a second data set: generate
-    // straight into the partitions (the pre-cache behaviour).
-    ++cache.stats.misses;
-    Checksum total;
-    for (int r = 0; r < nprocs; ++r) {
-      std::span<Key> out = part(r);
-      DSM_CHECK(out.size() == homes.count_of(r), "partition size mismatch");
-      keys::generate(dist,
-                     out, gen_spec_for(n_total, nprocs, radix_bits, seed,
-                                       homes, r));
-      total = combine(total, checksum_of(out));
-    }
-    return total;
+  const Slot* slot = fill_slot(dist, n_total, nprocs, radix_bits, seed, homes);
+  if (slot == nullptr) {
+    return generate_into(dist, n_total, nprocs, radix_bits, seed, homes,
+                         part);
   }
-
-  const CacheKey key{dist, n_total, seed,
-                     partition_dependent(dist) ? nprocs : 1,
-                     radix_dependent(dist) ? radix_bits : 0};
-  Entry* entry = nullptr;
-  for (Entry& e : cache.entries) {
-    if (e.key == key) entry = &e;
-  }
-  if (entry == nullptr) {
-    // Miss: generate a fresh entry, then evict least-recently-used
-    // entries until the budget holds again (the new entry is the most
-    // recent, so it survives; it fits by the bypass check above).
-    ++cache.stats.misses;
-    cache.entries.emplace_back();
-    entry = &cache.entries.back();
-    entry->key = key;
-    entry->keys.resize(n_total);
-    cache.bytes += entry_bytes;
-    Checksum total;
-    for (int r = 0; r < nprocs; ++r) {
-      const std::span<Key> slice(entry->keys.data() + homes.begin_of(r),
-                                 homes.count_of(r));
-      keys::generate(dist, slice,
-                     gen_spec_for(n_total, nprocs, radix_bits, seed, homes,
-                                  r));
-      total = combine(total, checksum_of(slice));
-    }
-    entry->sum = total;
-    entry->tick = ++cache.tick;
-    cache.evict_to(cache.budget);
-    DSM_CHECK(!cache.entries.empty() &&
-                  cache.entries.back().key == key,
-              "freshly generated entry must survive eviction");
-    entry = &cache.entries.back();
-  } else {
-    ++cache.stats.hits;
-    entry->tick = ++cache.tick;
-  }
-
   // Copy the partitions out. The checksum is a multiset fingerprint, so
-  // it is independent of which partitioning generated the entry.
+  // it is independent of which partitioning generated the slot.
   for (int r = 0; r < nprocs; ++r) {
-    std::span<Key> out = part(r);
+    const std::span<Key> out = part(r);
     DSM_CHECK(out.size() == homes.count_of(r), "partition size mismatch");
     if (out.empty()) continue;
-    std::memcpy(out.data(), entry->keys.data() + homes.begin_of(r),
+    std::memcpy(out.data(), slot->storage.data() + homes.begin_of(r),
                 out.size() * sizeof(Key));
   }
-  return entry->sum;
+  return slot->sum;
+}
+
+Checksum input_checksum_cached(keys::Dist dist, Index n_total, int nprocs,
+                               int radix_bits, std::uint64_t seed) {
+  const sas::HomeMap homes(n_total, nprocs);
+  if (const Slot* slot =
+          fill_slot(dist, n_total, nprocs, radix_bits, seed, homes)) {
+    return slot->sum;
+  }
+  // Too large to cache: one rank-sized buffer serves every rank in turn
+  // (rank 0's partition is the largest).
+  ScratchVector<Key> buf(homes.count_of(0));
+  return generate_into(dist, n_total, nprocs, radix_bits, seed, homes,
+                       [&](int r) {
+                         return std::span<Key>(buf).first(homes.count_of(r));
+                       });
 }
 
 }  // namespace dsm::sort

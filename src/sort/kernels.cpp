@@ -954,4 +954,21 @@ void payload_mirror_scatter(std::span<const Key> keys,
   }
 }
 
+void stable_payload_mirror(std::span<const Key> keys,
+                           std::span<keys::Payload> pays, RadixWorkspace& ws) {
+  DSM_REQUIRE(pays.size() == keys.size(),
+              "payload lane must match the key span");
+  const std::size_t n = keys.size();
+  const std::span<keys::KeyPayload32> recs = scratch_span(ws.pair_recs, n);
+  const std::span<keys::KeyPayload32> rtmp = scratch_span(ws.pair_tmp, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    recs[i] = {keys[i], pays[i]};
+  }
+  keys::record_lsd_sort<keys::RecordTraits<keys::KeyPayload32>>(recs, rtmp,
+                                                                11);
+  for (std::size_t i = 0; i < n; ++i) {
+    pays[i] = recs[i].payload;
+  }
+}
+
 }  // namespace dsm::sort

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/scratch.hpp"
 #include "common/types.hpp"
 #include "keys/record.hpp"
 
@@ -187,6 +188,8 @@ struct RadixWorkspace {
   std::vector<std::uint64_t> shard_cursor;  // threaded: [shard][bucket]
   std::vector<std::uint64_t> pay_cursor;    // paired sorts: cursor snapshot
                                             // for the payload mirror
+  ScratchVector<keys::KeyPayload32> pair_recs;  // stable_payload_mirror:
+  ScratchVector<keys::KeyPayload32> pair_tmp;   // record lane + its tmp
   std::vector<Key> lis_tails;               // merge split: patience tails
   std::vector<std::uint32_t> lis_tail_at;   // merge split: input index of
                                             // each tail
@@ -284,5 +287,14 @@ void payload_mirror_scatter(std::span<const Key> keys,
                             std::span<const keys::Payload> pay_in,
                             std::span<keys::Payload> pay_out, int pass,
                             int radix_bits, std::span<std::uint64_t> cursor);
+
+/// Host-side stable pair mirror for local sorts whose key permutation is
+/// not stable (the MSD cycle chase, the merge rounds): rearrange `pays`
+/// into the order a stable sort of `keys` would give them, leaving `keys`
+/// untouched, with the generic stable LSD pair sort. Uncharged like
+/// payload_mirror_scatter; its record lanes live in `ws` and are never
+/// zero-filled.
+void stable_payload_mirror(std::span<const Key> keys,
+                           std::span<keys::Payload> pays, RadixWorkspace& ws);
 
 }  // namespace dsm::sort

@@ -247,22 +247,12 @@ void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
                              std::span<keys::Payload> pays,
                              std::span<Key> tmp, int radix_bits,
                              KernelBackend be, RadixWorkspace& ws) {
-  DSM_REQUIRE(pays.size() == keys.size(),
-              "payload lane must match the key span");
-  const std::size_t n = keys.size();
-  // Host-side stable pair mirror (uncharged, DESIGN.md §11) — same
-  // discipline as local_msd_sort_paired.
-  std::vector<keys::KeyPayload32> recs(n);
-  std::vector<keys::KeyPayload32> rtmp(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    recs[i] = {keys[i], pays[i]};
-  }
+  // Host-side stable pair mirror (uncharged, DESIGN.md §11): the charged
+  // sort handles the key lane; the payload arrangement is derived from
+  // the unsorted keys by a stable pair sort, because this key sort
+  // reorders equal keys.
+  stable_payload_mirror(keys, pays, ws);
   local_merge_sort(ctx, keys, tmp, radix_bits, be, ws);
-  keys::record_lsd_sort<keys::RecordTraits<keys::KeyPayload32>>(recs, rtmp,
-                                                                11);
-  for (std::size_t i = 0; i < n; ++i) {
-    pays[i] = recs[i].payload;
-  }
 }
 
 }  // namespace dsm::sort

@@ -54,18 +54,13 @@ void append_line_durable(const std::string& path, const std::string& line) {
 std::string us_text(double ns) { return fmt_fixed(ns / 1e3, 3) + "us"; }
 
 /// The master-side expectation for end-to-end integrity (DESIGN.md §12):
-/// regenerate the job's input into a scratch buffer (usually an input-
-/// cache hit — the worker sorts the identical stream) and fingerprint it.
+/// the input checksum from the input cache (usually a hit — the job's
+/// primary attempt and its audit ask for the same input back to back).
 /// Keygen depends on (dist, n, nprocs, radix_bits, seed) only, never on
 /// the algorithm, so the same helper serves primary and audit plans.
 sort::Checksum expected_input_checksum(const JobSpec& job, int radix_bits) {
-  const sas::HomeMap homes(job.n, job.nprocs);
-  std::vector<Key> scratch(static_cast<std::size_t>(job.n));
-  return sort::generate_partitions_cached(
-      job.dist, job.n, job.nprocs, radix_bits, job.seed, homes, [&](int r) {
-        return std::span<Key>(scratch.data() + homes.begin_of(r),
-                              static_cast<std::size_t>(homes.count_of(r)));
-      });
+  return sort::input_checksum_cached(job.dist, job.n, job.nprocs, radix_bits,
+                                     job.seed);
 }
 
 }  // namespace

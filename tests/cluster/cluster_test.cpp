@@ -383,16 +383,11 @@ svc::RemoteAttempt small_attempt() {
   return attempt;
 }
 
-/// Master-side integrity expectation: the same cached keygen the server
+/// Master-side integrity expectation: the same cached checksum the server
 /// uses at dispatch time (svc/server.cpp expected_input_checksum).
 sort::Checksum expect_for(const svc::JobSpec& job, int radix_bits) {
-  const sas::HomeMap homes(job.n, job.nprocs);
-  std::vector<Key> scratch(static_cast<std::size_t>(job.n));
-  return sort::generate_partitions_cached(
-      job.dist, job.n, job.nprocs, radix_bits, job.seed, homes, [&](int r) {
-        return std::span<Key>(scratch.data() + homes.begin_of(r),
-                              static_cast<std::size_t>(homes.count_of(r)));
-      });
+  return sort::input_checksum_cached(job.dist, job.n, job.nprocs, radix_bits,
+                                     job.seed);
 }
 
 void wait_for_alive(WorkerPool& pool, int want) {

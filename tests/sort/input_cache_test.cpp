@@ -1,7 +1,8 @@
 // Input cache: a cache hit must hand out exactly the bytes (and checksum)
 // that direct generation would have produced — for every distribution,
 // including the partition- and radix-dependent ones, and for partitionings
-// the cached entry was not generated under.
+// the cached input was not generated under. The slot contract: it holds
+// the most recent cacheable input per thread and reuses its storage.
 #include "sort/input_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -106,41 +107,133 @@ void on_fresh_cache(const std::function<void()>& body) {
   worker.join();
 }
 
-TEST(InputCache, BudgetEvictsLeastRecentlyUsedFirst) {
+TEST(InputCache, MostRecentInputHitsAndADifferentKeyReplacesIt) {
   on_fresh_cache([] {
-    const Index n = 1 << 12;  // 16 KiB per entry
-    input_cache_set_budget(2 * n * sizeof(Key));  // room for two entries
+    const Index n = 1 << 12;
     (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 1);  // A
-    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 2);  // B
-    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 1);  // touch A
-    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 3);  // C evicts B
-    const InputCacheStats s = input_cache_stats();
-    EXPECT_EQ(s.entries, 2u);
+    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 1);  // A hits
+    EXPECT_EQ(input_cache_stats().hits, 1u);
+    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 2);  // B replaces A
+    InputCacheStats s = input_cache_stats();
+    EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.evictions, 1u);
-    EXPECT_LE(s.bytes, input_cache_budget());
-    // A survived (it was touched after B) ...
+    EXPECT_EQ(s.bytes, n * sizeof(Key));
+    // A is gone: asking for it again is a miss that replaces B.
     (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 1);
-    EXPECT_EQ(input_cache_stats().hits, 2u);
-    // ... and B did not: reloading it is a miss.
-    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 2);
-    EXPECT_EQ(input_cache_stats().misses, 4u);
+    s = input_cache_stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 3u);
+    EXPECT_EQ(s.evictions, 2u);
+    EXPECT_LE(s.entries, 1u);
   });
 }
 
-TEST(InputCache, ShrinkingTheBudgetEvictsImmediately) {
+TEST(InputCache, BudgetBelowTheHeldInputDropsIt) {
   on_fresh_cache([] {
     const Index n = 1 << 12;
-    input_cache_set_budget(4 * n * sizeof(Key));
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      (void)generate_warm(keys::Dist::kRandom, n, 4, 8, seed);
-    }
-    EXPECT_EQ(input_cache_stats().entries, 3u);
-    input_cache_set_budget(n * sizeof(Key));
+    (void)generate_warm(keys::Dist::kRandom, n, 4, 8, 1);
+    EXPECT_EQ(input_cache_stats().entries, 1u);
+    input_cache_set_budget(n * sizeof(Key));  // still holds it exactly
+    EXPECT_EQ(input_cache_stats().entries, 1u);
+    input_cache_set_budget(n * sizeof(Key) - 1);
     const InputCacheStats s = input_cache_stats();
-    EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.bytes, n * sizeof(Key));
-    EXPECT_EQ(s.evictions, 2u);
+    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(s.bytes, 0u);
+    EXPECT_EQ(s.evictions, 1u);
   });
+}
+
+// The service's traffic: every job has its own seed, and its primary run
+// and audit ask for its input back to back.
+TEST(InputCache, ServiceTrafficHitsEveryRepeatAndHoldsOneInput) {
+  on_fresh_cache([] {
+    const Index sizes[] = {Index{1} << 10, Index{1} << 12, Index{3} << 10};
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      const Index n = sizes[seed % 3];
+      const keys::Dist dist = keys::kAllDists[seed % 8];
+      const Generated primary = generate_warm(dist, n, 16, 8, seed);
+      const Generated audit = generate_warm(dist, n, 16, 8, seed);
+      EXPECT_EQ(audit.keys, primary.keys) << seed;
+      EXPECT_EQ(audit.sum, primary.sum) << seed;
+      EXPECT_LE(input_cache_stats().bytes, (Index{1} << 12) * sizeof(Key));
+    }
+    const InputCacheStats s = input_cache_stats();
+    EXPECT_EQ(s.hits, 50u);
+    EXPECT_EQ(s.misses, 50u);
+    EXPECT_EQ(s.entries, 1u);
+  });
+}
+
+// The slot's storage keeps the larger input's tail when a smaller one is
+// generated into it; neither that tail nor the stale prefix may leak.
+TEST(InputCache, ReusedStorageMatchesDirectGeneration) {
+  const Index big = 1 << 14;
+  const Index small = 1000;
+  const Generated big1 = generate_cold(keys::Dist::kRandom, big, 8, 8, 1);
+  const Generated small2 = generate_cold(keys::Dist::kStagger, small, 8, 8, 2);
+  const Generated big3 = generate_cold(keys::Dist::kGauss, big, 8, 8, 3);
+  on_fresh_cache([&] {
+    EXPECT_EQ(generate_warm(keys::Dist::kRandom, big, 8, 8, 1).keys,
+              big1.keys);
+    const Generated s2 = generate_warm(keys::Dist::kStagger, small, 8, 8, 2);
+    EXPECT_EQ(s2.keys, small2.keys);
+    EXPECT_EQ(s2.sum, small2.sum);
+    const Generated b3 = generate_warm(keys::Dist::kGauss, big, 8, 8, 3);
+    EXPECT_EQ(b3.keys, big3.keys);
+    EXPECT_EQ(b3.sum, big3.sum);
+    EXPECT_EQ(input_cache_stats().hits, 0u);
+  });
+}
+
+TEST(InputCache, ChecksumOnlyRequestsShareTheSlot) {
+  const Index n = 10000;  // uneven partitions on purpose
+  const Generated direct = generate_cold(keys::Dist::kBucket, n, 7, 8, 9);
+  on_fresh_cache([&] {
+    EXPECT_EQ(input_checksum_cached(keys::Dist::kBucket, n, 7, 8, 9),
+              direct.sum);
+    const Generated hit = generate_warm(keys::Dist::kBucket, n, 7, 8, 9);
+    EXPECT_EQ(hit.keys, direct.keys);
+    EXPECT_EQ(input_checksum_cached(keys::Dist::kBucket, n, 7, 8, 9),
+              direct.sum);
+    const InputCacheStats s = input_cache_stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 2u);
+  });
+  on_fresh_cache([&] {
+    input_cache_set_budget(0);  // the uncached path must agree too
+    EXPECT_EQ(input_checksum_cached(keys::Dist::kBucket, n, 7, 8, 9),
+              direct.sum);
+    EXPECT_EQ(input_cache_stats().entries, 0u);
+  });
+}
+
+// Each thread owns its slot: concurrent requests for different inputs
+// neither see nor evict each other's (run under the tsan. tier too).
+TEST(InputCache, ConcurrentThreadsKeepSeparateSlots) {
+  const Index n = 1 << 12;
+  std::vector<Generated> direct;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    direct.push_back(generate_cold(keys::Dist::kRandom, n, 4, 8, seed));
+  }
+  std::vector<InputCacheStats> stats(4);
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        const Generated g = generate_warm(keys::Dist::kRandom, n, 4, 8, t + 1);
+        mismatches[t] += g.keys != direct[t].keys || !(g.sum == direct[t].sum);
+      }
+      stats[t] = input_cache_stats();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << t;
+    EXPECT_EQ(stats[t].misses, 1u) << t;
+    EXPECT_EQ(stats[t].hits, 19u) << t;
+    EXPECT_EQ(stats[t].evictions, 0u) << t;
+  }
 }
 
 TEST(InputCache, OversizeInputsBypassTheCacheButStayCorrect) {
