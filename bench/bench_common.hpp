@@ -46,18 +46,11 @@ struct BenchEnv {
   bool want_csv() const { return !csv_dir.empty(); }
 };
 
-/// Parse the common options. `extra_known` lists harness-specific options.
-inline BenchEnv parse_env(int argc, char** argv,
-                          const std::string& default_sizes = "1M,4M,16M",
-                          const std::string& default_procs = "16,32,64",
-                          std::vector<std::string> extra_known = {}) {
-  ArgParser args(argc, argv);
-  std::vector<std::string> known{"sizes", "procs", "radix",       "seed",
-                                 "full",  "csv",   "jobs",        "kernels",
-                                 "kernel-jobs"};
-  known.insert(known.end(), extra_known.begin(), extra_known.end());
-  args.check_known(known);
-
+/// Read the common options from `args`, whose flags the caller has
+/// already checked; an option absent from `args` keeps its default.
+inline BenchEnv read_env(const ArgParser& args,
+                         const std::string& default_sizes,
+                         const std::string& default_procs) {
   BenchEnv env;
   env.sizes = args.get_counts(
       "sizes", args.has("full") ? "1M,4M,16M,64M,256M" : default_sizes);
@@ -76,6 +69,20 @@ inline BenchEnv parse_env(int argc, char** argv,
         static_cast<int>(args.get_int("kernel-jobs", 0)));
   }
   return env;
+}
+
+/// Parse the common options. `extra_known` lists harness-specific options.
+inline BenchEnv parse_env(int argc, char** argv,
+                          const std::string& default_sizes = "1M,4M,16M",
+                          const std::string& default_procs = "16,32,64",
+                          std::vector<std::string> extra_known = {}) {
+  ArgParser args(argc, argv);
+  std::vector<std::string> known{"sizes", "procs", "radix",       "seed",
+                                 "full",  "csv",   "jobs",        "kernels",
+                                 "kernel-jobs"};
+  known.insert(known.end(), extra_known.begin(), extra_known.end());
+  args.check_known(known);
+  return read_env(args, default_sizes, default_procs);
 }
 
 /// Print the standard harness banner.

@@ -11,16 +11,22 @@
 #                                     end-to-end integrity must catch it and
 #                                     quarantine exactly that worker.
 #
+# The liar connects first and alone: it is the only worker the master can
+# lease, so it takes two leases, earns two integrity strikes and is
+# quarantined before any honest worker starts. Its catch is therefore
+# deterministic, not a race against the end of the trace.
+#
 # Asserts the run still completes every job, the replay selfcheck stays
-# byte-identical, the liar was caught (non-zero integrity violations and a
-# non-zero quarantine count), and the honest survivors retire cleanly.
+# byte-identical, the liar was caught exactly as configured (2 integrity
+# violations, 1 quarantined worker), and the honest survivors retire
+# cleanly. Registered as the RUN_SERIAL ctest bench.cluster_smoke.
 #
 # Usage: scripts/cluster_smoke.sh [build-dir]
 #   build-dir  where the binaries live (default: build)
 set -eu
 
 BUILD="${1:-build}"
-MASTER_BIN="$BUILD/bench/service_throughput"
+MASTER_BIN="$BUILD/bench/service_bench"
 WORKERD_BIN="$BUILD/src/dsmsort_workerd"
 SOCK="$(mktemp -u /tmp/dsmsort_smoke.XXXXXX.sock)"
 OUT="$(mktemp /tmp/dsmsort_smoke.XXXXXX.json)"
@@ -30,7 +36,7 @@ NJOBS=32
 for bin in "$MASTER_BIN" "$WORKERD_BIN"; do
   if [ ! -x "$bin" ]; then
     echo "cluster_smoke: binary not found at $bin" >&2
-    echo "build first: cmake --build $BUILD --target service_throughput dsmsort_workerd" >&2
+    echo "build first: cmake --build $BUILD --target service_bench dsmsort_workerd" >&2
     exit 2
   fi
 done
@@ -46,8 +52,12 @@ cleanup() {
   for pid in $W2_PID; do
     kill -CONT "$pid" 2>/dev/null || true
   done
-  for pid in $MASTER_PID $W1_PID $W2_PID $W3_PID $W4_PID $LIAR_PID; do
+  for pid in $MASTER_PID $W1_PID $W2_PID $W3_PID $W4_PID; do
     kill -9 "$pid" 2>/dev/null || true
+  done
+  # The liar runs under timeout, which forwards SIGTERM (not SIGKILL).
+  for pid in $LIAR_PID; do
+    kill "$pid" 2>/dev/null || true
   done
   rm -f "$SOCK" "$OUT" "$LOG"
 }
@@ -59,20 +69,34 @@ trap cleanup EXIT
 # blocks until at least one worker registers, so starting it first is
 # race-free. Sizes are chosen so the run takes a couple of seconds — long
 # enough that the kill and the stop below land while jobs are in flight.
-"$MASTER_BIN" --quick --njobs "$NJOBS" --sizes 256K --jobs 3 \
-  --cluster-serve "$SOCK" --heartbeat-ms 50 --suspect-after 4 \
+"$MASTER_BIN" --scenario throughput --quick --njobs "$NJOBS" --sizes 256K \
+  --jobs 3 --cluster-serve "$SOCK" --heartbeat-ms 50 --suspect-after 4 \
   --out "$OUT" >"$LOG" 2>&1 &
 MASTER_PID=$!
 
-# Five workers; workerd retries the connect until the listener is up. The
-# liar completes every protocol step flawlessly and sorts honestly — only
-# its result reports are corrupted, so only end-to-end integrity can
-# catch it.
+# The liar first, alone (workerd retries the connect until the listener is
+# up). It completes every protocol step flawlessly and sorts honestly —
+# only its result reports are corrupted, so only end-to-end integrity can
+# catch it. Every lease goes to it until its second strike quarantines it
+# and the master closes its channel, which ends the process; only then do
+# the honest workers start. timeout bounds the wait: exit 124 means the
+# liar was never quarantined.
+timeout 60 "$WORKERD_BIN" --connect "$SOCK" --label smoke-liar --lie &
+LIAR_PID=$!
+LIAR_RC=0
+wait "$LIAR_PID" || LIAR_RC=$?
+LIAR_PID=""
+if [ "$LIAR_RC" -eq 124 ]; then
+  echo "cluster_smoke: FAIL — the liar was never quarantined; log:" >&2
+  cat "$LOG" >&2
+  exit 1
+fi
+echo "cluster_smoke: liar quarantined before the honest workers started"
+
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-1 & W1_PID=$!
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-2 & W2_PID=$!
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-3 & W3_PID=$!
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-4 & W4_PID=$!
-"$WORKERD_BIN" --connect "$SOCK" --label smoke-liar --lie & LIAR_PID=$!
 
 # Let the run get going, then SIGKILL one worker and SIGSTOP another
 # mid-job. (If the host is fast enough that the trace already finished,
@@ -111,16 +135,12 @@ if ! grep -q "byte-identical" "$LOG"; then
   cat "$LOG" >&2
   exit 1
 fi
-# ...and the liar was caught end-to-end: integrity violations charged and
-# the worker quarantined (the liar is leased from the very first batches,
-# so this holds even when the trace outruns the signals above).
-if ! grep -Eq '[1-9][0-9]* integrity violation' "$LOG"; then
-  echo "cluster_smoke: FAIL — the lying worker was never caught; log:" >&2
-  cat "$LOG" >&2
-  exit 1
-fi
-if ! grep -Eq '[1-9][0-9]* quarantined' "$LOG"; then
-  echo "cluster_smoke: FAIL — the lying worker was never quarantined; log:" >&2
+# ...and the liar was caught end-to-end: exactly its two strikes charged
+# and exactly it quarantined (the killed and the stopped worker die, they
+# are not struck).
+if ! grep -q ' 2 integrity violation(s), 1 quarantined' "$LOG"; then
+  echo "cluster_smoke: FAIL — the liar was not struck twice and" \
+    "quarantined; log:" >&2
   cat "$LOG" >&2
   exit 1
 fi
@@ -132,11 +152,6 @@ grep "cluster:" "$LOG" || true
 kill -CONT "$W2_PID" 2>/dev/null || true
 wait "$W2_PID" 2>/dev/null || true
 W2_PID=""
-# The quarantined liar's channel was closed on it; not a clean retire
-# either, so its status is not asserted.
-wait "$LIAR_PID" 2>/dev/null || true
-LIAR_PID=""
-
 # The honest surviving workers retire cleanly when the master shuts the
 # pool down.
 for pid in $W3_PID $W4_PID; do

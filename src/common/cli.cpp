@@ -20,6 +20,25 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
+/// The value of `--name` parsed by `parse` (std::stoll / std::stod),
+/// which must consume all of `text`: "8x" is as bad as "abc", and either
+/// error names the flag.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const char* what, Parse parse) {
+  DSM_REQUIRE(!text.empty(), "--" + name + " needs a value");
+  std::size_t pos = 0;
+  decltype(parse(text, &pos)) value{};
+  try {
+    value = parse(text, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  DSM_REQUIRE(pos == text.size(),
+              "--" + name + ": bad " + what + " '" + text + "'");
+  return value;
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
@@ -54,15 +73,19 @@ std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  DSM_REQUIRE(!it->second.empty(), "--" + name + " needs a value");
-  return std::stoll(it->second);
+  return parse_whole(name, it->second, "integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoll(s, pos);
+                     });
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  DSM_REQUIRE(!it->second.empty(), "--" + name + " needs a value");
-  return std::stod(it->second);
+  return parse_whole(name, it->second, "number",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stod(s, pos);
+                     });
 }
 
 std::vector<std::uint64_t> ArgParser::get_counts(

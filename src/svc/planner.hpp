@@ -40,8 +40,8 @@ struct PlannerConfig {
   /// factor starts at 1.0 and eases toward each observed ratio; the small
   /// default deliberately favours a cell's long-run mean bias over
   /// recency, because the residual error drifts with (n, p) within a cell
-  /// and chasing the latest job overcorrects (measured in
-  /// bench/service_throughput).
+  /// and chasing the latest job overcorrects (measured with
+  /// `service_bench --scenario throughput`).
   double ewma_alpha = 0.1;
   /// Master switch: disable to plan on raw predictions only (A/B runs).
   bool calibrate = true;

@@ -96,6 +96,37 @@ TEST(ArgParser, IntsListRejectsTrailingCharacters) {
   EXPECT_THROW(a.get_ints("procs", ""), Error);
 }
 
+TEST(ArgParser, IntRejectsTrailingCharactersNamingTheFlag) {
+  auto a = make({"--radix", "8x"});
+  try {
+    (void)a.get_int("radix", 0);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--radix"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'8x'"), std::string::npos) << msg;
+  }
+}
+
+TEST(ArgParser, IntRejectsGarbageNamingTheFlag) {
+  auto a = make({"--radix", "abc"});
+  try {
+    (void)a.get_int("radix", 0);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--radix"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("stoll"), std::string::npos) << msg;
+  }
+}
+
+TEST(ArgParser, DoubleParsesWholeValuesOnly) {
+  auto a = make({"--rate", "0.10", "--seconds", "20", "--bad", "0.1s"});
+  EXPECT_DOUBLE_EQ(a.get_double("rate", 0), 0.10);
+  EXPECT_DOUBLE_EQ(a.get_double("seconds", 0), 20);
+  EXPECT_THROW((void)a.get_double("bad", 0), Error);
+}
+
 TEST(ArgParser, RejectsNonOption) {
   EXPECT_THROW(make({"positional"}), Error);
 }
