@@ -23,13 +23,12 @@ void Communicator::exchange(sim::ProcContext& ctx,
     std::uint64_t size;
   };
   const WinInfo mine{window.data(), window.size()};
-  using Windows = std::shared_ptr<const std::vector<WinInfo>>;
-  auto windows = team_.reconcile<WinInfo, Windows>(
+  const auto windows = team_.reconcile_shared<WinInfo, std::vector<WinInfo>>(
       ctx, mine, [](std::span<const WinInfo* const> wins) {
-        auto all = std::make_shared<std::vector<WinInfo>>();
-        all->reserve(wins.size());
-        for (const WinInfo* w : wins) all->push_back(*w);
-        return std::vector<Windows>(wins.size(), all);
+        std::vector<WinInfo> all;
+        all.reserve(wins.size());
+        for (const WinInfo* w : wins) all.push_back(*w);
+        return all;
       });
 
   // Validate everything before touching remote memory so a malformed send

@@ -5,7 +5,9 @@
 //     waitall idiom): every rank registers its receive window and posts
 //     sends that land at explicit offsets in remote windows (the radix
 //     program's "one message per contiguously-destined chunk").
-//   * allgather() — used for histogram and sample collection.
+//   * allgather() / allgather_reduce() — histogram and sample collection;
+//     the reduce form hands every rank one shared result computed once
+//     (the radix prefix table, the sample splitters).
 //   * barrier().
 //
 // Payloads really move (the staged transport really copies through a
@@ -49,6 +51,23 @@ class Communicator {
   void exchange(sim::ProcContext& ctx, std::span<const Send> sends,
                 std::span<std::byte> window);
 
+  /// Collective gather-and-reduce: every rank contributes an equal-size
+  /// block `in`, the last arriver runs `reduce` once over the rank-indexed
+  /// blocks (a sim::Blocks<T>), and every rank receives the same result.
+  /// Charged exactly like allgather: each modelled process still gathers
+  /// every block and derives the result itself, only the host computes it
+  /// once (DESIGN.md §5.1). `reduce` must be pure over the blocks.
+  template <typename T, typename R, typename Reduce>
+  std::shared_ptr<const R> allgather_reduce(sim::ProcContext& ctx,
+                                            std::span<const T> in,
+                                            Reduce reduce) {
+    auto res = team_.reconcile_shared<std::span<const T>, R>(
+        ctx, in, sim::over_equal_blocks<T>(reduce, "allgather"));
+    charge_allgather(ctx, in.size() * sizeof(T));
+    ctx.team().vbarrier(ctx);
+    return res;
+  }
+
   /// Collective allgather: `in` from every rank concatenated (by rank)
   /// into `out` (size in.size() * nprocs) on every rank.
   template <typename T>
@@ -56,30 +75,9 @@ class Communicator {
                  std::span<T> out) {
     DSM_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(nprocs()),
                 "allgather output must hold nprocs blocks");
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{in.data(), in.size()};
-    auto all = team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-        ctx, mine, [](std::span<const Block* const> blocks) {
-          auto gathered = std::make_shared<std::vector<T>>();
-          std::size_t total = 0;
-          for (const Block* b : blocks) {
-            DSM_REQUIRE(b->count == blocks[0]->count,
-                        "allgather blocks must have equal size");
-            total += b->count;
-          }
-          gathered->reserve(total);
-          for (const Block* b : blocks) {
-            gathered->insert(gathered->end(), b->data, b->data + b->count);
-          }
-          return std::vector<std::shared_ptr<const std::vector<T>>>(
-              blocks.size(), gathered);
-        });
-    std::memcpy(out.data(), all->data(), all->size() * sizeof(T));
-    charge_allgather(ctx, in.size() * sizeof(T));
-    ctx.team().vbarrier(ctx);
+    const auto all = allgather_reduce<T, std::vector<T>>(
+        ctx, in, sim::concat_blocks<T>);
+    std::copy(all->begin(), all->end(), out.begin());
   }
 
   /// Collective barrier (dissemination rounds + reconciliation).
@@ -91,24 +89,16 @@ class Communicator {
   void bcast(sim::ProcContext& ctx, int root, std::span<T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
     DSM_REQUIRE(root >= 0 && root < nprocs(), "bcast root out of range");
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{data.data(), data.size()};
-    auto all = team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-        ctx, mine, [root](std::span<const Block* const> blocks) {
-          for (const Block* b : blocks) {
-            DSM_REQUIRE(b->count == blocks[0]->count,
-                        "bcast blocks must have equal size");
-          }
-          const Block* r = blocks[static_cast<std::size_t>(root)];
-          auto payload =
-              std::make_shared<std::vector<T>>(r->data, r->data + r->count);
-          return std::vector<std::shared_ptr<const std::vector<T>>>(
-              blocks.size(), payload);
-        });
-    std::memcpy(data.data(), all->data(), all->size() * sizeof(T));
+    const auto all = team_.reconcile_shared<std::span<const T>,
+                                            std::vector<T>>(
+        ctx, std::span<const T>(data),
+        sim::over_equal_blocks<T>(
+            [root](sim::Blocks<T> b) {
+              const auto& r = b[static_cast<std::size_t>(root)];
+              return std::vector<T>(r.begin(), r.end());
+            },
+            "bcast"));
+    std::copy(all->begin(), all->end(), data.begin());
     charge_tree(ctx, data.size() * sizeof(T));
     ctx.team().vbarrier(ctx);
   }
@@ -120,28 +110,11 @@ class Communicator {
   void reduce_sum(sim::ProcContext& ctx, int root, std::span<T> data) {
     static_assert(std::is_arithmetic_v<T>);
     DSM_REQUIRE(root >= 0 && root < nprocs(), "reduce root out of range");
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{data.data(), data.size()};
-    auto sum = team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-        ctx, mine, [](std::span<const Block* const> blocks) {
-          auto total = std::make_shared<std::vector<T>>(blocks[0]->count,
-                                                        T{});
-          for (const Block* b : blocks) {
-            DSM_REQUIRE(b->count == blocks[0]->count,
-                        "reduce blocks must have equal size");
-            for (std::size_t i = 0; i < b->count; ++i) {
-              (*total)[i] += b->data[i];
-            }
-          }
-          return std::vector<std::shared_ptr<const std::vector<T>>>(
-              blocks.size(), total);
-        });
-    if (ctx.rank() == root) {
-      std::memcpy(data.data(), sum->data(), sum->size() * sizeof(T));
-    }
+    const auto sum = team_.reconcile_shared<std::span<const T>,
+                                            std::vector<T>>(
+        ctx, std::span<const T>(data),
+        sim::over_equal_blocks<T>(sim::sum_blocks<T>, "reduce"));
+    if (ctx.rank() == root) std::copy(sum->begin(), sum->end(), data.begin());
     charge_tree(ctx, data.size() * sizeof(T));
     // Reduction adds every received element.
     ctx.busy_cycles(static_cast<double>(data.size()) *
@@ -161,24 +134,11 @@ class Communicator {
     DSM_REQUIRE(ctx.rank() != root ||
                     out.size() == in.size() * static_cast<std::size_t>(nprocs()),
                 "gather output must hold nprocs blocks at the root");
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{in.data(), in.size()};
-    auto all = team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-        ctx, mine, [](std::span<const Block* const> blocks) {
-          auto gathered = std::make_shared<std::vector<T>>();
-          for (const Block* b : blocks) {
-            DSM_REQUIRE(b->count == blocks[0]->count,
-                        "gather blocks must have equal size");
-            gathered->insert(gathered->end(), b->data, b->data + b->count);
-          }
-          return std::vector<std::shared_ptr<const std::vector<T>>>(
-              blocks.size(), gathered);
-        });
+    const auto all = team_.reconcile_shared<std::span<const T>,
+                                            std::vector<T>>(
+        ctx, in, sim::over_equal_blocks<T>(sim::concat_blocks<T>, "gather"));
     if (ctx.rank() == root) {
-      std::memcpy(out.data(), all->data(), all->size() * sizeof(T));
+      std::copy(all->begin(), all->end(), out.begin());
       // Root drains p-1 inbound blocks.
       ctx.rmem_ns(static_cast<double>(nprocs() - 1) *
                   (cfg_.recv_overhead_ns +
@@ -196,11 +156,11 @@ class Communicator {
   template <typename T>
   T allreduce_max(sim::ProcContext& ctx, T value) {
     static_assert(std::is_arithmetic_v<T>);
-    const T result = team_.reconcile<T, T>(
+    const T result = *team_.reconcile_shared<T, T>(
         ctx, value, [](std::span<const T* const> vals) {
           T mx = *vals[0];
           for (const T* v : vals) mx = std::max(mx, *v);
-          return std::vector<T>(vals.size(), mx);
+          return mx;
         });
     charge_tree(ctx, sizeof(T));
     ctx.team().vbarrier(ctx);
@@ -234,21 +194,12 @@ class Communicator {
 
     // Publish every rank's recvcounts row so senders can place payloads at
     // the receiver-side displacements (the library-internal handshake).
-    struct Row {
-      const std::uint64_t* counts;
-    };
-    const Row mine{recvcounts.data()};
-    using Matrix = std::shared_ptr<const std::vector<std::uint64_t>>;
-    auto all_rc = team_.reconcile<Row, Matrix>(
-        ctx, mine, [p](std::span<const Row* const> rows) {
-          auto m = std::make_shared<std::vector<std::uint64_t>>();
-          m->reserve(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
-          for (const Row* row : rows) {
-            m->insert(m->end(), row->counts,
-                      row->counts + static_cast<std::size_t>(p));
-          }
-          return std::vector<Matrix>(rows.size(), m);
-        });
+    const auto all_rc =
+        team_.reconcile_shared<std::span<const std::uint64_t>,
+                               std::vector<std::uint64_t>>(
+            ctx, recvcounts,
+            sim::over_equal_blocks<std::uint64_t>(
+                sim::concat_blocks<std::uint64_t>, "alltoallv"));
     auto rc_of = [&](int dst, int src) {
       return (*all_rc)[static_cast<std::size_t>(dst) *
                            static_cast<std::size_t>(p) +

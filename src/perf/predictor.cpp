@@ -329,8 +329,9 @@ void add_allgather(const Ctx& c, double block_bytes, double send_ov,
   }
 }
 
-/// Redundant local prefix computation over the gathered p x B histograms.
-void add_prefixes_from_allhists(const Ctx& c, Acc& a) {
+/// Per-rank prefix scan over the gathered p x B histograms (the charge of
+/// radix_parallel.cpp charge_prefix_scan).
+void add_prefix_scan(const Ctx& c, Acc& a) {
   const double cells = c.spec.nprocs * c.buckets;
   a.busy(c.cycles(cells * c.mp.cpu.scan_cycles));
   a.lmem(c.cost.stream_ns(static_cast<std::uint64_t>(cells * 8),
@@ -415,7 +416,7 @@ void predict_radix(const Ctx& c, Acc& a) {
                                    : 1.0 / c.mp.mem.bulk_copy_bytes_per_ns;
         add_allgather(c, c.buckets * 8, send_ov, recv_ov,
                       staged ? 2.0 / c.mp.sw.copy_bytes_per_ns : 0.0, a);
-        add_prefixes_from_allhists(c, a);
+        add_prefix_scan(c, a);
         add_permute(c, c.n_l, clustered, a);
         a.busy(c.cycles(c.n_l * c.mp.cpu.buffer_copy_cycles));
         const double msgs = expected_pieces(c) * remote_frac;
@@ -429,7 +430,7 @@ void predict_radix(const Ctx& c, Acc& a) {
       case Model::kShmem: {
         add_allgather(c, c.buckets * 8, c.mp.sw.shmem_put_overhead_ns, 0.0,
                       0.0, a);
-        add_prefixes_from_allhists(c, a);
+        add_prefix_scan(c, a);
         add_permute(c, c.n_l, clustered, a);
         a.busy(c.cycles(c.n_l * c.mp.cpu.buffer_copy_cycles));
         // Staging barrier + enumeration + batch gets + closing barrier.

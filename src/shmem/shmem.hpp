@@ -93,33 +93,34 @@ class Shmem {
 
   void barrier_all(sim::ProcContext& ctx);
 
+  /// Collective gather-and-reduce over fcollect: every PE contributes an
+  /// equal-size block `in`, the last arriver runs `reduce` once over the
+  /// PE-indexed blocks (a sim::Blocks<T>), and every PE receives the same
+  /// result. Charged exactly like fcollect: each modelled PE still
+  /// collects every block and derives the result itself, only the host
+  /// computes it once (DESIGN.md §5.1). `reduce` must be pure.
+  template <typename T, typename R, typename Reduce>
+  std::shared_ptr<const R> fcollect_reduce(sim::ProcContext& ctx,
+                                           std::span<const T> in,
+                                           Reduce reduce) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    auto res = team_.reconcile_shared<std::span<const T>, R>(
+        ctx, in, sim::over_equal_blocks<T>(reduce, "fcollect"));
+    charge_fcollect(ctx, in.size() * sizeof(T));
+    team_.vbarrier(ctx);
+    return res;
+  }
+
   /// Collective allgather (shmem_fcollect): `in` from every PE
   /// concatenated by PE id into `out` on every PE.
   template <typename T>
   void fcollect(sim::ProcContext& ctx, std::span<const T> in,
                 std::span<T> out) {
-    static_assert(std::is_trivially_copyable_v<T>);
     DSM_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(npes()),
                 "fcollect output must hold npes blocks");
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{in.data(), in.size()};
-    auto all = team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-        ctx, mine, [](std::span<const Block* const> blocks) {
-          auto gathered = std::make_shared<std::vector<T>>();
-          for (const Block* b : blocks) {
-            DSM_REQUIRE(b->count == blocks[0]->count,
-                        "fcollect blocks must have equal size");
-            gathered->insert(gathered->end(), b->data, b->data + b->count);
-          }
-          return std::vector<std::shared_ptr<const std::vector<T>>>(
-              blocks.size(), gathered);
-        });
-    std::memcpy(out.data(), all->data(), all->size() * sizeof(T));
-    charge_fcollect(ctx, in.size() * sizeof(T));
-    team_.vbarrier(ctx);
+    const auto all = fcollect_reduce<T, std::vector<T>>(
+        ctx, in, sim::concat_blocks<T>);
+    std::copy(all->begin(), all->end(), out.begin());
   }
 
   /// Collective broadcast (shmem_broadcast): every PE's `data` receives
@@ -128,25 +129,16 @@ class Shmem {
   void broadcast(sim::ProcContext& ctx, int root, std::span<T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
     DSM_REQUIRE(root >= 0 && root < npes(), "broadcast root out of range");
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{data.data(), data.size()};
-    auto payload =
-        team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-            ctx, mine, [root](std::span<const Block* const> blocks) {
-              for (const Block* b : blocks) {
-                DSM_REQUIRE(b->count == blocks[0]->count,
-                            "broadcast blocks must have equal size");
-              }
-              const Block* r = blocks[static_cast<std::size_t>(root)];
-              auto v = std::make_shared<std::vector<T>>(r->data,
-                                                        r->data + r->count);
-              return std::vector<std::shared_ptr<const std::vector<T>>>(
-                  blocks.size(), v);
-            });
-    std::memcpy(data.data(), payload->data(), payload->size() * sizeof(T));
+    const auto payload = team_.reconcile_shared<std::span<const T>,
+                                                std::vector<T>>(
+        ctx, std::span<const T>(data),
+        sim::over_equal_blocks<T>(
+            [root](sim::Blocks<T> b) {
+              const auto& r = b[static_cast<std::size_t>(root)];
+              return std::vector<T>(r.begin(), r.end());
+            },
+            "broadcast"));
+    std::copy(payload->begin(), payload->end(), data.begin());
     charge_tree(ctx, data.size() * sizeof(T));
     team_.vbarrier(ctx);
   }
@@ -158,49 +150,40 @@ class Shmem {
   std::uint64_t collect(sim::ProcContext& ctx, std::span<const T> in,
                         std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    struct Block {
-      const T* data;
-      std::size_t count;
+    struct Collected {
+      std::vector<T> data;
+      std::vector<std::uint64_t> offsets;  // each PE's block offset
     };
-    struct CollectOut {
-      std::shared_ptr<const std::vector<T>> data;
-      std::uint64_t offset;  // this PE's block offset within the result
-    };
-    const Block mine{in.data(), in.size()};
-    const CollectOut res = team_.reconcile<Block, CollectOut>(
-        ctx, mine, [](std::span<const Block* const> blocks) {
-          auto gathered = std::make_shared<std::vector<T>>();
-          std::vector<CollectOut> outs;
-          outs.reserve(blocks.size());
-          for (const Block* b : blocks) {
-            outs.push_back(CollectOut{
-                nullptr, static_cast<std::uint64_t>(gathered->size())});
-            gathered->insert(gathered->end(), b->data, b->data + b->count);
+    const auto all = team_.reconcile_shared<std::span<const T>, Collected>(
+        ctx, in, [](std::span<const std::span<const T>* const> deps) {
+          Collected c;
+          for (const std::span<const T>* d : deps) {
+            c.offsets.push_back(c.data.size());
+            c.data.insert(c.data.end(), d->begin(), d->end());
           }
-          for (auto& o : outs) o.data = gathered;
-          return outs;
+          return c;
         });
-    DSM_REQUIRE(out.size() == res.data->size(),
+    DSM_REQUIRE(out.size() == all->data.size(),
                 "collect output must hold every PE's block");
-    std::memcpy(out.data(), res.data->data(), res.data->size() * sizeof(T));
+    std::copy(all->data.begin(), all->data.end(), out.begin());
     // Charged like fcollect with the mean block size, plus a small
     // size-exchange round (variable-size collect must agree on offsets).
-    charge_fcollect(ctx, res.data->size() * sizeof(T) /
+    charge_fcollect(ctx, all->data.size() * sizeof(T) /
                              static_cast<std::uint64_t>(npes()));
     ctx.rmem_ns(ctx.params().sw.shmem_put_overhead_ns);
     team_.vbarrier(ctx);
-    return res.offset;
+    return all->offsets[static_cast<std::size_t>(ctx.rank())];
   }
 
   /// Collective scalar max over all PEs (shmem_*_max_to_all).
   template <typename T>
   T max_to_all(sim::ProcContext& ctx, T value) {
     static_assert(std::is_arithmetic_v<T>);
-    const T result = team_.reconcile<T, T>(
+    const T result = *team_.reconcile_shared<T, T>(
         ctx, value, [](std::span<const T* const> vals) {
           T mx = *vals[0];
           for (const T* v : vals) mx = std::max(mx, *v);
-          return std::vector<T>(vals.size(), mx);
+          return mx;
         });
     charge_tree(ctx, sizeof(T));
     team_.vbarrier(ctx);
@@ -212,26 +195,11 @@ class Shmem {
   template <typename T>
   void sum_to_all(sim::ProcContext& ctx, std::span<T> data) {
     static_assert(std::is_arithmetic_v<T>);
-    struct Block {
-      const T* data;
-      std::size_t count;
-    };
-    const Block mine{data.data(), data.size()};
-    auto sum = team_.reconcile<Block, std::shared_ptr<const std::vector<T>>>(
-        ctx, mine, [](std::span<const Block* const> blocks) {
-          auto total =
-              std::make_shared<std::vector<T>>(blocks[0]->count, T{});
-          for (const Block* b : blocks) {
-            DSM_REQUIRE(b->count == blocks[0]->count,
-                        "sum_to_all blocks must have equal size");
-            for (std::size_t i = 0; i < b->count; ++i) {
-              (*total)[i] += b->data[i];
-            }
-          }
-          return std::vector<std::shared_ptr<const std::vector<T>>>(
-              blocks.size(), total);
-        });
-    std::memcpy(data.data(), sum->data(), sum->size() * sizeof(T));
+    const auto sum = team_.reconcile_shared<std::span<const T>,
+                                            std::vector<T>>(
+        ctx, std::span<const T>(data),
+        sim::over_equal_blocks<T>(sim::sum_blocks<T>, "sum_to_all"));
+    std::copy(sum->begin(), sum->end(), data.begin());
     charge_tree(ctx, data.size() * sizeof(T));
     ctx.busy_cycles(static_cast<double>(data.size()) *
                     ctx.params().cpu.scan_cycles);

@@ -5,10 +5,12 @@
 // provides the collective operations every programming-model runtime is
 // built from:
 //
-//   * reconcile<In, Out>() — the fundamental primitive: every rank deposits
-//     an In, the last arriver runs a single-threaded reconciliation
-//     function over all deposits, and every rank picks up its Out. All
-//     barrier timing, DES epochs, and error broadcasting run through it.
+//   * reconcile_shared<In, R>() — the fundamental primitive: every rank
+//     deposits an In, the last arriver runs a single-threaded
+//     reconciliation function once over all deposits, and every rank picks
+//     up the same shared result. reconcile<In, Out>() hands each rank its
+//     own entry of a per-rank result. All barrier timing, DES epochs,
+//     collectives, and error broadcasting run through them.
 //   * vbarrier() — barrier whose SYNC charge is max-minus-own over virtual
 //     arrival times (also enforces pending network quiescence from puts).
 //   * two_sided_epoch / get_epoch / put_epoch / scattered_write_epoch —
@@ -24,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/align.hpp"
@@ -91,26 +94,38 @@ class SimTeam {
 
   // ---- collective operations (call only from inside run bodies) ---------
 
-  /// Deposit `in`; the last arriver runs `fn` over all deposits (indexed by
-  /// rank); every rank receives fn's result for its own rank. `fn` must be
-  /// the same pure function on every rank.
-  template <typename In, typename Out, typename Fn>
-  Out reconcile(ProcContext& ctx, const In& in, Fn fn) {
-    const auto r = static_cast<std::size_t>(ctx.rank());
-    deposits_[r].value = &in;
+  /// Deposit `in`; the last arriver runs `fn` once over all deposits
+  /// (indexed by rank) and every rank receives the same shared, immutable
+  /// result. `fn` must be the same pure function on every rank: whichever
+  /// rank arrives last, the result depends only on the deposits.
+  template <typename In, typename R, typename Fn>
+  std::shared_ptr<const R> reconcile_shared(ProcContext& ctx, const In& in,
+                                            Fn fn) {
+    deposits_[static_cast<std::size_t>(ctx.rank())].value = &in;
     exec_->arrive_and_wait([&] {
       std::vector<const In*> ins(static_cast<std::size_t>(nprocs()));
       for (std::size_t i = 0; i < ins.size(); ++i) {
         ins[i] = static_cast<const In*>(deposits_[i].value);
         DSM_CHECK(ins[i] != nullptr, "missing reconcile deposit");
       }
-      auto outs = fn(std::span<const In* const>(ins));
-      DSM_CHECK(outs.size() == ins.size(),
-                "reconcile fn must produce one result per rank");
-      result_ = std::make_shared<std::vector<Out>>(std::move(outs));
+      result_ =
+          std::make_shared<const R>(fn(std::span<const In* const>(ins)));
     });
-    auto outs = std::static_pointer_cast<std::vector<Out>>(result_);
-    return (*outs)[r];
+    return std::static_pointer_cast<const R>(result_);
+  }
+
+  /// reconcile_shared with one result per rank: `fn` returns a vector
+  /// indexed by rank and every rank receives its own entry.
+  template <typename In, typename Out, typename Fn>
+  Out reconcile(ProcContext& ctx, const In& in, Fn fn) {
+    const auto outs = reconcile_shared<In, std::vector<Out>>(
+        ctx, in, [&](std::span<const In* const> ins) {
+          auto o = fn(ins);
+          DSM_CHECK(o.size() == ins.size(),
+                    "reconcile fn must produce one result per rank");
+          return o;
+        });
+    return (*outs)[static_cast<std::size_t>(ctx.rank())];
   }
 
   /// Barrier with SYNC reconciliation; release time also respects network
@@ -170,7 +185,7 @@ class SimTeam {
   std::vector<Padded<TraceLog>> trace_logs_;
   bool tracing_ = false;
   std::vector<Padded<const void*>> deposits_;
-  std::shared_ptr<void> result_;
+  std::shared_ptr<const void> result_;
   double pending_quiescence_ns_ = 0;
 
   // Epoch-completion scratch, reused across rounds. Only the last arriver
@@ -181,5 +196,47 @@ class SimTeam {
   std::vector<double> scratch_entries_;
   std::vector<double> scratch_overlaps_;
 };
+
+/// Rank-indexed blocks as a collective's reducer sees them.
+template <typename T>
+using Blocks = std::span<const std::span<const T>>;
+
+/// Adapt `reduce`, a pure function of equal-size rank-indexed blocks, to a
+/// reconcile_shared function over span deposits. `what` names the
+/// collective in the size-mismatch error.
+template <typename T, typename Reduce>
+auto over_equal_blocks(Reduce reduce, const char* what) {
+  return [reduce, what](std::span<const std::span<const T>* const> deps) {
+    std::vector<std::span<const T>> blocks;
+    blocks.reserve(deps.size());
+    for (const std::span<const T>* d : deps) {
+      DSM_REQUIRE(d->size() == deps[0]->size(),
+                  std::string(what) + " blocks must have equal size");
+      blocks.push_back(*d);
+    }
+    return reduce(Blocks<T>(blocks));
+  };
+}
+
+/// The gather reducer: every block, concatenated in rank order.
+template <typename T>
+std::vector<T> concat_blocks(Blocks<T> blocks) {
+  std::size_t total = 0;
+  for (const auto& b : blocks) total += b.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (const auto& b : blocks) out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+/// The sum reducer: element-wise sum of equal-size blocks.
+template <typename T>
+std::vector<T> sum_blocks(Blocks<T> blocks) {
+  std::vector<T> total(blocks[0].size(), T{});
+  for (const auto& b : blocks) {
+    for (std::size_t i = 0; i < b.size(); ++i) total[i] += b[i];
+  }
+  return total;
+}
 
 }  // namespace dsm::sim

@@ -25,40 +25,14 @@ void exclusive_prefix(sim::ProcContext& ctx,
                   ctx.params().cpu.scan_cycles);
 }
 
-/// From allgathered histograms (p rows x B), compute this rank's
-/// rank_prefix[b] = sum of lower ranks' bucket-b counts, and the global
-/// exclusive bucket starts. Charged as the redundant local computation the
-/// MPI/SHMEM versions perform.
-void prefixes_from_allhists(sim::ProcContext& ctx,
-                            std::span<const std::uint64_t> all_hist,
-                            std::size_t buckets,
-                            std::span<std::uint64_t> rank_prefix,
-                            std::span<std::uint64_t> global_start) {
-  const int p = ctx.nprocs();
-  const int r = ctx.rank();
-  DSM_REQUIRE(all_hist.size() == static_cast<std::size_t>(p) * buckets,
-              "allgathered histogram size mismatch");
-  std::fill(rank_prefix.begin(), rank_prefix.end(), 0);
-  std::fill(global_start.begin(), global_start.end(), 0);
-  // global_start temporarily holds global counts.
-  for (int j = 0; j < p; ++j) {
-    const std::uint64_t* row = all_hist.data() +
-                               static_cast<std::size_t>(j) * buckets;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      if (j < r) rank_prefix[b] += row[b];
-      global_start[b] += row[b];
-    }
-  }
-  std::uint64_t acc = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    const std::uint64_t c = global_start[b];
-    global_start[b] = acc;
-    acc += c;
-  }
-  const auto cells = static_cast<double>(static_cast<std::size_t>(p) * buckets);
-  ctx.busy_cycles(cells * ctx.params().cpu.scan_cycles);
-  ctx.stream(static_cast<std::uint64_t>(p) * buckets * sizeof(std::uint64_t),
-             static_cast<std::uint64_t>(p) * buckets * sizeof(std::uint64_t));
+/// Charge one rank's derivation of its prefixes from the p x B gathered
+/// histograms: every modelled process scans all cells (the host builds the
+/// shared HistTable once instead).
+void charge_prefix_scan(sim::ProcContext& ctx, std::size_t buckets) {
+  const std::uint64_t cells =
+      static_cast<std::uint64_t>(ctx.nprocs()) * buckets;
+  ctx.busy_cycles(static_cast<double>(cells) * ctx.params().cpu.scan_cycles);
+  ctx.stream(cells * sizeof(std::uint64_t), cells * sizeof(std::uint64_t));
 }
 
 /// Buffered local permutation: scatter `keys` into `buf` in bucket-major
@@ -107,6 +81,47 @@ Key charged_local_max(sim::ProcContext& ctx, std::span<const Key> keys) {
 }
 
 }  // namespace
+
+HistTable build_hist_table(sim::Blocks<std::uint64_t> hists) {
+  const int p = static_cast<int>(hists.size());
+  const std::size_t buckets = hists[0].size();
+  // Column totals, then their exclusive scan: the global bucket starts.
+  std::vector<std::uint64_t> run(buckets, 0);
+  for (const std::span<const std::uint64_t> h : hists) {
+    for (std::size_t b = 0; b < buckets; ++b) run[b] += h[b];
+  }
+  std::uint64_t n = 0;
+  for (std::uint64_t& r : run) {
+    const std::uint64_t c = r;
+    r = n;
+    n += c;
+  }
+  HistTable t;
+  t.homes = sas::HomeMap(n, p);
+  t.buckets = buckets;
+  t.starts.resize(static_cast<std::size_t>(p + 1) * buckets);
+  const auto stride = static_cast<std::size_t>(p + 1);
+  t.before.assign(static_cast<std::size_t>(p) * stride, 0);
+  for (int j = 0; j < p; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    std::copy(run.begin(), run.end(), t.starts.data() + jj * buckets);
+    // run[b] is now start(j, b): split j's pieces by destination.
+    std::uint64_t* before = t.before.data() + jj * stride;
+    const std::span<const std::uint64_t> h = hists[jj];
+    for (std::size_t b = 0; b < buckets; ++b) {
+      if (h[b] != 0) {
+        for_each_piece(t.homes, run[b], h[b],
+                       [&](int d, std::uint64_t, std::uint64_t,
+                           std::uint64_t len) { before[d + 1] += len; });
+      }
+      run[b] += h[b];
+    }
+    for (int d = 0; d < p; ++d) before[d + 1] += before[d];
+  }
+  std::copy(run.begin(), run.end(),  // row p: the bucket ends
+            t.starts.data() + static_cast<std::size_t>(p) * buckets);
+  return t;
+}
 
 void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
   DSM_REQUIRE(w.a != nullptr && w.b != nullptr && w.scan != nullptr,
@@ -400,20 +415,14 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
   const Index n_local = homes.count_of(r);
   const std::uint64_t part_bytes = n_local * sizeof(Key);
 
-  std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
-      global_start(buckets), local_prefix(buckets), cursor(buckets),
-      run_prefix(buckets);
-  std::vector<std::uint64_t> all_hist(static_cast<std::size_t>(p) * buckets);
-  std::vector<std::uint64_t> matrix;  // coalesced-mode p x p key counts
+  std::vector<std::uint64_t> hist(buckets), local_prefix(buckets),
+      cursor(buckets);
   std::vector<msg::Communicator::Send> sends;
   std::vector<Key> buf(n_local);
   RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
   ws.jobs = w.kernel_jobs;
   std::vector<Key> stage;  // coalesced-mode receive staging
-  if (!w.chunk_messages) {
-    stage.resize(n_local);
-    matrix.resize(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
-  }
+  if (!w.chunk_messages) stage.resize(n_local);
   // Payload-mirror scratch (kv32 only; see CcSasRadixWorld::pay_a).
   std::vector<std::uint64_t> mirror(paired ? buckets : 0);
   std::vector<keys::Payload> pay_buf(paired ? n_local : 0);
@@ -434,8 +443,9 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
     const std::uint64_t active =
         charged_histogram(ctx, *in, pass, w.radix_bits, hist, w.kernels, ws);
     ctx.phase("global histogram");
-    w.comm->allgather<std::uint64_t>(ctx, hist, all_hist);
-    prefixes_from_allhists(ctx, all_hist, buckets, rank_prefix, global_start);
+    const auto table = w.comm->allgather_reduce<std::uint64_t, HistTable>(
+        ctx, hist, build_hist_table);
+    charge_prefix_scan(ctx, buckets);
     ctx.phase("permutation");
     buffered_permute(ctx, *in, buf, pass, w.radix_bits, hist, local_prefix,
                      cursor, active, w.kernels, ws);
@@ -453,9 +463,8 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
       // preferred implementation) — placed directly at its final offset.
       for (std::size_t b = 0; b < buckets; ++b) {
         if (hist[b] == 0) continue;
-        const std::uint64_t gpos = global_start[b] + rank_prefix[b];
         for_each_piece(
-            homes, gpos, hist[b],
+            homes, table->start(r, b), hist[b],
             [&](int dst, std::uint64_t gp, std::uint64_t off,
                 std::uint64_t len) {
               const Key* src = buf.data() + local_prefix[b] + off;
@@ -490,41 +499,20 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
       // positions ascend with the bucket), so the sender needs no extra
       // copy — the cost moves to the receiver-side scatter.
       //
-      // M[i][dst] = keys process i contributes to dst's partition, built
-      // in O(p * buckets) with running per-bucket rank prefixes.
-      std::fill(matrix.begin(), matrix.end(), 0);
-      std::fill(run_prefix.begin(), run_prefix.end(), 0);
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t* row =
-            all_hist.data() + static_cast<std::size_t>(j) * buckets;
-        for (std::size_t b = 0; b < buckets; ++b) {
-          if (row[b] == 0) continue;
-          for_each_piece(homes, global_start[b] + run_prefix[b], row[b],
-                         [&](int dst, std::uint64_t, std::uint64_t,
-                             std::uint64_t len) {
-                           matrix[static_cast<std::size_t>(j) *
-                                      static_cast<std::size_t>(p) +
-                                  static_cast<std::size_t>(dst)] += len;
-                         });
-          run_prefix[b] += row[b];
-        }
-      }
+      // The modelled process builds M[i][dst] (keys process i contributes
+      // to dst's partition) in O(p * buckets) from the gathered counts;
+      // the shared table holds it as keys_to(i, dst).
       ctx.busy_cycles(static_cast<double>(static_cast<std::size_t>(p) *
                                           buckets) *
                       ctx.params().cpu.scan_cycles);
 
-      auto keys_from_to = [&](int src, int dst) {
-        return matrix[static_cast<std::size_t>(src) *
-                          static_cast<std::size_t>(p) +
-                      static_cast<std::size_t>(dst)];
-      };
       // My blob for dst starts where my pieces to lower dsts end.
       std::uint64_t my_buf_off = 0;
       for (int dst = 0; dst < p; ++dst) {
-        const std::uint64_t len = keys_from_to(r, dst);
+        const std::uint64_t len = table->keys_to(r, dst);
         if (len == 0) continue;
         std::uint64_t stage_off = 0;  // dst's staging offset for my blob
-        for (int i = 0; i < r; ++i) stage_off += keys_from_to(i, dst);
+        for (int i = 0; i < r; ++i) stage_off += table->keys_to(i, dst);
         if (dst != r) {
           sends.push_back(msg::Communicator::Send{
               dst, stage_off * sizeof(Key),
@@ -543,28 +531,17 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
       // Receiver-side reorganisation: scatter pieces from the (by-source,
       // by-bucket ordered) staging area to their final positions.
       const std::uint64_t my_begin = homes.begin_of(r);
-      const std::uint64_t my_end = homes.end_of(r);
-      std::fill(run_prefix.begin(), run_prefix.end(), 0);
       std::uint64_t stage_pos = 0;
       std::uint64_t pieces = 0;
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t* row =
-            all_hist.data() + static_cast<std::size_t>(j) * buckets;
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const std::uint64_t cnt = row[b];
-          if (cnt == 0) continue;
-          const std::uint64_t gpos = global_start[b] + run_prefix[b];
-          const std::uint64_t lo = std::max(gpos, my_begin);
-          const std::uint64_t hi = std::min(gpos + cnt, my_end);
-          if (lo < hi) {
+      for_each_inbound_piece(
+          *table, r,
+          [&](int, std::size_t, std::uint64_t lo, std::uint64_t hi,
+              std::uint64_t) {
             exchange_copy(w.kernels, out->data() + (lo - my_begin),
                           stage.data() + stage_pos, hi - lo, part_bytes);
             stage_pos += hi - lo;
             ++pieces;
-          }
-          run_prefix[b] += cnt;
-        }
-      }
+          });
       DSM_CHECK(stage_pos == n_local, "coalesced staging must refill the partition");
       ctx.busy_cycles(static_cast<double>(n_local) *
                       ctx.params().cpu.buffer_copy_cycles);
@@ -609,10 +586,8 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
   const std::uint64_t part_bytes = n_local * sizeof(Key);
   shmem::SymmetricHeap& heap = w.sh->heap();
 
-  std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
-      global_start(buckets), local_prefix(buckets), cursor(buckets),
-      run_prefix(buckets);
-  std::vector<std::uint64_t> all_hist(static_cast<std::size_t>(p) * buckets);
+  std::vector<std::uint64_t> hist(buckets), local_prefix(buckets),
+      cursor(buckets);
   std::vector<shmem::GetOp> gets;
   std::vector<shmem::PutOp> puts;
   RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
@@ -650,8 +625,9 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
     const std::uint64_t active = charged_histogram(
         ctx, my_keys, pass, w.radix_bits, hist, w.kernels, ws);
     ctx.phase("global histogram");
-    w.sh->fcollect<std::uint64_t>(ctx, hist, all_hist);
-    prefixes_from_allhists(ctx, all_hist, buckets, rank_prefix, global_start);
+    const auto table = w.sh->fcollect_reduce<std::uint64_t, HistTable>(
+        ctx, hist, build_hist_table);
+    charge_prefix_scan(ctx, buckets);
 
     ctx.phase("permutation");
     Key* const stage = heap.at<Key>(r, w.off_stage);
@@ -673,49 +649,31 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
       // partition from its source PE's staging buffer.
       Key* const out = heap.at<Key>(r, out_off);
       const std::uint64_t my_begin = homes.begin_of(r);
-      const std::uint64_t my_end = homes.end_of(r);
       gets.clear();
-      std::fill(run_prefix.begin(), run_prefix.end(), 0);  // sum of ranks < j
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t* row =
-            all_hist.data() + static_cast<std::size_t>(j) * buckets;
-        std::uint64_t src_prefix = 0;  // local prefix within j's staging
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const std::uint64_t cnt = row[b];
-          if (cnt != 0) {
-            const std::uint64_t gpos = global_start[b] + run_prefix[b];
-            const std::uint64_t lo = std::max(gpos, my_begin);
-            const std::uint64_t hi = std::min(gpos + cnt, my_end);
-            if (lo < hi) {
-              const std::uint64_t bytes = (hi - lo) * sizeof(Key);
-              const std::uint64_t src_off =
-                  w.off_stage + (src_prefix + (lo - gpos)) * sizeof(Key);
-              if (paired) {
-                // Receiver-side payload pull from j's staged lane,
-                // published by the pre-redistribution barrier.
-                std::memcpy(
-                    (*pay_parts_out)[rr].data() + (lo - my_begin),
-                    (*w.pay_stage)[static_cast<std::size_t>(j)].data() +
-                        (src_prefix + (lo - gpos)),
-                    (hi - lo) * sizeof(keys::Payload));
-              }
-              if (j == r) {
-                exchange_copy(w.kernels, out + (lo - my_begin),
-                              stage + src_prefix + (lo - gpos),
-                              bytes / sizeof(Key), part_bytes);
-                ctx.stream(2 * bytes, part_bytes);
-              } else {
-                gets.push_back(shmem::GetOp{
-                    reinterpret_cast<std::byte*>(out + (lo - my_begin)), j,
-                    src_off, bytes});
-              }
+      for_each_inbound_piece(
+          *table, r,
+          [&](int j, std::size_t, std::uint64_t lo, std::uint64_t hi,
+              std::uint64_t src) {
+            if (paired) {
+              // Receiver-side payload pull from j's staged lane, published
+              // by the pre-redistribution barrier.
+              std::memcpy((*pay_parts_out)[rr].data() + (lo - my_begin),
+                          (*w.pay_stage)[static_cast<std::size_t>(j)].data() +
+                              src,
+                          (hi - lo) * sizeof(keys::Payload));
             }
-            run_prefix[b] += cnt;
-            src_prefix += cnt;
-          }
-        }
-      }
-      // Parameter computation sweep over the p x B histogram matrix.
+            if (j == r) {
+              exchange_copy(w.kernels, out + (lo - my_begin), stage + src,
+                            hi - lo, part_bytes);
+              ctx.stream(2 * (hi - lo) * sizeof(Key), part_bytes);
+            } else {
+              gets.push_back(shmem::GetOp{
+                  reinterpret_cast<std::byte*>(out + (lo - my_begin)), j,
+                  w.off_stage + src * sizeof(Key), (hi - lo) * sizeof(Key)});
+            }
+          });
+      // The modelled PE computes the get parameters in one sweep over the
+      // p x B histogram matrix.
       ctx.busy_cycles(static_cast<double>(static_cast<std::size_t>(p) *
                                           buckets) *
                       ctx.params().cpu.scan_cycles);
@@ -725,9 +683,8 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
       puts.clear();
       for (std::size_t b = 0; b < buckets; ++b) {
         if (hist[b] == 0) continue;
-        const std::uint64_t gpos = global_start[b] + rank_prefix[b];
         for_each_piece(
-            homes, gpos, hist[b],
+            homes, table->start(r, b), hist[b],
             [&](int dst, std::uint64_t gp, std::uint64_t off,
                 std::uint64_t len) {
               const Key* src = stage + local_prefix[b] + off;

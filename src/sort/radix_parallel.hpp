@@ -4,8 +4,10 @@
 // All variants share the same algorithm skeleton per pass:
 //   1. local histogram of the current r-bit digit;
 //   2. global histogram: CC-SAS uses the fine-grained parallel prefix
-//      (BucketScan); MPI/SHMEM allgather the local histograms and compute
-//      redundantly (the paper's design);
+//      (BucketScan); MPI/SHMEM allgather the local histograms and every
+//      process derives its prefixes from all p x B counts (the paper's
+//      design, charged to every rank). The host builds that result once
+//      per pass, as one shared HistTable (DESIGN.md §5.1);
 //   3. permutation into the output array (all-to-all personalised
 //      communication) — this is where the models differ:
 //        CC-SAS      direct temporally-scattered remote writes
@@ -19,6 +21,7 @@
 // Entry points are collective: call from every rank inside SimTeam::run.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -31,6 +34,73 @@
 #include "sort/kernels.hpp"
 
 namespace dsm::sort {
+
+/// One radix pass's global histogram picture, built once per pass from
+/// every rank's local histogram (the allgather_reduce / fcollect_reduce
+/// reducer) and shared read-only by every rank of the MPI and SHMEM sorts.
+/// Within bucket b the ranks' keys land in rank order, so rank j's bucket-b
+/// keys occupy the global positions [start(j, b), start(j + 1, b)); row p
+/// holds the bucket ends. before(j, d) counts rank j's keys that land in
+/// partitions below d: the index, in j's bucket-major staging buffer, of
+/// j's first key for partition d.
+struct HistTable {
+  sas::HomeMap homes{0, 1};  // block partition of the n sorted keys
+  std::size_t buckets = 0;
+  std::vector<std::uint64_t> starts;  // [j * buckets + b], j in [0, p]
+  std::vector<std::uint64_t> before;  // [j * (p + 1) + d], d in [0, p]
+
+  int nprocs() const { return homes.nprocs(); }
+  std::uint64_t start(int j, std::size_t b) const {
+    return starts[static_cast<std::size_t>(j) * buckets + b];
+  }
+  std::uint64_t count(int j, std::size_t b) const {
+    return start(j + 1, b) - start(j, b);
+  }
+  std::uint64_t keys_before(int j, int d) const {
+    return before[static_cast<std::size_t>(j) *
+                      static_cast<std::size_t>(nprocs() + 1) +
+                  static_cast<std::size_t>(d)];
+  }
+  std::uint64_t keys_to(int j, int d) const {
+    return keys_before(j, d + 1) - keys_before(j, d);
+  }
+};
+
+/// The reducer: O(p x B + p^2) over the rank-indexed local histograms.
+HistTable build_hist_table(sim::Blocks<std::uint64_t> hists);
+
+/// Visit every piece (source rank j, bucket b) of the global layout that
+/// lands in partition `d`, source-major then bucket order:
+/// fn(j, b, lo, hi, src) where [lo, hi) is the piece's overlap with the
+/// partition in global positions and src its index in j's staging buffer.
+/// Only the buckets of the partition's window are visited: O(p x window),
+/// not O(p x B).
+template <typename Fn>
+void for_each_inbound_piece(const HistTable& t, int d, Fn&& fn) {
+  const std::uint64_t begin = t.homes.begin_of(d);
+  const std::uint64_t end = t.homes.end_of(d);
+  // The window: from the first bucket ending after begin (row p holds the
+  // bucket ends) to the first bucket starting at or after end (row 0).
+  const std::uint64_t* starts = t.starts.data();
+  const std::uint64_t* ends =
+      starts + static_cast<std::size_t>(t.nprocs()) * t.buckets;
+  const auto b_lo = static_cast<std::size_t>(
+      std::upper_bound(ends, ends + t.buckets, begin) - ends);
+  const auto b_hi = static_cast<std::size_t>(
+      std::lower_bound(starts, starts + t.buckets, end) - starts);
+  for (int j = 0; j < t.nprocs(); ++j) {
+    // j's keys for this partition are contiguous in its staging buffer.
+    std::uint64_t src = t.keys_before(j, d);
+    for (std::size_t b = b_lo; b < b_hi; ++b) {
+      const std::uint64_t lo = std::max(t.start(j, b), begin);
+      const std::uint64_t hi = std::min(t.start(j + 1, b), end);
+      if (lo < hi) {
+        fn(j, b, lo, hi, src);
+        src += hi - lo;
+      }
+    }
+  }
+}
 
 /// CC-SAS radix sort over two toggling shared arrays. `buffered` selects
 /// the CC-SAS-NEW restructuring. After the call the sorted keys are in

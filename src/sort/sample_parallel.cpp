@@ -72,14 +72,16 @@ void select_samples(sim::ProcContext& ctx, std::span<const Key> sorted,
   ctx.stream(s * sizeof(Key), s * sizeof(Key));
 }
 
-/// Comparison-sort a small array, charging n log n compares.
-void charged_small_sort(sim::ProcContext& ctx, std::span<Key> keys) {
-  std::sort(keys.begin(), keys.end());
-  const auto n = static_cast<double>(keys.size());
-  if (keys.size() > 1) {
-    ctx.busy_cycles(n * std::log2(n) * ctx.params().cpu.compare_cycles);
+/// Charge a comparison sort of `n` samples: n log n compares plus one
+/// sweep. The splitter selection itself runs once on the host
+/// (pick_splitters), so the sorted copy every modelled process would hold
+/// is never materialised.
+void charge_small_sort(sim::ProcContext& ctx, std::size_t n) {
+  if (n > 1) {
+    const auto d = static_cast<double>(n);
+    ctx.busy_cycles(d * std::log2(d) * ctx.params().cpu.compare_cycles);
   }
-  ctx.stream(keys.size() * sizeof(Key), keys.size() * sizeof(Key));
+  ctx.stream(n * sizeof(Key), n * sizeof(Key));
 }
 
 /// A splitter carries its value and the rank that contributed the sample
@@ -91,24 +93,26 @@ struct Splitter {
   int src = 0;
 };
 
-/// Sort the gathered sample set (laid out by contributing rank, `s` per
-/// rank) as (value, src) tuples and pick every s-th as a splitter.
-void pick_splitters(std::span<const Key> samples_by_rank, int sample_count,
-                    std::span<Splitter> splitters) {
-  const auto p = splitters.size() + 1;
-  const auto s = static_cast<std::size_t>(sample_count);
-  DSM_REQUIRE(samples_by_rank.size() == p * s, "sample set must hold p blocks");
-  std::vector<Splitter> tagged(samples_by_rank.size());
-  for (std::size_t i = 0; i < tagged.size(); ++i) {
-    tagged[i] = Splitter{samples_by_rank[i], static_cast<int>(i / s)};
+/// Sort the gathered sample set (one equal-size block per contributing
+/// rank) as (value, src) tuples and pick every s-th as a splitter: p - 1
+/// splitters for p blocks. The allgather_reduce/fcollect_reduce reducer.
+std::vector<Splitter> pick_splitters(sim::Blocks<Key> samples_by_rank) {
+  const std::size_t p = samples_by_rank.size();
+  const std::size_t s = samples_by_rank[0].size();
+  std::vector<Splitter> tagged;
+  tagged.reserve(p * s);
+  for (std::size_t j = 0; j < p; ++j) {
+    for (const Key k : samples_by_rank[j]) {
+      tagged.push_back(Splitter{k, static_cast<int>(j)});
+    }
   }
   std::sort(tagged.begin(), tagged.end(),
             [](const Splitter& a, const Splitter& b) {
               return std::tie(a.value, a.src) < std::tie(b.value, b.src);
             });
-  for (std::size_t k = 1; k < p; ++k) {
-    splitters[k - 1] = tagged[k * s];
-  }
+  std::vector<Splitter> splitters(p - 1);
+  for (std::size_t k = 1; k < p; ++k) splitters[k - 1] = tagged[k * s];
+  return splitters;
 }
 
 /// Partition boundaries of rank `r`'s sorted run by the splitters, with
@@ -146,8 +150,8 @@ void charged_boundaries(sim::ProcContext& ctx, std::span<const Key> sorted,
 }  // namespace
 
 void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
-  DSM_REQUIRE(w.keys && w.result && w.samples && w.group_sorted &&
-                  w.splitters && w.boundaries,
+  DSM_REQUIRE(w.keys && w.result && w.samples && w.splitters &&
+                  w.boundaries,
               "CC-SAS sample world is incomplete");
   const int p = ctx.nprocs();
   const int r = ctx.rank();
@@ -155,7 +159,6 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   const auto s = static_cast<std::size_t>(w.sample_count);
   DSM_REQUIRE(w.sample_count >= 1, "need at least one sample per process");
   DSM_REQUIRE(w.samples->size() == s * static_cast<std::size_t>(p) &&
-                  w.group_sorted->size() == s * static_cast<std::size_t>(p) &&
                   w.splitters->size() == static_cast<std::size_t>(p - 1) &&
                   w.boundaries->size() ==
                       static_cast<std::size_t>(p) *
@@ -192,21 +195,18 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   sas::ccsas_barrier(ctx);
 
   // Phase 3: group collectors gather/sort, then merge across groups.
+  // Only the charges of the group sorts and the merge are needed: rank 0
+  // picks the splitters once from the rank-ordered sample array.
   ctx.phase("splitters");
   const int gsize = std::min(w.group_size, p);
   const bool collector = r % gsize == 0;
   if (collector) {
     const int members = std::min(gsize, p - r);
-    std::span<Key> slot(
-        w.group_sorted->data() + rr * s,
-        static_cast<std::size_t>(members) * s);
-    std::memcpy(slot.data(), w.samples->data() + rr * s,
-                slot.size() * sizeof(Key));
     for (int m = 1; m < members; ++m) {
       // Remote fine-grained reads of each member's sample slot.
       ctx.rmem_ns(ctx.cost().block_transfer_ns(r, r + m, s * sizeof(Key)));
     }
-    charged_small_sort(ctx, slot);
+    charge_small_sort(ctx, static_cast<std::size_t>(members) * s);
   }
   sas::ccsas_barrier(ctx);
 
@@ -228,8 +228,11 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
                                                static_cast<std::uint64_t>(gsize))))) *
                     ctx.params().cpu.compare_cycles);
     if (r == 0) {
-      std::vector<Splitter> splitters(static_cast<std::size_t>(p - 1));
-      pick_splitters(*w.samples, w.sample_count, splitters);
+      std::vector<std::span<const Key>> blocks;
+      for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
+        blocks.emplace_back(w.samples->data() + j * s, s);
+      }
+      const std::vector<Splitter> splitters = pick_splitters(blocks);
       for (std::size_t k = 0; k + 1 < static_cast<std::size_t>(p); ++k) {
         (*w.splitters)[k] = splitters[k].value;
         (*w.splitter_srcs)[k] = splitters[k].src;
@@ -341,22 +344,22 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
                        ws);
   }
 
-  // Phases 2+3: allgather samples; everyone redundantly sorts the full
-  // sample set and picks splitters.
+  // Phases 2+3: allgather samples; every modelled process sorts the full
+  // sample set and picks splitters (charged per rank, computed once).
   ctx.phase("sampling");
-  std::vector<Key> my_samples(s), all_samples(s * static_cast<std::size_t>(p));
+  std::vector<Key> my_samples(s);
   select_samples(ctx, mine, my_samples);
   ctx.phase("splitters");
-  w.comm->allgather<Key>(ctx, my_samples, all_samples);
-  std::vector<Splitter> splitters(static_cast<std::size_t>(p - 1));
-  pick_splitters(all_samples, w.sample_count, splitters);
-  charged_small_sort(ctx, all_samples);
+  const auto splitters =
+      w.comm->allgather_reduce<Key, std::vector<Splitter>>(
+          ctx, my_samples, pick_splitters);
+  charge_small_sort(ctx, s * static_cast<std::size_t>(p));
 
   // Phase 4: boundaries, allgathered so everyone can size windows and
   // compute send offsets.
   ctx.phase("partition");
   std::vector<std::uint64_t> my_bounds(static_cast<std::size_t>(p + 1));
-  charged_boundaries(ctx, mine, splitters, my_bounds);
+  charged_boundaries(ctx, mine, *splitters, my_bounds);
   std::vector<std::uint64_t> all_bounds(static_cast<std::size_t>(p) *
                                         static_cast<std::size_t>(p + 1));
   w.comm->allgather<std::uint64_t>(ctx, my_bounds, all_bounds);
@@ -461,20 +464,20 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
                        ws);
   }
 
-  // Phases 2+3: fcollect samples; redundant local splitter computation.
+  // Phases 2+3: fcollect samples; every modelled PE sorts them and picks
+  // splitters (charged per PE, computed once).
   ctx.phase("sampling");
-  std::vector<Key> my_samples(s), all_samples(s * static_cast<std::size_t>(p));
+  std::vector<Key> my_samples(s);
   select_samples(ctx, mine, my_samples);
   ctx.phase("splitters");
-  w.sh->fcollect<Key>(ctx, my_samples, all_samples);
-  std::vector<Splitter> splitters(static_cast<std::size_t>(p - 1));
-  pick_splitters(all_samples, w.sample_count, splitters);
-  charged_small_sort(ctx, all_samples);
+  const auto splitters = w.sh->fcollect_reduce<Key, std::vector<Splitter>>(
+      ctx, my_samples, pick_splitters);
+  charge_small_sort(ctx, s * static_cast<std::size_t>(p));
 
   // Phase 4: boundaries; fcollect them; pull my ranges with get().
   ctx.phase("partition");
   std::vector<std::uint64_t> my_bounds(static_cast<std::size_t>(p + 1));
-  charged_boundaries(ctx, mine, splitters, my_bounds);
+  charged_boundaries(ctx, mine, *splitters, my_bounds);
   std::vector<std::uint64_t> all_bounds(static_cast<std::size_t>(p) *
                                         static_cast<std::size_t>(p + 1));
   w.sh->fcollect<std::uint64_t>(ctx, my_bounds, all_bounds);

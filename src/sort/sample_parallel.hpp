@@ -10,9 +10,13 @@
 //   CC-SAS  — every group of 32 processes elects a collector that gathers
 //             and sorts the group's samples; collectors merge across
 //             groups (everyone else waits — cheap fine-grained loads);
-//   MPI     — allgather all samples; every process redundantly sorts the
-//             full sample set and picks splitters locally;
+//   MPI     — allgather all samples; every process sorts the full sample
+//             set and picks splitters locally;
 //   SHMEM   — like MPI with fcollect.
+// Those sorts are charged to every process that performs them, but the
+// host computes the splitters once (allgather_reduce / fcollect_reduce,
+// or rank 0 under CC-SAS) and never materialises the sorted copies
+// (DESIGN.md §5.1).
 //
 // Entry points are collective; final runs land in (*result)[rank], whose
 // concatenation by rank is the globally sorted sequence.
@@ -53,7 +57,6 @@ struct CcSasSampleWorld {
   std::vector<std::vector<keys::Payload>>* pay_result = nullptr;
   // Shared scratch, sized by the driver:
   std::vector<Key>* samples = nullptr;        // sample_count * p
-  std::vector<Key>* group_sorted = nullptr;   // sample_count * p
   std::vector<Key>* splitters = nullptr;      // p - 1 (values)
   std::vector<int>* splitter_srcs = nullptr;  // p - 1 (tie-break ranks)
   std::vector<std::uint64_t>* boundaries = nullptr;  // p * (p + 1)

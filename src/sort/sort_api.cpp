@@ -59,12 +59,6 @@ SpmdEngine engine_of(const SortSpec& spec) {
   return spec.engine.value_or(default_spmd_engine());
 }
 
-bool verify_runs(const Checksum& input,
-                 const std::vector<std::span<const Key>>& runs) {
-  return verify_sorted_runs(input,
-                            std::span<const std::span<const Key>>(runs));
-}
-
 using PayloadRuns = std::vector<std::span<const keys::Payload>>;
 
 bool paired_records(const SortSpec& spec) {
@@ -124,8 +118,11 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
       }
     }
   }
+  // One sweep over the output verifies it and computes its order hash.
+  const std::span<const std::span<const Key>> key_runs(runs);
+  RunsVerdict verdict;
   if (!spec.verify) {
-    res.verified = true;
+    verdict = RunsVerdict{true, run_order_hash(key_runs)};
   } else if (pay_runs != nullptr) {
     // Paired verification: key order, exact (key, payload) multiset
     // preservation, and stability — every algorithm here is stable (LSD
@@ -133,16 +130,17 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
     // mergesort backends riding on it — because the splitter tie-break
     // routes equal keys by source rank, partitions ascend by rank, and
     // every local payload mirror is a stable record sort).
-    res.verified = verify_sorted_runs_paired(
-        input, input_pairs, std::span<const std::span<const Key>>(runs),
+    verdict = verify_sorted_runs_paired(
+        input, input_pairs, key_runs,
         std::span<const std::span<const keys::Payload>>(*pay_runs),
         /*require_stable=*/true);
   } else {
-    res.verified = verify_runs(input, runs);
+    verdict = verify_and_hash_runs(input, key_runs);
   }
+  res.verified = verdict.ok;
   DSM_CHECK(res.verified, "sort produced an incorrect result");
   res.input_checksum = input;
-  res.run_hash = run_order_hash(std::span<const std::span<const Key>>(runs));
+  res.run_hash = verdict.order_hash;
   maybe_write_trace(spec, team);
   return res;
 }
@@ -338,7 +336,7 @@ SortResult run_sample_ccsas(const SortSpec& spec,
     iota_payload(pay, 0);
     input_pairs = pair_fingerprint(keys.all(), pay);
   }
-  std::vector<Key> samples(s * p), group_sorted(s * p);
+  std::vector<Key> samples(s * p);
   std::vector<Key> splitters(p - 1);
   std::vector<int> splitter_srcs(p - 1);
   std::vector<std::uint64_t> boundaries(p * (p + 1));
@@ -351,7 +349,6 @@ SortResult run_sample_ccsas(const SortSpec& spec,
     w.pay_result = &pay_result;
   }
   w.samples = &samples;
-  w.group_sorted = &group_sorted;
   w.splitters = &splitters;
   w.splitter_srcs = &splitter_srcs;
   w.boundaries = &boundaries;

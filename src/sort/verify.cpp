@@ -53,15 +53,43 @@ bool verify_sorted_runs(const Checksum& input,
   return sorted && c == input;
 }
 
+namespace {
+
+// FNV-1a, one 32-bit key per step: position-sensitive by construction.
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr std::uint64_t fnv_step(std::uint64_t h, Key k) {
+  return (h ^ static_cast<std::uint64_t>(k)) * 1099511628211ull;
+}
+
+}  // namespace
+
 std::uint64_t run_order_hash(std::span<const std::span<const Key>> runs) {
-  // FNV-1a, one 32-bit key per step: position-sensitive by construction.
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvBasis;
   for (const auto& run : runs) {
-    for (const Key k : run) {
-      h = (h ^ static_cast<std::uint64_t>(k)) * 1099511628211ull;
-    }
+    for (const Key k : run) h = fnv_step(h, k);
   }
   return h;
+}
+
+RunsVerdict verify_and_hash_runs(const Checksum& input,
+                                 std::span<const std::span<const Key>> runs) {
+  Checksum c;
+  bool sorted = true;
+  Key prev = 0;  // Key is unsigned, so the first compare is never a miss
+  std::uint64_t h = kFnvBasis;
+  for (const auto& run : runs) {
+    c.count += run.size();
+    for (const Key k : run) {
+      const auto v = static_cast<std::uint64_t>(k);
+      c.sum += v;
+      c.xor_ ^= v * 0x9e3779b97f4a7c15ull;
+      c.sum_sq += v * v;
+      sorted = sorted && k >= prev;
+      prev = k;
+      h = fnv_step(h, k);
+    }
+  }
+  return RunsVerdict{sorted && c == input, h};
 }
 
 bool exact_multiset_equal(std::span<const Key> a, std::span<const Key> b) {
@@ -97,13 +125,14 @@ std::uint64_t pair_fingerprint(std::span<const Key> keys,
   return fp;
 }
 
-bool verify_sorted_runs_paired(
+RunsVerdict verify_sorted_runs_paired(
     const Checksum& input_keys, std::uint64_t input_pairs,
     std::span<const std::span<const Key>> key_runs,
     std::span<const std::span<const keys::Payload>> payload_runs,
     bool require_stable) {
-  if (key_runs.size() != payload_runs.size()) return false;
+  if (key_runs.size() != payload_runs.size()) return RunsVerdict{};
   Checksum c;
+  std::uint64_t h = kFnvBasis;
   std::uint64_t fp = 0;
   std::uint64_t total = 0;
   bool ok = true;
@@ -113,7 +142,7 @@ bool verify_sorted_runs_paired(
   for (std::size_t r = 0; r < key_runs.size(); ++r) {
     const auto& keys_run = key_runs[r];
     const auto& pay_run = payload_runs[r];
-    if (keys_run.size() != pay_run.size()) return false;
+    if (keys_run.size() != pay_run.size()) return RunsVerdict{};
     c.count += keys_run.size();
     total += keys_run.size();
     for (std::size_t i = 0; i < keys_run.size(); ++i) {
@@ -124,6 +153,7 @@ bool verify_sorted_runs_paired(
       c.xor_ ^= v * 0x9e3779b97f4a7c15ull;
       c.sum_sq += v * v;
       fp += mix_pair(k, p);
+      h = fnv_step(h, k);
       if (have_prev) {
         ok = ok && k >= prev;
         if (require_stable && k == prev) ok = ok && p > prev_pay;
@@ -134,7 +164,7 @@ bool verify_sorted_runs_paired(
     }
   }
   fp += total * 0x9e3779b97f4a7c15ull;
-  return ok && c == input_keys && fp == input_pairs;
+  return RunsVerdict{ok && c == input_keys && fp == input_pairs, h};
 }
 
 }  // namespace dsm::sort

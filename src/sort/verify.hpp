@@ -34,6 +34,16 @@ bool runs_sorted(std::span<const std::span<const Key>> runs);
 bool verify_sorted_runs(const Checksum& input,
                         std::span<const std::span<const Key>> runs);
 
+/// verify_sorted_runs and run_order_hash in one sweep over the output:
+/// `ok` is verify_sorted_runs(input, runs), `order_hash` is
+/// run_order_hash(runs).
+struct RunsVerdict {
+  bool ok = false;
+  std::uint64_t order_hash = 0;
+};
+RunsVerdict verify_and_hash_runs(const Checksum& input,
+                                 std::span<const std::span<const Key>> runs);
+
 /// Exact multiset equality (sorts copies; test-only sizes).
 bool exact_multiset_equal(std::span<const Key> a, std::span<const Key> b);
 
@@ -59,8 +69,8 @@ std::uint64_t pair_fingerprint(std::span<const Key> keys,
 ///     assign payload = global input index, this is exactly LSD radix
 ///     stability (and sample sort's deterministic duplicate placement).
 /// `require_stable` disables the third check for algorithms that do not
-/// promise stability.
-bool verify_sorted_runs_paired(
+/// promise stability. The same sweep computes run_order_hash(key_runs).
+RunsVerdict verify_sorted_runs_paired(
     const Checksum& input_keys, std::uint64_t input_pairs,
     std::span<const std::span<const Key>> key_runs,
     std::span<const std::span<const keys::Payload>> payload_runs,

@@ -1,0 +1,134 @@
+// Virtual-time golden: one FNV-1a digest over elapsed_ns, every per-proc
+// Breakdown and the mean phase report of a fixed grid of sorts. The grid
+// covers the collective paths where every rank derives the same result
+// from gathered data (radix prefixes, sample splitters): radix and sample
+// sort under MPI and SHMEM, sample sort under CC-SAS, team sizes from 1 to
+// 64, radix widths 4..16, tiny to 64K inputs, uniform-ish and
+// duplicate-heavy keys, both record types, and the message-layer
+// ablations. Host-speed work on those paths must leave every charged
+// double unchanged, so the digest is a constant; it was recorded before
+// the shared-collective rewrite and must never move.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "sort/sort_api.hpp"
+
+namespace dsm::sort {
+namespace {
+
+constexpr std::uint64_t kGoldenDigest = 14297510011253420088ull;
+
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
+
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 1099511628211ull;
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    bytes(&bits, sizeof bits);
+  }
+  void breakdown(const sim::Breakdown& b) {
+    f64(b.busy_ns);
+    f64(b.lmem_ns);
+    f64(b.rmem_ns);
+    f64(b.sync_ns);
+  }
+  void result(const SortResult& r) {
+    f64(r.elapsed_ns);
+    for (const sim::Breakdown& b : r.per_proc) breakdown(b);
+    for (const auto& [name, b] : r.phases) {
+      bytes(name.data(), name.size());
+      breakdown(b);
+    }
+  }
+};
+
+/// Every {combo x p x radix x n} cell runs once; the key distribution and
+/// the record type rotate across cells so both of each appear at every
+/// team size and width without doubling the grid twice (kv32 charges
+/// equal u32 charges by contract, so the rotation loses no coverage of
+/// the charged paths). Ablations ride on the same cells up to 11-bit
+/// digits: they change delivery, not the table, and a 16-bit radix pass
+/// at p = 64 costs a quarter second of host time whatever n is.
+std::vector<SortSpec> golden_grid() {
+  struct Combo {
+    Algo algo;
+    Model model;
+  };
+  constexpr Combo kCombos[] = {{Algo::kRadix, Model::kMpi},
+                               {Algo::kRadix, Model::kShmem},
+                               {Algo::kSample, Model::kMpi},
+                               {Algo::kSample, Model::kShmem},
+                               {Algo::kSample, Model::kCcSas}};
+  std::vector<SortSpec> grid;
+  auto add = [&grid](const SortSpec& spec) {
+    if (spec.validate_status().ok()) grid.push_back(spec);
+  };
+  unsigned cell = 0;
+  for (const Combo c : kCombos) {
+    for (const int p : {1, 3, 16, 64}) {
+      for (const int radix : {4, 8, 11, 16}) {
+        for (const Index n : {static_cast<Index>(p), Index{5000},
+                              Index{1} << 16}) {
+          SortSpec spec;
+          spec.algo = c.algo;
+          spec.model = c.model;
+          spec.nprocs = p;
+          spec.radix_bits = radix;
+          spec.n = n;
+          spec.dist = cell % 2 == 0 ? keys::Dist::kGauss : keys::Dist::kDup;
+          spec.record = (cell / 2) % 2 == 0 ? keys::RecordType::kU32
+                                            : keys::RecordType::kKeyPayload32;
+          spec.seed = 5 + cell;
+          ++cell;
+          add(spec);
+          if (radix > 11) continue;  // ablations do not depend on width
+          if (c.model == Model::kMpi) {
+            SortSpec staged = spec;
+            staged.ablations.mpi_impl = msg::Impl::kStaged;
+            add(staged);
+          }
+          if (c.algo != Algo::kRadix) continue;
+          SortSpec max_key = spec;
+          max_key.ablations.detect_max_key = true;
+          add(max_key);
+          SortSpec alt = spec;  // coalesced messages / put delivery
+          alt.record = keys::RecordType::kU32;  // kv32 rejects both
+          if (c.model == Model::kMpi) {
+            alt.ablations.mpi_chunk_messages = false;
+          } else {
+            alt.ablations.shmem_use_put = true;
+          }
+          add(alt);
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+std::uint64_t grid_digest(SpmdEngine engine) {
+  Digest d;
+  for (SortSpec spec : golden_grid()) {
+    spec.engine = engine;
+    d.result(run_sort(spec));
+  }
+  return d.h;
+}
+
+TEST(VirtualTimeGolden, CooperativeEngine) {
+  EXPECT_EQ(grid_digest(SpmdEngine::kCooperative), kGoldenDigest);
+}
+
+TEST(VirtualTimeGolden, ThreadEngine) {
+  EXPECT_EQ(grid_digest(SpmdEngine::kThreads), kGoldenDigest);
+}
+
+}  // namespace
+}  // namespace dsm::sort

@@ -1,8 +1,9 @@
-// Tests for the extended MPI-like collective set (bcast, reduce_sum,
-// gather, alltoallv) — functional correctness against references, cost
+// Tests for the extended MPI-like collective set (allgather_reduce, bcast,
+// reduce_sum, gather, alltoallv) — functional correctness against references, cost
 // charging, and misuse rejection.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 
 #include "common/prng.hpp"
@@ -214,6 +215,82 @@ TEST(Alltoallv, RandomisedRoundTrip) {
     expect[s] = e;
   });
   for (int r = 0; r < p; ++r) EXPECT_EQ(checks[r], expect[r]) << r;
+}
+
+TEST(AllgatherReduce, ReducerRunsOncePerCallAndEveryRankSharesTheResult) {
+  for (const SpmdEngine engine :
+       {SpmdEngine::kCooperative, SpmdEngine::kThreads}) {
+    constexpr int kProcs = 6;
+    constexpr int kCalls = 3;
+    sim::SimTeam team(kProcs, origin(), engine);
+    Communicator comm(team, Impl::kDirect);
+    std::atomic<int> reductions{0};
+    std::vector<std::vector<const std::uint64_t*>> seen(
+        kCalls, std::vector<const std::uint64_t*>(kProcs));
+    std::vector<std::vector<std::uint64_t>> values(
+        kCalls, std::vector<std::uint64_t>(kProcs));
+    team.run([&](sim::ProcContext& ctx) {
+      for (int call = 0; call < kCalls; ++call) {
+        const std::vector<int> mine{ctx.rank(), call};
+        const auto sum = comm.allgather_reduce<int, std::uint64_t>(
+            ctx, mine, [&](sim::Blocks<int> blocks) {
+              ++reductions;
+              std::uint64_t s = 0;
+              for (const auto& b : blocks) s += 10 * b[0] + b[1];
+              return s;
+            });
+        seen[call][ctx.rank()] = sum.get();
+        values[call][ctx.rank()] = *sum;
+      }
+    });
+    EXPECT_EQ(reductions.load(), kCalls) << engine_name(engine);
+    for (int call = 0; call < kCalls; ++call) {
+      for (int r = 0; r < kProcs; ++r) {
+        EXPECT_EQ(seen[call][r], seen[call][0]) << engine_name(engine);
+        EXPECT_EQ(values[call][r],
+                  static_cast<std::uint64_t>(10 * 15 + kProcs * call));
+      }
+    }
+  }
+}
+
+TEST(AllgatherReduce, ChargedExactlyLikeAllgather) {
+  auto run = [](bool reduce) {
+    sim::SimTeam team(5, origin());
+    Communicator comm(team, Impl::kDirect);
+    team.run([&](sim::ProcContext& ctx) {
+      ctx.busy_cycles(700.0 * ctx.rank());
+      const std::vector<std::uint64_t> mine(33, ctx.rank());
+      if (reduce) {
+        comm.allgather_reduce<std::uint64_t, int>(
+            ctx, mine, [](sim::Blocks<std::uint64_t>) { return 0; });
+      } else {
+        std::vector<std::uint64_t> all(33 * 5);
+        comm.allgather<std::uint64_t>(ctx, mine, all);
+      }
+    });
+    std::vector<sim::Breakdown> b;
+    for (int r = 0; r < 5; ++r) b.push_back(team.breakdown_of(r));
+    return b;
+  };
+  const auto a = run(false), b = run(true);
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_EQ(a[r].busy_ns, b[r].busy_ns);
+    EXPECT_EQ(a[r].lmem_ns, b[r].lmem_ns);
+    EXPECT_EQ(a[r].rmem_ns, b[r].rmem_ns);
+    EXPECT_EQ(a[r].sync_ns, b[r].sync_ns);
+  }
+}
+
+TEST(AllgatherReduce, UnequalBlocksRejected) {
+  sim::SimTeam team(3, origin());
+  Communicator comm(team, Impl::kDirect);
+  EXPECT_THROW(team.run([&](sim::ProcContext& ctx) {
+    const std::vector<int> mine(static_cast<std::size_t>(ctx.rank() + 1));
+    comm.allgather_reduce<int, int>(ctx, mine,
+                                    [](sim::Blocks<int>) { return 0; });
+  }),
+               Error);
 }
 
 }  // namespace

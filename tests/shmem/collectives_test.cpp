@@ -1,6 +1,8 @@
-// Tests for the extended SHMEM collective set (broadcast, collect,
-// sum_to_all).
+// Tests for the extended SHMEM collective set (fcollect_reduce, broadcast,
+// collect, sum_to_all).
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "shmem/shmem.hpp"
 #include "sim/team.hpp"
@@ -97,6 +99,72 @@ TEST(SumToAll, MismatchedSizesRejected) {
     sh.sum_to_all<std::uint64_t>(ctx, data);
   }),
                Error);
+}
+
+TEST(FcollectReduce, ReducerRunsOncePerCallAndEveryPeSharesTheResult) {
+  for (const SpmdEngine engine :
+       {SpmdEngine::kCooperative, SpmdEngine::kThreads}) {
+    constexpr int kPes = 5;
+    constexpr int kCalls = 3;
+    sim::SimTeam team(kPes, origin(), engine);
+    SymmetricHeap heap(kPes, 256);
+    Shmem sh(team, heap);
+    std::atomic<int> reductions{0};
+    std::vector<std::vector<const std::vector<std::uint32_t>*>> seen(
+        kCalls, std::vector<const std::vector<std::uint32_t>*>(kPes));
+    std::vector<std::vector<std::uint32_t>> firsts(kCalls);
+    team.run([&](sim::ProcContext& ctx) {
+      for (int call = 0; call < kCalls; ++call) {
+        const std::vector<std::uint32_t> mine{
+            static_cast<std::uint32_t>(100 * call + ctx.rank())};
+        const auto all = sh.fcollect_reduce<std::uint32_t,
+                                            std::vector<std::uint32_t>>(
+            ctx, mine, [&](sim::Blocks<std::uint32_t> blocks) {
+              ++reductions;
+              return sim::concat_blocks<std::uint32_t>(blocks);
+            });
+        seen[call][ctx.rank()] = all.get();
+        if (ctx.rank() == 0) firsts[call] = *all;
+      }
+    });
+    EXPECT_EQ(reductions.load(), kCalls) << engine_name(engine);
+    for (int call = 0; call < kCalls; ++call) {
+      for (int r = 0; r < kPes; ++r) {
+        EXPECT_EQ(seen[call][r], seen[call][0]) << engine_name(engine);
+        EXPECT_EQ(firsts[call][static_cast<std::size_t>(r)],
+                  static_cast<std::uint32_t>(100 * call + r));
+      }
+    }
+  }
+}
+
+TEST(FcollectReduce, ChargedExactlyLikeFcollect) {
+  auto run = [](bool reduce) {
+    sim::SimTeam team(4, origin());
+    SymmetricHeap heap(4, 256);
+    Shmem sh(team, heap);
+    team.run([&](sim::ProcContext& ctx) {
+      ctx.busy_cycles(500.0 * ctx.rank());
+      const std::vector<std::uint64_t> mine(17, ctx.rank());
+      if (reduce) {
+        sh.fcollect_reduce<std::uint64_t, int>(
+            ctx, mine, [](sim::Blocks<std::uint64_t>) { return 0; });
+      } else {
+        std::vector<std::uint64_t> all(17 * 4);
+        sh.fcollect<std::uint64_t>(ctx, mine, all);
+      }
+    });
+    std::vector<sim::Breakdown> b;
+    for (int r = 0; r < 4; ++r) b.push_back(team.breakdown_of(r));
+    return b;
+  };
+  const auto a = run(false), b = run(true);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(a[r].busy_ns, b[r].busy_ns);
+    EXPECT_EQ(a[r].lmem_ns, b[r].lmem_ns);
+    EXPECT_EQ(a[r].rmem_ns, b[r].rmem_ns);
+    EXPECT_EQ(a[r].sync_ns, b[r].sync_ns);
+  }
 }
 
 }  // namespace
