@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
         spec.radix_bits = env.radix_bits;
 
         spec.ablations.mpi_chunk_messages = true;
-        const double chunk = bench::run_spec(spec, env.seed).elapsed_ns;
+        const double chunk = bench::run_spec(spec, env).elapsed_ns;
         spec.ablations.mpi_chunk_messages = false;
-        const double coalesced = bench::run_spec(spec, env.seed).elapsed_ns;
+        const double coalesced = bench::run_spec(spec, env).elapsed_ns;
         t.add_row({fmt_count(n), std::to_string(p),
                    fmt_fixed(chunk / 1e3, 0), fmt_fixed(coalesced / 1e3, 0),
                    fmt_fixed(coalesced / chunk, 2) + "x"});

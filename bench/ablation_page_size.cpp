@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
         spec.n = n;
         spec.radix_bits = env.radix_bits;
         spec.machine = mp;
-        const double par = bench::run_spec(spec, env.seed).elapsed_ns;
+        const double par = bench::run_spec(spec, env).elapsed_ns;
         rows[k].push_back(fmt_fixed(seq / 1e3, 0));
         rows[k].push_back(fmt_fixed(par / 1e3, 0));
       }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
           spec.radix_bits = 11;
           spec.dist = dist;
           spec.ablations.sample_count = s;
-          const auto res = bench::run_spec(spec, env.seed);
+          const auto res = bench::run_spec(spec, env);
           t.add_row({fmt_count(n), std::to_string(p), std::to_string(s),
                      fmt_fixed(res.elapsed_ns / 1e3, 0),
                      fmt_fixed(res.imbalance(), 3)});

@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
       spec.radix_bits = env.radix_bits;
 
       spec.ablations.shmem_use_put = false;
-      const double get_ns = bench::run_spec(spec, env.seed).elapsed_ns;
+      const double get_ns = bench::run_spec(spec, env).elapsed_ns;
       spec.ablations.shmem_use_put = true;
-      const double put_ns = bench::run_spec(spec, env.seed).elapsed_ns;
+      const double put_ns = bench::run_spec(spec, env).elapsed_ns;
       t.add_row({fmt_count(n), fmt_fixed(get_ns / 1e3, 0),
                  fmt_fixed(put_ns / 1e3, 0),
                  fmt_fixed(put_ns / get_ns, 3) + "x"});

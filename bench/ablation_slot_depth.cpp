@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
               machine::MachineParams::origin2000_for_keys(n);
           mp.sw.mpi_slot_depth = d;
           spec.machine = mp;
-          const auto res = bench::run_spec(spec, env.seed);
+          const auto res = bench::run_spec(spec, env);
           const double sync = perf::sum(res.per_proc).sync_ns;
           // One cache-line descriptor per slot per ordered pair.
           const double slot_kb =

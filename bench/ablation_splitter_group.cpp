@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
         spec.n = n;
         spec.radix_bits = 11;
         spec.ablations.sample_group_size = g;
-        const auto res = bench::run_spec(spec, env.seed);
+        const auto res = bench::run_spec(spec, env);
         double splitter_ns = 0;
         for (const auto& [name, b] : res.phases) {
           if (name == "splitters") splitter_ns = b.total_ns();

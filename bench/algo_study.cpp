@@ -183,11 +183,6 @@ int main(int argc, char** argv) {
                                 "16", {"quick", "out"});
     ArgParser args(argc, argv);
     const std::string out_path = args.get("out", "BENCH_algos.json");
-    if (!args.has("kernel-jobs")) {
-      // The study compares algorithms, not host threading: every backend
-      // gets the one-thread budget a simulated processor has.
-      sort::set_default_kernel_jobs(1);
-    }
     bench::banner("Algorithm menu: backend crossover study", env);
 
     const int procs = env.procs.empty() ? 16 : env.procs.front();
@@ -209,6 +204,7 @@ int main(int argc, char** argv) {
         const std::vector<Key> input = make_input(n, dist, env.seed);
         std::vector<Key> work(n), tmp(n), lsd_out;
         sort::RadixWorkspace ws;
+        ws.jobs = env.kernel_jobs;
         LocalCell cell;
         cell.n = n;
         cell.dist = dist;
@@ -271,10 +267,9 @@ int main(int argc, char** argv) {
             spec.n = static_cast<Index>(cell.n);
             spec.radix_bits = 11;
             spec.dist = cell.dist;
-            spec.seed = env.seed;
             for (int rep = 0; rep < full_reps; ++rep) {
               const double t0 = now_s();
-              const auto r = sort::run_sort(spec);
+              const auto r = bench::run_spec(spec, env);
               const double s = now_s() - t0;
               if (rep == 0 || s < cell.host_s[a]) cell.host_s[a] = s;
               cell.virt_ns[a] = r.elapsed_ns;
@@ -383,7 +378,7 @@ int main(int argc, char** argv) {
        << "  \"bench\": \"algo_study\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"config\": {\"seed\": " << env.seed << ", \"procs\": " << procs
-       << ", \"kernel_jobs\": " << sort::default_kernel_jobs()
+       << ", \"kernel_jobs\": " << env.kernel_jobs
        << ", \"reps\": " << reps << ", \"full_reps\": " << full_reps
        << ", \"flip_ratio\": " << fmt_fixed(kFlipRatio, 2) << "},\n";
     js << "  \"local\": {\"description\": \"sequential backend kernels, "

@@ -1,9 +1,9 @@
 // Shared infrastructure for the table/figure reproduction harnesses.
 //
 // Every harness reproduces one table or figure from the paper. The paper's
-// experiments ran 1M-256M keys on a real 64-processor Origin 2000; this
-// host has one core, so the default sweeps use the paper's sizes scaled
-// down 16x (64K-16M) — the simulated machine is unchanged, and all the
+// experiments ran 1M-256M keys on a real 64-processor Origin 2000; the
+// default sweeps stop at 16M keys (1M,4M,16M) to keep a run to minutes of
+// host time — the simulated machine is unchanged, and all the
 // shape-defining regimes (per-processor working set vs 4 MB L2 / TLB
 // reach, message-overhead amortisation) are crossed within the default
 // range at 16-64 processors. Pass --full for the paper's exact sizes
@@ -12,13 +12,15 @@
 // Common options: --sizes 1M,4M --procs 16,32,64 --radix 8 --seed 1
 //                 --full --csv <dir> --jobs N (0 = all hardware threads;
 //                 default from DSMSORT_JOBS, else 1)
-//                 --kernels reference|optimized (host radix kernels;
-//                 charge-invariant, default optimized or DSMSORT_KERNELS)
 //                 --kernel-jobs N (host threads per simulated rank inside
-//                 the kernel loops; 0 = hardware threads, default from
-//                 DSMSORT_KERNEL_JOBS, else 1; charge-invariant)
+//                 the kernel loops; 0 = all hardware threads, default 1)
+// Environment:    DSMSORT_ENGINE=coop|threads (host engine for the
+//                 simulated ranks, default coop)
+// The host settings (--jobs, --kernel-jobs, DSMSORT_ENGINE) change only
+// host wall-clock: every virtual time and table is byte-identical.
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "perf/breakdown.hpp"
 #include "perf/report.hpp"
@@ -41,10 +44,23 @@ struct BenchEnv {
   int radix_bits = 8;
   std::uint64_t seed = 1;
   int jobs = 1;         // host threads for independent sweep cells
+  int kernel_jobs = 1;  // host threads per simulated rank's kernel loops
+  SpmdEngine engine = SpmdEngine::kCooperative;
   std::string csv_dir;  // empty = no CSV output
 
   bool want_csv() const { return !csv_dir.empty(); }
 };
+
+/// DSMSORT_ENGINE: coop (or cooperative) | threads; unset or empty = coop.
+/// Anything else is an error naming the variable.
+inline SpmdEngine engine_from_env() {
+  const char* env = std::getenv("DSMSORT_ENGINE");
+  if (env == nullptr || *env == '\0') return SpmdEngine::kCooperative;
+  const std::string v(env);
+  if (v == "coop" || v == "cooperative") return SpmdEngine::kCooperative;
+  if (v == "threads") return SpmdEngine::kThreads;
+  throw Error("DSMSORT_ENGINE must be 'coop' or 'threads', got: " + v);
+}
 
 /// Read the common options from `args`, whose flags the caller has
 /// already checked; an option absent from `args` keeps its default.
@@ -59,15 +75,10 @@ inline BenchEnv read_env(const ArgParser& args,
   env.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   env.jobs = sim::resolve_jobs(static_cast<int>(
       args.get_int("jobs", sim::default_jobs())));
+  env.kernel_jobs =
+      sim::resolve_jobs(static_cast<int>(args.get_int("kernel-jobs", 1)));
+  env.engine = engine_from_env();
   env.csv_dir = args.get("csv", "");
-  const std::string kernels = args.get("kernels", "");
-  if (!kernels.empty()) {
-    sort::set_default_kernel_backend(sort::kernel_backend_from_name(kernels));
-  }
-  if (args.has("kernel-jobs")) {
-    sort::set_default_kernel_jobs(
-        static_cast<int>(args.get_int("kernel-jobs", 0)));
-  }
   return env;
 }
 
@@ -77,12 +88,18 @@ inline BenchEnv parse_env(int argc, char** argv,
                           const std::string& default_procs = "16,32,64",
                           std::vector<std::string> extra_known = {}) {
   ArgParser args(argc, argv);
-  std::vector<std::string> known{"sizes", "procs", "radix",       "seed",
-                                 "full",  "csv",   "jobs",        "kernels",
-                                 "kernel-jobs"};
+  std::vector<std::string> known{"sizes", "procs", "radix", "seed",
+                                 "full",  "csv",   "jobs",  "kernel-jobs"};
   known.insert(known.end(), extra_known.begin(), extra_known.end());
   args.check_known(known);
   return read_env(args, default_sizes, default_procs);
+}
+
+/// The host settings a harness runs with, for its banner.
+inline std::string host_settings(const BenchEnv& env) {
+  return std::string("engine: ") + engine_name(env.engine) +
+         "  kernel-jobs: " + std::to_string(env.kernel_jobs) + " (isa " +
+         sort::kernel_isa_name() + ")  jobs: " + std::to_string(env.jobs);
 }
 
 /// Print the standard harness banner.
@@ -93,13 +110,7 @@ inline void banner(const std::string& what, const BenchEnv& env) {
   for (const auto s : env.sizes) std::cout << ' ' << fmt_count(s);
   std::cout << "  procs:";
   for (const int p : env.procs) std::cout << ' ' << p;
-  std::cout << "  engine: " << engine_name(default_spmd_engine())
-            << "  kernels: "
-            << sort::kernel_backend_name(sort::default_kernel_backend())
-            << " (isa " << sort::kernel_isa_name()
-            << ", kernel-jobs " << sort::default_kernel_jobs() << ")"
-            << "  jobs: " << env.jobs;
-  std::cout << "\n\n";
+  std::cout << "  " << host_settings(env) << "\n\n";
 }
 
 /// Sequential radix baseline cache (Table 1 numbers), keyed by
@@ -144,9 +155,12 @@ class BaselineCache {
   std::unordered_map<std::uint64_t, Entry> cache_;
 };
 
-/// Run one sort with the standard env seed and the paper's page policy.
-inline sort::SortResult run_spec(sort::SortSpec spec, std::uint64_t seed) {
-  spec.seed = seed;
+/// Run one sort with the harness's seed and host settings (engine and
+/// kernel jobs), on the paper's page policy.
+inline sort::SortResult run_spec(sort::SortSpec spec, const BenchEnv& env) {
+  spec.seed = env.seed;
+  spec.engine = env.engine;
+  spec.kernel_jobs = env.kernel_jobs;
   return sort::run_sort(spec);
 }
 
@@ -169,7 +183,7 @@ struct BestCell {
 
 inline BestCell best_over_models_and_radixes(
     sort::Algo algo, Index n, int procs, const std::vector<int>& radixes,
-    std::uint64_t seed) {
+    const BenchEnv& env) {
   static constexpr sort::Model kRadixModels[] = {
       sort::Model::kCcSas, sort::Model::kCcSasNew, sort::Model::kMpi,
       sort::Model::kShmem};
@@ -189,7 +203,7 @@ inline BestCell best_over_models_and_radixes(
       spec.nprocs = procs;
       spec.n = n;
       spec.radix_bits = r;
-      const double ns = run_spec(spec, seed).elapsed_ns;
+      const double ns = run_spec(spec, env).elapsed_ns;
       if (ns < best.ns) best = BestCell{ns, m, r};
     }
   }
@@ -215,7 +229,7 @@ inline std::vector<BestCell> sweep_best_cells(const BenchEnv& env,
   }
   return sim::sweep(cells.size(), env.jobs, [&](std::size_t i) {
     return best_over_models_and_radixes(cells[i].algo, cells[i].n, cells[i].p,
-                                        radixes, env.seed);
+                                        radixes, env);
   });
 }
 

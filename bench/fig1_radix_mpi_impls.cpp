@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
         spec.radix_bits = env.radix_bits;
 
         spec.ablations.mpi_impl = msg::Impl::kStaged;
-        const double sgi = bench::run_spec(spec, env.seed).elapsed_ns;
+        const double sgi = bench::run_spec(spec, env).elapsed_ns;
         spec.ablations.mpi_impl = msg::Impl::kDirect;
-        const double neu = bench::run_spec(spec, env.seed).elapsed_ns;
+        const double neu = bench::run_spec(spec, env).elapsed_ns;
 
         t.add_row({fmt_count(n), std::to_string(p),
                    fmt_fixed(sort::speedup(base, sgi), 1),

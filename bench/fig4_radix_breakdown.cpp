@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
     const int p = env.procs[0];
     const int rows = static_cast<int>(args.get_int("rows", 16));
     std::cout << "== Figure 4: radix sort time breakdown (" << fmt_count(n)
-              << " keys, " << p << " processors) ==\n\n";
+              << " keys, " << p << " processors) ==\n   "
+              << bench::host_settings(env) << "\n\n";
 
     struct Panel {
       const char* label;
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
       spec.nprocs = p;
       spec.n = n;
       spec.radix_bits = env.radix_bits;
-      const auto res = bench::run_spec(spec, env.seed);
+      const auto res = bench::run_spec(spec, env);
       std::cout << perf::render_breakdown_figure(panel.label, res.per_proc,
                                                  panel.merge_mem, rows)
                 << "\n";

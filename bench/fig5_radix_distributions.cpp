@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       spec.n = n;
       spec.radix_bits = env.radix_bits;
       spec.dist = d;
-      return bench::run_spec(spec, env.seed).elapsed_ns;
+      return bench::run_spec(spec, env).elapsed_ns;
     };
 
     // Size outer, distribution inner: the gauss reference and the gauss

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       spec.nprocs = p;
       spec.n = n;
       spec.radix_bits = r;
-      return bench::run_spec(spec, env.seed).elapsed_ns;
+      return bench::run_spec(spec, env).elapsed_ns;
     };
 
     // Size outer, radix inner: gauss keys do not depend on the radix, so

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
             spec.n = cells[i].n;
             spec.radix_bits = sradix;
             su[m] = sort::speedup(base,
-                                  bench::run_spec(spec, env.seed).elapsed_ns);
+                                  bench::run_spec(spec, env).elapsed_ns);
           }
           return su;
         });

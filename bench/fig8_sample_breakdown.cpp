@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     const int sradix = static_cast<int>(args.get_int("sample-radix", 11));
     std::cout << "== Figure 8: sample sort time breakdown (" << fmt_count(n)
               << " keys, " << p << " processors, radix " << sradix
-              << ") ==\n\n";
+              << ") ==\n   " << bench::host_settings(env) << "\n\n";
 
     struct Panel {
       const char* label;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       spec.nprocs = p;
       spec.n = n;
       spec.radix_bits = sradix;
-      const auto res = bench::run_spec(spec, env.seed);
+      const auto res = bench::run_spec(spec, env);
       std::cout << perf::render_breakdown_figure(panel.label, res.per_proc,
                                                  panel.merge_mem, rows)
                 << "\n";

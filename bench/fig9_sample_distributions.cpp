@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       spec.n = n;
       spec.radix_bits = sradix;
       spec.dist = d;
-      return bench::run_spec(spec, env.seed).elapsed_ns;
+      return bench::run_spec(spec, env).elapsed_ns;
     };
 
     std::vector<double> gauss_ns;

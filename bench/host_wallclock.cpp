@@ -15,8 +15,9 @@
 //   --kernels-only skip the engine sweeps and barrier micro; run only the
 //                  kernel cells (what scripts/kernel_speed_gate.sh uses)
 //   --calibrate    sweep the kernel tunables (staging cap, WC bucket
-//                  floor) on this host and print the best settings
-//                  instead of benchmarking; see EXPERIMENTS.md
+//                  floor) on this host and print the best values for
+//                  the constants that set them, instead of
+//                  benchmarking; see EXPERIMENTS.md
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -70,8 +71,10 @@ double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
           spec.nprocs = cells[i].p;
           spec.n = cells[i].n;
           spec.radix_bits = env.radix_bits;
-          spec.engine = engine;
-          cell[m] = bench::run_spec(spec, env.seed).elapsed_ns;
+          spec.seed = env.seed;
+          spec.engine = engine;  // the engine under test, not env.engine
+          spec.kernel_jobs = env.kernel_jobs;
+          cell[m] = sort::run_sort(spec).elapsed_ns;
         }
         return cell;
       });
@@ -94,8 +97,9 @@ double timed_barrier_micro(std::uint64_t n, int procs, int reps,
     spec.nprocs = procs;
     spec.n = n;
     spec.radix_bits = 8;
+    spec.seed = seed;
     spec.engine = engine;
-    (void)bench::run_spec(spec, seed);
+    (void)sort::run_sort(spec);
   }
   return now_s() - t0;
 }
@@ -458,10 +462,10 @@ int run_calibration(const bench::BenchEnv& env, bool quick) {
   }
   sort::set_kernel_wc_min_buckets(saved_floor);
 
-  std::cout << "  fastest: DSMSORT_KERNEL_STAGING_KB=" << best_kb
-            << " DSMSORT_KERNEL_WC_BUCKETS=" << best_floor
-            << "  (defaults: " << saved_cap / 1024 << " KiB / "
-            << saved_floor << ")\n";
+  std::cout << "  fastest: kWcDefaultStagingBytes = " << best_kb
+            << " KiB, kWcDefaultMinBuckets = " << best_floor
+            << "  (now: " << saved_cap / 1024 << " KiB / " << saved_floor
+            << "; edit the constants in src/sort/kernels.hpp)\n";
   return 0;
 }
 
@@ -658,7 +662,7 @@ int main(int argc, char** argv) {
        << "  \"host\": {\"hardware_threads\": "
        << std::thread::hardware_concurrency()
        << ", \"kernel_isa\": \"" << sort::kernel_isa_name()
-       << "\", \"default_engine\": \"" << engine_name(default_spmd_engine())
+       << "\", \"default_engine\": \"" << engine_name(sort::SortSpec{}.engine)
        << "\"},\n"
        << "  \"config\": {\"sizes\": " << json_list(env.sizes)
        << ", \"procs\": " << json_list(env.procs)

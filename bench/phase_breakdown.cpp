@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
     const Index n = env.sizes[0];
     const int p = env.procs[0];
     std::cout << "== Per-phase breakdown (" << fmt_count(n) << " keys, " << p
-              << " procs; mean us per process) ==\n\n";
+              << " procs; mean us per process) ==\n   "
+              << bench::host_settings(env) << "\n\n";
 
     auto report = [&](sort::Algo a, sort::Model m, int radix) {
       sort::SortSpec spec;
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
       spec.nprocs = p;
       spec.n = n;
       spec.radix_bits = radix;
-      const auto res = bench::run_spec(spec, env.seed);
+      const auto res = bench::run_spec(spec, env);
       std::cout << sort::algo_name(a) << " / " << sort::model_name(m)
                 << " (radix " << radix << "):\n";
       TextTable t({"phase", "busy", "lmem", "rmem", "sync", "total", "%"});

@@ -1,12 +1,37 @@
 #include "cluster/lifecycle.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
-#include "sort/kernels.hpp"
+#include "common/error.hpp"
 
 namespace dsm::cluster {
+namespace {
+
+/// Strict full-string parse of a deployment knob: exactly an optional
+/// sign plus base-10 digits within [min_value, max_value]. Anything else
+/// (leading whitespace, trailing garbage, overflow, out of range) throws
+/// Error naming `name`, quoting `text` and describing the accepted values
+/// as `what` — a mistyped knob fails at startup, not silently.
+int parse_bounded(const char* name, const char* text, long long min_value,
+                  long long max_value, const char* what) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  // strtoll itself would skip leading whitespace; reject it explicitly.
+  if (std::isspace(static_cast<unsigned char>(*text)) || end == text ||
+      *end != '\0' || errno == ERANGE || v < min_value || v > max_value) {
+    throw Error(std::string(name) + " must be " + what + ", got: \"" + text +
+                "\"");
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 const char* worker_state_name(WorkerState s) {
   switch (s) {
@@ -37,8 +62,8 @@ int target_worker_count(const ElasticPolicy& policy, std::size_t batch_jobs,
 }
 
 int parse_cluster_workers(const char* name, const char* text) {
-  return static_cast<int>(sort::parse_kernel_env_number(
-      name, text, 0, 256, "a worker process count in [0, 256]"));
+  return parse_bounded(name, text, 0, 256,
+                       "a worker process count in [0, 256]");
 }
 
 int cluster_workers_from_env() {
@@ -48,13 +73,13 @@ int cluster_workers_from_env() {
 }
 
 int parse_heartbeat_ms(const char* name, const char* text) {
-  return static_cast<int>(sort::parse_kernel_env_number(
-      name, text, 0, 60000, "a heartbeat period in ms in [0, 60000]"));
+  return parse_bounded(name, text, 0, 60000,
+                       "a heartbeat period in ms in [0, 60000]");
 }
 
 int parse_suspect_after(const char* name, const char* text) {
-  return static_cast<int>(sort::parse_kernel_env_number(
-      name, text, 1, 1000, "a missed-heartbeat count in [1, 1000]"));
+  return parse_bounded(name, text, 1, 1000,
+                       "a missed-heartbeat count in [1, 1000]");
 }
 
 int heartbeat_ms_from_env() {

@@ -19,9 +19,9 @@ namespace dsm {
 /// One row of a table-driven enum <-> name registry. Every user-facing
 /// enum (sort::Algo, sort::Model, keys::Dist, keys::RecordType,
 /// sort::KernelBackend) declares exactly one canonical table next to its
-/// definition and routes both directions through enum_name /
-/// enum_from_name below — one place to add a value, one error shape for
-/// every flag and env variable that parses it.
+/// definition and routes names through enum_name / enum_from_name below
+/// — one place to add a value, one error shape for every flag and
+/// decoder that parses it.
 template <typename E>
 struct EnumEntry {
   E value;

@@ -1,8 +1,6 @@
 #include "common/team.hpp"
 
-#include <cstdlib>
 #include <exception>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,18 +43,6 @@ const char* engine_name(SpmdEngine e) {
     case SpmdEngine::kCooperative: return "coop";
   }
   return "?";
-}
-
-SpmdEngine default_spmd_engine() {
-  static const SpmdEngine engine = [] {
-    const char* env = std::getenv("DSMSORT_ENGINE");
-    if (env == nullptr || *env == '\0') return SpmdEngine::kCooperative;
-    const std::string v(env);
-    if (v == "coop" || v == "cooperative") return SpmdEngine::kCooperative;
-    if (v == "threads") return SpmdEngine::kThreads;
-    throw Error("DSMSORT_ENGINE must be 'coop' or 'threads', got: " + v);
-  }();
-  return engine;
 }
 
 namespace {

@@ -38,9 +38,8 @@ enum class SpmdEngine {
 
 const char* engine_name(SpmdEngine e);
 
-/// Engine used when a SimTeam/SortSpec does not pin one explicitly:
-/// kCooperative, overridable via DSMSORT_ENGINE=threads|coop.
-SpmdEngine default_spmd_engine();
+// A sort names its engine in SortSpec::engine (default kCooperative), a
+// bare SimTeam in its constructor; no process-wide setting overrides it.
 
 /// One SPMD team execution backend. All cross-rank synchronisation flows
 /// through arrive_and_wait; the completion runs exactly once per round, on

@@ -1,8 +1,5 @@
 #include "keys/record.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "common/error.hpp"
 
 namespace dsm::keys {
@@ -12,9 +9,6 @@ constexpr RecordTypeInfo kInfos[] = {
     {RecordType::kU32, "u32", sizeof(Key), false},
     {RecordType::kKeyPayload32, "kv32", sizeof(Key) + sizeof(Payload), true},
 };
-
-/// -1 = not yet resolved; otherwise the RecordType as an int.
-std::atomic<int> g_default_record{-1};
 
 }  // namespace
 
@@ -31,27 +25,6 @@ const char* record_name(RecordType t) {
 
 Result<RecordType> record_from_name(const std::string& name) {
   return enum_from_name<RecordType>(kRecordTypeNames, name, "record type");
-}
-
-RecordType parse_record_env(const char* text) {
-  if (text == nullptr) return RecordType::kU32;
-  Result<RecordType> r = record_from_name(text);
-  if (!r.ok()) {
-    throw Error("DSMSORT_RECORD: " + r.status().message());
-  }
-  return r.value();
-}
-
-RecordType default_record_type() {
-  const int cached = g_default_record.load(std::memory_order_relaxed);
-  if (cached >= 0) return static_cast<RecordType>(cached);
-  const RecordType t = parse_record_env(std::getenv("DSMSORT_RECORD"));
-  g_default_record.store(static_cast<int>(t), std::memory_order_relaxed);
-  return t;
-}
-
-void set_default_record_type(RecordType t) {
-  g_default_record.store(static_cast<int>(t), std::memory_order_relaxed);
 }
 
 }  // namespace dsm::keys

@@ -117,18 +117,6 @@ const char* record_name(RecordType t);
 /// Typed inverse of record_name: kInvalidArgument on an unknown name.
 Result<RecordType> record_from_name(const std::string& name);
 
-/// Strict full-string parse behind DSMSORT_RECORD, exported so tests can
-/// exercise the error path without setenv: exactly a registry name,
-/// anything else (case drift, whitespace, trailing garbage) throws Error
-/// naming the variable and the accepted values.
-RecordType parse_record_env(const char* text);
-
-/// Process-wide default record type: DSMSORT_RECORD when set (parsed
-/// once, strictly), else kU32. CLI overrides (--record) install theirs
-/// via set_default_record_type.
-RecordType default_record_type();
-void set_default_record_type(RecordType t);
-
 /// Generic stable LSD radix sort over any RecordTraits instantiation —
 /// the templated core of the record concept. Sorts `recs` ascending by
 /// Traits::key_of using `tmp` (same size) as the toggle buffer; the

@@ -44,7 +44,7 @@ namespace dsm::sim {
 class SimTeam {
  public:
   SimTeam(int nprocs, const machine::MachineParams& params,
-          SpmdEngine engine = default_spmd_engine());
+          SpmdEngine engine = SpmdEngine::kCooperative);
 
   int nprocs() const { return cost_.nprocs(); }
   const machine::CostModel& cost() const { return cost_; }

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <thread>
@@ -23,69 +20,18 @@
 namespace dsm::sort {
 namespace {
 
-KernelBackend env_kernel_backend() {
-  const char* env = std::getenv("DSMSORT_KERNELS");
-  if (env == nullptr || *env == '\0') return KernelBackend::kOptimized;
-  return kernel_backend_from_name(env);
-}
-
-std::atomic<KernelBackend>& backend_override() {
-  static std::atomic<KernelBackend> b{env_kernel_backend()};
-  return b;
-}
-
-/// Full-string parse of a numeric tuning env var, the DSMSORT_JOBS
-/// discipline: trailing garbage, whitespace, overflow, and out-of-range
-/// values are checked errors, not a silent fall-back to the default — a
-/// service launched with a mistyped knob should fail at startup, not
-/// quietly run untuned. Returns -1 when the variable is unset or empty.
-long long env_number(const char* name, long long min_value,
-                     long long max_value, const char* what) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return -1;
-  return parse_kernel_env_number(name, env, min_value, max_value, what);
-}
-
-std::size_t env_staging_bytes() {
-  const long long kb =
-      env_number("DSMSORT_KERNEL_STAGING_KB", 0, 1ll << 32,
-                 "a base-10 KiB count >= 0 (0 disables one-level staging)");
-  if (kb < 0) return kWcDefaultStagingBytes;
-  return static_cast<std::size_t>(kb) * 1024;
-}
-
-std::size_t env_wc_min_buckets() {
-  const long long b = env_number("DSMSORT_KERNEL_WC_BUCKETS", 1, 1ll << 30,
-                                 "a base-10 bucket count >= 1");
-  if (b < 0) return kWcDefaultMinBuckets;
-  return static_cast<std::size_t>(b);
-}
-
-int env_kernel_jobs() {
-  const long long j =
-      env_number("DSMSORT_KERNEL_JOBS", 0, 1ll << 16,
-                 "a base-10 thread count >= 0 (0 = all hardware threads)");
-  if (j < 0) return 1;
-  return static_cast<int>(j);
-}
-
 std::atomic<std::size_t>& staging_override() {
-  static std::atomic<std::size_t> v{env_staging_bytes()};
+  static std::atomic<std::size_t> v{kWcDefaultStagingBytes};
   return v;
 }
 
 std::atomic<std::size_t>& wc_min_buckets_override() {
-  static std::atomic<std::size_t> v{env_wc_min_buckets()};
+  static std::atomic<std::size_t> v{kWcDefaultMinBuckets};
   return v;
 }
 
 std::atomic<std::size_t>& shard_min_keys_override() {
   static std::atomic<std::size_t> v{kDefaultShardMinKeys};
-  return v;
-}
-
-std::atomic<int>& kernel_jobs_override() {
-  static std::atomic<int> v{env_kernel_jobs()};
   return v;
 }
 
@@ -98,42 +44,8 @@ bool host_avx2() {
 
 }  // namespace
 
-long long parse_kernel_env_number(const char* name, const char* text,
-                                  long long min_value, long long max_value,
-                                  const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  // strtoll itself would skip leading whitespace; reject it explicitly so
-  // the accepted language is exactly an optional sign plus digits.
-  if (std::isspace(static_cast<unsigned char>(*text)) || end == text ||
-      *end != '\0' || errno == ERANGE || v < min_value || v > max_value) {
-    throw Error(std::string(name) + " must be " + what + ", got: \"" + text +
-                "\"");
-  }
-  return v;
-}
-
 const char* kernel_backend_name(KernelBackend b) {
   return enum_name<KernelBackend>(kKernelBackendNames, b);
-}
-
-KernelBackend kernel_backend_from_name(const std::string& name) {
-  return enum_from_name_or_throw<KernelBackend>(kKernelBackendNames, name,
-                                                "kernel backend");
-}
-
-Result<KernelBackend> try_kernel_backend_from_name(const std::string& name) {
-  return enum_from_name<KernelBackend>(kKernelBackendNames, name,
-                                       "kernel backend");
-}
-
-KernelBackend default_kernel_backend() {
-  return backend_override().load(std::memory_order_relaxed);
-}
-
-void set_default_kernel_backend(KernelBackend b) {
-  backend_override().store(b, std::memory_order_relaxed);
 }
 
 std::size_t kernel_staging_bytes() {
@@ -162,26 +74,13 @@ void set_kernel_shard_min_keys(std::size_t keys) {
   shard_min_keys_override().store(keys, std::memory_order_relaxed);
 }
 
-int default_kernel_jobs() {
-  const int v = kernel_jobs_override().load(std::memory_order_relaxed);
-  if (v > 0) return v;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void set_default_kernel_jobs(int jobs) {
-  DSM_REQUIRE(jobs >= 0, "kernel jobs must be >= 0 (0 = hardware threads)");
-  kernel_jobs_override().store(jobs, std::memory_order_relaxed);
-}
-
 int effective_kernel_shards(int jobs, std::size_t n) {
-  const int j = jobs != 0 ? jobs : default_kernel_jobs();
-  if (j <= 1) return 1;
+  if (jobs <= 1) return 1;
   const std::size_t floor_keys = kernel_shard_min_keys();
   const std::size_t by_n = n / floor_keys;
   if (by_n <= 1) return 1;
   return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(j), by_n));
+      std::min<std::size_t>(static_cast<std::size_t>(jobs), by_n));
 }
 
 const char* kernel_isa_name() {

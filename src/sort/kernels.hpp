@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -55,15 +54,6 @@ inline constexpr EnumEntry<KernelBackend> kKernelBackendNames[] = {
 };
 
 const char* kernel_backend_name(KernelBackend b);
-KernelBackend kernel_backend_from_name(const std::string& name);
-/// Typed parse: kInvalidArgument listing the accepted names on failure.
-Result<KernelBackend> try_kernel_backend_from_name(const std::string& name);
-
-/// Process-wide default backend: DSMSORT_KERNELS=reference|optimized when
-/// set (parsed once), else kOptimized. CLI overrides (--kernels) install
-/// theirs via set_default_kernel_backend.
-KernelBackend default_kernel_backend();
-void set_default_kernel_backend(KernelBackend b);
 
 /// Keys per software write-combining line: 64 bytes of Key — one host
 /// cache line staged per bucket, flushed contiguously when full.
@@ -74,7 +64,7 @@ inline constexpr std::size_t kWcLineKeys = 64 / sizeof(Key);
 /// the destination write streams fit the L1 comfortably and direct
 /// scattered stores win (the WC staging would only add a copy) — unless
 /// the moved footprint itself is memory-bound, see kWcMinFootprintBytes.
-/// Runtime value: kernel_wc_min_buckets() / DSMSORT_KERNEL_WC_BUCKETS.
+/// Runtime value: kernel_wc_min_buckets().
 inline constexpr std::size_t kWcDefaultMinBuckets = 512;
 
 /// Default staging-area ceiling for the one-level WC permute. Past it the
@@ -82,7 +72,7 @@ inline constexpr std::size_t kWcDefaultMinBuckets = 512;
 /// very lines it is trying to batch (measured: 2^16 buckets = 4 MiB
 /// staging loses to the direct scatter), so the optimized permute
 /// switches to the two-level staged scatter instead. Runtime value:
-/// kernel_staging_bytes() / DSMSORT_KERNEL_STAGING_KB.
+/// kernel_staging_bytes().
 inline constexpr std::size_t kWcDefaultStagingBytes = std::size_t{1} << 20;
 
 /// Moved-bytes threshold past which the permute is DRAM-bound rather than
@@ -112,44 +102,31 @@ inline constexpr std::size_t kDefaultShardMinKeys = std::size_t{1} << 17;
 /// cache lines to pay for themselves.
 inline constexpr std::size_t kStreamCopyMinBytes = std::size_t{1} << 12;
 
-/// Tunable one-level WC staging ceiling in bytes. Seeded from
-/// DSMSORT_KERNEL_STAGING_KB (strict parse: a bare non-negative integer
-/// in KiB; 0 disables one-level staging so large radixes go straight to
-/// the two-level scatter), else kWcDefaultStagingBytes.
+// The three kernel tunables below start at their constants and are moved
+// only by tests (to force a code path at small n) and by
+// `host_wallclock --calibrate` (to sweep them). A different host default
+// is a change to the constant, measured on that host.
+
+/// One-level WC staging ceiling in bytes (default kWcDefaultStagingBytes;
+/// 0 disables one-level staging so large radixes go straight to the
+/// two-level scatter).
 std::size_t kernel_staging_bytes();
 void set_kernel_staging_bytes(std::size_t bytes);
 
-/// Tunable WC amortization gate (minimum bucket count). Seeded from
-/// DSMSORT_KERNEL_WC_BUCKETS (strict parse), else kWcDefaultMinBuckets.
+/// WC amortization gate, a minimum bucket count (default
+/// kWcDefaultMinBuckets).
 std::size_t kernel_wc_min_buckets();
 void set_kernel_wc_min_buckets(std::size_t buckets);
 
-/// Tunable threaded-mode shard floor (minimum keys per shard). No env —
-/// tests and calibration lower it to exercise sharding at small n.
+/// Threaded-mode shard floor, minimum keys per shard (default
+/// kDefaultShardMinKeys).
 std::size_t kernel_shard_min_keys();
 void set_kernel_shard_min_keys(std::size_t keys);
 
-/// Process-wide default kernel thread count, used by workspaces whose
-/// `jobs` is 0. Seeded from DSMSORT_KERNEL_JOBS (strict parse; 0 means
-/// one thread per hardware thread, like DSMSORT_JOBS), else 1 (serial).
-/// Always returns a resolved value >= 1.
-int default_kernel_jobs();
-void set_default_kernel_jobs(int jobs);
-
-/// Shard count a kernel call will actually use for `n` keys under the
-/// given `jobs` request (0 = inherit default_kernel_jobs()): the jobs
-/// cap, then at most one shard per kernel_shard_min_keys() keys.
+/// Shard count a kernel call will actually use for `n` keys under a
+/// `jobs` thread budget: the jobs cap, then at most one shard per
+/// kernel_shard_min_keys() keys.
 int effective_kernel_shards(int jobs, std::size_t n);
-
-/// Strict full-string parse behind the DSMSORT_KERNEL_* variables,
-/// exported so tests can exercise the error paths without setenv: accepts
-/// exactly an optional sign plus base-10 digits within
-/// [min_value, max_value]; anything else (leading whitespace, trailing
-/// garbage, overflow, out of range) throws Error quoting `text` and
-/// describing the accepted values as `what`.
-long long parse_kernel_env_number(const char* name, const char* text,
-                                  long long min_value, long long max_value,
-                                  const char* what);
 
 /// Widest permute-flush ISA this build + host combination dispatches to:
 /// "avx2", "sse2", or "scalar". AVX2 variants exist only in the
@@ -169,10 +146,10 @@ struct RadixWorkspace {
   void prepare(int radix_bits, int passes);
 
   /// Kernel thread budget for calls made through this workspace:
-  /// 0 = inherit default_kernel_jobs(), 1 = serial, N = up to N host
-  /// threads. Output is byte-identical for every value (enforced by the
-  /// equivalence tiers); only host wall-clock changes.
-  int jobs = 0;
+  /// 1 = serial, N = up to N host threads. Output is byte-identical for
+  /// every value (enforced by the equivalence tiers); only host
+  /// wall-clock changes.
+  int jobs = 1;
 
   std::vector<std::uint64_t> hist;       // 2^radix_bits running cursors
   std::vector<std::uint64_t> pass_hist;  // [pass][bucket], one-sweep rows
@@ -196,8 +173,8 @@ struct RadixWorkspace {
   std::vector<std::uint32_t> lis_prev;      // merge split: chain links
 };
 
-/// The calling host thread's lazily-created workspace. The legacy
-/// (workspace-free) sort entry points borrow this; it is safe under the
+/// The calling host thread's lazily-created workspace. Sort entry points
+/// called without a workspace borrow this; it is safe under the
 /// cooperative fiber engine too because no kernel yields mid-call (the
 /// borrow never spans a reconcile point).
 RadixWorkspace& tls_radix_workspace();

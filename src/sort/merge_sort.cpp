@@ -214,33 +214,15 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
 
 }  // namespace
 
-void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits) {
-  seq_merge_sort(keys, tmp, radix_bits, default_kernel_backend(),
-                 tls_radix_workspace());
-}
-
 void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
                     KernelBackend be, RadixWorkspace& ws) {
   merge_sort_impl(nullptr, keys, tmp, radix_bits, be, ws);
 }
 
 void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits) {
-  local_merge_sort(ctx, keys, tmp, radix_bits, default_kernel_backend(),
-                   tls_radix_workspace());
-}
-
-void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits, KernelBackend be,
                       RadixWorkspace& ws) {
   merge_sort_impl(&ctx, keys, tmp, radix_bits, be, ws);
-}
-
-void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays,
-                             std::span<Key> tmp, int radix_bits) {
-  local_merge_sort_paired(ctx, keys, pays, tmp, radix_bits,
-                          default_kernel_backend(), tls_radix_workspace());
 }
 
 void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,

@@ -196,29 +196,26 @@ void record_merge_sort(std::span<typename Traits::record_type> recs,
 /// Uncharged key sort (host-only; bench + tests). `tmp` is the toggle /
 /// stray buffer, same size as keys. kReference merges with the linear
 /// scan, kOptimized with the loser tree — identical output.
-void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits);
 void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
-                    KernelBackend be, RadixWorkspace& ws);
+                    KernelBackend be = KernelBackend::kOptimized,
+                    RadixWorkspace& ws = tls_radix_workspace());
 
 /// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
 /// Charged times are identical for every backend: pure functions of the
 /// key sequence (split sweep, the charged LSD run sorts, and per merge
 /// round the measured run-switch segment count).
 void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits);
-void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits, KernelBackend be,
-                      RadixWorkspace& ws);
+                      std::span<Key> tmp, int radix_bits,
+                      KernelBackend be = KernelBackend::kOptimized,
+                      RadixWorkspace& ws = tls_radix_workspace());
 
 /// Paired (kv32) variant: charges and key lane bit-identical to the
 /// unpaired sort; payload arrangement re-derived host-side with the
 /// stable pair sort (the split/merge data path is not itself mirrored).
 void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
                              std::span<keys::Payload> pays,
-                             std::span<Key> tmp, int radix_bits);
-void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays,
                              std::span<Key> tmp, int radix_bits,
-                             KernelBackend be, RadixWorkspace& ws);
+                             KernelBackend be = KernelBackend::kOptimized,
+                             RadixWorkspace& ws = tls_radix_workspace());
 
 }  // namespace dsm::sort

@@ -214,27 +214,13 @@ void msd_sort_node(sim::ProcContext* ctx, KernelBackend be, std::span<Key> a,
 
 }  // namespace
 
-void seq_msd_sort(std::span<Key> keys) {
-  seq_msd_sort(keys, default_kernel_backend(), tls_radix_workspace());
-}
-
 void seq_msd_sort(std::span<Key> keys, KernelBackend be, RadixWorkspace&) {
   msd_sort_node(nullptr, be, keys, KeyTraits::n_bytes - 1);
-}
-
-void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys) {
-  local_msd_sort(ctx, keys, default_kernel_backend(), tls_radix_workspace());
 }
 
 void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
                     KernelBackend be, RadixWorkspace&) {
   msd_sort_node(&ctx, be, keys, KeyTraits::n_bytes - 1);
-}
-
-void local_msd_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                           std::span<keys::Payload> pays) {
-  local_msd_sort_paired(ctx, keys, pays, default_kernel_backend(),
-                        tls_radix_workspace());
 }
 
 void local_msd_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,

@@ -145,25 +145,25 @@ void msd_record_sort(std::span<typename Traits::record_type> recs) {
 /// Uncharged key sort (host-only; bench + tests). The backend changes how
 /// the counting sweep is computed (kOptimized unrolls it into subtable
 /// accumulators), never the output.
-void seq_msd_sort(std::span<Key> keys);
-void seq_msd_sort(std::span<Key> keys, KernelBackend be, RadixWorkspace& ws);
+void seq_msd_sort(std::span<Key> keys,
+                  KernelBackend be = KernelBackend::kOptimized,
+                  RadixWorkspace& ws = tls_radix_workspace());
 
 /// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
 /// Charged times are identical for every backend and are a pure function
 /// of the key sequence (counting sweeps, measured digit runs, measured
 /// insertion shifts).
-void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys);
 void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                    KernelBackend be, RadixWorkspace& ws);
+                    KernelBackend be = KernelBackend::kOptimized,
+                    RadixWorkspace& ws = tls_radix_workspace());
 
 /// Paired (kv32) variant: charges and key lane bit-identical to the
 /// unpaired sort; the payload lane is re-derived host-side with a stable
 /// pair sort (record_lsd_sort), so equal keys keep their incoming payload
 /// order — the same stability contract the LSD paired path provides.
 void local_msd_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                           std::span<keys::Payload> pays);
-void local_msd_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                           std::span<keys::Payload> pays, KernelBackend be,
-                           RadixWorkspace& ws);
+                           std::span<keys::Payload> pays,
+                           KernelBackend be = KernelBackend::kOptimized,
+                           RadixWorkspace& ws = tls_radix_workspace());
 
 }  // namespace dsm::sort

@@ -124,11 +124,11 @@ struct CcSasRadixWorld {
   /// Host kernel backend for the local histogram/permute work. Virtual
   /// times are identical across backends (the charge-invariance
   /// contract); this only changes host speed.
-  KernelBackend kernels = default_kernel_backend();
-  /// Host threads per rank for the kernel calls (0 = inherit
-  /// default_kernel_jobs(); see RadixWorkspace::jobs). Output and charged
-  /// times are byte-identical for every value.
-  int kernel_jobs = 0;
+  KernelBackend kernels = KernelBackend::kOptimized;
+  /// Host threads per rank for the kernel calls (see
+  /// RadixWorkspace::jobs). Output and charged times are byte-identical
+  /// for every value.
+  int kernel_jobs = 1;
   std::atomic<int> passes_used{0};  // output (identical on every rank)
 };
 void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w);
@@ -150,8 +150,8 @@ struct MpiRadixWorld {
   int radix_bits = 8;
   bool chunk_messages = true;
   bool detect_max_key = false;      // see CcSasRadixWorld
-  KernelBackend kernels = default_kernel_backend();  // see CcSasRadixWorld
-  int kernel_jobs = 0;              // see CcSasRadixWorld
+  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasRadixWorld
+  int kernel_jobs = 1;              // see CcSasRadixWorld
   std::atomic<int> passes_used{0};  // output
 };
 void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w);
@@ -179,8 +179,8 @@ struct ShmemRadixWorld {
   int radix_bits = 8;
   bool use_put = false;
   bool detect_max_key = false;      // see CcSasRadixWorld
-  KernelBackend kernels = default_kernel_backend();  // see CcSasRadixWorld
-  int kernel_jobs = 0;              // see CcSasRadixWorld
+  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasRadixWorld
+  int kernel_jobs = 1;              // see CcSasRadixWorld
   std::atomic<int> passes_used{0};  // output
 };
 void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w);

@@ -66,11 +66,10 @@ struct CcSasSampleWorld {
   LocalSort local_sort = LocalSort::kLsd;  // both local sort phases
   /// Host kernel backend for both local sort phases; charged virtual
   /// times are backend-invariant (DESIGN.md §9).
-  KernelBackend kernels = default_kernel_backend();
-  /// Host threads per rank for the kernel calls (0 = inherit
-  /// default_kernel_jobs()). Output and charged times are byte-identical
-  /// for every value.
-  int kernel_jobs = 0;
+  KernelBackend kernels = KernelBackend::kOptimized;
+  /// Host threads per rank for the kernel calls. Output and charged times
+  /// are byte-identical for every value.
+  int kernel_jobs = 1;
 };
 void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w);
 
@@ -85,8 +84,8 @@ struct MpiSampleWorld {
   int radix_bits = 11;
   int sample_count = kDefaultSampleCount;
   LocalSort local_sort = LocalSort::kLsd;            // both local sort phases
-  KernelBackend kernels = default_kernel_backend();  // see CcSasSampleWorld
-  int kernel_jobs = 0;                               // see CcSasSampleWorld
+  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasSampleWorld
+  int kernel_jobs = 1;                                // see CcSasSampleWorld
 };
 void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w);
 
@@ -104,8 +103,8 @@ struct ShmemSampleWorld {
   int radix_bits = 11;
   int sample_count = kDefaultSampleCount;
   LocalSort local_sort = LocalSort::kLsd;            // both local sort phases
-  KernelBackend kernels = default_kernel_backend();  // see CcSasSampleWorld
-  int kernel_jobs = 0;                               // see CcSasSampleWorld
+  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasSampleWorld
+  int kernel_jobs = 1;                                // see CcSasSampleWorld
 };
 void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w);
 

@@ -81,11 +81,6 @@ int radix_passes_for_max(int radix_bits, Key max_key) {
                static_cast<std::uint64_t>(radix_bits)));
 }
 
-void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits) {
-  seq_radix_sort(keys, tmp, radix_bits, default_kernel_backend(),
-                 tls_radix_workspace());
-}
-
 void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
                     KernelBackend be, RadixWorkspace& ws) {
   DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
@@ -147,18 +142,6 @@ void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
 
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
-                                int radix_bits,
-                                std::span<std::uint64_t> hist) {
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  DSM_REQUIRE(hist.size() == buckets, "histogram span size mismatch");
-  const std::uint64_t active = histogram_kernel(
-      default_kernel_backend(), keys, pass, radix_bits, hist);
-  charge_histogram_pass(ctx, keys.size(), buckets);
-  return active;
-}
-
-std::uint64_t charged_histogram(sim::ProcContext& ctx,
-                                std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
                                 KernelBackend be, RadixWorkspace& ws) {
   const std::size_t buckets = std::size_t{1} << radix_bits;
@@ -167,14 +150,6 @@ std::uint64_t charged_histogram(sim::ProcContext& ctx,
       histogram_kernel(be, keys, pass, radix_bits, hist, ws);
   charge_histogram_pass(ctx, keys.size(), buckets);
   return active;
-}
-
-void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
-                           std::span<Key> out, int pass, int radix_bits,
-                           std::span<std::uint64_t> offset,
-                           std::uint64_t active) {
-  charged_local_permute(ctx, keys, out, pass, radix_bits, offset, active,
-                        default_kernel_backend(), tls_radix_workspace());
 }
 
 void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
@@ -198,12 +173,6 @@ void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
 }
 
 void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits) {
-  local_radix_sort(ctx, keys, tmp, radix_bits, default_kernel_backend(),
-                   tls_radix_workspace());
-}
-
-void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits, KernelBackend be,
                       RadixWorkspace& ws) {
   DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
@@ -219,7 +188,7 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
     std::span<Key> out = tmp.subspan(0, n);
     for (int pass = 0; pass < passes; ++pass) {
       const std::uint64_t active =
-          charged_histogram(ctx, in, pass, radix_bits, hist);
+          charged_histogram(ctx, in, pass, radix_bits, hist, be, ws);
       // Exclusive prefix -> running write cursors.
       std::uint64_t acc = 0;
       for (std::size_t b = 0; b < buckets; ++b) {
@@ -278,13 +247,6 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
   if (!in_keys) {
     std::copy_n(tmp.data(), n, keys.data());
   }
-}
-
-void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
-                           std::span<Key> tmp,
-                           std::span<keys::Payload> pay_tmp, int radix_bits) {
-  seq_radix_sort_paired(keys, pays, tmp, pay_tmp, radix_bits,
-                        default_kernel_backend(), tls_radix_workspace());
 }
 
 void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
@@ -354,14 +316,6 @@ void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
     std::copy_n(tmp.data(), n, keys.data());
     std::copy_n(pay_tmp.data(), n, pays.data());
   }
-}
-
-void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays, std::span<Key> tmp,
-                             std::span<keys::Payload> pay_tmp,
-                             int radix_bits) {
-  local_radix_sort_paired(ctx, keys, pays, tmp, pay_tmp, radix_bits,
-                          default_kernel_backend(), tls_radix_workspace());
 }
 
 void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,

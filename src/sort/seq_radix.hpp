@@ -11,10 +11,9 @@
 // Both run on the kernel layer (sort/kernels.hpp): the selected backend
 // changes how the host computes — one-sweep histograms, write-combined
 // permutes, skipped dead passes — never the sorted output or any charged
-// virtual time (the charge-invariance contract, DESIGN.md §9). The
-// workspace-free overloads borrow the calling thread's workspace, so
-// repeated callers (the service executor, sweep workers) allocate no
-// per-sort scratch.
+// virtual time (the charge-invariance contract, DESIGN.md §9). Callers
+// that pass no workspace borrow the calling thread's, so repeated callers
+// (the service executor, sweep workers) allocate no per-sort scratch.
 #pragma once
 
 #include <span>
@@ -36,17 +35,16 @@ int radix_passes_for_max(int radix_bits, Key max_key);
 
 /// Sort `keys` ascending using `tmp` as the toggle buffer (same size).
 /// The sorted result is guaranteed to end up back in `keys`.
-void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits);
 void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
-                    KernelBackend be, RadixWorkspace& ws);
+                    KernelBackend be = KernelBackend::kOptimized,
+                    RadixWorkspace& ws = tls_radix_workspace());
 
 /// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
 /// Charged times are identical for every backend.
 void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits);
-void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits, KernelBackend be,
-                      RadixWorkspace& ws);
+                      std::span<Key> tmp, int radix_bits,
+                      KernelBackend be = KernelBackend::kOptimized,
+                      RadixWorkspace& ws = tls_radix_workspace());
 
 /// Paired (kv32) variants: the payload lane mirrors every key movement,
 /// so pays[i] stays attached to keys[i] through the sort. The key lane's
@@ -57,18 +55,14 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
 /// keys/pays.
 void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
                            std::span<Key> tmp,
-                           std::span<keys::Payload> pay_tmp, int radix_bits);
-void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
-                           std::span<Key> tmp,
                            std::span<keys::Payload> pay_tmp, int radix_bits,
-                           KernelBackend be, RadixWorkspace& ws);
-void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays, std::span<Key> tmp,
-                             std::span<keys::Payload> pay_tmp, int radix_bits);
+                           KernelBackend be = KernelBackend::kOptimized,
+                           RadixWorkspace& ws = tls_radix_workspace());
 void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
                              std::span<keys::Payload> pays, std::span<Key> tmp,
                              std::span<keys::Payload> pay_tmp, int radix_bits,
-                             KernelBackend be, RadixWorkspace& ws);
+                             KernelBackend be = KernelBackend::kOptimized,
+                             RadixWorkspace& ws = tls_radix_workspace());
 
 /// One instrumented counting pass over `keys` for digit `pass`: fills
 /// `hist` (size 2^radix_bits) and charges the clock. Returns the number of
@@ -76,18 +70,14 @@ void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
 /// counting pass is the same loop under every backend; the optimized
 /// backend's histogram win — one sweep for all passes — lives in
 /// local_radix_sort, where the pass histograms are permutation-invariant.)
-std::uint64_t charged_histogram(sim::ProcContext& ctx,
-                                std::span<const Key> keys, int pass,
-                                int radix_bits,
-                                std::span<std::uint64_t> hist);
-
-/// Backend- and workspace-aware overload: the optimized backend may use
-/// the vectorized counting loop and shard across `ws.jobs` host threads.
-/// The histogram and the charged time are identical either way.
+/// The optimized backend may use the vectorized counting loop and shard
+/// across `ws.jobs` host threads; the histogram and the charged time are
+/// identical either way.
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
-                                KernelBackend be, RadixWorkspace& ws);
+                                KernelBackend be = KernelBackend::kOptimized,
+                                RadixWorkspace& ws = tls_radix_workspace());
 
 /// One instrumented permutation of `keys` into `out` by digit `pass`,
 /// using `offset` (size 2^radix_bits) as the running write cursors
@@ -97,11 +87,8 @@ std::uint64_t charged_histogram(sim::ProcContext& ctx,
 void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
                            std::span<Key> out, int pass, int radix_bits,
                            std::span<std::uint64_t> offset,
-                           std::uint64_t active);
-void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
-                           std::span<Key> out, int pass, int radix_bits,
-                           std::span<std::uint64_t> offset,
-                           std::uint64_t active, KernelBackend be,
-                           RadixWorkspace& ws);
+                           std::uint64_t active,
+                           KernelBackend be = KernelBackend::kOptimized,
+                           RadixWorkspace& ws = tls_radix_workspace());
 
 }  // namespace dsm::sort

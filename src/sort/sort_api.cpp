@@ -55,10 +55,6 @@ Checksum generate_partitions(const SortSpec& spec,
                                     spec.radix_bits, spec.seed, homes, part);
 }
 
-SpmdEngine engine_of(const SortSpec& spec) {
-  return spec.engine.value_or(default_spmd_engine());
-}
-
 using PayloadRuns = std::vector<std::span<const keys::Payload>>;
 
 bool paired_records(const SortSpec& spec) {
@@ -147,7 +143,7 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
 
 SortResult run_radix_ccsas(const SortSpec& spec,
                            const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, engine_of(spec));
+  sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   sas::SharedArray<Key> a(spec.n, spec.nprocs), b(spec.n, spec.nprocs);
   sas::BucketScan scan(spec.nprocs, std::size_t{1} << spec.radix_bits);
@@ -189,7 +185,7 @@ SortResult run_radix_ccsas(const SortSpec& spec,
 
 SortResult run_radix_mpi(const SortSpec& spec,
                          const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, engine_of(spec));
+  sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   msg::Communicator comm(team, spec.ablations.mpi_impl);
   const sas::HomeMap homes(spec.n, spec.nprocs);
@@ -244,7 +240,7 @@ SortResult run_radix_mpi(const SortSpec& spec,
 
 SortResult run_radix_shmem(const SortSpec& spec,
                            const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, engine_of(spec));
+  sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   const sas::HomeMap homes(spec.n, spec.nprocs);
   const Index cap = homes.count_of(0);  // leading partitions are largest
@@ -319,7 +315,7 @@ LocalSort local_sort_of(Algo a) {
 
 SortResult run_sample_ccsas(const SortSpec& spec,
                             const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, engine_of(spec));
+  sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   sas::SharedArray<Key> keys(spec.n, spec.nprocs);
   const Checksum input = generate_partitions(
@@ -370,7 +366,7 @@ SortResult run_sample_ccsas(const SortSpec& spec,
 
 SortResult run_sample_mpi(const SortSpec& spec,
                           const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, engine_of(spec));
+  sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   msg::Communicator comm(team, spec.ablations.mpi_impl);
   const sas::HomeMap homes(spec.n, spec.nprocs);
@@ -421,7 +417,7 @@ SortResult run_sample_mpi(const SortSpec& spec,
 
 SortResult run_sample_shmem(const SortSpec& spec,
                             const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, engine_of(spec));
+  sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   const sas::HomeMap homes(spec.n, spec.nprocs);
   const Index cap = homes.count_of(0);
@@ -539,9 +535,8 @@ Status SortSpec::validate_status() const {
     violation("radix bits must be in [1, 16], got " +
               std::to_string(radix_bits));
   }
-  if (kernel_jobs < 0) {
-    violation("kernel jobs must be >= 0 (0 = default), got " +
-              std::to_string(kernel_jobs));
+  if (kernel_jobs < 1) {
+    violation("kernel jobs must be >= 1, got " + std::to_string(kernel_jobs));
   }
   if (ablations.sample_count < 1) {
     violation("sample count must be >= 1, got " +

@@ -128,30 +128,27 @@ struct SortSpec {
   /// every permutation — sorted output is stable, and the payload lane
   /// lets tests prove it. Charged virtual time is a pure function of the
   /// key stream, so kv32 runs report bit-identical elapsed_ns to u32.
-  /// Default honours DSMSORT_RECORD.
-  keys::RecordType record = keys::default_record_type();
+  keys::RecordType record = keys::RecordType::kU32;
 
   /// Machine configuration. Default: Origin 2000 with the page size the
   /// paper used for this data-set size.
   std::optional<machine::MachineParams> machine;
 
-  /// Host execution engine for the simulated ranks. Virtual times are
-  /// bit-identical across engines; this only changes how fast the host
-  /// runs the simulation. Default: default_spmd_engine() (cooperative
-  /// fibers unless overridden by DSMSORT_ENGINE).
-  std::optional<SpmdEngine> engine;
+  // Host settings. These three fields, and no process-global state,
+  // decide how the host runs the sort. None of them changes the sorted
+  // output, a virtual time or replay JSON (DESIGN.md §9).
 
-  /// Host kernel backend for the radix histogram/permute loops. Like
-  /// `engine`, this is charge-invariant: virtual times, figure tables and
-  /// service replay output are bit-identical across backends (DESIGN.md
-  /// §9). Default: optimized, or DSMSORT_KERNELS / --kernels override.
-  KernelBackend kernel_backend = default_kernel_backend();
+  /// Host execution engine for the simulated ranks: cooperative fibers on
+  /// the calling thread, or one OS thread per rank.
+  SpmdEngine engine = SpmdEngine::kCooperative;
+
+  /// Host kernel backend for the radix histogram/permute loops;
+  /// kReference (the seed loops) is the yardstick tests compare against.
+  KernelBackend kernel_backend = KernelBackend::kOptimized;
 
   /// Host threads per simulated rank for the kernel loops (histogram and
-  /// permute). 0 = inherit default_kernel_jobs() (DSMSORT_KERNEL_JOBS or
-  /// 1). Like `kernel_backend` this is charge-invariant: sorted output,
-  /// virtual times and replay JSON are byte-identical for every value.
-  int kernel_jobs = 0;
+  /// permute), >= 1.
+  int kernel_jobs = 1;
 
   /// Model-specific ablation knobs, grouped: every member has the paper's
   /// default, so ablation studies override exactly the knob they vary.

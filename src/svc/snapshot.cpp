@@ -131,50 +131,34 @@ SnapshotData decode_snapshot(const std::string& payload) {
   s.lsn = p.u64();
   s.next_seq = p.u64();
 
-  if (p.peek_tok() == "cells2") {
-    // Named cell list: an unknown algorithm or model name is a typed
-    // corruption error, never a blind cast.
-    p.tok();  // consume the version sentinel
-    const std::uint64_t ncells = p.u64();
-    if (ncells > Planner::kNumCells) {
-      throw StatusError(
-          Status::corrupt_journal("snapshot planner cell count"));
+  // Named cell list: a missing version sentinel, or an unknown algorithm
+  // or model name, is a typed corruption error, never a blind cast.
+  if (p.tok() != "cells2") {
+    throw StatusError(
+        Status::corrupt_journal("snapshot planner cells: expected cells2"));
+  }
+  const std::uint64_t ncells = p.u64();
+  if (ncells > Planner::kNumCells) {
+    throw StatusError(Status::corrupt_journal("snapshot planner cell count"));
+  }
+  s.planner_cells.reserve(ncells);
+  for (std::uint64_t i = 0; i < ncells; ++i) {
+    Planner::CellState c;
+    const Result<sort::Algo> a = sort::try_algo_from_name(p.tok());
+    if (!a.ok()) {
+      throw StatusError(Status::corrupt_journal("snapshot planner cell: " +
+                                                a.status().message()));
     }
-    s.planner_cells.reserve(ncells);
-    for (std::uint64_t i = 0; i < ncells; ++i) {
-      Planner::CellState c;
-      const Result<sort::Algo> a = sort::try_algo_from_name(p.tok());
-      if (!a.ok()) {
-        throw StatusError(Status::corrupt_journal(
-            "snapshot planner cell: " + a.status().message()));
-      }
-      const Result<sort::Model> m = sort::try_model_from_name(p.tok());
-      if (!m.ok()) {
-        throw StatusError(Status::corrupt_journal(
-            "snapshot planner cell: " + m.status().message()));
-      }
-      c.algo = a.value();
-      c.model = m.value();
-      c.factor = p.d();
-      c.samples = p.u64();
-      s.planner_cells.push_back(c);
+    const Result<sort::Model> m = sort::try_model_from_name(p.tok());
+    if (!m.ok()) {
+      throw StatusError(Status::corrupt_journal("snapshot planner cell: " +
+                                                m.status().message()));
     }
-  } else {
-    // Legacy positional layout: exactly 8 untagged cells, algo-major over
-    // the original {radix, sample} x 4-model matrix.
-    const std::uint64_t ncells = p.u64();
-    if (ncells != 8) {
-      throw StatusError(
-          Status::corrupt_journal("snapshot planner cell count"));
-    }
-    s.planner_cells.resize(8);
-    for (std::size_t i = 0; i < 8; ++i) {
-      Planner::CellState& c = s.planner_cells[i];
-      c.algo = i < 4 ? sort::Algo::kRadix : sort::Algo::kSample;
-      c.model = sort::kModelNames[i % 4].value;
-      c.factor = p.d();
-      c.samples = p.u64();
-    }
+    c.algo = a.value();
+    c.model = m.value();
+    c.factor = p.d();
+    c.samples = p.u64();
+    s.planner_cells.push_back(c);
   }
 
   Metrics::Counters& c = s.metrics.counters;

@@ -34,8 +34,8 @@ struct SnapshotData {
   /// Admission sequence counter at checkpoint time.
   std::uint64_t next_seq = 0;
   /// Every planner cell in export_cells order, tagged with its (algo,
-  /// model). Serialized as the named "cells2" list; the decoder also
-  /// accepts the legacy positional 8-cell layout from old snapshots.
+  /// model). Serialized as the named "cells2" list, the only layout the
+  /// decoder accepts.
   std::vector<Planner::CellState> planner_cells;
   /// Complete metrics registry state.
   Metrics::State metrics;

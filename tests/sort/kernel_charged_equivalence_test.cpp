@@ -268,11 +268,14 @@ TEST(ThreadedKernelJobs, ChargesAndOutputInvariantAcrossJobCounts) {
 }
 
 TEST(ThreadedKernelJobs, SpecValidationRejectsNegative) {
-  SortSpec spec;
-  spec.kernel_jobs = -1;
-  const Status s = spec.validate_status();
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("kernel jobs"), std::string::npos);
+  // kernel_jobs is a thread count, so it must be at least 1.
+  for (const int jobs : {-1, 0}) {
+    SortSpec spec;
+    spec.kernel_jobs = jobs;
+    const Status s = spec.validate_status();
+    EXPECT_FALSE(s.ok()) << jobs;
+    EXPECT_NE(s.message().find("kernel jobs"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -78,21 +78,14 @@ TEST(RecordNames, RegistryRoundTripsAndRejectsGarbage) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value(), t);
   }
-  for (const char* bad : {"", "U32", "kv-32", "kv32 ", " u32", "record"}) {
+  for (const char* bad : {"", "U32", "KV32", "kv-32", "kv32 ", "kv32\n",
+                          " u32", "u32,kv32", "record", "default"}) {
     const Result<RecordType> r = keys::record_from_name(bad);
     ASSERT_FALSE(r.ok()) << "'" << bad << "'";
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     // The error must name both accepted values.
     EXPECT_NE(r.status().message().find("u32"), std::string::npos);
     EXPECT_NE(r.status().message().find("kv32"), std::string::npos);
-  }
-}
-
-TEST(RecordNames, EnvParserIsStrict) {
-  EXPECT_EQ(keys::parse_record_env("u32"), RecordType::kU32);
-  EXPECT_EQ(keys::parse_record_env("kv32"), RecordType::kKeyPayload32);
-  for (const char* bad : {"", "KV32", "kv32\n", "u32,kv32", "default"}) {
-    EXPECT_THROW(keys::parse_record_env(bad), Error) << "'" << bad << "'";
   }
 }
 
@@ -369,7 +362,7 @@ TEST(RecordPrediction, PredictorIsRecordOblivious) {
 }
 
 TEST(RecordRegistry, AlgoModelKernelTablesRejectWithAcceptedLists) {
-  // The four hand-rolled maps now share one registry; all must reject an
+  // The hand-rolled maps now share one registry; all must reject an
   // unknown name with a typed status that lists the accepted values.
   const Result<Algo> a = sort::try_algo_from_name("quick");
   ASSERT_FALSE(a.ok());
@@ -379,15 +372,9 @@ TEST(RecordRegistry, AlgoModelKernelTablesRejectWithAcceptedLists) {
   const Result<Model> m = sort::try_model_from_name("PGAS");
   ASSERT_FALSE(m.ok());
   EXPECT_NE(m.status().message().find("CC-SAS-NEW"), std::string::npos);
-  const Result<sort::KernelBackend> k =
-      sort::try_kernel_backend_from_name("fast");
-  ASSERT_FALSE(k.ok());
-  EXPECT_NE(k.status().message().find("optimized"), std::string::npos);
   // Round trips through the registry stay exact.
   EXPECT_EQ(sort::try_algo_from_name("sample").value(), Algo::kSample);
   EXPECT_EQ(sort::try_model_from_name("CC-SAS").value(), Model::kCcSas);
-  EXPECT_EQ(sort::try_kernel_backend_from_name("reference").value(),
-            sort::KernelBackend::kReference);
 }
 
 }  // namespace

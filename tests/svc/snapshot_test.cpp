@@ -121,7 +121,7 @@ TEST(SnapshotCodec, MalformedPayloadThrowsCorruptJournal) {
 }
 
 // Swap the encoded cell list for an arbitrary replacement, so tests can
-// feed the decoder legacy and hostile cell payloads around otherwise
+// feed the decoder hostile cell payloads around otherwise
 // valid snapshot bytes.
 std::string with_cell_list(const std::string& cell_list) {
   SnapshotData s = sample_snapshot();
@@ -134,28 +134,13 @@ std::string with_cell_list(const std::string& cell_list) {
   return payload;
 }
 
-TEST(SnapshotCodec, LegacyUntaggedCellsMapOntoThePaperMatrix) {
-  // Pre-cells2 snapshots carried exactly 8 positional cells: the
-  // {radix, sample} x 4-model matrix in algo-major order. They must keep
-  // decoding, with the tags reconstructed from position.
-  std::string legacy = " 8";
-  for (int i = 0; i < 8; ++i) {
-    legacy += " 0x1.8p+0 " + std::to_string(i);
-  }
-  const SnapshotData got = decode_snapshot(with_cell_list(legacy));
-  ASSERT_EQ(got.planner_cells.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(got.planner_cells[i].algo,
-              i < 4 ? sort::Algo::kRadix : sort::Algo::kSample)
-        << i;
-    EXPECT_EQ(got.planner_cells[i].model, sort::kModelNames[i % 4].value)
-        << i;
-    EXPECT_EQ(got.planner_cells[i].factor, 1.5);
-    EXPECT_EQ(got.planner_cells[i].samples, i);
-  }
-}
-
 TEST(SnapshotCodec, HostileCellListsAreCorruptJournalNotBlindCasts) {
+  // The pre-cells2 layout (exactly 8 untagged positional cells) is no
+  // longer decoded: it is corrupt like any other untagged list.
+  std::string untagged8 = " 8";
+  for (int i = 0; i < 8; ++i) {
+    untagged8 += " 0x1.8p+0 " + std::to_string(i);
+  }
   for (const std::string& bad : {
            // Unknown algorithm name in a tagged cell.
            std::string(" cells2 1 quicksort SHMEM 0x1p+0 0"),
@@ -163,7 +148,8 @@ TEST(SnapshotCodec, HostileCellListsAreCorruptJournalNotBlindCasts) {
            std::string(" cells2 1 radix HYPERCUBE 0x1p+0 0"),
            // Tagged count beyond the registry matrix.
            std::string(" cells2 99"),
-           // Legacy positional count that is not the paper's 8 cells.
+           // Untagged positional lists, the paper's 8 cells or not.
+           untagged8,
            std::string(" 7 0x1p+0 0"),
        }) {
     try {
