@@ -11,7 +11,8 @@ int main(int argc, char** argv) {
         bench::parse_env(argc, argv, "4M", "64", {"counts", "dist"});
     ArgParser args(argc, argv);
     const auto counts = args.get_ints("counts", "8,16,32,64,128,256,512");
-    const keys::Dist dist = keys::dist_from_name(args.get("dist", "gauss"));
+    const keys::Dist dist =
+        keys::try_dist_from_name(args.get("dist", "gauss")).value();
     bench::banner("Ablation: sample count per process (sample/CC-SAS, dist " +
                       std::string(keys::dist_name(dist)) + ")",
                   env);

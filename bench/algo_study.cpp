@@ -7,7 +7,7 @@
 //             backend kernels (LSD vs MSD vs mergesort) with serial
 //             kernel jobs — one host thread per backend, the same budget
 //             one simulated processor gets.
-//   "full"    run_sort host wall-clock plus charged virtual time for
+//   "full"    try_run_sort host wall-clock plus charged virtual time for
 //             algo x model x dist x size at p=16; the level the planner
 //             prices.
 //   "flips"   every cell where a new backend beats the LSD incumbent by
@@ -130,7 +130,7 @@ struct Flip {
 
 /// Calibrate a fresh planner on the (dist, n) workload — one forced run
 /// per feasible (algo, model) cell, observing the measured virtual time —
-/// then return its unforced pick. Deterministic: run_sort virtual times
+/// then return its unforced pick. Deterministic: try_run_sort virtual times
 /// are pure functions of the spec.
 struct PlannerPick {
   sort::Algo algo = sort::Algo::kRadix;
@@ -158,11 +158,11 @@ PlannerPick calibrated_pick(keys::Dist dist, std::uint64_t n, int procs,
       if (!plan.ok()) continue;  // infeasible cell (e.g. CC-SAS-NEW)
       const sort::SortSpec spec = svc::sort_spec_for(
           job, plan->algo, plan->model, plan->radix_bits);
-      planner.observe(*plan, sort::run_sort(spec).elapsed_ns);
+      planner.observe(*plan, sort::try_run_sort(spec).value().elapsed_ns);
       ++pick.calibrated_cells;
     }
   }
-  const svc::Plan chosen = planner.plan(job);
+  const svc::Plan chosen = planner.try_plan(job).value();
   pick.algo = chosen.algo;
   pick.model = chosen.model;
   pick.predicted_ns = chosen.predicted_ns;
@@ -448,7 +448,8 @@ int main(int argc, char** argv) {
          << (i + 1 < flips.size() ? "," : "") << "\n";
     }
     js << "  ]\n}\n";
-    write_file_atomic(out_path, js.str());
+    const Status written = try_write_file_atomic(out_path, js.str());
+    if (!written.ok()) throw Error(written);
     std::cout << "(json written to " << out_path << ")\n";
     return 0;
   } catch (const std::exception& e) {

@@ -161,7 +161,7 @@ inline sort::SortResult run_spec(sort::SortSpec spec, const BenchEnv& env) {
   spec.seed = env.seed;
   spec.engine = env.engine;
   spec.kernel_jobs = env.kernel_jobs;
-  return sort::run_sort(spec);
+  return sort::try_run_sort(spec).value();
 }
 
 /// Write CSV if requested.

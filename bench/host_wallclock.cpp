@@ -74,7 +74,7 @@ double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
           spec.seed = env.seed;
           spec.engine = engine;  // the engine under test, not env.engine
           spec.kernel_jobs = env.kernel_jobs;
-          cell[m] = sort::run_sort(spec).elapsed_ns;
+          cell[m] = sort::try_run_sort(spec).value().elapsed_ns;
         }
         return cell;
       });
@@ -99,7 +99,7 @@ double timed_barrier_micro(std::uint64_t n, int procs, int reps,
     spec.radix_bits = 8;
     spec.seed = seed;
     spec.engine = engine;
-    (void)sort::run_sort(spec);
+    (void)sort::try_run_sort(spec).value();
   }
   return now_s() - t0;
 }
@@ -741,7 +741,8 @@ int main(int argc, char** argv) {
        << "single-core host the --jobs sweep pool adds nothing; on "
        << "multi-core hosts the independent cells scale with --jobs.\"\n"
        << "}\n";
-    write_file_atomic(out_path, js.str());
+    const Status written = try_write_file_atomic(out_path, js.str());
+    if (!written.ok()) throw Error(written);
     std::cout << "(json written to " << out_path << ")\n";
     return 0;
   } catch (const std::exception& e) {

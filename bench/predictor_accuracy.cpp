@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
           spec.radix_bits = radix;
           spec.seed = env.seed;
           const double pred = perf::predict(spec).total_ns;
-          const double sim = sort::run_sort(spec).elapsed_ns;
+          const double sim = sort::try_run_sort(spec).value().elapsed_ns;
           const double err = (pred - sim) / sim;
           worst = std::max(worst, std::abs(err));
           sum += std::abs(err);

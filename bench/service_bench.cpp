@@ -267,7 +267,7 @@ std::string replay_file(const Ctx& c, const svc::ServiceConfig& cfg,
                         const std::optional<cluster::PoolConfig>& pc,
                         const std::string& bench) {
   const std::string path = c.args.get("replay", "");
-  const std::vector<svc::JobSpec> trace = svc::read_trace(path);
+  const std::vector<svc::JobSpec> trace = svc::read_trace(path).value();
   std::string doc = replay_doc(cfg, pc, trace, bench);
   std::cout << "replayed " << trace.size() << " jobs from " << path
             << " with " << cfg.workers << " worker(s)"
@@ -281,7 +281,8 @@ std::string replay_file(const Ctx& c, const svc::ServiceConfig& cfg,
 void maybe_write_trace(const Ctx& c, const std::vector<svc::JobSpec>& trace) {
   if (!c.args.has("write-trace")) return;
   const std::string path = c.args.get("write-trace", "");
-  svc::write_trace(path, trace);
+  const Status written = svc::write_trace(path, trace);
+  if (!written.ok()) throw Error(written);
   std::cout << "(trace written to " << path << ")\n";
 }
 
@@ -347,7 +348,7 @@ std::vector<E> enum_list(const ArgParser& args, const std::string& flag,
   std::istringstream ss(args.get(flag, ""));
   std::string item;
   while (std::getline(ss, item, ',')) {
-    out.push_back(enum_from_name_or_throw<E>(table, item, what));
+    out.push_back(enum_from_name<E>(table, item, what).value());
   }
   DSM_REQUIRE(!out.empty(), "--" + flag + " needs at least one " + what);
   return out;
@@ -1384,7 +1385,9 @@ int main(int argc, char** argv) {
     env.engine = sort::SortSpec{}.engine;
     const std::string out_path = args.get("out", s.out);
     if (!args.has("replay")) bench::banner(s.title, env);
-    write_file_atomic(out_path, s.run(Ctx{args, env, quick}));
+    const Status written =
+        try_write_file_atomic(out_path, s.run(Ctx{args, env, quick}));
+    if (!written.ok()) throw Error(written);
     std::cout << "(json written to " << out_path << ")\n";
     return 0;
   } catch (const std::exception& e) {

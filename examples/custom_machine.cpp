@@ -27,7 +27,7 @@ double run_with(sort::Model m, Index n, int procs,
   spec.n = n;
   spec.radix_bits = 8;
   spec.machine = mp;
-  return sort::run_sort(spec).elapsed_ns;
+  return sort::try_run_sort(spec).value().elapsed_ns;
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       spec.n = n;
       spec.radix_bits = radix;
       spec.dist = d;
-      const double ns = sort::run_sort(spec).elapsed_ns;
+      const double ns = sort::try_run_sort(spec).value().elapsed_ns;
       if (d == keys::Dist::kGauss) gauss_ns = ns;
       t.add_row({keys::dist_name(d), fmt_fixed(100 * s.moved_frac, 1) + "%",
                  fmt_fixed(s.runs_per_key, 3), fmt_fixed(ns / 1e3, 0),

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
     const int procs = static_cast<int>(args.get_int("procs", 32));
     const int rradix = static_cast<int>(args.get_int("radix", 8));
     const int sradix = static_cast<int>(args.get_int("sample-radix", 11));
-    const keys::Dist dist = keys::dist_from_name(args.get("dist", "gauss"));
+    const keys::Dist dist =
+        keys::try_dist_from_name(args.get("dist", "gauss")).value();
 
     std::cout << "Ranking all algorithm x model combinations for "
               << fmt_count(n) << " " << keys::dist_name(dist) << " keys on "
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
       entries.push_back(Entry{std::string(sort::algo_name(a)) + "/" +
                                   sort::model_name(m) + " r" +
                                   std::to_string(radix),
-                              sort::run_sort(spec)});
+                              sort::try_run_sort(spec).value()});
     };
     for (const sort::Model m : {sort::Model::kCcSas, sort::Model::kCcSasNew,
                                 sort::Model::kMpi, sort::Model::kShmem}) {

@@ -24,7 +24,7 @@ double run_ns(sort::Algo a, sort::Model m, int p, Index n, int r,
   spec.n = n;
   spec.radix_bits = r;
   spec.ablations.mpi_impl = impl;
-  return sort::run_sort(spec).elapsed_ns;
+  return sort::try_run_sort(spec).value().elapsed_ns;
 }
 
 void claim(int idx, const std::string& text) {

@@ -12,20 +12,12 @@ using svc::wire::dbl;
 using svc::wire::netstr;
 using svc::wire::Parser;
 
-StatusCode status_code_from_name(const std::string& name) {
-  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
-    const auto c = static_cast<StatusCode>(i);
-    if (name == status_code_name(c)) return c;
-  }
-  throw StatusError(Status::corrupt_frame("unknown status code: " + name));
-}
-
-MsgType msg_type_from_name(const std::string& name) {
+Result<MsgType> msg_type_from_name(const std::string& name) {
   for (int i = 0; i < kMsgTypeCount; ++i) {
     const auto t = static_cast<MsgType>(i);
     if (name == msg_type_name(t)) return t;
   }
-  throw StatusError(Status::corrupt_frame("unknown message type: " + name));
+  return Status::corrupt_frame("unknown message type: " + name);
 }
 
 }  // namespace
@@ -100,10 +92,10 @@ std::string encode_message(const WireMessage& m) {
 }
 
 Result<WireMessage> decode_message(const std::string& payload) {
-  try {
-    Parser p(payload);
+  return svc::wire::decode([&] {
+    Parser p(payload, &Status::corrupt_frame, "wire message");
     WireMessage m;
-    m.type = msg_type_from_name(p.tok());
+    m.type = p.must(msg_type_from_name(p.tok()));
     switch (m.type) {
       case MsgType::kHello:
         m.version = p.i32();
@@ -144,7 +136,7 @@ Result<WireMessage> decode_message(const std::string& payload) {
         m.passes = p.i32();
         m.verified = p.b();
         m.fired_site = p.i32();
-        const StatusCode code = status_code_from_name(p.tok());
+        const StatusCode code = p.must(status_code_from_name(p.tok()));
         const std::string msg = p.str();
         const bool retryable = p.b();
         m.failure =
@@ -157,12 +149,7 @@ Result<WireMessage> decode_message(const std::string& payload) {
         break;
     }
     return m;
-  } catch (const StatusError& e) {
-    // The wire parser reports malformations as kCorruptJournal (it
-    // serves the WAL first); on a socket the same damage is a corrupt
-    // frame.
-    return Status::corrupt_frame("wire message: " + e.status().message());
-  }
+  });
 }
 
 Status send_message(Channel& ch, const WireMessage& m) {

@@ -62,6 +62,10 @@ inline Health classify_health(const HealthPolicy& p, long long silent_ms) {
   return Health::kDead;
 }
 
+/// The master's respawn backoff schedule: 1 ms doubling to a 200 ms cap.
+constexpr int kRespawnBackoffBaseMs = 1;
+constexpr int kRespawnBackoffCapMs = 200;
+
 /// Capped exponential respawn backoff: after `consecutive_failures`
 /// worker deaths with no intervening successful ack, wait
 /// min(cap_ms, base_ms * 2^(failures-1)) before forking a replacement.

@@ -267,9 +267,8 @@ void WorkerPool::fail_worker(Worker& w) {
     // note_batch anyway. Consecutive deaths back the respawn off
     // (capped exponential) so a crash loop cannot melt the master.
     respawn = owned && cfg_.fork_workers && !shutdown_;
-    wait_ms = respawn_backoff_ms(consecutive_deaths_,
-                                 cfg_.respawn_backoff_base_ms,
-                                 cfg_.respawn_backoff_cap_ms);
+    wait_ms = respawn_backoff_ms(consecutive_deaths_, kRespawnBackoffBaseMs,
+                                 kRespawnBackoffCapMs);
     update_gauges_locked();
     cv_.notify_all();
   }

@@ -82,10 +82,6 @@ struct PoolConfig {
   int suspect_after = 3;
   /// Integrity violations a worker may accumulate before quarantine.
   int integrity_strikes = 2;
-  /// Capped exponential backoff before respawning after consecutive
-  /// worker deaths (health.hpp respawn_backoff_ms).
-  int respawn_backoff_base_ms = 1;
-  int respawn_backoff_cap_ms = 200;
 };
 
 class WorkerPool final : public svc::RemoteExecutor {

@@ -113,7 +113,7 @@ WireMessage run_task(const WireMessage& task, Channel& ch,
       if (!sent.ok()) {
         // The master is gone; abort the sort cleanly (the team poison
         // machinery unwinds every rank) and let the main loop exit.
-        throw StatusError(sent);
+        throw Error(sent);
       }
       if (opts.crash_hook) {
         opts.crash_hook((std::string("exec.") + site).c_str(),
@@ -125,11 +125,11 @@ WireMessage run_task(const WireMessage& task, Channel& ch,
       const std::uint64_t salt = keygen ? 0 : svc::fault_salt(site);
       if (injector.should_fire(fsite, task.job.id, task.attempt, salt)) {
         fired_site = static_cast<int>(fsite);
-        throw StatusError(
+        throw Error(
             svc::FaultInjector::fire(fsite, task.job.id, task.attempt));
       }
       if (abortable && virtual_ns > deadline_ns) {
-        throw StatusError(Status::deadline_exceeded(
+        throw Error(Status::deadline_exceeded(
             std::string("virtual deadline exceeded at '") + site + "': " +
             us_text(virtual_ns) + " > " + us_text(deadline_ns)));
       }

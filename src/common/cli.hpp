@@ -1,8 +1,9 @@
 // Minimal command-line option parsing for the bench/example binaries.
 //
 // Supported syntax: `--name value`, `--name=value`, bare `--flag`.
-// Unknown options are an error so typos don't silently run the default
-// experiment.
+// Unknown options and malformed numbers throw dsm::Error naming the flag,
+// so typos don't silently run the default experiment. Enum flags go
+// through enum_from_name, whose Result a binary unwraps with .value().
 #pragma once
 
 #include <cstdint>
@@ -59,16 +60,6 @@ Result<E> enum_from_name(std::span<const EnumEntry<E>> table,
   }
   msg += ")";
   return Status::invalid_argument(std::move(msg));
-}
-
-/// Throwing wrapper for legacy call sites that predate the Status API:
-/// raises StatusError (which is-a dsm::Error) with the same message.
-template <typename E>
-E enum_from_name_or_throw(std::span<const EnumEntry<E>> table,
-                          std::string_view name, const char* what) {
-  Result<E> r = enum_from_name(table, name, what);
-  if (!r.ok()) throw StatusError(r.status());
-  return r.value();
 }
 
 class ArgParser {

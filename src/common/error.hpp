@@ -1,22 +1,16 @@
-// Error reporting for dsmsort.
+// Precondition and invariant checks for dsmsort.
 //
-// The library throws dsm::Error for precondition violations and runtime
-// misuse (mismatched message sizes, non-symmetric allocations, ...) so that
-// tests can assert on failure injection instead of observing corruption.
+// A violated check throws dsm::Error (common/status.hpp) with code
+// kInternal, for precondition violations and runtime misuse (mismatched
+// message sizes, non-symmetric allocations, ...) so that tests can assert
+// on failure injection instead of observing corruption.
 #pragma once
 
-#include <cstdio>
-#include <stdexcept>
 #include <string>
 
+#include "common/status.hpp"
+
 namespace dsm {
-
-/// Exception thrown on any dsmsort precondition or invariant violation.
-class Error : public std::runtime_error {
- public:
-  explicit Error(std::string what) : std::runtime_error(std::move(what)) {}
-};
-
 namespace detail {
 
 [[noreturn]] inline void fail(const char* kind, const char* cond,

@@ -196,11 +196,6 @@ Status try_write_file_atomic(const std::string& path,
   return Status();
 }
 
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const Status s = try_write_file_atomic(path, content);
-  if (!s.ok()) throw StatusError(s);
-}
-
 Result<std::string> try_read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::io_error("cannot open " + path);

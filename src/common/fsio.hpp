@@ -1,7 +1,7 @@
 // Durable file-system primitives for the service's durability layer and
 // the bench artifact writers.
 //
-// write_file_atomic implements the classic crash-safe publish: write to a
+// try_write_file_atomic implements the classic crash-safe publish: write to a
 // sibling temporary, fsync the file, rename over the destination, fsync
 // the directory. A reader (or a recovery scan after a crash) therefore
 // sees either the complete old content or the complete new content —
@@ -54,9 +54,6 @@ Status faulty_fsync(int fd, const std::string& what);
 /// which case `path` is untouched (the temporary is unlinked best-effort).
 Status try_write_file_atomic(const std::string& path,
                              const std::string& content);
-
-/// Throwing wrapper around try_write_file_atomic (raises StatusError).
-void write_file_atomic(const std::string& path, const std::string& content);
 
 /// Read an entire file. kIoError when it cannot be opened or read.
 Result<std::string> try_read_file(const std::string& path);

@@ -1,14 +1,16 @@
-// Typed error reporting: dsm::Status and dsm::Result<T>.
+// Typed error reporting: dsm::Status, dsm::Error and dsm::Result<T>.
 //
-// The v1 API reported every failure as a thrown dsm::Error carrying only a
-// string, which made failure *reasons* impossible to branch on: the sort
-// service could not tell a transient injected fault (worth retrying) from
-// an invalid request (never worth retrying) without string matching. A
-// Status is a (code, message, retryable) triple; Result<T> is the
-// value-or-Status return shape of the non-throwing v2 entry points
-// (sort::try_run_sort, svc::Planner::try_plan). The throwing v1 surface
-// remains as thin wrappers that raise StatusError, which still derives
-// from dsm::Error for source compatibility.
+// A Status is a (code, message, retryable) triple, so a caller branches
+// on *why* something failed — the sort service tells a transient injected
+// fault (worth retrying) from an invalid request (never worth retrying)
+// without string matching. Result<T> is the value-or-Status return of
+// every fallible library call (sort::try_run_sort, svc::Planner::try_plan,
+// every decoder). dsm::Error is the library's one exception type and it
+// carries a Status. It is thrown for precondition violations
+// (DSM_REQUIRE / DSM_CHECK, code kInternal), to unwind an SPMD team from
+// a hook (cancellation, an injected fault, a deadline), by constructors
+// that cannot return a status, and by Result::value() on the error arm —
+// so `try_run_sort(spec).value()` is "sort or throw".
 //
 // Retryability is a property of the *failure*, not of the caller's policy:
 // a status is retryable when the same call could plausibly succeed if
@@ -17,10 +19,10 @@
 // argument, infeasible combination, exceeded deadline, cancellation).
 #pragma once
 
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
-
-#include "common/error.hpp"
 
 namespace dsm {
 
@@ -125,6 +127,64 @@ class Status {
   bool retryable_ = false;
 };
 
+/// The library's one exception type. It carries a typed Status; what()
+/// is the status message. A bare message means kInternal.
+class Error : public std::runtime_error {
+ public:
+  explicit Error(Status status)
+      : std::runtime_error(status.message()), status_(std::move(status)) {}
+  explicit Error(std::string message)
+      : Error(Status::internal(std::move(message))) {}
+  const Status& status() const { return status_; }
+
+ private:
+  Status status_;
+};
+
+/// Value-or-Status. Holds either a T (ok) or a non-OK Status. value() on
+/// the error arm throws Error(status()), never UB.
+template <typename T>
+class Result {
+ public:
+  Result(T value) : ok_(true), value_(std::move(value)) {}  // NOLINT
+  Result(Status status) : status_(std::move(status)) {      // NOLINT
+    if (status_.ok()) {
+      throw Error("Result error arm needs a non-OK status");
+    }
+  }
+
+  bool ok() const { return ok_; }
+  explicit operator bool() const { return ok_; }
+
+  /// OK when holding a value.
+  const Status& status() const { return status_; }
+
+  T& value() & {
+    if (!ok_) throw Error(status_);
+    return value_;
+  }
+  const T& value() const& {
+    if (!ok_) throw Error(status_);
+    return value_;
+  }
+  /// By value, so `const auto& r = f().value();` cannot dangle.
+  T value() && {
+    if (!ok_) throw Error(status_);
+    return std::move(value_);
+  }
+
+  T& operator*() & { return value(); }
+  const T& operator*() const& { return value(); }
+  T operator*() && { return std::move(*this).value(); }
+  T* operator->() { return &value(); }
+  const T* operator->() const { return &value(); }
+
+ private:
+  bool ok_ = false;
+  Status status_;
+  T value_{};  // default-constructed in the error arm
+};
+
 inline const char* status_code_name(StatusCode c) {
   switch (c) {
     case StatusCode::kOk: return "OK";
@@ -146,57 +206,14 @@ inline const char* status_code_name(StatusCode c) {
   return "?";
 }
 
-/// The exception the throwing v1 wrappers raise: a dsm::Error (so existing
-/// catch sites keep working) that still carries the typed Status.
-class StatusError : public Error {
- public:
-  explicit StatusError(Status status)
-      : Error(status.message()), status_(std::move(status)) {}
-  const Status& status() const { return status_; }
-
- private:
-  Status status_;
-};
-
-/// Value-or-Status. Holds either a T (ok) or a non-OK Status; accessing
-/// the wrong arm is a checked precondition violation, not UB.
-template <typename T>
-class Result {
- public:
-  Result(T value) : ok_(true), value_(std::move(value)) {}  // NOLINT
-  Result(Status status) : status_(std::move(status)) {      // NOLINT
-    DSM_REQUIRE(!status_.ok(), "Result error arm needs a non-OK status");
+/// Inverse of status_code_name; kInvalidArgument on an unknown name (each
+/// decoder re-codes that as its own corruption status).
+inline Result<StatusCode> status_code_from_name(std::string_view name) {
+  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
+    const auto c = static_cast<StatusCode>(i);
+    if (name == status_code_name(c)) return c;
   }
-
-  bool ok() const { return ok_; }
-  explicit operator bool() const { return ok_; }
-
-  /// OK when holding a value.
-  const Status& status() const { return status_; }
-
-  T& value() & {
-    DSM_REQUIRE(ok_, "Result::value on error: " + status_.to_string());
-    return value_;
-  }
-  const T& value() const& {
-    DSM_REQUIRE(ok_, "Result::value on error: " + status_.to_string());
-    return value_;
-  }
-  T&& value() && {
-    DSM_REQUIRE(ok_, "Result::value on error: " + status_.to_string());
-    return std::move(value_);
-  }
-
-  T& operator*() & { return value(); }
-  const T& operator*() const& { return value(); }
-  T&& operator*() && { return std::move(*this).value(); }
-  T* operator->() { return &value(); }
-  const T* operator->() const { return &value(); }
-
- private:
-  bool ok_ = false;
-  Status status_;
-  T value_{};  // default-constructed in the error arm
-};
+  return Status::invalid_argument("unknown status code: " + std::string(name));
+}
 
 }  // namespace dsm

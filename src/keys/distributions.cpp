@@ -188,10 +188,6 @@ void gen_remote_local(std::span<Key> out, const GenSpec& spec, bool local) {
 
 const char* dist_name(Dist d) { return enum_name<Dist>(kDistNames, d); }
 
-Dist dist_from_name(const std::string& name) {
-  return enum_from_name_or_throw<Dist>(kDistNames, name, "distribution");
-}
-
 Result<Dist> try_dist_from_name(const std::string& name) {
   return enum_from_name<Dist>(kDistNames, name, "distribution");
 }

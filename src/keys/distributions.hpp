@@ -71,11 +71,8 @@ inline constexpr EnumEntry<Dist> kDistNames[] = {
 
 const char* dist_name(Dist d);
 
-/// Parse "gauss", "random", ... (throws on unknown name).
-Dist dist_from_name(const std::string& name);
-
-/// Typed parse for the v2 surface (--dist flags, codecs): kInvalidArgument
-/// listing the accepted names on failure.
+/// Parse "gauss", "random", ... (--dist flags, codecs, traces):
+/// kInvalidArgument listing the accepted names on failure.
 Result<Dist> try_dist_from_name(const std::string& name);
 
 /// Parameters a generator needs beyond the output span.

@@ -532,7 +532,8 @@ void predict_sample(const Ctx& c, Acc& a) {
 }  // namespace
 
 Prediction predict(const SortSpec& spec) {
-  spec.validate();
+  const Status valid = spec.validate_status();
+  if (!valid.ok()) throw Error(valid);
   const Ctx c(spec);
   Acc a;
   if (spec.algo == Algo::kRadix) {

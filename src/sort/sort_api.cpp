@@ -26,7 +26,7 @@ namespace {
 /// unwinds every rank cleanly.
 void checkpoint(const SortSpec& spec, const char* site, double virtual_ns) {
   if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
-    throw StatusError(Status::cancelled(
+    throw Error(Status::cancelled(
         std::string("sort cancelled at checkpoint '") + site + "'"));
   }
   if (spec.hooks.on_site) spec.hooks.on_site(site, virtual_ns);
@@ -73,7 +73,7 @@ void iota_payload(std::span<keys::Payload> pay, Index global_begin) {
 void perf_write_trace(const std::string& path, const sim::SimTeam& team) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
-    throw StatusError(Status::io_error("cannot open trace file: " + path));
+    throw Error(Status::io_error("cannot open trace file: " + path));
   }
   out << team.trace_json();
 }
@@ -484,7 +484,7 @@ SortResult run_sort_impl(const SortSpec& spec,
     // run_sample_* pick the local-sort kernel via local_sort_of.
     switch (spec.model) {
       case Model::kCcSas: return run_sample_ccsas(spec, mp);
-      case Model::kCcSasNew: break;  // rejected by validate()
+      case Model::kCcSasNew: break;  // rejected by validate_status()
       case Model::kMpi: return run_sample_mpi(spec, mp);
       case Model::kShmem: return run_sample_shmem(spec, mp);
     }
@@ -497,14 +497,6 @@ SortResult run_sort_impl(const SortSpec& spec,
 const char* algo_name(Algo a) { return enum_name<Algo>(kAlgoNames, a); }
 
 const char* model_name(Model m) { return enum_name<Model>(kModelNames, m); }
-
-Algo algo_from_name(const std::string& name) {
-  return enum_from_name_or_throw<Algo>(kAlgoNames, name, "algorithm");
-}
-
-Model model_from_name(const std::string& name) {
-  return enum_from_name_or_throw<Model>(kModelNames, name, "model");
-}
 
 Result<Algo> try_algo_from_name(const std::string& name) {
   return enum_from_name<Algo>(kAlgoNames, name, "algorithm");
@@ -580,27 +572,16 @@ Status SortSpec::validate_status() const {
   return Status::invalid_argument("invalid SortSpec: " + v);
 }
 
-void SortSpec::validate() const {
-  Status s = validate_status();
-  if (!s.ok()) throw StatusError(std::move(s));
-}
-
 Result<SortResult> try_run_sort(const SortSpec& spec) {
   Status valid = spec.validate_status();
   if (!valid.ok()) return valid;
   try {
     return run_sort_impl(spec, spec.resolved_machine());
-  } catch (const StatusError& e) {
+  } catch (const Error& e) {
     return e.status();
   } catch (const std::exception& e) {
     return Status::internal(e.what());
   }
-}
-
-SortResult run_sort(const SortSpec& spec) {
-  Result<SortResult> r = try_run_sort(spec);
-  if (!r.ok()) throw StatusError(r.status());
-  return std::move(r).value();
 }
 
 double seq_baseline_ns(Index n, keys::Dist dist, int radix_bits,

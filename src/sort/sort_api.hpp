@@ -5,12 +5,12 @@
 // SimTeam, verifies the result, and returns virtual-time breakdowns.
 //
 // This is the library's main public entry point; examples and the bench
-// harnesses drive everything through SortSpec. Two call shapes:
-//
-//   * try_run_sort(spec) -> Result<SortResult> — the v2 non-throwing
-//     surface: every failure is a typed Status (invalid argument,
-//     cancellation, injected fault, ...) the caller can branch on.
-//   * run_sort(spec) -> SortResult — thin throwing wrapper (StatusError).
+// harnesses drive everything through SortSpec. One call shape:
+// try_run_sort(spec) -> Result<SortResult>. Every failure is a typed
+// Status (invalid argument, cancellation, injected fault, ...) the caller
+// can branch on; a caller that wants "sort or throw" writes
+// try_run_sort(spec).value(), which throws dsm::Error carrying the same
+// Status.
 #pragma once
 
 #include <atomic>
@@ -61,10 +61,7 @@ inline constexpr EnumEntry<Model> kModelNames[] = {
 
 const char* algo_name(Algo a);
 const char* model_name(Model m);
-Algo algo_from_name(const std::string& name);
-Model model_from_name(const std::string& name);
-/// Typed parses for the v2 surface: kInvalidArgument listing the accepted
-/// names on failure.
+/// Typed parses: kInvalidArgument listing the accepted names on failure.
 Result<Algo> try_algo_from_name(const std::string& name);
 Result<Model> try_model_from_name(const std::string& name);
 
@@ -97,7 +94,7 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
-/// Run-time observation and control points threaded through run_sort.
+/// Run-time observation and control points threaded through try_run_sort.
 struct SortHooks {
   /// Called at named checkpoints of the run: "keygen" before input
   /// generation, every algorithm phase mark (the paper's phase vocabulary:
@@ -184,8 +181,6 @@ struct SortSpec {
   /// Every violated constraint, joined into one kInvalidArgument status
   /// (OK when the spec is valid) — one round trip fixes all mistakes.
   Status validate_status() const;
-  /// Throwing wrapper: raises StatusError(validate_status()).
-  void validate() const;
 };
 
 struct SortResult {
@@ -224,9 +219,6 @@ struct SortResult {
 /// Never throws for sort-level failures: invalid specs, cancellation,
 /// hook-injected faults, and internal errors all return a typed Status.
 Result<SortResult> try_run_sort(const SortSpec& spec);
-
-/// Throwing wrapper around try_run_sort (raises StatusError).
-SortResult run_sort(const SortSpec& spec);
 
 /// Sequential baseline (Table 1): the instrumented radix sort on a
 /// one-process team — the denominator of every speedup in the paper.

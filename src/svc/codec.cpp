@@ -11,30 +11,18 @@ using wire::Parser;
 namespace {
 
 // Enum fields arrive from journals and cluster sockets, so an unknown
-// name (old format, new peer, or hostile stream) must surface as the
-// typed corruption status — never the plain Error the CLI-facing
-// from_name helpers throw, and never a blind cast.
-[[noreturn]] void fail_enum(const Status& why) {
-  throw StatusError(
-      Status::corrupt_journal("durability payload: " + why.message()));
-}
-
+// name (old format, new peer, or hostile stream) is the payload's typed
+// corruption status (Parser::must), never a blind cast.
 sort::Algo get_algo(Parser& p) {
-  const Result<sort::Algo> r = sort::try_algo_from_name(p.tok());
-  if (!r.ok()) fail_enum(r.status());
-  return r.value();
+  return p.must(sort::try_algo_from_name(p.tok()));
 }
 
 sort::Model get_model(Parser& p) {
-  const Result<sort::Model> r = sort::try_model_from_name(p.tok());
-  if (!r.ok()) fail_enum(r.status());
-  return r.value();
+  return p.must(sort::try_model_from_name(p.tok()));
 }
 
 keys::Dist get_dist(Parser& p) {
-  const Result<keys::Dist> r = keys::try_dist_from_name(p.tok());
-  if (!r.ok()) fail_enum(r.status());
-  return r.value();
+  return p.must(keys::try_dist_from_name(p.tok()));
 }
 
 }  // namespace
@@ -122,13 +110,7 @@ JobSpec get_job(Parser& p) {
   if (p.b()) j.recovered_plan = get_plan(p);
   if (p.peek_tok() == "rec") {
     p.tok();  // consume the sentinel
-    const std::string name = p.tok();
-    const Result<keys::RecordType> r = keys::record_from_name(name);
-    if (!r.ok()) {
-      throw StatusError(
-          Status::corrupt_journal("durability payload: " + r.status().message()));
-    }
-    j.record = r.value();
+    j.record = p.must(keys::record_from_name(p.tok()));
   }
   return j;
 }

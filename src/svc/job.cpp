@@ -46,11 +46,6 @@ Status JobSpec::validate_status() const {
                                   problems);
 }
 
-void JobSpec::validate() const {
-  const Status s = validate_status();
-  if (!s.ok()) throw StatusError(s);
-}
-
 const char* job_status_name(JobStatus s) {
   switch (s) {
     case JobStatus::kOk: return "ok";
@@ -61,12 +56,12 @@ const char* job_status_name(JobStatus s) {
   return "?";
 }
 
-JobStatus job_status_from_name(const std::string& name) {
+Result<JobStatus> job_status_from_name(const std::string& name) {
   for (const JobStatus s : {JobStatus::kOk, JobStatus::kFailed,
                             JobStatus::kShed, JobStatus::kDeadlineMiss}) {
     if (name == job_status_name(s)) return s;
   }
-  throw Error("unknown job status: " + name);
+  return Status::corrupt_journal("unknown job status: " + name);
 }
 
 std::string Plan::to_json() const {

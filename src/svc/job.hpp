@@ -117,8 +117,6 @@ struct JobSpec {
   /// not cross-check algo x model feasibility — infeasible combinations
   /// are planner/executor failures, exercising per-job error isolation.
   Status validate_status() const;
-  /// Throwing wrapper: raises StatusError(validate_status()).
-  void validate() const;
 };
 
 enum class JobStatus {
@@ -129,9 +127,9 @@ enum class JobStatus {
 };
 
 const char* job_status_name(JobStatus s);
-/// Inverse of job_status_name (throws dsm::Error on an unknown name);
-/// used by the journal decoder.
-JobStatus job_status_from_name(const std::string& name);
+/// Inverse of job_status_name; kCorruptJournal on an unknown name (its
+/// one caller is the journal decoder).
+Result<JobStatus> job_status_from_name(const std::string& name);
 
 /// One failed attempt in a job's retry history.
 struct AttemptRecord {

@@ -34,14 +34,6 @@ using wire::netstr;
 using wire::Parser;
 using wire::put_u32le;
 
-StatusCode status_code_from_name(const std::string& name) {
-  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
-    const auto c = static_cast<StatusCode>(i);
-    if (name == status_code_name(c)) return c;
-  }
-  throw StatusError(Status::corrupt_journal("unknown status code: " + name));
-}
-
 std::string segment_name(std::uint64_t first_lsn) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "journal-%012llu.wal",
@@ -84,8 +76,8 @@ void ensure_dir(const std::string& dir) {
     pos = end + 1;
     if (partial.empty()) continue;  // leading '/'
     if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      throw StatusError(Status::io_error("mkdir " + partial + ": " +
-                                         std::strerror(errno)));
+      throw Error(Status::io_error("mkdir " + partial + ": " +
+                                   std::strerror(errno)));
     }
     if (slash == std::string::npos) break;
   }
@@ -107,12 +99,12 @@ const char* record_type_name(RecordType t) {
   return "?";
 }
 
-RecordType record_type_from_name(const std::string& name) {
+Result<RecordType> record_type_from_name(const std::string& name) {
   for (int i = 0; i < kRecordTypeCount; ++i) {
     const auto t = static_cast<RecordType>(i);
     if (name == record_type_name(t)) return t;
   }
-  throw StatusError(Status::corrupt_journal("unknown record type: " + name));
+  return Status::corrupt_journal("unknown record type: " + name);
 }
 
 std::string encode_record(const JournalRecord& r) {
@@ -162,11 +154,13 @@ std::string encode_record(const JournalRecord& r) {
   return os.str();
 }
 
-JournalRecord decode_record(const std::string& payload) {
+namespace {
+
+JournalRecord parse_record(const std::string& payload) {
   Parser p(payload);
   JournalRecord r;
   r.lsn = p.u64();
-  r.type = record_type_from_name(p.tok());
+  r.type = p.must(record_type_from_name(p.tok()));
   r.seq = p.u64();
   switch (r.type) {
     case RecordType::kAdmit:
@@ -190,9 +184,9 @@ JournalRecord decode_record(const std::string& payload) {
     case RecordType::kTerminal: {
       JobResult& jr = r.result;
       jr.id = p.u64();
-      jr.status = job_status_from_name(p.tok());
+      jr.status = p.must(job_status_from_name(p.tok()));
       jr.error = p.str();
-      const StatusCode code = status_code_from_name(p.tok());
+      const StatusCode code = p.must(status_code_from_name(p.tok()));
       const std::string msg = p.str();
       const bool retryable = p.b();
       jr.final_status = code == StatusCode::kOk
@@ -208,7 +202,7 @@ JournalRecord decode_record(const std::string& payload) {
       jr.plan = get_plan(p);
       const std::uint64_t n_attempts = p.u64();
       if (n_attempts > 1000) {
-        throw StatusError(Status::corrupt_journal("absurd attempt count"));
+        throw Error(Status::corrupt_journal("absurd attempt count"));
       }
       for (std::uint64_t i = 0; i < n_attempts; ++i) {
         jr.attempts.push_back(get_attempt(p));
@@ -228,13 +222,19 @@ JournalRecord decode_record(const std::string& payload) {
   return r;
 }
 
+}  // namespace
+
+Result<JournalRecord> decode_record(const std::string& payload) {
+  return wire::decode([&] { return parse_record(payload); });
+}
+
 JournalWriter::JournalWriter(JournalConfig cfg, std::uint64_t next_lsn)
     : cfg_(std::move(cfg)), next_lsn_(next_lsn) {
   DSM_REQUIRE(!cfg_.dir.empty(), "journal needs a directory");
   ensure_dir(cfg_.dir);
   const std::lock_guard<std::mutex> lock(mu_);
   if (!try_open_segment_locked(next_lsn_)) {
-    throw StatusError(Status::io_error(
+    throw Error(Status::io_error(
         "open " + cfg_.dir + "/" + segment_name(next_lsn_) + ": " +
         std::strerror(errno)));
   }
@@ -311,7 +311,7 @@ std::uint64_t JournalWriter::append(JournalRecord r) {
   }
 
   segment_bytes_ += frame.size();
-  if (segment_bytes_ >= cfg_.segment_max_bytes) {
+  if (segment_bytes_ >= kSegmentMaxBytes) {
     ::close(fd_);
     fd_ = -1;
     if (!try_open_segment_locked(next_lsn_)) degraded_ = true;
@@ -408,12 +408,12 @@ SegmentScan read_segment(const std::string& path) {
       scan.corrupt = 1;
       break;
     }
-    try {
-      scan.records.push_back(decode_record(std::string(payload, len)));
-    } catch (const StatusError&) {
+    Result<JournalRecord> r = decode_record(std::string(payload, len));
+    if (!r.ok()) {
       scan.corrupt = 1;
       break;
     }
+    scan.records.push_back(std::move(r).value());
     pos += 8 + len;
   }
   return scan;

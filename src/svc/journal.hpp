@@ -14,7 +14,7 @@
 //
 // Segments are append-only files named journal-<first-lsn>.wal; the
 // writer rotates to a fresh segment after each snapshot (and when a
-// segment exceeds segment_max_bytes), and recovery replays segments in
+// segment exceeds kSegmentMaxBytes), and recovery replays segments in
 // first-lsn order. A crash can leave at most one torn record at the tail
 // of the newest segment — the reader tolerates that (the record's effects
 // were never acknowledged) but treats a CRC mismatch on a fully-present
@@ -46,8 +46,13 @@ enum class RecordType {
 };
 constexpr int kRecordTypeCount = 8;
 
+/// The writer rotates to a fresh segment once the current one exceeds
+/// this size.
+constexpr std::uint64_t kSegmentMaxBytes = std::uint64_t{1} << 20;
+
 const char* record_type_name(RecordType t);
-RecordType record_type_from_name(const std::string& name);
+/// kCorruptJournal on an unknown name.
+Result<RecordType> record_type_from_name(const std::string& name);
 
 /// One journal record. A flat struct: which fields are meaningful depends
 /// on `type` (the encoder only serializes the fields its type owns).
@@ -85,9 +90,9 @@ struct JournalRecord {
 
 /// Payload text for one record (no framing; `lsn` must already be set).
 std::string encode_record(const JournalRecord& r);
-/// Inverse of encode_record; throws StatusError(kCorruptJournal) when the
-/// payload does not parse.
-JournalRecord decode_record(const std::string& payload);
+/// Inverse of encode_record; kCorruptJournal when the payload does not
+/// parse. Never throws.
+Result<JournalRecord> decode_record(const std::string& payload);
 
 struct JournalConfig {
   std::string dir;
@@ -95,8 +100,6 @@ struct JournalConfig {
   /// write ordering (enough for the in-process tests) but drops the
   /// crash-durability guarantee; the crash harness always leaves it on.
   bool fsync_data = true;
-  /// Rotate to a fresh segment once the current one exceeds this size.
-  std::uint64_t segment_max_bytes = std::uint64_t{1} << 20;
   /// Test/harness hook, invoked around every durability I/O step with a
   /// site name ("journal.<type>.before-fsync", "journal.<type>.after-
   /// fsync", "snapshot.before-rename", ...) and the seq involved. The
@@ -107,8 +110,8 @@ struct JournalConfig {
 class JournalWriter {
  public:
   /// Opens a fresh segment journal-<next_lsn>.wal in cfg.dir (the
-  /// directory is created if missing). Throws StatusError(kIoError) on
-  /// I/O failure.
+  /// directory is created if missing). Throws Error(kIoError) on I/O
+  /// failure.
   JournalWriter(JournalConfig cfg, std::uint64_t next_lsn);
   ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;

@@ -47,12 +47,6 @@ std::size_t Planner::cell_index(Algo algo, Model model) {
   return a * kNumModels + m;
 }
 
-Plan Planner::plan(const JobSpec& job) const {
-  Result<Plan> r = try_plan(job);
-  if (!r.ok()) throw StatusError(r.status());
-  return std::move(r).value();
-}
-
 Result<Plan> Planner::try_plan(const JobSpec& job) const {
   std::vector<Algo> algos;
   if (job.force_algo) {
@@ -104,15 +98,14 @@ Result<Plan> Planner::try_plan(const JobSpec& job) const {
           spec.seed = job.seed;
           spec.record = job.record;  // charge-oblivious, but keep the
                                      // candidate spec faithful to the job
-          double raw = 0;
-          try {
-            raw = perf::predict(spec).total_ns;
-          } catch (const Error& e) {
-            // Infeasible combination (e.g. sample on CC-SAS-NEW, radix
-            // bits out of range): skip; remember why in case nothing fits.
-            last_error = e.what();
+          const Status valid = spec.validate_status();
+          if (!valid.ok()) {
+            // Infeasible combination (e.g. radix bits out of range): skip;
+            // remember why in case nothing fits.
+            last_error = valid.message();
             continue;
           }
+          const double raw = perf::predict(spec).total_ns;
           const Cell& cell = cells_[cell_index(a, m)];
           const double f =
               (cfg_.calibrate && cell.samples > 0) ? cell.factor : 1.0;

@@ -1,6 +1,6 @@
 // Predictor-driven job planner with online EWMA calibration.
 //
-// plan() answers the paper's model-selection question per request: it
+// try_plan() answers the paper's model-selection question per request: it
 // enumerates every feasible (algorithm, model, radix) candidate for the
 // job (honouring forced dimensions), prices each with the closed-form
 // predictor — distribution-aware, unlike the n-and-p-only predict_best —
@@ -11,13 +11,13 @@
 // synchronisation, so its error is a roughly stable multiplicative bias
 // per (algorithm, model) cell. observe() folds each completed job's
 // measured/predicted ratio into an EWMA correction factor for its cell;
-// plan() multiplies raw predictions by the current factor. As traffic
+// try_plan() multiplies raw predictions by the current factor. As traffic
 // flows, calibrated estimates converge onto the simulator and the
 // planner's ranking sharpens — the service bench reports the error drop.
 //
-// Thread safety: plan() and observe() may be called concurrently; the
+// Thread safety: try_plan() and observe() may be called concurrently; the
 // factor table is mutex-guarded. Determinism: given the same sequence of
-// plan/observe calls, all outputs are bit-identical (pure double
+// try_plan/observe calls, all outputs are bit-identical (pure double
 // arithmetic, no time or randomness).
 #pragma once
 
@@ -54,9 +54,6 @@ class Planner {
   /// Choose a plan for `job`; kInfeasible when no candidate fits (e.g.
   /// sample sort forced onto CC-SAS-NEW).
   Result<Plan> try_plan(const JobSpec& job) const;
-
-  /// Throwing wrapper around try_plan (raises StatusError).
-  Plan plan(const JobSpec& job) const;
 
   /// Fold a completed job's measured virtual time into the calibration
   /// state of the plan's (algo, model) cell.

@@ -101,8 +101,8 @@ std::string RecoveryReport::to_json() const {
   return os.str();
 }
 
-RecoveryOutcome recover_dir(const std::string& dir, int quarantine_threshold,
-                            Planner& planner, Metrics& metrics) {
+RecoveryOutcome recover_dir(const std::string& dir, Planner& planner,
+                            Metrics& metrics) {
   RecoveryOutcome out;
 
   SnapshotData snap;
@@ -280,7 +280,7 @@ RecoveryOutcome recover_dir(const std::string& dir, int quarantine_threshold,
       const int count = site == job.crash_site ? job.crash_count + 1 : 1;
       job.crash_count = count;
       job.crash_site = site;
-      if (count >= quarantine_threshold) {
+      if (count >= kQuarantineThreshold) {
         QuarantineEntry q;
         q.job = std::move(job);
         q.crash_count = count;

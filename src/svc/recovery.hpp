@@ -82,10 +82,12 @@ struct RecoveryOutcome {
   std::uint64_t next_seq = 0;
 };
 
+/// Same-site crashes in a row that quarantine a job.
+constexpr int kQuarantineThreshold = 2;
+
 /// Scan `dir` and replay into `planner` / `metrics` (mutated only when
-/// there is state to recover). `quarantine_threshold` is the number of
-/// same-site crashes that quarantines a job.
-RecoveryOutcome recover_dir(const std::string& dir, int quarantine_threshold,
-                            Planner& planner, Metrics& metrics);
+/// there is state to recover).
+RecoveryOutcome recover_dir(const std::string& dir, Planner& planner,
+                            Metrics& metrics);
 
 }  // namespace dsm::svc

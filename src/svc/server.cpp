@@ -93,15 +93,13 @@ SortService::SortService(ServiceConfig cfg)
 void SortService::recover() {
   const double t0 = now_s();
   RecoveryOutcome rec =
-      recover_dir(cfg_.durability.dir, cfg_.durability.quarantine_threshold,
-                  planner_, metrics_);
+      recover_dir(cfg_.durability.dir, planner_, metrics_);
   known_ids_.insert(rec.known_ids.begin(), rec.known_ids.end());
   queue_.set_next_seq(rec.next_seq);
 
   JournalConfig jc;
   jc.dir = cfg_.durability.dir;
   jc.fsync_data = cfg_.durability.fsync_data;
-  jc.segment_max_bytes = cfg_.durability.segment_max_bytes;
   jc.crash_hook = cfg_.durability.crash_hook;
   journal_ = std::make_unique<JournalWriter>(jc, rec.next_lsn);
 
@@ -517,7 +515,7 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
         ra.expect = expected_input_checksum(job, plan.radix_bits);
       }
       const auto on_mark = [this, seq](const char* site, double) {
-        if (durable() && cfg_.durability.journal_marks) {
+        if (durable()) {
           JournalRecord m;
           m.type = RecordType::kMark;
           m.seq = seq;
@@ -563,7 +561,7 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
       spec.hooks.on_site = [this, id = job.id, attempt, deadline_ns,
                             abortable, seq, &fired_site](
                                const char* site, double virtual_ns) {
-        if (durable() && cfg_.durability.journal_marks) {
+        if (durable()) {
           // Progress mark: pins a crash during this phase to the precise
           // "execute:<site>" identity quarantine counting keys on.
           JournalRecord m;
@@ -583,13 +581,13 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
         if (injector_.should_fire(fsite, id, attempt, salt)) {
           metrics_.on_fault(fsite);
           fired_site = static_cast<int>(fsite);
-          throw StatusError(FaultInjector::fire(fsite, id, attempt));
+          throw Error(FaultInjector::fire(fsite, id, attempt));
         }
         // Cooperative straggler abort: virtual time already past the
         // deadline at a phase boundary means the job cannot finish in
         // budget; unwind now instead of finishing late.
         if (abortable && virtual_ns > deadline_ns) {
-          throw StatusError(Status::deadline_exceeded(
+          throw Error(Status::deadline_exceeded(
               std::string("virtual deadline exceeded at '") + site +
               "': " + us_text(virtual_ns) + " > " + us_text(deadline_ns)));
         }
@@ -686,21 +684,22 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
         out.plan_hit = out.measured_ns <= out.runner_measured_ns;
       } else {
         // The runner-up itself is infeasible: the planner's choice
-        // stands (exactly the local catch path below).
+        // stands (exactly the local failure path below).
         out.runner_measured_ns = -1;
         out.plan_hit = true;
       }
     } else {
-      try {
-        sort::SortSpec rs = sort_spec_for(job, plan.runner_algo,
-                                          plan.runner_model,
-                                          plan.runner_radix_bits);
-        rs.trace_json_path.clear();  // audit runs are not traced
-        // Audit runs carry no hooks: no faults, no deadline — they
-        // measure the runner-up plan, not the failure machinery.
-        out.runner_measured_ns = sort::run_sort(rs).elapsed_ns;
+      sort::SortSpec rs = sort_spec_for(job, plan.runner_algo,
+                                        plan.runner_model,
+                                        plan.runner_radix_bits);
+      rs.trace_json_path.clear();  // audit runs are not traced
+      // Audit runs carry no hooks: no faults, no deadline — they
+      // measure the runner-up plan, not the failure machinery.
+      const Result<sort::SortResult> r = sort::try_run_sort(rs);
+      if (r.ok()) {
+        out.runner_measured_ns = r->elapsed_ns;
         out.plan_hit = out.measured_ns <= out.runner_measured_ns;
-      } catch (const std::exception&) {
+      } else {
         // The runner-up itself is infeasible: the planner's choice stands.
         out.runner_measured_ns = -1;
         out.plan_hit = true;

@@ -70,13 +70,6 @@ struct DurabilityConfig {
   int snapshot_every_batches = 8;
   /// fsync journal appends (the durability guarantee; see JournalConfig).
   bool fsync_data = true;
-  std::uint64_t segment_max_bytes = std::uint64_t{1} << 20;
-  /// Journal per-phase execution marks (what pins a crash to a precise
-  /// "execute:<site>" identity for quarantine counting).
-  bool journal_marks = true;
-  /// A job whose process died this many times in a row at the same site
-  /// is quarantined instead of re-admitted.
-  int quarantine_threshold = 2;
   /// Keep journal segments a snapshot has covered instead of pruning
   /// them (the crash harness audits full history across incarnations).
   bool keep_all_segments = false;

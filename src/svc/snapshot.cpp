@@ -38,9 +38,9 @@ std::string encode_job(const JobSpec& j) {
 }
 
 JobSpec decode_job(const std::string& payload) {
-  const JournalRecord r = decode_record(payload);
+  const JournalRecord r = decode_record(payload).value();
   if (r.type != RecordType::kAdmit) {
-    throw StatusError(
+    throw Error(
         Status::corrupt_journal("snapshot inflight entry is not an admit"));
   }
   return r.job;
@@ -54,7 +54,7 @@ void put_u64_vec(std::ostringstream& os, const std::vector<std::uint64_t>& v) {
 std::vector<std::uint64_t> get_u64_vec(Parser& p, std::size_t max_len) {
   const std::uint64_t n = p.u64();
   if (n > max_len) {
-    throw StatusError(Status::corrupt_journal("snapshot vector too long"));
+    throw Error(Status::corrupt_journal("snapshot vector too long"));
   }
   std::vector<std::uint64_t> out;
   out.reserve(n);
@@ -70,7 +70,7 @@ void put_dbl_vec(std::ostringstream& os, const std::vector<double>& v) {
 std::vector<double> get_dbl_vec(Parser& p, std::size_t max_len) {
   const std::uint64_t n = p.u64();
   if (n > max_len) {
-    throw StatusError(Status::corrupt_journal("snapshot vector too long"));
+    throw Error(Status::corrupt_journal("snapshot vector too long"));
   }
   std::vector<double> out;
   out.reserve(n);
@@ -122,10 +122,12 @@ std::string encode_snapshot(const SnapshotData& s) {
   return os.str();
 }
 
-SnapshotData decode_snapshot(const std::string& payload) {
+namespace {
+
+SnapshotData parse_snapshot(const std::string& payload) {
   Parser p(payload);
   if (p.tok() != kMagic) {
-    throw StatusError(Status::corrupt_journal("snapshot magic mismatch"));
+    throw Error(Status::corrupt_journal("snapshot magic mismatch"));
   }
   SnapshotData s;
   s.lsn = p.u64();
@@ -134,28 +136,18 @@ SnapshotData decode_snapshot(const std::string& payload) {
   // Named cell list: a missing version sentinel, or an unknown algorithm
   // or model name, is a typed corruption error, never a blind cast.
   if (p.tok() != "cells2") {
-    throw StatusError(
+    throw Error(
         Status::corrupt_journal("snapshot planner cells: expected cells2"));
   }
   const std::uint64_t ncells = p.u64();
   if (ncells > Planner::kNumCells) {
-    throw StatusError(Status::corrupt_journal("snapshot planner cell count"));
+    throw Error(Status::corrupt_journal("snapshot planner cell count"));
   }
   s.planner_cells.reserve(ncells);
   for (std::uint64_t i = 0; i < ncells; ++i) {
     Planner::CellState c;
-    const Result<sort::Algo> a = sort::try_algo_from_name(p.tok());
-    if (!a.ok()) {
-      throw StatusError(Status::corrupt_journal("snapshot planner cell: " +
-                                                a.status().message()));
-    }
-    const Result<sort::Model> m = sort::try_model_from_name(p.tok());
-    if (!m.ok()) {
-      throw StatusError(Status::corrupt_journal("snapshot planner cell: " +
-                                                m.status().message()));
-    }
-    c.algo = a.value();
-    c.model = m.value();
+    c.algo = p.must(sort::try_algo_from_name(p.tok()));
+    c.model = p.must(sort::try_model_from_name(p.tok()));
     c.factor = p.d();
     c.samples = p.u64();
     s.planner_cells.push_back(c);
@@ -194,7 +186,7 @@ SnapshotData decode_snapshot(const std::string& payload) {
 
   const std::uint64_t njobs = p.u64();
   if (njobs > kMaxVec) {
-    throw StatusError(Status::corrupt_journal("snapshot inflight too long"));
+    throw Error(Status::corrupt_journal("snapshot inflight too long"));
   }
   s.inflight.reserve(njobs);
   for (std::uint64_t i = 0; i < njobs; ++i) {
@@ -203,6 +195,12 @@ SnapshotData decode_snapshot(const std::string& payload) {
 
   s.known_ids = get_u64_vec(p, kMaxVec);
   return s;
+}
+
+}  // namespace
+
+Result<SnapshotData> decode_snapshot(const std::string& payload) {
+  return wire::decode([&] { return parse_snapshot(payload); });
 }
 
 Status write_snapshot(
@@ -215,7 +213,7 @@ Status write_snapshot(
   put_u32le(framed, crc32(payload.data(), payload.size()));
   framed += payload;
 
-  // The same publish sequence as write_file_atomic, inlined so the crash
+  // The same publish sequence as try_write_file_atomic, inlined so the crash
   // hook can fire exactly around the rename — the atomicity claim the
   // crash harness exists to check.
   const std::string tmp = path + ".tmp";
@@ -272,11 +270,7 @@ Result<SnapshotData> load_snapshot(const std::string& path) {
   if (crc32(static_cast<const void*>(framed.data() + 8), len) != want_crc) {
     return Status::corrupt_journal("snapshot CRC mismatch");
   }
-  try {
-    return decode_snapshot(framed.substr(8));
-  } catch (const StatusError& e) {
-    return e.status();
-  }
+  return decode_snapshot(framed.substr(8));
 }
 
 }  // namespace dsm::svc

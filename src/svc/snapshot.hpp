@@ -50,8 +50,8 @@ struct SnapshotData {
 
 /// Deterministic text payload (exposed for tests; the file adds framing).
 std::string encode_snapshot(const SnapshotData& s);
-/// Throws StatusError(kCorruptJournal) when the payload does not parse.
-SnapshotData decode_snapshot(const std::string& payload);
+/// kCorruptJournal when the payload does not parse. Never throws.
+Result<SnapshotData> decode_snapshot(const std::string& payload);
 
 /// Atomically publish `s` at `path`. `crash_hook`, when set, fires at
 /// "snapshot.before-rename" and "snapshot.after-rename" (with s.lsn as

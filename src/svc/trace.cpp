@@ -1,7 +1,8 @@
 #include "svc/trace.hpp"
 
-#include <fstream>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
@@ -9,6 +10,17 @@
 #include "perf/report.hpp"
 
 namespace dsm::svc {
+namespace {
+
+/// Parse all of `text` as a base-10 integer; "8x" and "" are rejected.
+template <typename T>
+bool parse_whole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 std::vector<JobSpec> make_trace(std::uint64_t seed, std::size_t count,
                                 const LoadMix& mix) {
@@ -47,7 +59,8 @@ std::vector<JobSpec> make_trace(std::uint64_t seed, std::size_t count,
     if (!mix.algos.empty()) {
       job.force_algo = mix.algos[rng.next() % mix.algos.size()];
     }
-    job.validate();
+    const Status valid = job.validate_status();
+    if (!valid.ok()) throw Error(valid);
     jobs.push_back(job);
   }
   return jobs;
@@ -86,89 +99,84 @@ std::string trace_to_text(std::span<const JobSpec> jobs) {
   return os.str();
 }
 
-std::vector<JobSpec> trace_from_text(const std::string& text) {
+Result<std::vector<JobSpec>> trace_from_text(const std::string& text) {
   std::vector<JobSpec> jobs;
   std::istringstream lines(text);
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(lines, line)) {
     ++lineno;
+    const auto bad = [&](const std::string& why) {
+      return Status::invalid_argument("trace line " + std::to_string(lineno) +
+                                      ": " + why);
+    };
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
     JobSpec j;
-    std::string dist, algo, model, radix;
-    if (!(fields >> j.id)) continue;  // blank / comment-only line
+    std::string id, dist, algo, model, radix;
+    if (!(fields >> id)) continue;  // blank / comment-only line
+    if (!parse_whole(id, &j.id)) return bad("bad id: " + id);
     if (!(fields >> j.n >> j.nprocs >> dist >> j.seed >> algo >> model >>
           radix)) {
-      throw Error("trace line " + std::to_string(lineno) +
-                  ": expected 8 fields: " + line);
+      return bad("expected 8 fields: " + line);
     }
     std::string deadline, priority;
     if (fields >> deadline) {
       if (!(fields >> priority)) {
-        throw Error("trace line " + std::to_string(lineno) +
-                    ": deadline_us without priority: " + line);
+        return bad("deadline_us without priority: " + line);
       }
     }
     std::string record;
     fields >> record;
     std::string extra;
-    if (fields >> extra) {
-      throw Error("trace line " + std::to_string(lineno) +
-                  ": trailing field: " + extra);
+    if (fields >> extra) return bad("trailing field: " + extra);
+    const Result<keys::Dist> d = keys::try_dist_from_name(dist);
+    if (!d.ok()) return bad(d.status().message());
+    j.dist = d.value();
+    if (algo != "-") {
+      const Result<sort::Algo> a = sort::try_algo_from_name(algo);
+      if (!a.ok()) return bad(a.status().message());
+      j.force_algo = a.value();
     }
-    j.dist = keys::dist_from_name(dist);
-    if (algo != "-") j.force_algo = sort::algo_from_name(algo);
-    if (model != "-") j.force_model = sort::model_from_name(model);
+    if (model != "-") {
+      const Result<sort::Model> m = sort::try_model_from_name(model);
+      if (!m.ok()) return bad(m.status().message());
+      j.force_model = m.value();
+    }
     if (radix != "-") {
-      try {
-        j.force_radix_bits = std::stoi(radix);
-      } catch (...) {
-        throw Error("trace line " + std::to_string(lineno) +
-                    ": bad radix: " + radix);
-      }
+      int r = 0;
+      if (!parse_whole(radix, &r)) return bad("bad radix: " + radix);
+      j.force_radix_bits = r;
     }
-    if (!deadline.empty() && deadline != "-") {
-      try {
-        j.deadline_us = std::stoull(deadline);
-      } catch (...) {
-        throw Error("trace line " + std::to_string(lineno) +
-                    ": bad deadline_us: " + deadline);
-      }
+    if (!deadline.empty() && deadline != "-" &&
+        !parse_whole(deadline, &j.deadline_us)) {
+      return bad("bad deadline_us: " + deadline);
     }
-    if (!priority.empty() && priority != "-") {
-      try {
-        j.priority = std::stoi(priority);
-      } catch (...) {
-        throw Error("trace line " + std::to_string(lineno) +
-                    ": bad priority: " + priority);
-      }
+    if (!priority.empty() && priority != "-" &&
+        !parse_whole(priority, &j.priority)) {
+      return bad("bad priority: " + priority);
     }
     if (!record.empty() && record != "-") {
       const Result<keys::RecordType> r = keys::record_from_name(record);
-      if (!r.ok()) {
-        throw Error("trace line " + std::to_string(lineno) + ": " +
-                    r.status().message());
-      }
+      if (!r.ok()) return bad(r.status().message());
       j.record = r.value();
     }
-    j.validate();
+    const Status valid = j.validate_status();
+    if (!valid.ok()) return bad(valid.message());
     jobs.push_back(std::move(j));
   }
   return jobs;
 }
 
-void write_trace(const std::string& path, std::span<const JobSpec> jobs) {
-  write_file_atomic(path, trace_to_text(jobs));
+Status write_trace(const std::string& path, std::span<const JobSpec> jobs) {
+  return try_write_file_atomic(path, trace_to_text(jobs));
 }
 
-std::vector<JobSpec> read_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open trace: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return trace_from_text(buf.str());
+Result<std::vector<JobSpec>> read_trace(const std::string& path) {
+  Result<std::string> text = try_read_file(path);
+  if (!text.ok()) return text.status();
+  return trace_from_text(*text);
 }
 
 }  // namespace dsm::svc

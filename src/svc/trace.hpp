@@ -48,14 +48,18 @@ struct LoadMix {
 };
 
 /// Generate `count` jobs deterministically from `seed` over `mix`.
-/// Job ids are 0..count-1 in arrival order.
+/// Job ids are 0..count-1 in arrival order. Throws Error(kInvalidArgument)
+/// when the mix yields an invalid job (e.g. fewer keys than processes).
 std::vector<JobSpec> make_trace(std::uint64_t seed, std::size_t count,
                                 const LoadMix& mix);
 
 std::string trace_to_text(std::span<const JobSpec> jobs);
-std::vector<JobSpec> trace_from_text(const std::string& text);
+/// kInvalidArgument naming the first bad line; never throws.
+Result<std::vector<JobSpec>> trace_from_text(const std::string& text);
 
-void write_trace(const std::string& path, std::span<const JobSpec> jobs);
-std::vector<JobSpec> read_trace(const std::string& path);
+/// Atomic publish; kIoError on failure.
+Status write_trace(const std::string& path, std::span<const JobSpec> jobs);
+/// kIoError when `path` cannot be read, else trace_from_text's result.
+Result<std::vector<JobSpec>> read_trace(const std::string& path);
 
 }  // namespace dsm::svc

@@ -4,8 +4,11 @@
 // blobs. The text grammar is deliberately tiny: whitespace-separated
 // tokens, integers in decimal, doubles in hexfloat (so they round-trip
 // bit-exactly — the calibration-identity guarantee depends on it), and
-// strings as netstrings ("<len>:<bytes>", binary-safe). Malformed input
-// always surfaces as StatusError(kCorruptJournal), never UB.
+// strings as netstrings ("<len>:<bytes>", binary-safe). The cluster
+// frame codec reuses the grammar. Malformed input throws dsm::Error
+// carrying the Parser's corruption status (kCorruptJournal, or
+// kCorruptFrame on a socket), never UB; each public decoder runs its
+// parse through wire::decode, the one place that throw becomes a Result.
 #pragma once
 
 #include <cerrno>
@@ -13,6 +16,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/status.hpp"
 
@@ -47,10 +51,13 @@ inline std::uint32_t get_u32le(const unsigned char* p) {
 }
 
 /// Whitespace-token / netstring parser over one payload. Every
-/// malformation throws StatusError(kCorruptJournal).
+/// malformation throws Error(corrupt("<what>: <why>")).
 class Parser {
  public:
-  explicit Parser(const std::string& s) : s_(s) {}
+  explicit Parser(const std::string& s,
+                  Status (*corrupt)(std::string) = &Status::corrupt_journal,
+                  const char* what = "durability payload")
+      : s_(s), corrupt_(corrupt), what_(what) {}
 
   std::string tok() {
     skip_ws();
@@ -106,6 +113,14 @@ class Parser {
     return s_.substr(pos_, p - pos_);
   }
 
+  /// The value of a name lookup (algorithm, status code, ...); an unknown
+  /// name is this payload's corruption.
+  template <typename T>
+  T must(Result<T> r) {
+    if (!r.ok()) fail(r.status().message());
+    return std::move(r).value();
+  }
+
   std::string str() {
     skip_ws();
     std::size_t len = 0;
@@ -129,11 +144,25 @@ class Parser {
     while (pos_ < s_.size() && s_[pos_] == ' ') ++pos_;
   }
   [[noreturn]] void fail(const std::string& why) {
-    throw StatusError(Status::corrupt_journal("durability payload: " + why));
+    throw Error(corrupt_(std::string(what_) + ": " + why));
   }
 
   const std::string& s_;
+  Status (*corrupt_)(std::string);
+  const char* what_;
   std::size_t pos_ = 0;
 };
+
+/// Run a throwing parse and return its value, or the Status it threw: the
+/// boundary where every public decoder turns a Parser failure into a
+/// Result.
+template <typename Parse>
+auto decode(Parse parse) -> Result<decltype(parse())> {
+  try {
+    return parse();
+  } catch (const Error& e) {
+    return e.status();
+  }
+}
 
 }  // namespace dsm::svc::wire

@@ -85,7 +85,7 @@ TEST(JsonEscape, HostileStringSurvivesAtomicFileRoundTrip) {
       "fault at \"phase:\\local_sort\"\n\tcode=\x02" +
       std::string(1, '\0') + "end";
   const std::string doc = "{\"error\": \"" + json_escape(hostile) + "\"}";
-  write_file_atomic(path, doc);
+  ASSERT_TRUE(try_write_file_atomic(path, doc).ok());
   Result<std::string> back = try_read_file(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, doc);

@@ -1,6 +1,6 @@
-// dsm::Status / dsm::Result<T>: the typed failure surface of the v2 API.
-// Retryability is fixed per code, Result enforces its arms, and
-// StatusError stays catchable as a plain dsm::Error.
+// dsm::Status / dsm::Result<T> / dsm::Error: the typed failure surface.
+// Retryability is fixed per code, Result enforces its arms, and the one
+// exception type carries the Status it was thrown with.
 #include "common/status.hpp"
 
 #include <gtest/gtest.h>
@@ -55,28 +55,31 @@ TEST(Status, EqualityComparesAllFields) {
 }
 
 TEST(Status, CodeNamesCoverEveryCode) {
-  for (const StatusCode c :
-       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kInfeasible,
-        StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-        StatusCode::kResourceExhausted, StatusCode::kUnavailable,
-        StatusCode::kFaultInjected, StatusCode::kIoError,
-        StatusCode::kCorruptJournal, StatusCode::kQuarantined,
-        StatusCode::kInternal}) {
+  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
+    const auto c = static_cast<StatusCode>(i);
     EXPECT_STRNE(status_code_name(c), "?");
+    EXPECT_EQ(status_code_from_name(status_code_name(c)).value(), c);
   }
+  const Result<StatusCode> bad = status_code_from_name("bogus");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "unknown status code: bogus");
 }
 
-TEST(StatusError, IsCatchableAsError) {
+TEST(Error, CarriesTypedStatus) {
   try {
-    throw StatusError(Status::cancelled("stop"));
-  } catch (const Error& e) {  // v1 catch sites keep working
-    EXPECT_EQ(std::string(e.what()), "stop");
-  }
-  try {
-    throw StatusError(Status::io_error("disk"));
-  } catch (const StatusError& e) {  // v2 catch sites see the code
+    throw Error(Status::io_error("disk"));
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "disk");
     EXPECT_EQ(e.status().code(), StatusCode::kIoError);
     EXPECT_TRUE(e.status().retryable());
+  }
+  // A bare message, like every DSM_REQUIRE / DSM_CHECK, is kInternal.
+  try {
+    DSM_REQUIRE(false, "boom");
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(e.status().message(), e.what());
   }
 }
 

@@ -28,7 +28,7 @@ void expect_bit_identical(const SortResult& a, const SortResult& b) {
 
 SortResult run_with(SortSpec spec, SpmdEngine engine) {
   spec.engine = engine;
-  return run_sort(spec);
+  return try_run_sort(spec).value();
 }
 
 TEST(EngineEquivalence, RadixAllModelsAllTeamSizes) {

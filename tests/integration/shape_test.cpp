@@ -20,7 +20,7 @@ SortResult run(Algo a, Model m, int p, Index n, int radix = 8,
   spec.n = n;
   spec.radix_bits = radix;
   spec.dist = d;
-  return run_sort(spec);
+  return try_run_sort(spec).value();
 }
 
 TEST(Shape, ClockCategoriesSumToTotal) {
@@ -40,9 +40,9 @@ TEST(Shape, DirectMpiBeatsStagedMpiOnRadix) {
   spec.nprocs = 16;
   spec.n = 1 << 18;
   spec.ablations.mpi_impl = msg::Impl::kDirect;
-  const double direct = run_sort(spec).elapsed_ns;
+  const double direct = try_run_sort(spec).value().elapsed_ns;
   spec.ablations.mpi_impl = msg::Impl::kStaged;
-  const double staged = run_sort(spec).elapsed_ns;
+  const double staged = try_run_sort(spec).value().elapsed_ns;
   EXPECT_GT(staged, 1.1 * direct);
 }
 
@@ -56,9 +56,9 @@ TEST(Shape, StagedGapSmallerForSampleSort) {
     spec.nprocs = 16;
     spec.n = 1 << 18;
     spec.ablations.mpi_impl = msg::Impl::kDirect;
-    const double direct = run_sort(spec).elapsed_ns;
+    const double direct = try_run_sort(spec).value().elapsed_ns;
     spec.ablations.mpi_impl = msg::Impl::kStaged;
-    return run_sort(spec).elapsed_ns / direct;
+    return try_run_sort(spec).value().elapsed_ns / direct;
   };
   EXPECT_GT(gap(Algo::kRadix), gap(Algo::kSample));
 }
@@ -209,7 +209,7 @@ TEST(Shape, SampleSortBalancesDuplicateHeavyData) {
   spec.nprocs = 16;
   spec.n = 1 << 18;
   spec.dist = keys::Dist::kZero;
-  const SortResult res = run_sort(spec);
+  const SortResult res = try_run_sort(spec).value();
   EXPECT_LT(res.imbalance(), 1.5);
 }
 
@@ -222,7 +222,7 @@ TEST(Shape, MoreSamplesImproveBalance) {
     spec.n = 1 << 17;
     spec.dist = keys::Dist::kRandom;
     spec.ablations.sample_count = samples;
-    return run_sort(spec).imbalance();
+    return try_run_sort(spec).value().imbalance();
   };
   EXPECT_LT(imbalance_with(256), imbalance_with(8));
   EXPECT_LT(imbalance_with(256), 1.2);

@@ -45,7 +45,7 @@ TEST_P(PredictorAccuracy, TracksSimulatorWithin40Percent) {
   const int radix = algo == Algo::kRadix ? 8 : 11;
   const SortSpec spec = make(algo, model, p, n, radix);
   const double predicted = predict(spec).total_ns;
-  const double simulated = sort::run_sort(spec).elapsed_ns;
+  const double simulated = sort::try_run_sort(spec).value().elapsed_ns;
   EXPECT_LT(rel_err(predicted, simulated), 0.40)
       << "predicted " << predicted / 1e3 << " us vs simulated "
       << simulated / 1e3 << " us";
@@ -121,17 +121,23 @@ TEST(Predictor, BestAgreesWithSimulatorOnAlgorithm) {
     for (const Model m : {Model::kCcSas, Model::kCcSasNew, Model::kMpi,
                           Model::kShmem}) {
       if (m == Model::kCcSasNew) {
-        best_sim_radix = std::min(
-            best_sim_radix,
-            sort::run_sort(make(Algo::kRadix, m, p, n, r)).elapsed_ns);
+        best_sim_radix =
+            std::min(best_sim_radix,
+                     sort::try_run_sort(make(Algo::kRadix, m, p, n, r))
+                         .value()
+                         .elapsed_ns);
         continue;
       }
-      best_sim_radix = std::min(
-          best_sim_radix,
-          sort::run_sort(make(Algo::kRadix, m, p, n, r)).elapsed_ns);
-      best_sim_sample = std::min(
-          best_sim_sample,
-          sort::run_sort(make(Algo::kSample, m, p, n, r)).elapsed_ns);
+      best_sim_radix =
+          std::min(best_sim_radix,
+                   sort::try_run_sort(make(Algo::kRadix, m, p, n, r))
+                       .value()
+                       .elapsed_ns);
+      best_sim_sample =
+          std::min(best_sim_sample,
+                   sort::try_run_sort(make(Algo::kSample, m, p, n, r))
+                       .value()
+                       .elapsed_ns);
     }
   }
   const Algo sim_winner =

@@ -106,7 +106,7 @@ TEST(SortPhases, RadixPhasesCoverTotal) {
   spec.model = sort::Model::kShmem;
   spec.nprocs = 4;
   spec.n = 1 << 14;
-  const auto res = sort::run_sort(spec);
+  const auto res = sort::try_run_sort(spec).value();
   ASSERT_FALSE(res.phases.empty());
   double sum = 0;
   for (const auto& [name, b] : res.phases) sum += b.total_ns();
@@ -133,7 +133,7 @@ TEST(SortPhases, SamplePhasesIncludeTwoLocalSorts) {
   spec.model = sort::Model::kCcSas;
   spec.nprocs = 4;
   spec.n = 1 << 14;
-  const auto res = sort::run_sort(spec);
+  const auto res = sort::try_run_sort(spec).value();
   std::vector<std::string> names;
   for (const auto& [name, b] : res.phases) names.push_back(name);
   EXPECT_NE(std::find(names.begin(), names.end(), "local sort 1"), names.end());
@@ -151,7 +151,7 @@ TEST(SortPhases, LocalSortsDominateSampleSort) {
   spec.nprocs = 8;
   spec.n = 1 << 19;
   spec.radix_bits = 11;
-  const auto res = sort::run_sort(spec);
+  const auto res = sort::try_run_sort(spec).value();
   double sorts = 0, total = 0;
   for (const auto& [name, b] : res.phases) {
     total += b.total_ns();

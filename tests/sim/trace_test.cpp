@@ -99,7 +99,7 @@ TEST(Trace, RunSortWritesJsonTrace) {
   spec.nprocs = 4;
   spec.n = 1 << 12;
   spec.trace_json_path = path;
-  const auto res = sort::run_sort(spec);
+  const auto res = sort::try_run_sort(spec).value();
   EXPECT_TRUE(res.verified);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -135,10 +135,10 @@ class FullAlgoSortBackend
 
 TEST_P(FullAlgoSortBackend, ElapsedPhasesAndOutputBitIdentical) {
   const auto [algo, model, record, dist] = GetParam();
-  const auto ref = run_sort(
-      full_spec(algo, model, dist, record, KernelBackend::kReference));
-  const auto opt = run_sort(
-      full_spec(algo, model, dist, record, KernelBackend::kOptimized));
+  const auto ref = try_run_sort(
+      full_spec(algo, model, dist, record, KernelBackend::kReference)).value();
+  const auto opt = try_run_sort(
+      full_spec(algo, model, dist, record, KernelBackend::kOptimized)).value();
   EXPECT_TRUE(ref.verified);
   EXPECT_TRUE(opt.verified);
   EXPECT_EQ(ref.output, opt.output);
@@ -188,13 +188,13 @@ TEST(RecordObliviousCharging, Kv32ChargesBitIdenticalToU32ForNewAlgos) {
   for (const Algo algo : {Algo::kMsdRadix, Algo::kMergesort}) {
     for (const Model model : {Model::kCcSas, Model::kMpi, Model::kShmem}) {
       const auto u32 =
-          run_sort(full_spec(algo, model, keys::Dist::kZipf,
+          try_run_sort(full_spec(algo, model, keys::Dist::kZipf,
                              keys::RecordType::kU32,
-                             KernelBackend::kOptimized));
+                             KernelBackend::kOptimized)).value();
       const auto kv32 =
-          run_sort(full_spec(algo, model, keys::Dist::kZipf,
+          try_run_sort(full_spec(algo, model, keys::Dist::kZipf,
                              keys::RecordType::kKeyPayload32,
-                             KernelBackend::kOptimized));
+                             KernelBackend::kOptimized)).value();
       EXPECT_EQ(u32.elapsed_ns, kv32.elapsed_ns)
           << algo_name(algo) << "/" << model_name(model);
       EXPECT_EQ(u32.output, kv32.output)

@@ -92,7 +92,7 @@ SortResult run_full(Algo algo, Model model, keys::Dist dist, Index n,
   spec.radix_bits = 11;
   spec.dist = dist;
   spec.keep_output = true;
-  return run_sort(spec);
+  return try_run_sort(spec).value();
 }
 
 class FullAlgoSort
@@ -163,7 +163,7 @@ TEST(FullAlgoSortEdges, CcSasNewStaysRadixOnly) {
 
 TEST(AlgoRegistry, NamesRoundTripAndRadixKnobApplies) {
   for (const auto& e : kAlgoNames) {
-    EXPECT_EQ(algo_from_name(e.name), e.value);
+    EXPECT_EQ(try_algo_from_name(e.name).value(), e.value);
     EXPECT_STREQ(algo_name(e.value), e.name);
   }
   EXPECT_FALSE(try_algo_from_name("quicksort").ok());

@@ -1,5 +1,5 @@
 // Exact-output tests: beyond the checksum/sortedness verification built
-// into run_sort, these regenerate the input independently and require the
+// into try_run_sort, these regenerate the input independently and require the
 // parallel output to equal std::sort's result element for element.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@ namespace dsm::sort {
 namespace {
 
 std::vector<Key> reference_sorted(const SortSpec& spec) {
-  // Regenerate the global key sequence exactly as run_sort's driver does
+  // Regenerate the global key sequence exactly as try_run_sort's driver does
   // (per-partition generation), then sort it with the standard library.
   std::vector<Key> all(spec.n);
   const sas::HomeMap homes(spec.n, spec.nprocs);
@@ -65,7 +65,7 @@ TEST_P(ExactEquality, OutputEqualsStdSort) {
   spec.dist = c.dist;
   spec.seed = 424242;
   spec.keep_output = true;
-  const SortResult res = run_sort(spec);
+  const SortResult res = try_run_sort(spec).value();
   ASSERT_EQ(res.output.size(), spec.n);
   EXPECT_EQ(res.output, reference_sorted(spec));
 }
@@ -97,11 +97,11 @@ TEST(ExactEquality, AblationVariantsMatchStdSort) {
   spec.keep_output = true;
 
   spec.ablations.mpi_impl = msg::Impl::kStaged;
-  EXPECT_EQ(run_sort(spec).output, reference_sorted(spec));
+  EXPECT_EQ(try_run_sort(spec).value().output, reference_sorted(spec));
 
   spec.ablations.mpi_impl = msg::Impl::kDirect;
   spec.ablations.mpi_chunk_messages = false;
-  EXPECT_EQ(run_sort(spec).output, reference_sorted(spec));
+  EXPECT_EQ(try_run_sort(spec).value().output, reference_sorted(spec));
 
   SortSpec shspec;
   shspec.algo = Algo::kRadix;
@@ -111,7 +111,7 @@ TEST(ExactEquality, AblationVariantsMatchStdSort) {
   shspec.n = 20011;
   shspec.seed = 7;
   shspec.keep_output = true;
-  EXPECT_EQ(run_sort(shspec).output, reference_sorted(shspec));
+  EXPECT_EQ(try_run_sort(shspec).value().output, reference_sorted(shspec));
 }
 
 TEST(ExactEquality, KeepOutputOffLeavesOutputEmpty) {
@@ -120,7 +120,7 @@ TEST(ExactEquality, KeepOutputOffLeavesOutputEmpty) {
   spec.model = Model::kShmem;
   spec.nprocs = 4;
   spec.n = 1 << 12;
-  EXPECT_TRUE(run_sort(spec).output.empty());
+  EXPECT_TRUE(try_run_sort(spec).value().output.empty());
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ SortResult run_with_backend(Algo algo, Model model, KernelBackend be,
   spec.dist = keys::Dist::kGauss;
   spec.keep_output = true;
   spec.kernel_backend = be;
-  return run_sort(spec);
+  return try_run_sort(spec).value();
 }
 
 class FullSortBackend
@@ -205,9 +205,9 @@ TEST(WorkerExchangeWc, CcSasScatterChargesAndOutputBitIdentical) {
     spec.dist = keys::Dist::kGauss;
     spec.keep_output = true;
     spec.kernel_backend = KernelBackend::kReference;
-    const auto ref = run_sort(spec);
+    const auto ref = try_run_sort(spec).value();
     spec.kernel_backend = KernelBackend::kOptimized;
-    const auto opt = run_sort(spec);
+    const auto opt = try_run_sort(spec).value();
     EXPECT_EQ(ref.output, opt.output) << model_name(model);
     EXPECT_EQ(ref.elapsed_ns, opt.elapsed_ns) << model_name(model);
     ASSERT_EQ(ref.per_proc.size(), opt.per_proc.size());
@@ -230,7 +230,7 @@ SortResult run_with_jobs(Algo algo, Model model, int kernel_jobs) {
   spec.dist = keys::Dist::kGauss;
   spec.keep_output = true;
   spec.kernel_jobs = kernel_jobs;
-  return run_sort(spec);
+  return try_run_sort(spec).value();
 }
 
 TEST(ThreadedKernelJobs, ChargesAndOutputInvariantAcrossJobCounts) {

@@ -133,7 +133,7 @@ TEST(MaxKeyDetection, FullWidthKeysKeepFullPassCount) {
   spec.nprocs = 4;
   spec.n = 1 << 14;
   spec.ablations.detect_max_key = true;  // gauss keys span the full 31 bits
-  const SortResult res = run_sort(spec);
+  const SortResult res = try_run_sort(spec).value();
   EXPECT_TRUE(res.verified);
   EXPECT_EQ(res.passes, radix_passes(spec.radix_bits));
 }
@@ -146,9 +146,9 @@ TEST(MaxKeyDetection, DetectionCostsACollective) {
   spec.model = Model::kMpi;
   spec.nprocs = 8;
   spec.n = 1 << 14;
-  const double plain = run_sort(spec).elapsed_ns;
+  const double plain = try_run_sort(spec).value().elapsed_ns;
   spec.ablations.detect_max_key = true;
-  const double detected = run_sort(spec).elapsed_ns;
+  const double detected = try_run_sort(spec).value().elapsed_ns;
   EXPECT_GT(detected, plain);
 }
 
@@ -161,7 +161,7 @@ TEST(MaxKeyDetection, AllModelsVerifyThroughRunSort) {
     spec.nprocs = 6;
     spec.n = 20011;
     spec.ablations.detect_max_key = true;
-    EXPECT_TRUE(run_sort(spec).verified) << model_name(m);
+    EXPECT_TRUE(try_run_sort(spec).value().verified) << model_name(m);
   }
 }
 

@@ -1,7 +1,7 @@
 // The correctness matrix: every {algorithm x model x distribution x radix
 // size x process count} combination must produce a sorted permutation of
-// its input. run_sort() itself verifies (checksum + global sortedness) and
-// throws on failure, so each case only needs to complete.
+// its input. try_run_sort itself verifies (checksum + global sortedness)
+// and .value() throws on failure, so each case only needs to complete.
 #include <gtest/gtest.h>
 
 #include "sort/sort_api.hpp"
@@ -45,7 +45,7 @@ TEST_P(SortMatrix, SortsCorrectly) {
   spec.radix_bits = c.radix_bits;
   spec.dist = c.dist;
   spec.seed = 12345;
-  const SortResult res = run_sort(spec);
+  const SortResult res = try_run_sort(spec).value();
   EXPECT_TRUE(res.verified);
   EXPECT_EQ(res.per_proc.size(), static_cast<std::size_t>(c.nprocs));
 }
@@ -145,9 +145,9 @@ TEST(SortAblations, StagedMpiSortsCorrectly) {
   spec.ablations.mpi_impl = msg::Impl::kStaged;
   spec.nprocs = 4;
   spec.n = 1 << 14;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
   spec.algo = Algo::kSample;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 TEST(SortAblations, CoalescedMessagesSortCorrectly) {
@@ -157,7 +157,7 @@ TEST(SortAblations, CoalescedMessagesSortCorrectly) {
   spec.ablations.mpi_chunk_messages = false;  // NAS-IS style
   spec.nprocs = 6;
   spec.n = 1 << 14;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 TEST(SortAblations, ShmemPutSortsCorrectly) {
@@ -167,7 +167,7 @@ TEST(SortAblations, ShmemPutSortsCorrectly) {
   spec.ablations.shmem_use_put = true;
   spec.nprocs = 4;
   spec.n = 1 << 14;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 TEST(SortAblations, SplitterGroupSizes) {
@@ -178,7 +178,7 @@ TEST(SortAblations, SplitterGroupSizes) {
     spec.ablations.sample_group_size = g;
     spec.nprocs = 8;
     spec.n = 1 << 13;
-    EXPECT_TRUE(run_sort(spec).verified) << "group size " << g;
+    EXPECT_TRUE(try_run_sort(spec).value().verified) << "group size " << g;
   }
 }
 
@@ -189,7 +189,7 @@ TEST(SortAblations, SmallSampleCount) {
   spec.ablations.sample_count = 4;
   spec.nprocs = 8;
   spec.n = 1 << 13;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 TEST(SortEdges, MinimumKeysPerProcess) {
@@ -198,7 +198,7 @@ TEST(SortEdges, MinimumKeysPerProcess) {
   spec.model = Model::kMpi;
   spec.nprocs = 4;
   spec.n = 4;  // one key each
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 TEST(SortEdges, SampleSortFewKeysManySamples) {
@@ -207,7 +207,7 @@ TEST(SortEdges, SampleSortFewKeysManySamples) {
   spec.model = Model::kMpi;
   spec.nprocs = 4;
   spec.n = 64;  // 16 keys/proc < 128 samples: sampling repeats
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 TEST(SortEdges, SixteenProcs) {
@@ -216,10 +216,10 @@ TEST(SortEdges, SixteenProcs) {
   spec.model = Model::kShmem;
   spec.nprocs = 16;
   spec.n = 1 << 14;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
   spec.algo = Algo::kSample;
   spec.model = Model::kCcSas;
-  EXPECT_TRUE(run_sort(spec).verified);
+  EXPECT_TRUE(try_run_sort(spec).value().verified);
 }
 
 }  // namespace

@@ -190,7 +190,7 @@ TEST(RecordSort, Kv32VerifiedStableAcrossEveryAlgoModel) {
   for (const auto& [a, m] : kAlgoModelMatrix) {
     SortSpec spec = base_spec(a, m);
     spec.record = RecordType::kKeyPayload32;
-    const SortResult res = sort::run_sort(spec);
+    const SortResult res = sort::try_run_sort(spec).value();
     EXPECT_TRUE(res.verified) << sort::algo_name(a) << "/"
                               << sort::model_name(m);
     EXPECT_EQ(res.record, RecordType::kKeyPayload32);
@@ -212,8 +212,8 @@ TEST(RecordSort, Kv32VerifiedStableAcrossEveryAlgoModel) {
 }
 
 TEST(RecordSort, U32LeavesPayloadLaneEmpty) {
-  const SortResult res = sort::run_sort(base_spec(Algo::kRadix,
-                                                  Model::kCcSas));
+  const SortResult res = sort::try_run_sort(base_spec(Algo::kRadix,
+                                                  Model::kCcSas)).value();
   EXPECT_TRUE(res.verified);
   EXPECT_EQ(res.record, RecordType::kU32);
   EXPECT_EQ(res.output.size(), 40000u);
@@ -229,8 +229,8 @@ TEST(RecordSort, ChargingIsRecordOblivious) {
     SortSpec u32 = base_spec(a, m, 20000);
     SortSpec kv = u32;
     kv.record = RecordType::kKeyPayload32;
-    const SortResult ru = sort::run_sort(u32);
-    const SortResult rk = sort::run_sort(kv);
+    const SortResult ru = sort::try_run_sort(u32).value();
+    const SortResult rk = sort::try_run_sort(kv).value();
     EXPECT_EQ(ru.elapsed_ns, rk.elapsed_ns)
         << sort::algo_name(a) << "/" << sort::model_name(m);
     EXPECT_EQ(ru.output, rk.output)
@@ -256,7 +256,7 @@ TEST(RecordSort, Kv32AcrossSkewedDistributions) {
       SortSpec spec = base_spec(a, m, 30000);
       spec.dist = d;
       spec.record = RecordType::kKeyPayload32;
-      const SortResult res = sort::run_sort(spec);
+      const SortResult res = sort::try_run_sort(spec).value();
       EXPECT_TRUE(res.verified)
           << keys::dist_name(d) << " " << sort::algo_name(a) << "/"
           << sort::model_name(m);
@@ -274,7 +274,7 @@ TEST(RecordSort, SkewedDistributionsSortUnderU32Too) {
   for (const keys::Dist d : keys::kSkewDists) {
     SortSpec spec = base_spec(Algo::kSample, Model::kCcSas, 30000);
     spec.dist = d;
-    const SortResult res = sort::run_sort(spec);
+    const SortResult res = sort::try_run_sort(spec).value();
     EXPECT_TRUE(res.verified) << keys::dist_name(d);
     EXPECT_TRUE(std::is_sorted(res.output.begin(), res.output.end()))
         << keys::dist_name(d);

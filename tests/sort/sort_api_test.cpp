@@ -15,30 +15,30 @@ namespace {
 TEST(SortSpec, Validation) {
   SortSpec s;
   s.nprocs = 0;
-  EXPECT_THROW(s.validate(), Error);
+  EXPECT_EQ(s.validate_status().code(), StatusCode::kInvalidArgument);
 
   s = SortSpec();
   s.n = 2;
   s.nprocs = 4;  // fewer keys than procs
-  EXPECT_THROW(s.validate(), Error);
+  EXPECT_EQ(s.validate_status().code(), StatusCode::kInvalidArgument);
 
   s = SortSpec();
   s.radix_bits = 0;
-  EXPECT_THROW(s.validate(), Error);
+  EXPECT_EQ(s.validate_status().code(), StatusCode::kInvalidArgument);
 
   s = SortSpec();
   s.algo = Algo::kSample;
   s.model = Model::kCcSasNew;  // radix-only variant
-  EXPECT_THROW(s.validate(), Error);
+  EXPECT_EQ(s.validate_status().code(), StatusCode::kInvalidArgument);
 
   s = SortSpec();
   s.ablations.sample_count = 0;
-  EXPECT_THROW(s.validate(), Error);
+  EXPECT_EQ(s.validate_status().code(), StatusCode::kInvalidArgument);
 
   s = SortSpec();
   s.n = 1 << 12;
   s.nprocs = 2;
-  EXPECT_NO_THROW(s.validate());
+  EXPECT_TRUE(s.validate_status().ok());
 }
 
 TEST(SortSpec, ResolvedMachineFollowsPaperPages) {
@@ -58,9 +58,10 @@ TEST(Names, RoundTrip) {
   EXPECT_STREQ(algo_name(Algo::kSample), "sample");
   for (const Model m : {Model::kCcSas, Model::kCcSasNew, Model::kMpi,
                         Model::kShmem}) {
-    EXPECT_EQ(model_from_name(model_name(m)), m);
+    EXPECT_EQ(try_model_from_name(model_name(m)).value(), m);
   }
-  EXPECT_THROW(model_from_name("bogus"), Error);
+  EXPECT_EQ(try_model_from_name("bogus").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SeqBaseline, PositiveAndScalesWithN) {
@@ -186,14 +187,17 @@ TEST(TryRunSort, ThrowingHookBecomesInternalAndLibraryStaysUsable) {
   EXPECT_TRUE(try_run_sort(s).ok());
 }
 
-TEST(RunSort, ThrowingWrapperRaisesStatusError) {
+TEST(TryRunSort, ValueOnErrorThrowsErrorCarryingTheStatus) {
   SortSpec s;
   s.nprocs = 0;
+  const Status want = try_run_sort(s).status();
   try {
-    (void)run_sort(s);
-    FAIL() << "expected StatusError";
-  } catch (const StatusError& e) {
+    (void)try_run_sort(s).value();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), want);
     EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(std::string(e.what()), want.message());
   }
 }
 
@@ -203,7 +207,7 @@ TEST(RunSort, ResultFieldsPopulated) {
   s.model = Model::kShmem;
   s.nprocs = 4;
   s.n = 1 << 12;
-  const SortResult res = run_sort(s);
+  const SortResult res = try_run_sort(s).value();
   EXPECT_TRUE(res.verified);
   EXPECT_EQ(res.n, s.n);
   EXPECT_EQ(res.passes, 4);

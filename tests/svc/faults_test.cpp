@@ -334,7 +334,7 @@ TEST(Deadlines, MidRunOverrunAbortsAtAPhaseMark) {
         job.seed = seed;
         job.nprocs = nprocs;
         job.dist = d;
-        const Plan plan = planner.plan(job);
+        const Plan plan = planner.try_plan(job).value();
         sort::SortSpec spec;
         spec.algo = plan.algo;
         spec.model = plan.model;
@@ -343,7 +343,7 @@ TEST(Deadlines, MidRunOverrunAbortsAtAPhaseMark) {
         spec.nprocs = job.nprocs;
         spec.dist = job.dist;
         spec.seed = job.seed;
-        const double measured = sort::run_sort(spec).elapsed_ns;
+        const double measured = sort::try_run_sort(spec).value().elapsed_ns;
         // Need a gap wide enough for a microsecond-granular deadline to
         // sit strictly between prediction and reality: admitted (not
         // shed), then overtaken mid-run.

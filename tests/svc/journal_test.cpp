@@ -13,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/fsio.hpp"
 #include "common/status.hpp"
+#include "svc/wire.hpp"
 
 namespace dsm::svc {
 namespace {
@@ -61,7 +63,7 @@ TEST(JournalCodec, AdmitRoundTripsFullSpec) {
   r.type = RecordType::kAdmit;
   r.seq = 5;
   r.job = sample_job();
-  const JournalRecord back = decode_record(encode_record(r));
+  const JournalRecord back = decode_record(encode_record(r)).value();
   EXPECT_EQ(back.lsn, 9u);
   EXPECT_EQ(back.type, RecordType::kAdmit);
   EXPECT_EQ(back.seq, 5u);
@@ -91,7 +93,7 @@ TEST(JournalCodec, ReadmitCarriesCrashBookkeepingAndPlan) {
   r.job.crash_count = 1;
   r.job.crash_site = "execute:local sort";
   r.job.recovered_plan = sample_plan();
-  const JournalRecord back = decode_record(encode_record(r));
+  const JournalRecord back = decode_record(encode_record(r)).value();
   EXPECT_TRUE(back.readmit);
   EXPECT_EQ(back.job.crash_count, 1);
   EXPECT_EQ(back.job.crash_site, "execute:local sort");
@@ -106,7 +108,7 @@ TEST(JournalCodec, PlannedRoundTripsPlanBitExactly) {
   r.type = RecordType::kPlanned;
   r.seq = 1;
   r.plan = sample_plan();
-  const JournalRecord back = decode_record(encode_record(r));
+  const JournalRecord back = decode_record(encode_record(r)).value();
   const Plan& p = back.plan;
   const Plan want = sample_plan();
   EXPECT_EQ(p.algo, want.algo);
@@ -127,13 +129,13 @@ TEST(JournalCodec, AttemptRecordsRoundTrip) {
   s.type = RecordType::kAttemptStart;
   s.seq = 2;
   s.attempt = 1;
-  EXPECT_EQ(decode_record(encode_record(s)).attempt, 1);
+  EXPECT_EQ(decode_record(encode_record(s)).value().attempt, 1);
 
   JournalRecord m;
   m.type = RecordType::kMark;
   m.seq = 2;
   m.site = "local sort p3";
-  EXPECT_EQ(decode_record(encode_record(m)).site, "local sort p3");
+  EXPECT_EQ(decode_record(encode_record(m)).value().site, "local sort p3");
 
   JournalRecord a;
   a.type = RecordType::kAttemptResult;
@@ -141,7 +143,7 @@ TEST(JournalCodec, AttemptRecordsRoundTrip) {
   a.attempt = 0;
   a.attempt_result = {"FAULT_INJECTED: site \"keygen\"\nfor job", true,
                       1.5, 2};
-  const JournalRecord back = decode_record(encode_record(a));
+  const JournalRecord back = decode_record(encode_record(a)).value();
   EXPECT_EQ(back.attempt_result.error, a.attempt_result.error);
   EXPECT_TRUE(back.attempt_result.retryable);
   EXPECT_EQ(back.attempt_result.backoff_ms, 1.5);
@@ -166,7 +168,7 @@ TEST(JournalCodec, TerminalRoundTripsResultAndAttempts) {
   r.result.runner_measured_ns = 111222.25;
   r.result.plan_hit = true;
   r.result.final_fault_site = 1;
-  const JournalRecord back = decode_record(encode_record(r));
+  const JournalRecord back = decode_record(encode_record(r)).value();
   EXPECT_EQ(back.result.id, 42u);
   EXPECT_EQ(back.result.status, JobStatus::kFailed);
   EXPECT_EQ(back.result.error, r.result.error);
@@ -194,27 +196,25 @@ TEST(JournalCodec, QuarantineRoundTrips) {
   r.job = sample_job();
   r.crash_count = 2;
   r.site = "execute:keygen";
-  const JournalRecord back = decode_record(encode_record(r));
+  const JournalRecord back = decode_record(encode_record(r)).value();
   EXPECT_EQ(back.crash_count, 2);
   EXPECT_EQ(back.site, "execute:keygen");
   EXPECT_EQ(back.job.id, 42u);
 }
 
 TEST(JournalCodec, MalformedPayloadThrowsCorruptJournal) {
-  try {
-    decode_record("17 bogus-type 1");
-    FAIL() << "decode of unknown type must throw";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.status().code(), StatusCode::kCorruptJournal);
+  // The decoder returns the damage as a typed status; nothing is thrown.
+  for (const std::string bad : {"17 bogus-type 1", "", "not-a-number admit"}) {
+    const Result<JournalRecord> r = decode_record(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruptJournal) << bad;
   }
-  EXPECT_THROW(decode_record(""), StatusError);
-  EXPECT_THROW(decode_record("not-a-number admit"), StatusError);
 }
 
 TEST(JournalCodec, RecordTypeNamesRoundTrip) {
   for (int i = 0; i < kRecordTypeCount; ++i) {
     const RecordType t = static_cast<RecordType>(i);
-    EXPECT_EQ(record_type_from_name(record_type_name(t)), t);
+    EXPECT_EQ(record_type_from_name(record_type_name(t)).value(), t);
   }
 }
 
@@ -327,6 +327,29 @@ TEST(JournalReader, BitFlippedCrcStopsScanAsCorrupt) {
   const SegmentScan scan = read_segment(seg);
   EXPECT_EQ(scan.corrupt, 1u);
   EXPECT_TRUE(scan.records.empty());  // framing past damage is untrusted
+}
+
+TEST(JournalReader, CrcValidUnknownJobStatusIsCorruptNotAThrow) {
+  // Intact frame and CRC, but the payload names an unknown job status:
+  // damage like any other, reported in the scan, never thrown.
+  JournalRecord t;
+  t.lsn = 1;
+  t.type = RecordType::kTerminal;
+  t.seq = 3;
+  t.result.id = 42;
+  std::string payload = encode_record(t);
+  const std::string head = "1 terminal 3 42 ok ";
+  ASSERT_EQ(payload.rfind(head, 0), 0u) << payload;
+  payload.replace(0, head.size(), "1 terminal 3 42 bogus ");
+  std::string frame;
+  wire::put_u32le(frame, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u32le(frame, crc32(payload));
+  const std::string seg = ::testing::TempDir() + "/bogus-status.wal";
+  std::ofstream(seg, std::ios::binary | std::ios::trunc) << frame + payload;
+  SegmentScan scan;
+  ASSERT_NO_THROW(scan = read_segment(seg));
+  EXPECT_EQ(scan.corrupt, 1u);
+  EXPECT_TRUE(scan.records.empty());
 }
 
 TEST(JournalReader, ListSegmentsSortsByFirstLsn) {

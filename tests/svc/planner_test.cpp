@@ -30,7 +30,7 @@ TEST(Planner, ForcedDimensionsAreRespected) {
   j.force_algo = sort::Algo::kSample;
   j.force_model = sort::Model::kCcSas;
   j.force_radix_bits = 11;
-  const Plan p = planner.plan(j);
+  const Plan p = planner.try_plan(j).value();
   EXPECT_EQ(p.algo, sort::Algo::kSample);
   EXPECT_EQ(p.model, sort::Model::kCcSas);
   EXPECT_EQ(p.radix_bits, 11);
@@ -45,7 +45,7 @@ TEST(Planner, InfeasibleForcedComboThrowsNoFeasiblePlan) {
   j.force_algo = sort::Algo::kSample;
   j.force_model = sort::Model::kCcSasNew;  // radix-only model
   try {
-    (void)planner.plan(j);
+    (void)planner.try_plan(j).value();
     FAIL() << "expected no-feasible-plan error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("no feasible plan"),
@@ -61,7 +61,7 @@ TEST(Planner, UncalibratedPlanMatchesPredictBestForGauss) {
   for (const int nprocs : {16, 64}) {
     const Index n = Index{1} << 22;
     const perf::PredictedBest best = perf::predict_best(n, nprocs);
-    const Plan p = planner.plan(gauss_job(n, nprocs));
+    const Plan p = planner.try_plan(gauss_job(n, nprocs)).value();
     EXPECT_EQ(p.algo, best.algo) << "p=" << nprocs;
     EXPECT_EQ(p.model, best.model) << "p=" << nprocs;
     EXPECT_EQ(p.radix_bits, best.radix_bits) << "p=" << nprocs;
@@ -72,7 +72,7 @@ TEST(Planner, UncalibratedPlanMatchesPredictBestForGauss) {
 
 TEST(Planner, RunnerUpComesFromADifferentCell) {
   Planner planner;
-  const Plan p = planner.plan(gauss_job(1 << 20, 16));
+  const Plan p = planner.try_plan(gauss_job(1 << 20, 16)).value();
   ASSERT_TRUE(p.has_runner_up);
   EXPECT_TRUE(p.runner_algo != p.algo || p.runner_model != p.model);
   EXPECT_GE(p.runner_predicted_ns, p.predicted_ns);
@@ -83,7 +83,7 @@ TEST(Planner, ObservationsNudgeTheFactorGradually) {
   cfg.ewma_alpha = 0.25;
   Planner planner(cfg);
   const JobSpec j = gauss_job(1 << 18, 16);
-  const Plan p = planner.plan(j);
+  const Plan p = planner.try_plan(j).value();
   EXPECT_DOUBLE_EQ(planner.factor(p.algo, p.model), 1.0);
 
   // The factor eases from 1.0 toward the observed ratio — one outlier job
@@ -97,7 +97,7 @@ TEST(Planner, ObservationsNudgeTheFactorGradually) {
   EXPECT_EQ(planner.observations(p.algo, p.model), 2u);
 
   // The next plan for the same cell scales its estimate by the factor.
-  const Plan p2 = planner.plan(j);
+  const Plan p2 = planner.try_plan(j).value();
   if (p2.algo == p.algo && p2.model == p.model) {
     EXPECT_DOUBLE_EQ(p2.predicted_ns,
                      planner.factor(p.algo, p.model) * p2.predicted_raw_ns);
@@ -106,7 +106,7 @@ TEST(Planner, ObservationsNudgeTheFactorGradually) {
 
 TEST(Planner, EwmaConvergesOntoAStableBias) {
   Planner planner;  // default alpha
-  const Plan p = planner.plan(gauss_job(1 << 18, 16));
+  const Plan p = planner.try_plan(gauss_job(1 << 18, 16)).value();
   for (int i = 0; i < 200; ++i) {
     planner.observe(p, 1.5 * p.predicted_raw_ns);
   }
@@ -117,7 +117,7 @@ TEST(Planner, ObservationRatioIsClamped) {
   PlannerConfig cfg;
   cfg.ewma_alpha = 1.0;  // factor = clamped ratio, directly visible
   Planner planner(cfg);
-  const Plan p = planner.plan(gauss_job(1 << 18, 16));
+  const Plan p = planner.try_plan(gauss_job(1 << 18, 16)).value();
   planner.observe(p, 1e6 * p.predicted_raw_ns);
   EXPECT_DOUBLE_EQ(planner.factor(p.algo, p.model), 10.0);  // kMaxRatio
   planner.observe(p, 1e-6 * p.predicted_raw_ns);
@@ -129,12 +129,12 @@ TEST(Planner, CalibrationCanFlipTheChoiceToTheRunnerUp) {
   cfg.ewma_alpha = 1.0;
   Planner planner(cfg);
   const JobSpec j = gauss_job(1 << 20, 16);
-  const Plan before = planner.plan(j);
+  const Plan before = planner.try_plan(j).value();
   ASSERT_TRUE(before.has_runner_up);
   // Teach the planner that the winning cell is 10x slower than predicted:
   // its calibrated price must now lose to some other cell.
   planner.observe(before, 10.0 * before.predicted_raw_ns);
-  const Plan after = planner.plan(j);
+  const Plan after = planner.try_plan(j).value();
   EXPECT_TRUE(after.algo != before.algo || after.model != before.model);
 }
 
@@ -143,9 +143,9 @@ TEST(Planner, CalibrateSwitchOffPlansOnRawPredictions) {
   cfg.calibrate = false;
   Planner planner(cfg);
   const JobSpec j = gauss_job(1 << 20, 16);
-  const Plan before = planner.plan(j);
+  const Plan before = planner.try_plan(j).value();
   planner.observe(before, 10.0 * before.predicted_raw_ns);
-  const Plan after = planner.plan(j);
+  const Plan after = planner.try_plan(j).value();
   EXPECT_EQ(after.algo, before.algo);
   EXPECT_EQ(after.model, before.model);
   EXPECT_DOUBLE_EQ(after.predicted_ns, after.predicted_raw_ns);
@@ -181,9 +181,9 @@ TEST(Planner, SkewedJobsPickTheMatchingBackend) {
   Planner planner;
   JobSpec j = gauss_job(1 << 20, 16);
   j.dist = keys::Dist::kDup;
-  EXPECT_EQ(planner.plan(j).algo, sort::Algo::kMsdRadix);
+  EXPECT_EQ(planner.try_plan(j).value().algo, sort::Algo::kMsdRadix);
   j.dist = keys::Dist::kAlmostSorted;
-  EXPECT_EQ(planner.plan(j).algo, sort::Algo::kMergesort);
+  EXPECT_EQ(planner.try_plan(j).value().algo, sort::Algo::kMergesort);
 }
 
 TEST(Planner, ForcedNewBackendsPlanAndCcSasNewStaysRadixOnly) {
@@ -191,18 +191,19 @@ TEST(Planner, ForcedNewBackendsPlanAndCcSasNewStaysRadixOnly) {
   for (const sort::Algo a : {sort::Algo::kMsdRadix, sort::Algo::kMergesort}) {
     JobSpec j = gauss_job(1 << 18, 16);
     j.force_algo = a;
-    const Plan p = planner.plan(j);
+    const Plan p = planner.try_plan(j).value();
     EXPECT_EQ(p.algo, a);
     EXPECT_NE(p.model, sort::Model::kCcSasNew) << sort::algo_name(a);
     JobSpec bad = j;
     bad.force_model = sort::Model::kCcSasNew;
-    EXPECT_THROW((void)planner.plan(bad), Error) << sort::algo_name(a);
+    EXPECT_EQ(planner.try_plan(bad).status().code(), StatusCode::kInfeasible)
+        << sort::algo_name(a);
   }
 }
 
 TEST(Planner, ExportedCellsAreTaggedAndImportByTag) {
   Planner planner;
-  const Plan p = planner.plan(gauss_job(1 << 18, 16));
+  const Plan p = planner.try_plan(gauss_job(1 << 18, 16)).value();
   planner.observe(p, 2.0 * p.predicted_raw_ns);
 
   const auto cells = planner.export_cells();

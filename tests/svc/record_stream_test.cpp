@@ -51,7 +51,7 @@ TEST(RecordWire, JournalRoundTripsRecordType) {
   const std::string bytes = encode_record(r);
   // The field is versioned as a trailing " rec <name>" run.
   EXPECT_NE(bytes.find(" rec kv32"), std::string::npos) << bytes;
-  const JournalRecord back = decode_record(bytes);
+  const JournalRecord back = decode_record(bytes).value();
   EXPECT_EQ(back.job.record, keys::RecordType::kKeyPayload32);
   EXPECT_EQ(back.job.dist, keys::Dist::kDup);
 }
@@ -67,7 +67,7 @@ TEST(RecordWire, U32JobsEncodeWithoutTheFieldForByteCompat) {
   r.job.record = keys::RecordType::kU32;
   const std::string bytes = encode_record(r);
   EXPECT_EQ(bytes.find(" rec "), std::string::npos) << bytes;
-  EXPECT_EQ(decode_record(bytes).job.record, keys::RecordType::kU32);
+  EXPECT_EQ(decode_record(bytes).value().job.record, keys::RecordType::kU32);
 }
 
 TEST(RecordWire, UnknownRecordNameIsCorruptJournal) {
@@ -78,14 +78,11 @@ TEST(RecordWire, UnknownRecordNameIsCorruptJournal) {
   const std::size_t at = bytes.find("rec kv32");
   ASSERT_NE(at, std::string::npos);
   bytes.replace(at, 8, "rec kv99");
-  try {
-    decode_record(bytes);
-    FAIL() << "corrupt record name must not decode";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.status().code(), StatusCode::kCorruptJournal);
-    EXPECT_NE(e.status().message().find("kv99"), std::string::npos)
-        << e.status().message();
-  }
+  const Result<JournalRecord> back = decode_record(bytes);
+  ASSERT_FALSE(back.ok()) << "corrupt record name must not decode";
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruptJournal);
+  EXPECT_NE(back.status().message().find("kv99"), std::string::npos)
+      << back.status().message();
 }
 
 TEST(RecordWire, ClusterTaskFrameCarriesTheRecord) {
@@ -160,7 +157,7 @@ TEST(RecordTrace, TextRoundTripsRecordColumn) {
   const std::vector<JobSpec> trace = make_trace(13, 16, mix);
   const std::string text = trace_to_text(trace);
   EXPECT_NE(text.find(" kv32"), std::string::npos);
-  const std::vector<JobSpec> back = trace_from_text(text);
+  const std::vector<JobSpec> back = trace_from_text(text).value();
   ASSERT_EQ(back.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(back[i].record, trace[i].record) << i;
@@ -176,22 +173,21 @@ TEST(RecordTrace, HostileRecordNamesAreRejectedWithTheLineNumber) {
     return trace_from_text("# header\n" + line + "\n");
   };
   // A bad record name names the offender and the accepted values.
-  try {
-    parse("0 4096 4 gauss 7 - - - - 0 kv99");
-    FAIL() << "unknown record name must not parse";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("kv99"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("u32"), std::string::npos) << msg;
-  }
-  EXPECT_THROW(parse("0 4096 4 gauss 7 - - - - 0 KV32"), Error);
-  EXPECT_THROW(parse("0 4096 4 gauss 7 - - - - 0 kv32 extra"), Error);
+  const Result<std::vector<JobSpec>> bad =
+      parse("0 4096 4 gauss 7 - - - - 0 kv99");
+  ASSERT_FALSE(bad.ok()) << "unknown record name must not parse";
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  const std::string msg = bad.status().message();
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("kv99"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("u32"), std::string::npos) << msg;
+  EXPECT_FALSE(parse("0 4096 4 gauss 7 - - - - 0 KV32").ok());
+  EXPECT_FALSE(parse("0 4096 4 gauss 7 - - - - 0 kv32 extra").ok());
   // A record forces the positional deadline/priority columns out first.
-  EXPECT_THROW(parse("0 4096 4 gauss 7 - - - kv32"), Error);
+  EXPECT_FALSE(parse("0 4096 4 gauss 7 - - - kv32").ok());
   // The happy path parses ('-' deadline means none).
   const std::vector<JobSpec> good =
-      parse("0 4096 4 gauss 7 - - - - 0 kv32");
+      parse("0 4096 4 gauss 7 - - - - 0 kv32").value();
   ASSERT_EQ(good.size(), 1u);
   EXPECT_EQ(good[0].record, keys::RecordType::kKeyPayload32);
   EXPECT_EQ(good[0].deadline_us, 0u);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -19,6 +20,15 @@ LoadMix small_mix() {
   mix.procs = {4, 8};
   mix.dists = {keys::Dist::kGauss, keys::Dist::kBucket};
   return mix;
+}
+
+/// A malformed trace is a typed kInvalidArgument naming the line.
+void expect_bad_line(const std::string& text) {
+  const Result<std::vector<JobSpec>> r = trace_from_text(text);
+  ASSERT_FALSE(r.ok()) << text;
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+  EXPECT_EQ(r.status().message().rfind("trace line 1: ", 0), 0u)
+      << r.status().message();
 }
 
 TEST(Trace, GenerationIsDeterministicInSeed) {
@@ -53,7 +63,7 @@ TEST(Trace, TextRoundTripPreservesEveryField) {
   jobs[2].force_model = sort::Model::kCcSas;
   jobs[5].force_radix_bits = 11;
   const std::string text = trace_to_text(jobs);
-  const auto parsed = trace_from_text(text);
+  const auto parsed = trace_from_text(text).value();
   // Round-trip fixed point: re-rendering the parsed jobs is identical.
   EXPECT_EQ(trace_to_text(parsed), text);
   ASSERT_EQ(parsed.size(), jobs.size());
@@ -68,7 +78,7 @@ TEST(Trace, CommentsAndBlankLinesAreIgnored) {
       "# header\n"
       "\n"
       "0 4096 4 gauss 9 - - -\n"
-      "1 4096 8 bucket 5 radix SHMEM 11  # inline comment\n");
+      "1 4096 8 bucket 5 radix SHMEM 11  # inline comment\n").value();
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[1].force_algo, sort::Algo::kRadix);
   EXPECT_EQ(jobs[1].force_model, sort::Model::kShmem);
@@ -77,15 +87,18 @@ TEST(Trace, CommentsAndBlankLinesAreIgnored) {
 
 TEST(Trace, ParserRejectsMalformedLines) {
   // Too few fields.
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 - -\n"), Error);
+  expect_bad_line("0 4096 4 gauss 9 - -\n");
   // Trailing junk.
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 - - - extra\n"), Error);
+  expect_bad_line("0 4096 4 gauss 9 - - - extra\n");
   // Unknown distribution / algorithm / radix.
-  EXPECT_THROW(trace_from_text("0 4096 4 nope 9 - - -\n"), Error);
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 quicksort - -\n"), Error);
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 - - eleven\n"), Error);
+  expect_bad_line("0 4096 4 nope 9 - - -\n");
+  expect_bad_line("0 4096 4 gauss 9 quicksort - -\n");
+  expect_bad_line("0 4096 4 gauss 9 - - eleven\n");
+  expect_bad_line("0 4096 4 gauss 9 - - 8x\n");
+  // A line whose id does not parse is an error, not a skipped comment.
+  expect_bad_line("bogus 4096 4 gauss 9 - - -\n");
   // Invalid job (seed 0) is caught at parse time too.
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 0 - - -\n"), Error);
+  expect_bad_line("0 4096 4 gauss 0 - - -\n");
 }
 
 TEST(Trace, DeadlineAndPriorityRoundTrip) {
@@ -101,7 +114,7 @@ TEST(Trace, DeadlineAndPriorityRoundTrip) {
   EXPECT_TRUE(some_deadline);
   EXPECT_TRUE(some_critical);
   const std::string text = trace_to_text(jobs);
-  const auto parsed = trace_from_text(text);
+  const auto parsed = trace_from_text(text).value();
   EXPECT_EQ(trace_to_text(parsed), text);
   ASSERT_EQ(parsed.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -111,7 +124,7 @@ TEST(Trace, DeadlineAndPriorityRoundTrip) {
 }
 
 TEST(Trace, OldEightFieldLinesStillParse) {
-  const auto jobs = trace_from_text("0 4096 4 gauss 9 - - -\n");
+  const auto jobs = trace_from_text("0 4096 4 gauss 9 - - -\n").value();
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].deadline_us, 0u);
   EXPECT_EQ(jobs[0].priority, 0);
@@ -123,12 +136,12 @@ TEST(Trace, OldEightFieldLinesStillParse) {
 }
 
 TEST(Trace, DeadlineWithoutPriorityIsMalformed) {
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 - - - 500\n"), Error);
+  expect_bad_line("0 4096 4 gauss 9 - - - 500\n");
   // Bad values in the optional columns are rejected too.
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 - - - soon 0\n"), Error);
-  EXPECT_THROW(trace_from_text("0 4096 4 gauss 9 - - - 500 high\n"), Error);
+  expect_bad_line("0 4096 4 gauss 9 - - - soon 0\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - 500 high\n");
   // '-' means no deadline.
-  const auto jobs = trace_from_text("0 4096 4 gauss 9 - - - - 1\n");
+  const auto jobs = trace_from_text("0 4096 4 gauss 9 - - - - 1\n").value();
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].deadline_us, 0u);
   EXPECT_EQ(jobs[0].priority, 1);
@@ -148,10 +161,11 @@ TEST(Trace, TrivialDeadlineMixPreservesV1PrngStreams) {
 TEST(Trace, FileRoundTrip) {
   const auto jobs = make_trace(3, 16, small_mix());
   const std::string path = testing::TempDir() + "dsmsort_trace_test.txt";
-  write_trace(path, jobs);
-  const auto back = read_trace(path);
+  ASSERT_TRUE(write_trace(path, jobs).ok());
+  const auto back = read_trace(path).value();
   EXPECT_EQ(trace_to_text(back), trace_to_text(jobs));
-  EXPECT_THROW(read_trace("/nonexistent-dir-dsmsort/trace.txt"), Error);
+  EXPECT_EQ(read_trace("/nonexistent-dir-dsmsort/trace.txt").status().code(),
+            StatusCode::kIoError);
 }
 
 TEST(Trace, EmptyMixIsRejected) {
