@@ -339,8 +339,8 @@ PairedCell timed_paired_cell(std::uint64_t n, int radix_bits, int reps,
       pay[i] = static_cast<keys::Payload>(i);
     }
     const double t0 = now_s();
-    sort::seq_radix_sort_paired(work, pay, tmp, pay_tmp, radix_bits,
-                                sort::KernelBackend::kOptimized, ws);
+    sort::seq_radix_sort(work, tmp, radix_bits,
+                         sort::KernelBackend::kOptimized, ws, {pay, pay_tmp});
     const double s = now_s() - t0;
     if (rep == 0 || s < best_paired) best_paired = s;
   }

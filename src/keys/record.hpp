@@ -19,6 +19,8 @@
 //     simulated data plane stays Key-typed (SharedArray, symmetric heaps,
 //     message buffers are unchanged); a payload-bearing record adds a
 //     mirrored payload lane moved host-side at every key-movement site.
+//     Each local sort takes that lane as one optional argument
+//     (sort::PayloadLanes, empty for u32) instead of having a kv32 twin.
 //     Charged virtual time is a pure function of the key lane — the
 //     record-oblivious charging contract: a kv32 sort charges exactly
 //     what the u32 sort of the same key stream charges (DESIGN.md §11).

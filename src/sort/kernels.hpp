@@ -254,6 +254,15 @@ void wc_store_fence();
 void exchange_copy(KernelBackend be, Key* dst, const Key* src,
                    std::size_t n, std::size_t footprint_bytes);
 
+/// The kv32 payload lane of a local sort, passed as one argument:
+/// `pays[i]` rides with keys[i], and `tmp` is its toggle buffer (at least
+/// keys.size(); only the LSD sort uses it). Default-constructed (empty
+/// `pays`) is a u32 sort with no payload to move.
+struct PayloadLanes {
+  std::span<keys::Payload> pays;
+  std::span<keys::Payload> tmp;
+};
+
 /// Host-side payload mirror of a digit scatter: replays the exact stable
 /// permutation a key permute applied, moving `pay_in` into `pay_out`
 /// through `cursor` (consumed, like permute_kernel's). The payload lane is

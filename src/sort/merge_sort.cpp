@@ -152,12 +152,8 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
     // into tmp, so keys doubles as the LSD scratch), then one 2-way
     // merge back into keys.
     const std::span<Key> stray_span = tmp.subspan(stray_at, strays);
-    if (ctx != nullptr) {
-      local_radix_sort(*ctx, stray_span, keys.subspan(0, strays), radix_bits,
-                       be, ws);
-    } else {
-      seq_radix_sort(stray_span, keys.subspan(0, strays), radix_bits, be, ws);
-    }
+    radix_sort_impl(ctx, stray_span, keys.first(strays), {}, radix_bits, be,
+                    ws);
     const std::span<const Key> group[2] = {tmp.first(backbone), stray_span};
     const std::uint64_t segments =
         merge_group(be, std::span<const std::span<const Key>>(group, 2), keys);
@@ -170,13 +166,8 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
   std::vector<std::size_t> bounds{0};
   for (std::size_t off = 0; off < n; off += kMergeRunBlock) {
     const std::size_t len = std::min(kMergeRunBlock, n - off);
-    if (ctx != nullptr) {
-      local_radix_sort(*ctx, keys.subspan(off, len), tmp.subspan(off, len),
-                       radix_bits, be, ws);
-    } else {
-      seq_radix_sort(keys.subspan(off, len), tmp.subspan(off, len), radix_bits,
-                     be, ws);
-    }
+    radix_sort_impl(ctx, keys.subspan(off, len), tmp.subspan(off, len), {},
+                    radix_bits, be, ws);
     bounds.push_back(off + len);
   }
 
@@ -221,20 +212,11 @@ void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
 
 void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits, KernelBackend be,
-                      RadixWorkspace& ws) {
+                      RadixWorkspace& ws, PayloadLanes lanes) {
+  // Host-side stable pair mirror (uncharged, DESIGN.md §11), derived from
+  // the unsorted keys because the key sort reorders equal keys.
+  if (!lanes.pays.empty()) stable_payload_mirror(keys, lanes.pays, ws);
   merge_sort_impl(&ctx, keys, tmp, radix_bits, be, ws);
-}
-
-void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays,
-                             std::span<Key> tmp, int radix_bits,
-                             KernelBackend be, RadixWorkspace& ws) {
-  // Host-side stable pair mirror (uncharged, DESIGN.md §11): the charged
-  // sort handles the key lane; the payload arrangement is derived from
-  // the unsorted keys by a stable pair sort, because this key sort
-  // reorders equal keys.
-  stable_payload_mirror(keys, pays, ws);
-  local_merge_sort(ctx, keys, tmp, radix_bits, be, ws);
 }
 
 }  // namespace dsm::sort

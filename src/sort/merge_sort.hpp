@@ -24,9 +24,9 @@
 //
 // Like msd_radix.hpp, the uncharged cores are header templates over
 // RecordTraits (usable from sanitizer closures without the simulator);
-// the charged local_* entry points live in merge_sort.cpp. Charged
-// paired variants keep the record-oblivious contract (§11) with a
-// host-side stable pair mirror.
+// the charged local_* entry points live in merge_sort.cpp. The charged
+// sort takes the kv32 payload lane as an optional argument and keeps the
+// record-oblivious contract (§11) with a host-side stable pair mirror.
 #pragma once
 
 #include <algorithm>
@@ -203,19 +203,14 @@ void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
 /// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
 /// Charged times are identical for every backend: pure functions of the
 /// key sequence (split sweep, the charged LSD run sorts, and per merge
-/// round the measured run-switch segment count).
+/// round the measured run-switch segment count). Non-empty `lanes` (kv32)
+/// leave the key lane and the charges bit-identical; the payload lane is
+/// re-derived host-side by stable_payload_mirror (the split/merge data
+/// path is not itself mirrored; `lanes.tmp` is unused).
 void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits,
                       KernelBackend be = KernelBackend::kOptimized,
-                      RadixWorkspace& ws = tls_radix_workspace());
-
-/// Paired (kv32) variant: charges and key lane bit-identical to the
-/// unpaired sort; payload arrangement re-derived host-side with the
-/// stable pair sort (the split/merge data path is not itself mirrored).
-void local_merge_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays,
-                             std::span<Key> tmp, int radix_bits,
-                             KernelBackend be = KernelBackend::kOptimized,
-                             RadixWorkspace& ws = tls_radix_workspace());
+                      RadixWorkspace& ws = tls_radix_workspace(),
+                      PayloadLanes lanes = {});
 
 }  // namespace dsm::sort

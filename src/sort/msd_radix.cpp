@@ -219,19 +219,11 @@ void seq_msd_sort(std::span<Key> keys, KernelBackend be, RadixWorkspace&) {
 }
 
 void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                    KernelBackend be, RadixWorkspace&) {
+                    KernelBackend be, RadixWorkspace& ws, PayloadLanes lanes) {
+  // Host-side stable pair mirror (uncharged, DESIGN.md §11), derived from
+  // the unsorted keys because the key sort reorders equal keys.
+  if (!lanes.pays.empty()) stable_payload_mirror(keys, lanes.pays, ws);
   msd_sort_node(&ctx, be, keys, KeyTraits::n_bytes - 1);
-}
-
-void local_msd_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                           std::span<keys::Payload> pays, KernelBackend be,
-                           RadixWorkspace& ws) {
-  // Host-side stable pair mirror (uncharged, DESIGN.md §11): the charged
-  // sort handles the key lane; the payload arrangement is derived from
-  // the unsorted keys by a stable pair sort, because this key sort
-  // reorders equal keys.
-  stable_payload_mirror(keys, pays, ws);
-  local_msd_sort(ctx, keys, be, ws);
 }
 
 }  // namespace dsm::sort

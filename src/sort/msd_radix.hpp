@@ -26,8 +26,9 @@
 // local_* entry points in msd_radix.cpp that honor the kernel-backend
 // contract: kReference/kOptimized may change how the counting sweep is
 // computed, never the sorted output or any charged virtual time
-// (DESIGN.md §9). Charged paired variants keep the record-oblivious
-// contract (§11) with a host-side stable pair mirror.
+// (DESIGN.md §9). The kv32 payload lane is an optional argument of the
+// charged sort; it keeps the record-oblivious contract (§11) with a
+// host-side stable pair mirror.
 #pragma once
 
 #include <array>
@@ -152,18 +153,13 @@ void seq_msd_sort(std::span<Key> keys,
 /// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
 /// Charged times are identical for every backend and are a pure function
 /// of the key sequence (counting sweeps, measured digit runs, measured
-/// insertion shifts).
+/// insertion shifts). Non-empty `lanes` (kv32) leave the key lane and the
+/// charges bit-identical; because this key sort reorders equal keys, the
+/// payload lane is re-derived host-side by stable_payload_mirror, so
+/// equal keys keep their incoming payload order (`lanes.tmp` is unused).
 void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
                     KernelBackend be = KernelBackend::kOptimized,
-                    RadixWorkspace& ws = tls_radix_workspace());
-
-/// Paired (kv32) variant: charges and key lane bit-identical to the
-/// unpaired sort; the payload lane is re-derived host-side with a stable
-/// pair sort (record_lsd_sort), so equal keys keep their incoming payload
-/// order — the same stability contract the LSD paired path provides.
-void local_msd_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                           std::span<keys::Payload> pays,
-                           KernelBackend be = KernelBackend::kOptimized,
-                           RadixWorkspace& ws = tls_radix_workspace());
+                    RadixWorkspace& ws = tls_radix_workspace(),
+                    PayloadLanes lanes = {});
 
 }  // namespace dsm::sort

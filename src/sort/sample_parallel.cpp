@@ -17,45 +17,33 @@ namespace {
 /// Local-sort dispatch for the skeleton's two sorting phases: the only
 /// point where Algo::kSample / kMsdRadix / kMergesort differ. Every
 /// backend honors the same contracts (sorted result in `keys`, charges a
-/// pure function of the key sequence), so the surrounding phases are
+/// pure function of the key sequence, a non-empty payload lane sorted
+/// with the keys and charged nothing), so the surrounding phases are
 /// untouched.
 void charged_local_sort(sim::ProcContext& ctx, LocalSort alg,
                         std::span<Key> keys, std::span<Key> tmp,
-                        int radix_bits, KernelBackend be, RadixWorkspace& ws) {
+                        int radix_bits, KernelBackend be, RadixWorkspace& ws,
+                        PayloadLanes lanes) {
   switch (alg) {
     case LocalSort::kLsd:
-      local_radix_sort(ctx, keys, tmp, radix_bits, be, ws);
+      local_radix_sort(ctx, keys, tmp, radix_bits, be, ws, lanes);
       return;
     case LocalSort::kMsd:
-      local_msd_sort(ctx, keys, be, ws);
+      local_msd_sort(ctx, keys, be, ws, lanes);
       return;
     case LocalSort::kMerge:
-      local_merge_sort(ctx, keys, tmp, radix_bits, be, ws);
+      local_merge_sort(ctx, keys, tmp, radix_bits, be, ws, lanes);
       return;
   }
   DSM_REQUIRE(false, "unknown local sort");
 }
 
-void charged_local_sort_paired(sim::ProcContext& ctx, LocalSort alg,
-                               std::span<Key> keys,
-                               std::span<keys::Payload> pays,
-                               std::span<Key> tmp,
-                               std::span<keys::Payload> pay_tmp,
-                               int radix_bits, KernelBackend be,
-                               RadixWorkspace& ws) {
-  switch (alg) {
-    case LocalSort::kLsd:
-      local_radix_sort_paired(ctx, keys, pays, tmp, pay_tmp, radix_bits, be,
-                              ws);
-      return;
-    case LocalSort::kMsd:
-      local_msd_sort_paired(ctx, keys, pays, be, ws);
-      return;
-    case LocalSort::kMerge:
-      local_merge_sort_paired(ctx, keys, pays, tmp, radix_bits, be, ws);
-      return;
-  }
-  DSM_REQUIRE(false, "unknown local sort");
+/// Rank `r`'s payload lane in an optional per-rank lane array (empty for
+/// a u32 sort, whose lane array is null).
+std::span<keys::Payload> lane_of(
+    std::vector<std::vector<keys::Payload>>* lanes, std::size_t r) {
+  if (lanes == nullptr) return {};
+  return (*lanes)[r];
 }
 
 /// Evenly select `s` samples from a sorted span (repeats allowed when the
@@ -176,18 +164,13 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   std::vector<Key> tmp(mine.size());
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
   ws.jobs = w.kernel_jobs;
-  const std::uint64_t my_begin = w.keys->homes().begin_of(r);
-  std::span<keys::Payload> my_pay;
-  std::vector<keys::Payload> pay_tmp;
-  if (paired) {
-    my_pay = std::span<keys::Payload>(w.pay->data() + my_begin, mine.size());
-    pay_tmp.resize(mine.size());
-    charged_local_sort_paired(ctx, w.local_sort, mine, my_pay, tmp, pay_tmp,
-                              w.radix_bits, w.kernels, ws);
-  } else {
-    charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels,
-                       ws);
-  }
+  const std::span<keys::Payload> my_pay =
+      paired ? std::span<keys::Payload>(
+                   w.pay->data() + w.keys->homes().begin_of(r), mine.size())
+             : std::span<keys::Payload>();
+  std::vector<keys::Payload> pay_tmp(my_pay.size());
+  charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels, ws,
+                     {my_pay, pay_tmp});
 
   // Phase 2: publish my samples (my slot of the shared sample array).
   ctx.phase("sampling");
@@ -304,14 +287,10 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
   tmp.resize(out.size());
-  if (paired) {
-    pay_tmp.resize(out.size());
-    charged_local_sort_paired(ctx, w.local_sort, out, (*w.pay_result)[rr],
-                              tmp, pay_tmp, w.radix_bits, w.kernels, ws);
-  } else {
-    charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels,
-                       ws);
-  }
+  const std::span<keys::Payload> pay_out = lane_of(w.pay_result, rr);
+  pay_tmp.resize(pay_out.size());
+  charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels, ws,
+                     {pay_out, pay_tmp});
   ctx.phase("barrier");
   sas::ccsas_barrier(ctx);
 }
@@ -334,15 +313,10 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
   std::vector<Key> tmp(mine.size());
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
   ws.jobs = w.kernel_jobs;
-  std::vector<keys::Payload> pay_tmp;
-  if (paired) {
-    pay_tmp.resize(mine.size());
-    charged_local_sort_paired(ctx, w.local_sort, mine, (*w.pay_parts)[rr],
-                              tmp, pay_tmp, w.radix_bits, w.kernels, ws);
-  } else {
-    charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels,
-                       ws);
-  }
+  const std::span<keys::Payload> my_pay = lane_of(w.pay_parts, rr);
+  std::vector<keys::Payload> pay_tmp(my_pay.size());
+  charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels, ws,
+                     {my_pay, pay_tmp});
 
   // Phases 2+3: allgather samples; every modelled process sorts the full
   // sample set and picks splitters (charged per rank, computed once).
@@ -420,14 +394,10 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
   tmp.resize(out.size());
-  if (paired) {
-    pay_tmp.resize(out.size());
-    charged_local_sort_paired(ctx, w.local_sort, out, (*w.pay_result)[rr],
-                              tmp, pay_tmp, w.radix_bits, w.kernels, ws);
-  } else {
-    charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels,
-                       ws);
-  }
+  const std::span<keys::Payload> pay_out = lane_of(w.pay_result, rr);
+  pay_tmp.resize(pay_out.size());
+  charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels, ws,
+                     {pay_out, pay_tmp});
   ctx.phase("barrier");
   w.comm->barrier(ctx);
 }
@@ -454,15 +424,10 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
   std::vector<Key> tmp(mine.size());
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
   ws.jobs = w.kernel_jobs;
-  std::vector<keys::Payload> pay_tmp;
-  if (paired) {
-    pay_tmp.resize(mine.size());
-    charged_local_sort_paired(ctx, w.local_sort, mine, (*w.pay_parts)[rr],
-                              tmp, pay_tmp, w.radix_bits, w.kernels, ws);
-  } else {
-    charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels,
-                       ws);
-  }
+  const std::span<keys::Payload> my_pay = lane_of(w.pay_parts, rr);
+  std::vector<keys::Payload> pay_tmp(my_pay.size());
+  charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels, ws,
+                     {my_pay, pay_tmp});
 
   // Phases 2+3: fcollect samples; every modelled PE sorts them and picks
   // splitters (charged per PE, computed once).
@@ -525,14 +490,10 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
   tmp.resize(out.size());
-  if (paired) {
-    pay_tmp.resize(out.size());
-    charged_local_sort_paired(ctx, w.local_sort, out, (*w.pay_result)[rr],
-                              tmp, pay_tmp, w.radix_bits, w.kernels, ws);
-  } else {
-    charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels,
-                       ws);
-  }
+  const std::span<keys::Payload> pay_out = lane_of(w.pay_result, rr);
+  pay_tmp.resize(pay_out.size());
+  charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels, ws,
+                     {pay_out, pay_tmp});
   ctx.phase("barrier");
   w.sh->barrier_all(ctx);
 }

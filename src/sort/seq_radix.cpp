@@ -81,65 +81,6 @@ int radix_passes_for_max(int radix_bits, Key max_key) {
                static_cast<std::uint64_t>(radix_bits)));
 }
 
-void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
-                    KernelBackend be, RadixWorkspace& ws) {
-  DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
-  const int passes = radix_passes(radix_bits);
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  const std::size_t n = keys.size();
-
-  if (be == KernelBackend::kReference) {
-    ws.prepare(radix_bits);
-    const std::span<std::uint64_t> hist(ws.hist.data(), buckets);
-    Key* in = keys.data();
-    Key* out = tmp.data();
-    for (int pass = 0; pass < passes; ++pass) {
-      std::fill(hist.begin(), hist.end(), 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        ++hist[radix_digit(in[i], pass, radix_bits)];
-      }
-      std::uint64_t acc = 0;
-      for (std::size_t b = 0; b < buckets; ++b) {
-        const std::uint64_t c = hist[b];
-        hist[b] = acc;
-        acc += c;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const Key k = in[i];
-        out[hist[radix_digit(k, pass, radix_bits)]++] = k;
-      }
-      std::swap(in, out);
-    }
-    if (in != keys.data()) {
-      std::copy_n(in, n, keys.data());
-    }
-    return;
-  }
-
-  ws.prepare(radix_bits, passes);
-  const std::span<std::uint64_t> pass_hist(
-      ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
-  const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
-  bool in_keys = true;  // which toggle buffer currently holds the data
-  for (int pass = 0; pass < passes; ++pass) {
-    const std::span<const std::uint64_t> hist_p = pass_hist.subspan(
-        static_cast<std::size_t>(pass) * buckets, buckets);
-    const std::uint64_t active = exclusive_prefix_active(hist_p, cursor);
-    // A single-digit pass is the identity permutation (its one bucket's
-    // exclusive prefix is 0): skip the pass entirely — this is where the
-    // passes radix_passes_for_max would drop actually cost nothing.
-    if (active <= 1) continue;
-    const std::span<Key> src = in_keys ? keys : tmp.subspan(0, n);
-    const std::span<Key> dst = in_keys ? tmp.subspan(0, n) : keys;
-    (void)permute_kernel(be, src, dst, pass, radix_bits, cursor, active, ws);
-    in_keys = !in_keys;
-  }
-  if (!in_keys) {
-    std::copy_n(tmp.data(), n, keys.data());
-  }
-}
-
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
@@ -172,23 +113,48 @@ void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
   charge_permute_pass(ctx, n, runs, active, out.size());
 }
 
-void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits, KernelBackend be,
-                      RadixWorkspace& ws) {
+void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
+                     std::span<Key> tmp, PayloadLanes lanes, int radix_bits,
+                     KernelBackend be, RadixWorkspace& ws) {
   DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
+  const std::size_t n = keys.size();
+  const bool paired = !lanes.pays.empty();
+  DSM_REQUIRE(!paired || (lanes.pays.size() == n && lanes.tmp.size() >= n),
+              "payload lanes must match the key span");
   const int passes = radix_passes(radix_bits);
   const std::size_t buckets = std::size_t{1} << radix_bits;
-  const std::size_t n = keys.size();
-  const auto& cpu = ctx.params().cpu;
+  const std::span<Key> key_tmp = tmp.first(n);
+  const std::span<keys::Payload> pay_tmp = lanes.tmp.first(paired ? n : 0);
+  bool in_keys = true;  // which toggle buffer physically holds the data
+
+  // One stable permutation of the live buffer into the other by digit
+  // `pass` through `cursor` (consumed). The payload lane replays the same
+  // scatter from a snapshot of the starting cursors.
+  const auto permute = [&](int pass, std::span<std::uint64_t> cursor,
+                           std::uint64_t active) {
+    const std::span<Key> src = in_keys ? keys : key_tmp;
+    const std::span<Key> dst = in_keys ? key_tmp : keys;
+    std::span<std::uint64_t> mirror;
+    if (paired) mirror = snapshot_cursor(ws, cursor);
+    const std::uint64_t runs =
+        permute_kernel(be, src, dst, pass, radix_bits, cursor, active, ws);
+    if (ctx != nullptr) charge_permute_pass(*ctx, n, runs, active, n);
+    if (paired) {
+      payload_mirror_scatter(src, in_keys ? lanes.pays : pay_tmp,
+                             in_keys ? pay_tmp : lanes.pays, pass, radix_bits,
+                             mirror);
+    }
+    in_keys = !in_keys;
+  };
 
   if (be == KernelBackend::kReference) {
+    // The seed structure: count, scan and scatter every pass.
     ws.prepare(radix_bits);
     const std::span<std::uint64_t> hist(ws.hist.data(), buckets);
-    std::span<Key> in = keys;
-    std::span<Key> out = tmp.subspan(0, n);
     for (int pass = 0; pass < passes; ++pass) {
-      const std::uint64_t active =
-          charged_histogram(ctx, in, pass, radix_bits, hist, be, ws);
+      const std::uint64_t active = histogram_kernel(
+          be, in_keys ? keys : key_tmp, pass, radix_bits, hist, ws);
+      if (ctx != nullptr) charge_histogram_pass(*ctx, n, buckets);
       // Exclusive prefix -> running write cursors.
       std::uint64_t acc = 0;
       for (std::size_t b = 0; b < buckets; ++b) {
@@ -196,210 +162,66 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
         hist[b] = acc;
         acc += c;
       }
-      ctx.busy_cycles(static_cast<double>(buckets) * cpu.scan_cycles);
-      charged_local_permute(ctx, in, out, pass, radix_bits, hist, active, be,
-                            ws);
-      std::swap(in, out);
+      if (ctx != nullptr) {
+        ctx->busy_cycles(static_cast<double>(buckets) *
+                         ctx->params().cpu.scan_cycles);
+      }
+      permute(pass, hist, active);
     }
-    if (in.data() != keys.data()) {
-      std::copy_n(in.data(), n, keys.data());
-      ctx.stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
-    }
-    return;
-  }
-
-  // Optimized pipeline. The per-pass digit histograms of a private local
-  // sort are permutation-invariant (each pass only reorders the same key
-  // multiset), so one real sweep over the initial keys yields every
-  // pass's histogram — the simulator still charges one counting sweep
-  // per pass, exactly as the reference executes it.
-  ws.prepare(radix_bits, passes);
-  const std::span<std::uint64_t> pass_hist(
-      ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
-  const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
-  bool in_keys = true;  // which buffer physically holds the data
-  for (int pass = 0; pass < passes; ++pass) {
-    const std::span<const std::uint64_t> hist_p = pass_hist.subspan(
-        static_cast<std::size_t>(pass) * buckets, buckets);
-    const std::uint64_t active = exclusive_prefix_active(hist_p, cursor);
-    charge_histogram_pass(ctx, n, buckets);
-    ctx.busy_cycles(static_cast<double>(buckets) * cpu.scan_cycles);
-    if (active <= 1) {
-      // Dead pass: the identity permutation. Charge exactly what the
-      // reference measures for it (one run, one active bucket) and move
-      // no data — the buffer toggle is logical only.
-      charge_permute_pass(ctx, n, n > 0 ? 1 : 0, active, n);
-    } else {
-      const std::span<Key> src = in_keys ? keys : tmp.subspan(0, n);
-      const std::span<Key> dst = in_keys ? tmp.subspan(0, n) : keys;
-      const std::uint64_t runs =
-          permute_kernel(be, src, dst, pass, radix_bits, cursor, active, ws);
-      charge_permute_pass(ctx, n, runs, active, n);
-      in_keys = !in_keys;
+  } else {
+    // Optimized pipeline. The per-pass digit histograms of a private
+    // local sort are permutation-invariant (each pass only reorders the
+    // same key multiset), so one real sweep over the initial keys yields
+    // every pass's histogram — the simulator still charges one counting
+    // sweep per pass, exactly as the reference executes it.
+    ws.prepare(radix_bits, passes);
+    const std::span<std::uint64_t> pass_hist(
+        ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
+    multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
+    const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
+    for (int pass = 0; pass < passes; ++pass) {
+      const std::span<const std::uint64_t> hist_p = pass_hist.subspan(
+          static_cast<std::size_t>(pass) * buckets, buckets);
+      const std::uint64_t active = exclusive_prefix_active(hist_p, cursor);
+      if (ctx != nullptr) {
+        charge_histogram_pass(*ctx, n, buckets);
+        ctx->busy_cycles(static_cast<double>(buckets) *
+                         ctx->params().cpu.scan_cycles);
+      }
+      if (active <= 1) {
+        // Dead pass: the identity permutation (its one bucket's exclusive
+        // prefix is 0). Charge exactly what the reference measures for it
+        // (one run, one active bucket) and move no data — the buffer
+        // toggle is logical only.
+        if (ctx != nullptr) {
+          charge_permute_pass(*ctx, n, n > 0 ? 1 : 0, active, n);
+        }
+        continue;
+      }
+      permute(pass, cursor, active);
     }
   }
   // The reference copies back (and charges the copy) iff the total pass
   // count is odd; physically we copy iff the data ended up in tmp.
-  if (passes % 2 != 0) {
-    ctx.stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
+  if (ctx != nullptr && passes % 2 != 0) {
+    ctx->stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
   }
   if (!in_keys) {
-    std::copy_n(tmp.data(), n, keys.data());
+    std::copy_n(key_tmp.data(), n, keys.data());
+    if (paired) std::copy_n(pay_tmp.data(), n, lanes.pays.data());
   }
 }
 
-void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
-                           std::span<Key> tmp,
-                           std::span<keys::Payload> pay_tmp, int radix_bits,
-                           KernelBackend be, RadixWorkspace& ws) {
-  DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
-  DSM_REQUIRE(pays.size() == keys.size() && pay_tmp.size() >= keys.size(),
-              "payload lanes must match the key span");
-  const int passes = radix_passes(radix_bits);
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  const std::size_t n = keys.size();
-
-  if (be == KernelBackend::kReference) {
-    ws.prepare(radix_bits);
-    const std::span<std::uint64_t> hist(ws.hist.data(), buckets);
-    std::span<Key> in = keys;
-    std::span<Key> out = tmp.subspan(0, n);
-    std::span<keys::Payload> pin = pays;
-    std::span<keys::Payload> pout = pay_tmp.subspan(0, n);
-    for (int pass = 0; pass < passes; ++pass) {
-      const std::uint64_t active =
-          histogram_kernel(be, in, pass, radix_bits, hist);
-      std::uint64_t acc = 0;
-      for (std::size_t b = 0; b < buckets; ++b) {
-        const std::uint64_t c = hist[b];
-        hist[b] = acc;
-        acc += c;
-      }
-      const std::span<std::uint64_t> mirror = snapshot_cursor(ws, hist);
-      (void)permute_kernel(be, in, out, pass, radix_bits, hist, active, ws);
-      payload_mirror_scatter(in, pin, pout, pass, radix_bits, mirror);
-      std::swap(in, out);
-      std::swap(pin, pout);
-    }
-    if (in.data() != keys.data()) {
-      std::copy_n(in.data(), n, keys.data());
-      std::copy_n(pin.data(), n, pays.data());
-    }
-    return;
-  }
-
-  ws.prepare(radix_bits, passes);
-  const std::span<std::uint64_t> pass_hist(
-      ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
-  const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
-  bool in_keys = true;
-  for (int pass = 0; pass < passes; ++pass) {
-    const std::span<const std::uint64_t> hist_p = pass_hist.subspan(
-        static_cast<std::size_t>(pass) * buckets, buckets);
-    const std::uint64_t active = exclusive_prefix_active(hist_p, cursor);
-    // Dead pass: the identity permutation moves neither lane.
-    if (active <= 1) continue;
-    const std::span<Key> src = in_keys ? keys : tmp.subspan(0, n);
-    const std::span<Key> dst = in_keys ? tmp.subspan(0, n) : keys;
-    const std::span<keys::Payload> psrc =
-        in_keys ? pays : pay_tmp.subspan(0, n);
-    const std::span<keys::Payload> pdst =
-        in_keys ? pay_tmp.subspan(0, n) : pays;
-    const std::span<std::uint64_t> mirror = snapshot_cursor(ws, cursor);
-    (void)permute_kernel(be, src, dst, pass, radix_bits, cursor, active, ws);
-    payload_mirror_scatter(src, psrc, pdst, pass, radix_bits, mirror);
-    in_keys = !in_keys;
-  }
-  if (!in_keys) {
-    std::copy_n(tmp.data(), n, keys.data());
-    std::copy_n(pay_tmp.data(), n, pays.data());
-  }
+void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
+                    KernelBackend be, RadixWorkspace& ws,
+                    PayloadLanes lanes) {
+  radix_sort_impl(nullptr, keys, tmp, lanes, radix_bits, be, ws);
 }
 
-void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays, std::span<Key> tmp,
-                             std::span<keys::Payload> pay_tmp, int radix_bits,
-                             KernelBackend be, RadixWorkspace& ws) {
-  DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
-  DSM_REQUIRE(pays.size() == keys.size() && pay_tmp.size() >= keys.size(),
-              "payload lanes must match the key span");
-  const int passes = radix_passes(radix_bits);
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  const std::size_t n = keys.size();
-  const auto& cpu = ctx.params().cpu;
-
-  if (be == KernelBackend::kReference) {
-    ws.prepare(radix_bits);
-    const std::span<std::uint64_t> hist(ws.hist.data(), buckets);
-    std::span<Key> in = keys;
-    std::span<Key> out = tmp.subspan(0, n);
-    std::span<keys::Payload> pin = pays;
-    std::span<keys::Payload> pout = pay_tmp.subspan(0, n);
-    for (int pass = 0; pass < passes; ++pass) {
-      const std::uint64_t active =
-          charged_histogram(ctx, in, pass, radix_bits, hist, be, ws);
-      std::uint64_t acc = 0;
-      for (std::size_t b = 0; b < buckets; ++b) {
-        const std::uint64_t c = hist[b];
-        hist[b] = acc;
-        acc += c;
-      }
-      ctx.busy_cycles(static_cast<double>(buckets) * cpu.scan_cycles);
-      const std::span<std::uint64_t> mirror = snapshot_cursor(ws, hist);
-      charged_local_permute(ctx, in, out, pass, radix_bits, hist, active, be,
-                            ws);
-      payload_mirror_scatter(in, pin, pout, pass, radix_bits, mirror);
-      std::swap(in, out);
-      std::swap(pin, pout);
-    }
-    if (in.data() != keys.data()) {
-      std::copy_n(in.data(), n, keys.data());
-      std::copy_n(pin.data(), n, pays.data());
-      ctx.stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
-    }
-    return;
-  }
-
-  // Optimized pipeline — the charge sequence below replicates
-  // local_radix_sort exactly (the payload mirror adds nothing charged).
-  ws.prepare(radix_bits, passes);
-  const std::span<std::uint64_t> pass_hist(
-      ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
-  const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
-  bool in_keys = true;
-  for (int pass = 0; pass < passes; ++pass) {
-    const std::span<const std::uint64_t> hist_p = pass_hist.subspan(
-        static_cast<std::size_t>(pass) * buckets, buckets);
-    const std::uint64_t active = exclusive_prefix_active(hist_p, cursor);
-    charge_histogram_pass(ctx, n, buckets);
-    ctx.busy_cycles(static_cast<double>(buckets) * cpu.scan_cycles);
-    if (active <= 1) {
-      charge_permute_pass(ctx, n, n > 0 ? 1 : 0, active, n);
-    } else {
-      const std::span<Key> src = in_keys ? keys : tmp.subspan(0, n);
-      const std::span<Key> dst = in_keys ? tmp.subspan(0, n) : keys;
-      const std::span<keys::Payload> psrc =
-          in_keys ? pays : pay_tmp.subspan(0, n);
-      const std::span<keys::Payload> pdst =
-          in_keys ? pay_tmp.subspan(0, n) : pays;
-      const std::span<std::uint64_t> mirror = snapshot_cursor(ws, cursor);
-      const std::uint64_t runs =
-          permute_kernel(be, src, dst, pass, radix_bits, cursor, active, ws);
-      charge_permute_pass(ctx, n, runs, active, n);
-      payload_mirror_scatter(src, psrc, pdst, pass, radix_bits, mirror);
-      in_keys = !in_keys;
-    }
-  }
-  if (passes % 2 != 0) {
-    ctx.stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
-  }
-  if (!in_keys) {
-    std::copy_n(tmp.data(), n, keys.data());
-    std::copy_n(pay_tmp.data(), n, pays.data());
-  }
+void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
+                      std::span<Key> tmp, int radix_bits, KernelBackend be,
+                      RadixWorkspace& ws, PayloadLanes lanes) {
+  radix_sort_impl(&ctx, keys, tmp, lanes, radix_bits, be, ws);
 }
 
 }  // namespace dsm::sort

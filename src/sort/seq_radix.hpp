@@ -1,19 +1,26 @@
-// Sequential LSD radix sort.
+// Sequential LSD radix sort: one body, radix_sort_impl, serves every
+// caller.
 //
-// Two entry points:
-//  * seq_radix_sort — plain fast sort (verification, reference results);
-//  * local_radix_sort — the same algorithm instrumented for the virtual
-//    clock: it measures the actual access pattern (bucket runs, active
-//    buckets) while sorting and charges BUSY/LMEM accordingly. This is the
-//    paper's sequential baseline (Table 1) when run on a one-process team,
-//    and the local sorting phase of parallel sample sort.
+//  * A null ProcContext is the plain fast sort (verification, reference
+//    results, merge run generation on the host); a live one instruments
+//    the same loops for the virtual clock — it measures the actual access
+//    pattern (bucket runs, active buckets) while sorting and charges
+//    BUSY/LMEM accordingly. This is the paper's sequential baseline
+//    (Table 1) when run on a one-process team, and the local sorting
+//    phase of parallel sample sort.
+//  * The kv32 payload lane is an argument (PayloadLanes, empty for u32):
+//    each pass snapshots the write cursors and payload_mirror_scatter
+//    replays the key permute's exact stable scatter on the lane, host
+//    side and uncharged (DESIGN.md §11).
 //
-// Both run on the kernel layer (sort/kernels.hpp): the selected backend
-// changes how the host computes — one-sweep histograms, write-combined
-// permutes, skipped dead passes — never the sorted output or any charged
-// virtual time (the charge-invariance contract, DESIGN.md §9). Callers
-// that pass no workspace borrow the calling thread's, so repeated callers
-// (the service executor, sweep workers) allocate no per-sort scratch.
+// The body has one reference branch (the seed's per-pass count/scan/
+// scatter) and one optimized branch on the kernel layer
+// (sort/kernels.hpp): the selected backend changes how the host computes
+// — one-sweep histograms, write-combined permutes, skipped dead passes —
+// never the sorted output or any charged virtual time (the
+// charge-invariance contract, DESIGN.md §9). Callers that pass no
+// workspace borrow the calling thread's, so repeated callers (the service
+// executor, sweep workers) allocate no per-sort scratch.
 #pragma once
 
 #include <span>
@@ -33,43 +40,35 @@ int radix_passes(int radix_bits);
 /// Pass count needed for keys bounded by `max_key` (at least one pass).
 int radix_passes_for_max(int radix_bits, Key max_key);
 
-/// Sort `keys` ascending using `tmp` as the toggle buffer (same size).
-/// The sorted result is guaranteed to end up back in `keys`.
+/// The one LSD body: sort `keys` ascending using `tmp` (same size) as the
+/// toggle buffer; the result always ends up back in `keys`. ctx == nullptr
+/// charges nothing; otherwise ctx's clock is charged, identically for
+/// every backend. Non-empty `lanes` move the payload with the keys (both
+/// lanes end in keys/lanes.pays); the key lane and every charged cycle are
+/// bit-identical to the same call without lanes.
+void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
+                     std::span<Key> tmp, PayloadLanes lanes, int radix_bits,
+                     KernelBackend be, RadixWorkspace& ws);
+
+/// Uncharged sort (radix_sort_impl with no context).
 void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
                     KernelBackend be = KernelBackend::kOptimized,
-                    RadixWorkspace& ws = tls_radix_workspace());
+                    RadixWorkspace& ws = tls_radix_workspace(),
+                    PayloadLanes lanes = {});
 
-/// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
-/// Charged times are identical for every backend.
+/// Instrumented sort (radix_sort_impl charging ctx's clock).
 void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits,
                       KernelBackend be = KernelBackend::kOptimized,
-                      RadixWorkspace& ws = tls_radix_workspace());
-
-/// Paired (kv32) variants: the payload lane mirrors every key movement,
-/// so pays[i] stays attached to keys[i] through the sort. The key lane's
-/// result — and, for the charged variant, every charged cycle — is
-/// bit-identical to the unpaired sort on the same keys: payload movement
-/// happens on the host outside the simulated machine (the record-oblivious
-/// charging contract, DESIGN.md §11). Both lanes end up back in
-/// keys/pays.
-void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
-                           std::span<Key> tmp,
-                           std::span<keys::Payload> pay_tmp, int radix_bits,
-                           KernelBackend be = KernelBackend::kOptimized,
-                           RadixWorkspace& ws = tls_radix_workspace());
-void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
-                             std::span<keys::Payload> pays, std::span<Key> tmp,
-                             std::span<keys::Payload> pay_tmp, int radix_bits,
-                             KernelBackend be = KernelBackend::kOptimized,
-                             RadixWorkspace& ws = tls_radix_workspace());
+                      RadixWorkspace& ws = tls_radix_workspace(),
+                      PayloadLanes lanes = {});
 
 /// One instrumented counting pass over `keys` for digit `pass`: fills
 /// `hist` (size 2^radix_bits) and charges the clock. Returns the number of
 /// nonzero buckets. Shared by the parallel radix sorts. (A single
 /// counting pass is the same loop under every backend; the optimized
 /// backend's histogram win — one sweep for all passes — lives in
-/// local_radix_sort, where the pass histograms are permutation-invariant.)
+/// radix_sort_impl, where the pass histograms are permutation-invariant.)
 /// The optimized backend may use the vectorized counting loop and shard
 /// across `ws.jobs` host threads; the histogram and the charged time are
 /// identical either way.

@@ -389,27 +389,6 @@ std::string Metrics::disk_json() const {
   return os.str();
 }
 
-std::string Metrics::cluster_csv() const {
-  std::uint64_t hist[kLatencyBuckets];
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    std::copy(ack_hist_, ack_hist_ + kLatencyBuckets, hist);
-  }
-  std::ostringstream os;
-  os << "bucket_lo_us,bucket_hi_us,count\n";
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    const std::uint64_t lo = i == 0 ? 0 : std::uint64_t{1} << i;
-    os << lo;
-    if (i == kLatencyBuckets - 1) {
-      os << ",inf";
-    } else {
-      os << "," << (std::uint64_t{1} << (i + 1));
-    }
-    os << "," << hist[i] << "\n";
-  }
-  return os.str();
-}
-
 std::string Metrics::histogram_csv() const {
   const auto hist = latency_histogram();
   std::ostringstream os;

@@ -82,8 +82,7 @@ class Metrics {
   /// the snapshot State: ack latencies are host wall-clock and the
   /// spawn/retire history depends on the worker-process count, so
   /// folding them into the main report would break the byte-identical
-  /// replay contract. cluster_json()/cluster_csv() report them
-  /// separately.
+  /// replay contract. cluster_json() reports them separately.
   struct Cluster {
     std::uint64_t dispatches = 0;    // tasks sent to a worker process
     std::uint64_t acks = 0;          // done messages received
@@ -178,8 +177,6 @@ class Metrics {
   /// Cluster-tier JSON (counters, gauges, dispatch->ack histogram) —
   /// host- and worker-count-dependent, hence separate from to_json().
   std::string cluster_json() const;
-  /// Dispatch->ack latency histogram as CSV (host microseconds).
-  std::string cluster_csv() const;
   /// Disk-health JSON (degraded-durability counters) — fault-environment
   /// dependent, hence separate from to_json().
   std::string disk_json() const;

@@ -1,26 +1,14 @@
 #include "svc/trace.hpp"
 
-#include <charconv>
 #include <sstream>
-#include <system_error>
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/prng.hpp"
 #include "perf/report.hpp"
+#include "svc/wire.hpp"
 
 namespace dsm::svc {
-namespace {
-
-/// Parse all of `text` as a base-10 integer; "8x" and "" are rejected.
-template <typename T>
-bool parse_whole(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
 
 std::vector<JobSpec> make_trace(std::uint64_t seed, std::size_t count,
                                 const LoadMix& mix) {
@@ -68,8 +56,8 @@ std::vector<JobSpec> make_trace(std::uint64_t seed, std::size_t count,
 
 std::string trace_to_text(std::span<const JobSpec> jobs) {
   std::ostringstream os;
-  os << "# dsmsort service trace: id n nprocs dist seed "
-        "force_algo force_model force_radix [deadline_us priority]\n";
+  os << "# dsmsort service trace: id n nprocs dist seed force_algo "
+        "force_model force_radix deadline_us priority record\n";
   for (const JobSpec& j : jobs) {
     os << j.id << ' ' << j.n << ' ' << j.nprocs << ' '
        << keys::dist_name(j.dist) << ' ' << j.seed << ' '
@@ -80,26 +68,18 @@ std::string trace_to_text(std::span<const JobSpec> jobs) {
     } else {
       os << '-';
     }
-    // Trailing fields only when non-default, so pre-deadline traces
-    // round-trip byte-identically. A non-u32 record forces the deadline
-    // and priority columns out (as '-'/0 defaults) — the grammar is
-    // positional.
-    const bool has_record = j.record != keys::RecordType::kU32;
-    if (j.deadline_us != 0 || j.priority != 0 || has_record) {
-      if (j.deadline_us != 0) {
-        os << ' ' << j.deadline_us;
-      } else {
-        os << " -";
-      }
-      os << ' ' << j.priority;
-      if (has_record) os << ' ' << keys::record_name(j.record);
+    if (j.deadline_us != 0) {
+      os << ' ' << j.deadline_us;
+    } else {
+      os << " -";
     }
-    os << '\n';
+    os << ' ' << j.priority << ' ' << keys::record_name(j.record) << '\n';
   }
   return os.str();
 }
 
 Result<std::vector<JobSpec>> trace_from_text(const std::string& text) {
+  constexpr std::size_t kFields = 11;
   std::vector<JobSpec> jobs;
   std::istringstream lines(text);
   std::string line;
@@ -113,55 +93,45 @@ Result<std::vector<JobSpec>> trace_from_text(const std::string& text) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
+    std::vector<std::string> f;
+    for (std::string t; fields >> t;) f.push_back(std::move(t));
+    if (f.empty()) continue;  // blank / comment-only line
+    if (f.size() != kFields) {
+      return bad("expected " + std::to_string(kFields) + " fields, got " +
+                 std::to_string(f.size()) + ": " + line);
+    }
     JobSpec j;
-    std::string id, dist, algo, model, radix;
-    if (!(fields >> id)) continue;  // blank / comment-only line
-    if (!parse_whole(id, &j.id)) return bad("bad id: " + id);
-    if (!(fields >> j.n >> j.nprocs >> dist >> j.seed >> algo >> model >>
-          radix)) {
-      return bad("expected 8 fields: " + line);
-    }
-    std::string deadline, priority;
-    if (fields >> deadline) {
-      if (!(fields >> priority)) {
-        return bad("deadline_us without priority: " + line);
-      }
-    }
-    std::string record;
-    fields >> record;
-    std::string extra;
-    if (fields >> extra) return bad("trailing field: " + extra);
-    const Result<keys::Dist> d = keys::try_dist_from_name(dist);
+    if (!wire::parse_whole(f[0], &j.id)) return bad("bad id: " + f[0]);
+    if (!wire::parse_whole(f[1], &j.n)) return bad("bad n: " + f[1]);
+    if (!wire::parse_whole(f[2], &j.nprocs)) return bad("bad nprocs: " + f[2]);
+    const Result<keys::Dist> d = keys::try_dist_from_name(f[3]);
     if (!d.ok()) return bad(d.status().message());
     j.dist = d.value();
-    if (algo != "-") {
-      const Result<sort::Algo> a = sort::try_algo_from_name(algo);
+    if (!wire::parse_whole(f[4], &j.seed)) return bad("bad seed: " + f[4]);
+    if (f[5] != "-") {
+      const Result<sort::Algo> a = sort::try_algo_from_name(f[5]);
       if (!a.ok()) return bad(a.status().message());
       j.force_algo = a.value();
     }
-    if (model != "-") {
-      const Result<sort::Model> m = sort::try_model_from_name(model);
+    if (f[6] != "-") {
+      const Result<sort::Model> m = sort::try_model_from_name(f[6]);
       if (!m.ok()) return bad(m.status().message());
       j.force_model = m.value();
     }
-    if (radix != "-") {
+    if (f[7] != "-") {
       int r = 0;
-      if (!parse_whole(radix, &r)) return bad("bad radix: " + radix);
+      if (!wire::parse_whole(f[7], &r)) return bad("bad radix: " + f[7]);
       j.force_radix_bits = r;
     }
-    if (!deadline.empty() && deadline != "-" &&
-        !parse_whole(deadline, &j.deadline_us)) {
-      return bad("bad deadline_us: " + deadline);
+    if (f[8] != "-" && !wire::parse_whole(f[8], &j.deadline_us)) {
+      return bad("bad deadline_us: " + f[8]);
     }
-    if (!priority.empty() && priority != "-" &&
-        !parse_whole(priority, &j.priority)) {
-      return bad("bad priority: " + priority);
+    if (!wire::parse_whole(f[9], &j.priority)) {
+      return bad("bad priority: " + f[9]);
     }
-    if (!record.empty() && record != "-") {
-      const Result<keys::RecordType> r = keys::record_from_name(record);
-      if (!r.ok()) return bad(r.status().message());
-      j.record = r.value();
-    }
+    const Result<keys::RecordType> r = keys::record_from_name(f[10]);
+    if (!r.ok()) return bad(r.status().message());
+    j.record = r.value();
     const Status valid = j.validate_status();
     if (!valid.ok()) return bad(valid.message());
     jobs.push_back(std::move(j));

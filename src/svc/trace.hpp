@@ -5,16 +5,16 @@
 // via SplitMix64, and the same trace file replayed through
 // SortService::replay yields byte-identical results for any worker count.
 //
-// Text format, one job per line (whitespace-separated, '#' comments):
+// Text format, one job per line (whitespace-separated, '#' comments and
+// blank lines skipped), always exactly 11 fields:
 //
 //   id n nprocs dist seed force_algo force_model force_radix
-//     [deadline_us priority [record]]
+//     deadline_us priority record
 //
-// where the three force_* fields are '-' when the planner chooses, and
-// the optional trailing fields ('-' or absent = default) carry the
-// virtual-time deadline in microseconds, the job priority, and the
-// record type (absent = u32). Traces written before deadlines or record
-// types existed (8- or 10-field lines) parse unchanged.
+// where the three force_* fields are '-' when the planner chooses,
+// deadline_us is the virtual-time deadline in microseconds ('-' = none),
+// and record is the record type's name (u32, kv32). Every integer is
+// parsed whole into its field's own type (wire::parse_whole).
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,5 @@
-// Internal wire-format helpers shared by the journal and snapshot codecs.
+// Internal wire-format helpers shared by the journal and snapshot codecs
+// (the trace decoder borrows parse_whole for its integer fields).
 //
 // Both durability files carry text payloads inside CRC-framed binary
 // blobs. The text grammar is deliberately tiny: whitespace-separated
@@ -11,11 +12,13 @@
 // parse through wire::decode, the one place that throw becomes a Result.
 #pragma once
 
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "common/status.hpp"
@@ -25,6 +28,17 @@ namespace dsm::svc::wire {
 /// A record larger than this cannot be legitimate; a bigger length field
 /// means the framing is damaged.
 constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
+
+/// Parse all of `text` as a base-10 integer of the field's own type `T`.
+/// Rejects "" and trailing characters ("8x"), a '+' sign, a '-' sign on
+/// an unsigned field, and any value outside T's range — never wraps or
+/// truncates.
+template <typename T>
+bool parse_whole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 inline std::string dbl(double v) {
   std::ostringstream os;
@@ -67,27 +81,9 @@ class Parser {
     return s_.substr(start, pos_ - start);
   }
 
-  std::uint64_t u64() {
-    const std::string t = tok();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-    if (errno != 0 || t.empty() || end != t.c_str() + t.size()) {
-      fail("bad integer: " + t);
-    }
-    return static_cast<std::uint64_t>(v);
-  }
+  std::uint64_t u64() { return integer<std::uint64_t>(); }
 
-  int i32() {
-    const std::string t = tok();
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(t.c_str(), &end, 10);
-    if (errno != 0 || t.empty() || end != t.c_str() + t.size()) {
-      fail("bad integer: " + t);
-    }
-    return static_cast<int>(v);
-  }
+  int i32() { return integer<int>(); }
 
   double d() {
     const std::string t = tok();
@@ -140,6 +136,14 @@ class Parser {
   }
 
  private:
+  template <typename T>
+  T integer() {
+    const std::string t = tok();
+    T v{};
+    if (!parse_whole(t, &v)) fail("bad integer: " + t);
+    return v;
+  }
+
   void skip_ws() {
     while (pos_ < s_.size() && s_[pos_] == ' ') ++pos_;
   }

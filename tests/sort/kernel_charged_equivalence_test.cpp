@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "keys/distributions.hpp"
+#include "keys/record.hpp"
 #include "sim/team.hpp"
+#include "sort/merge_sort.hpp"
+#include "sort/msd_radix.hpp"
 #include "sort/seq_radix.hpp"
 #include "sort/sort_api.hpp"
 
@@ -113,6 +116,117 @@ TEST(SeqRadixBackend, EntryPointOutputsByteIdentical) {
         seq_radix_sort(opt, tmp, radix, KernelBackend::kOptimized, ws_opt);
         EXPECT_EQ(ref, opt) << "seed=" << seed << " radix=" << radix
                             << " n=" << n;
+      }
+    }
+  }
+}
+
+enum class LocalAlgo { kLsd, kMsd, kMerge };
+
+const char* local_algo_name(LocalAlgo a) {
+  switch (a) {
+    case LocalAlgo::kLsd:
+      return "lsd";
+    case LocalAlgo::kMsd:
+      return "msd";
+    case LocalAlgo::kMerge:
+      return "merge";
+  }
+  return "?";
+}
+
+/// One charged local sort on a one-process team. With `pays` the payload
+/// lane rides along (kv32); without it the same call sorts keys alone.
+LocalSortRun run_payload_local(LocalAlgo algo, KernelBackend be,
+                               int radix_bits, int jobs, std::vector<Key> keys,
+                               std::vector<keys::Payload>* pays) {
+  sim::SimTeam team(1, machine::MachineParams::origin2000());
+  std::vector<Key> tmp(keys.size());
+  std::vector<keys::Payload> pay_tmp(pays != nullptr ? keys.size() : 0);
+  RadixWorkspace ws;
+  ws.jobs = jobs;
+  const PayloadLanes lanes =
+      pays != nullptr ? PayloadLanes{*pays, pay_tmp} : PayloadLanes{};
+  team.run([&](sim::ProcContext& ctx) {
+    switch (algo) {
+      case LocalAlgo::kLsd:
+        local_radix_sort(ctx, keys, tmp, radix_bits, be, ws, lanes);
+        break;
+      case LocalAlgo::kMsd:
+        local_msd_sort(ctx, keys, be, ws, lanes);
+        break;
+      case LocalAlgo::kMerge:
+        local_merge_sort(ctx, keys, tmp, radix_bits, be, ws, lanes);
+        break;
+    }
+  });
+  return LocalSortRun{std::move(keys), team.breakdown_of(0),
+                      team.elapsed_ns()};
+}
+
+TEST(PayloadLaneLocalSort, KeysAndChargesMatchKeyOnlyAndPayloadIsStable) {
+  // The kv32 payload lane is an argument of every local sort: passing it
+  // must leave the key lane and every clock category bit-identical to the
+  // key-only call, and the lane must come out exactly as the generic
+  // stable pair sort arranges it (LSD by its per-pass mirror, MSD and
+  // merge by the stable pair mirror). Lower the shard floor so the
+  // jobs=2 optimized LSD cells really shard their kernels.
+  const std::size_t saved = kernel_shard_min_keys();
+  set_kernel_shard_min_keys(1024);
+  struct Restore {
+    std::size_t v;
+    ~Restore() { set_kernel_shard_min_keys(v); }
+  } restore{saved};
+
+  using PairTraits = keys::RecordTraits<keys::KeyPayload32>;
+  for (const LocalAlgo algo :
+       {LocalAlgo::kLsd, LocalAlgo::kMsd, LocalAlgo::kMerge}) {
+    for (const KernelBackend be :
+         {KernelBackend::kReference, KernelBackend::kOptimized}) {
+      const int jobs =
+          algo == LocalAlgo::kLsd && be == KernelBackend::kOptimized ? 2 : 1;
+      for (const int radix : {4, 8, 11, 16}) {
+        const Index buckets = Index{1} << radix;
+        for (const Index n :
+             {Index{0}, Index{1}, buckets - 1, Index{65536}}) {
+          for (const keys::Dist dist : {keys::Dist::kGauss, keys::Dist::kDup}) {
+            const std::string cell =
+                std::string(local_algo_name(algo)) + " " +
+                kernel_backend_name(be) + " r" + std::to_string(radix) +
+                " n=" + std::to_string(n) + " " + keys::dist_name(dist);
+            const auto input = make_keys(dist, n, 11, radix);
+            std::vector<keys::Payload> pays(n);
+            std::vector<keys::KeyPayload32> recs(n);
+            for (Index i = 0; i < n; ++i) {
+              pays[i] = static_cast<keys::Payload>(i);
+              recs[i] = {input[i], pays[i]};
+            }
+            std::vector<keys::KeyPayload32> rtmp(n);
+            keys::record_lsd_sort<PairTraits>(recs, rtmp, radix);
+
+            const auto plain =
+                run_payload_local(algo, be, radix, jobs, input, nullptr);
+            const auto paired =
+                run_payload_local(algo, be, radix, jobs, input, &pays);
+            ASSERT_EQ(plain.sorted, paired.sorted) << cell;
+            EXPECT_TRUE(std::is_sorted(plain.sorted.begin(),
+                                       plain.sorted.end()))
+                << cell;
+            EXPECT_EQ(plain.elapsed_ns, paired.elapsed_ns) << cell;
+            EXPECT_EQ(plain.breakdown.busy_ns, paired.breakdown.busy_ns)
+                << cell;
+            EXPECT_EQ(plain.breakdown.lmem_ns, paired.breakdown.lmem_ns)
+                << cell;
+            EXPECT_EQ(plain.breakdown.rmem_ns, paired.breakdown.rmem_ns)
+                << cell;
+            EXPECT_EQ(plain.breakdown.sync_ns, paired.breakdown.sync_ns)
+                << cell;
+            for (Index i = 0; i < n; ++i) {
+              ASSERT_EQ(pays[i], recs[i].payload) << cell << " at " << i;
+              ASSERT_EQ(paired.sorted[i], recs[i].key) << cell << " at " << i;
+            }
+          }
+        }
       }
     }
   }

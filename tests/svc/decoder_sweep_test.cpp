@@ -141,5 +141,91 @@ TEST(HostileDecoders, TracesReturnInvalidArgument) {
                               StatusCode::kInvalidArgument, trace_from_text);
 }
 
+/// `good` with its `index`-th space-separated token replaced by `token`.
+std::string with_token(const std::string& good, std::size_t index,
+                       const std::string& token) {
+  std::size_t start = good.find_first_not_of(' ');
+  for (std::size_t i = 0; i < index; ++i) {
+    start = good.find_first_not_of(' ', good.find(' ', start));
+  }
+  const std::size_t end = std::min(good.find(' ', start), good.size());
+  return good.substr(0, start) + token + good.substr(end);
+}
+
+template <typename T>
+void expect_rejected(const std::string& bad, StatusCode code,
+                     const std::function<Result<T>(const std::string&)>& decode) {
+  const Result<T> r = decode(bad);
+  ASSERT_FALSE(r.ok()) << "must not decode: " << bad;
+  EXPECT_EQ(r.status().code(), code) << r.status().to_string();
+}
+
+TEST(HostileDecoders, IntegersParseWholeIntoTheirFieldType) {
+  // Every integer token is parsed whole into its field's own type: no
+  // sign wrap into an unsigned field, no truncation into an int field,
+  // no '+' prefix. The fixtures are CRC-valid payloads a hostile peer or
+  // a damaged disk could still deliver.
+  const std::function<Result<JournalRecord>(const std::string&)> journal =
+      decode_record;
+  JournalRecord start;
+  start.lsn = 9;
+  start.type = RecordType::kAttemptStart;
+  start.seq = 5;
+  start.attempt = 1;
+  const std::string rec = encode_record(start);  // lsn type seq attempt
+  ASSERT_TRUE(decode_record(rec).ok()) << rec;
+  expect_rejected(with_token(rec, 0, "-1"), StatusCode::kCorruptJournal,
+                  journal);
+  expect_rejected(with_token(rec, 2, "+7"), StatusCode::kCorruptJournal,
+                  journal);
+  expect_rejected(with_token(rec, 3, "4294967297"),
+                  StatusCode::kCorruptJournal, journal);
+
+  const std::function<Result<cluster::WireMessage>(const std::string&)>
+      frame = cluster::decode_message;
+  cluster::WireMessage done;
+  done.type = cluster::MsgType::kDone;
+  done.task_id = 3;
+  done.passes = 4;
+  done.fired_site = -1;
+  const std::string msg = cluster::encode_message(done);  // type task ok ns passes
+  const Result<cluster::WireMessage> back = cluster::decode_message(msg);
+  ASSERT_TRUE(back.ok()) << msg;
+  EXPECT_EQ(back->fired_site, -1);  // encoders write -1 for "no site"
+  expect_rejected(with_token(msg, 1, "-1"), StatusCode::kCorruptFrame, frame);
+  expect_rejected(with_token(msg, 1, "+7"), StatusCode::kCorruptFrame, frame);
+  expect_rejected(with_token(msg, 4, "4294967297"), StatusCode::kCorruptFrame,
+                  frame);
+
+  const std::function<Result<SnapshotData>(const std::string&)> snapshot =
+      decode_snapshot;
+  SnapshotData snap;
+  snap.lsn = 17;
+  const std::string blob = encode_snapshot(snap);  // magic lsn next_seq ...
+  ASSERT_TRUE(decode_snapshot(blob).ok());
+  expect_rejected(with_token(blob, 1, "-1"), StatusCode::kCorruptJournal,
+                  snapshot);
+  expect_rejected(with_token(blob, 2, "+7"), StatusCode::kCorruptJournal,
+                  snapshot);
+
+  JournalRecord terminal;
+  terminal.type = RecordType::kTerminal;
+  terminal.result.final_fault_site = -1;
+  const Result<JournalRecord> t = decode_record(encode_record(terminal));
+  ASSERT_TRUE(t.ok()) << t.status().to_string();
+  EXPECT_EQ(t->result.final_fault_site, -1);
+
+  const std::function<Result<std::vector<JobSpec>>(const std::string&)>
+      trace = trace_from_text;
+  const std::string line = "0 1024 4 gauss 7 - - - - 0 u32\n";
+  ASSERT_TRUE(trace_from_text(line).ok());
+  expect_rejected(with_token(line, 1, "-1024"), StatusCode::kInvalidArgument,
+                  trace);
+  expect_rejected(with_token(line, 2, "4294967300"),
+                  StatusCode::kInvalidArgument, trace);
+  expect_rejected(with_token(line, 4, "+7"), StatusCode::kInvalidArgument,
+                  trace);
+}
+
 }  // namespace
 }  // namespace dsm::svc

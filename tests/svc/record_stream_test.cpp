@@ -129,9 +129,9 @@ TEST(RecordTrace, MixedTraceDrawsBothTypesDeterministically) {
   }
 }
 
-TEST(RecordTrace, DefaultMixEmitsNoRecordColumn) {
-  // The default LoadMix (records = {u32}) must keep the pre-PR PRNG
-  // stream and the pre-PR text format: exactly 8 columns per line.
+TEST(RecordTrace, DefaultMixWritesTheU32RecordColumn) {
+  // The trace grammar is fixed-width: even the default LoadMix (records =
+  // {u32}) writes all 11 columns, the last naming the record type.
   LoadMix mix;
   mix.sizes = {1u << 12};
   mix.procs = {4};
@@ -144,7 +144,8 @@ TEST(RecordTrace, DefaultMixEmitsNoRecordColumn) {
     std::string f;
     int count = 0;
     while (fields >> f) ++count;
-    EXPECT_EQ(count, 8) << line;
+    EXPECT_EQ(count, 11) << line;
+    EXPECT_EQ(f, "u32") << line;
   }
 }
 
@@ -183,7 +184,8 @@ TEST(RecordTrace, HostileRecordNamesAreRejectedWithTheLineNumber) {
   EXPECT_NE(msg.find("u32"), std::string::npos) << msg;
   EXPECT_FALSE(parse("0 4096 4 gauss 7 - - - - 0 KV32").ok());
   EXPECT_FALSE(parse("0 4096 4 gauss 7 - - - - 0 kv32 extra").ok());
-  // A record forces the positional deadline/priority columns out first.
+  // The columns are positional: the record cannot skip the
+  // deadline/priority columns.
   EXPECT_FALSE(parse("0 4096 4 gauss 7 - - - kv32").ok());
   // The happy path parses ('-' deadline means none).
   const std::vector<JobSpec> good =

@@ -77,8 +77,9 @@ TEST(Trace, CommentsAndBlankLinesAreIgnored) {
   const auto jobs = trace_from_text(
       "# header\n"
       "\n"
-      "0 4096 4 gauss 9 - - -\n"
-      "1 4096 8 bucket 5 radix SHMEM 11  # inline comment\n").value();
+      "0 4096 4 gauss 9 - - - - 0 u32\n"
+      "1 4096 8 bucket 5 radix SHMEM 11 - 0 u32  # inline comment\n")
+                        .value();
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[1].force_algo, sort::Algo::kRadix);
   EXPECT_EQ(jobs[1].force_model, sort::Model::kShmem);
@@ -87,18 +88,23 @@ TEST(Trace, CommentsAndBlankLinesAreIgnored) {
 
 TEST(Trace, ParserRejectsMalformedLines) {
   // Too few fields.
-  expect_bad_line("0 4096 4 gauss 9 - -\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - - 0\n");
   // Trailing junk.
-  expect_bad_line("0 4096 4 gauss 9 - - - extra\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - - 0 u32 extra\n");
   // Unknown distribution / algorithm / radix.
-  expect_bad_line("0 4096 4 nope 9 - - -\n");
-  expect_bad_line("0 4096 4 gauss 9 quicksort - -\n");
-  expect_bad_line("0 4096 4 gauss 9 - - eleven\n");
-  expect_bad_line("0 4096 4 gauss 9 - - 8x\n");
+  expect_bad_line("0 4096 4 nope 9 - - - - 0 u32\n");
+  expect_bad_line("0 4096 4 gauss 9 quicksort - - - 0 u32\n");
+  expect_bad_line("0 4096 4 gauss 9 - - eleven - 0 u32\n");
+  expect_bad_line("0 4096 4 gauss 9 - - 8x - 0 u32\n");
   // A line whose id does not parse is an error, not a skipped comment.
-  expect_bad_line("bogus 4096 4 gauss 9 - - -\n");
+  expect_bad_line("bogus 4096 4 gauss 9 - - - - 0 u32\n");
   // Invalid job (seed 0) is caught at parse time too.
-  expect_bad_line("0 4096 4 gauss 0 - - -\n");
+  expect_bad_line("0 4096 4 gauss 0 - - - - 0 u32\n");
+  // Integers parse whole into their field's type: no sign wrap, no
+  // truncation, no '+'.
+  expect_bad_line("0 -1024 4 gauss 9 - - - - 0 u32\n");
+  expect_bad_line("0 4096 4294967300 gauss 9 - - - - 0 u32\n");
+  expect_bad_line("0 4096 4 gauss +9 - - - - 0 u32\n");
 }
 
 TEST(Trace, DeadlineAndPriorityRoundTrip) {
@@ -123,25 +129,31 @@ TEST(Trace, DeadlineAndPriorityRoundTrip) {
   }
 }
 
-TEST(Trace, OldEightFieldLinesStillParse) {
-  const auto jobs = trace_from_text("0 4096 4 gauss 9 - - -\n").value();
-  ASSERT_EQ(jobs.size(), 1u);
-  EXPECT_EQ(jobs[0].deadline_us, 0u);
-  EXPECT_EQ(jobs[0].priority, 0);
-  // And v1 traces render without the optional columns.
-  const std::string text = trace_to_text(jobs);
-  const std::string line = "0 4096 4 gauss 9 - - -\n";
+TEST(Trace, EveryLineHasExactlyElevenFields) {
+  // The writer always emits all 11 columns, defaults included ...
+  JobSpec plain;
+  plain.n = 4096;
+  plain.nprocs = 4;
+  plain.seed = 9;
+  const std::string text = trace_to_text(std::vector<JobSpec>{plain});
+  const std::string line = "0 4096 4 gauss 9 - - - - 0 u32\n";
   ASSERT_GE(text.size(), line.size());
   EXPECT_EQ(text.substr(text.size() - line.size()), line);
+  // ... and the reader accepts nothing shorter: the 8- and 10-field
+  // forms of older traces are malformed.
+  expect_bad_line("0 4096 4 gauss 9 - - -\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - - 0\n");
 }
 
 TEST(Trace, DeadlineWithoutPriorityIsMalformed) {
-  expect_bad_line("0 4096 4 gauss 9 - - - 500\n");
-  // Bad values in the optional columns are rejected too.
-  expect_bad_line("0 4096 4 gauss 9 - - - soon 0\n");
-  expect_bad_line("0 4096 4 gauss 9 - - - 500 high\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - 500 u32\n");
+  // Bad values in the deadline/priority/record columns are rejected too.
+  expect_bad_line("0 4096 4 gauss 9 - - - soon 0 u32\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - 500 high u32\n");
+  expect_bad_line("0 4096 4 gauss 9 - - - 500 0 -\n");
   // '-' means no deadline.
-  const auto jobs = trace_from_text("0 4096 4 gauss 9 - - - - 1\n").value();
+  const auto jobs =
+      trace_from_text("0 4096 4 gauss 9 - - - - 1 u32\n").value();
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].deadline_us, 0u);
   EXPECT_EQ(jobs[0].priority, 1);
