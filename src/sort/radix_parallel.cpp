@@ -1,7 +1,6 @@
 #include "sort/radix_parallel.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -70,6 +69,36 @@ void for_each_piece(const sas::HomeMap& homes, std::uint64_t gpos,
   }
 }
 
+/// The kv32 payload step of one radix pass, the same under every model
+/// (DESIGN.md §11). Whatever route the keys take — direct remote writes,
+/// staged block copies, chunked or coalesced messages, gets or puts — rank
+/// r's k-th bucket-b key lands at global position first(b) + k. So one
+/// uncharged stable scatter of r's range of the global input lane onto the
+/// global output lane replays it. `cursor` holds one slot per bucket (empty
+/// for u32, whose lanes are empty).
+template <typename First>
+void move_payloads(std::span<const Key> keys,
+                   std::span<const keys::Payload> pay_in,
+                   std::span<keys::Payload> pay_out, std::uint64_t begin,
+                   int pass, int radix_bits, std::span<std::uint64_t> cursor,
+                   First&& first) {
+  if (pay_in.empty()) return;
+  for (std::size_t b = 0; b < cursor.size(); ++b) cursor[b] = first(b);
+  payload_mirror_scatter(keys, pay_in.subspan(begin, keys.size()), pay_out,
+                         pass, radix_bits, cursor);
+}
+
+/// The payload half of an odd pass count's copy-back: rank r's range of
+/// the last-written lane `from` back into `to`.
+void copy_back_payloads(std::span<const keys::Payload> from,
+                        std::span<keys::Payload> to, const sas::HomeMap& homes,
+                        int r) {
+  if (from.empty()) return;
+  std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(homes.begin_of(r)),
+              homes.count_of(r),
+              to.begin() + static_cast<std::ptrdiff_t>(homes.begin_of(r)));
+}
+
 /// Local max of a key span, charged as one sweep.
 Key charged_local_max(sim::ProcContext& ctx, std::span<const Key> keys) {
   Key mx = 0;
@@ -127,22 +156,24 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
   DSM_REQUIRE(w.a != nullptr && w.b != nullptr && w.scan != nullptr,
               "CC-SAS radix world is incomplete");
   DSM_REQUIRE(w.a->size() == w.b->size(), "toggle arrays must match");
-  const bool paired = w.pay_a != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_b != nullptr &&
-                          w.pay_a->size() == w.a->size() &&
-                          w.pay_b->size() == w.b->size()),
+  const bool paired = !w.pay_a.empty();
+  DSM_REQUIRE(!paired || (w.pay_a.size() == w.a->size() &&
+                          w.pay_b.size() == w.b->size()),
               "payload lanes must mirror both toggle arrays");
   const int p = ctx.nprocs();
   const int r = ctx.rank();
-  const std::size_t buckets = std::size_t{1} << w.radix_bits;
+  const int bits = w.spec.radix_bits;
+  const KernelBackend be = w.spec.kernel_backend;
+  const bool buffered = w.spec.model == Model::kCcSasNew;
+  const std::size_t buckets = std::size_t{1} << bits;
   DSM_REQUIRE(w.scan->buckets() == buckets, "BucketScan bucket mismatch");
   const sas::HomeMap& homes = w.a->homes();
-  int passes = radix_passes(w.radix_bits);
-  if (w.detect_max_key) {
+  int passes = radix_passes(bits);
+  if (w.spec.ablations.detect_max_key) {
     const Key local_max = charged_local_max(ctx, w.a->partition(r));
     const auto global_max =
         static_cast<Key>(sas::ccsas_max_reduce(ctx, local_max));
-    passes = radix_passes_for_max(w.radix_bits, global_max);
+    passes = radix_passes_for_max(bits, global_max);
   }
   w.passes_used.store(passes, std::memory_order_relaxed);
   const std::uint64_t part_bytes = homes.count_of(r) * sizeof(Key);
@@ -158,38 +189,37 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
       lines_to(static_cast<std::size_t>(p));
   std::vector<sim::ScatteredTraffic> traffic;
   traffic.reserve(static_cast<std::size_t>(p));
-  std::vector<Key> buf(w.buffered ? homes.count_of(r) : 0);
+  std::vector<Key> buf(buffered ? homes.count_of(r) : 0);
   RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.kernel_jobs;
-  // Payload-mirror scratch (kv32 only): the starting-cursor snapshot the
-  // uncharged replay consumes, and the local staging lane for buffered
-  // mode.
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);
-  std::vector<keys::Payload> pay_buf(
-      paired && w.buffered ? homes.count_of(r) : 0);
+  ws.jobs = w.spec.kernel_jobs;
+  std::vector<std::uint64_t> mirror(paired ? buckets : 0);  // payload cursor
 
   sas::SharedArray<Key>* in = w.a;
   sas::SharedArray<Key>* out = w.b;
-  std::vector<keys::Payload>* pay_in = w.pay_a;
-  std::vector<keys::Payload>* pay_out = w.pay_b;
-  const std::uint64_t my_begin = homes.begin_of(r);
+  std::span<keys::Payload> pay_in = w.pay_a;
+  std::span<keys::Payload> pay_out = w.pay_b;
   for (int pass = 0; pass < passes; ++pass) {
     const std::span<const Key> my_keys = in->partition(r);
     ctx.phase("local histogram");
-    const std::uint64_t active = charged_histogram(
-        ctx, my_keys, pass, w.radix_bits, hist, w.kernels, ws);
+    const std::uint64_t active =
+        charged_histogram(ctx, my_keys, pass, bits, hist, be, ws);
     ctx.phase("global histogram");
     w.scan->scan(ctx, hist, rank_prefix, global_cnt);
     exclusive_prefix(ctx, global_cnt, global_start);
     ctx.phase("permutation");
+    // The pass-closing barrier orders these lane writes before every
+    // rank's next-pass reads.
+    move_payloads(my_keys, pay_in, pay_out, homes.begin_of(r), pass, bits,
+                  mirror, [&](std::size_t b) {
+                    return global_start[b] + rank_prefix[b];
+                  });
 
-    if (!w.buffered) {
+    if (!buffered) {
       // Original SPLASH-2 style: write each key straight to its global
       // position — temporally scattered remote writes.
       for (std::size_t b = 0; b < buckets; ++b) {
         cursor[b] = global_start[b] + rank_prefix[b];
       }
-      if (paired) std::copy(cursor.begin(), cursor.end(), mirror.begin());
       ctx.busy_cycles(static_cast<double>(buckets) *
                       ctx.params().cpu.scan_cycles);
       // Each bucket's write cursor only moves forward, so its home owner
@@ -212,7 +242,7 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
       // untouched, so every charge is identical; only the physical store
       // order changes, and flushes land each key at its cursor position.
       const bool stage_writes =
-          w.kernels == KernelBackend::kOptimized &&
+          be == KernelBackend::kOptimized &&
           buckets * kWcLineKeys * sizeof(Key) <= kernel_staging_bytes() &&
           (part_bytes >= kWcMinFootprintBytes ||
            (buckets >= kernel_wc_min_buckets() &&
@@ -221,7 +251,7 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
       std::uint32_t* wfill = nullptr;
       std::uint32_t* wneed = nullptr;
       if (stage_writes) {
-        ws.prepare(w.radix_bits, 1);
+        ws.prepare(bits, 1);
         wc = ws.wc_keys.data();
         wfill = ws.wc_fill.data();
         wneed = ws.wc_need.data();
@@ -240,7 +270,7 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
       std::fill(runs_to.begin(), runs_to.end(), 0);
       std::uint32_t prev_digit = ~0u;
       for (const Key k : my_keys) {
-        const std::uint32_t d = radix_digit(k, pass, w.radix_bits);
+        const std::uint32_t d = radix_digit(k, pass, bits);
         const std::uint64_t pos = cursor[d]++;
         if (!stage_writes) {
           out_data[pos] = k;
@@ -281,15 +311,6 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
         }
         wc_store_fence();
       }
-      if (paired) {
-        // Uncharged host-side replay of the exact scatter above, from the
-        // snapshotted starting cursors, onto the global payload lane.
-        payload_mirror_scatter(
-            my_keys,
-            std::span<const keys::Payload>(pay_in->data() + my_begin,
-                                           my_keys.size()),
-            std::span<keys::Payload>(*pay_out), pass, w.radix_bits, mirror);
-      }
       ctx.busy_cycles(static_cast<double>(my_keys.size()) *
                       ctx.params().cpu.permute_cycles);
       ctx.stream(my_keys.size() * sizeof(Key), part_bytes);
@@ -329,18 +350,8 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
     } else {
       // CC-SAS-NEW (§4.2.1): buffer locally, then copy contiguous chunks.
       const double permute_start_ns = ctx.clock().now_ns();
-      buffered_permute(ctx, my_keys, buf, pass, w.radix_bits, hist,
-                       local_prefix, cursor, active, w.kernels, ws);
-      if (paired) {
-        // Replay the staging scatter on the payload lane (local_prefix
-        // still holds the bucket starts; cursor was the consumed copy).
-        std::copy(local_prefix.begin(), local_prefix.end(), mirror.begin());
-        payload_mirror_scatter(
-            my_keys,
-            std::span<const keys::Payload>(pay_in->data() + my_begin,
-                                           my_keys.size()),
-            pay_buf, pass, w.radix_bits, mirror);
-      }
+      buffered_permute(ctx, my_keys, buf, pass, bits, hist, local_prefix,
+                       cursor, active, be, ws);
       Key* const out_data = out->data();
       std::fill(lines_to.begin(), lines_to.end(), 0);
       std::uint64_t local_bytes = 0;
@@ -350,14 +361,9 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
         for_each_piece(homes, gpos, hist[b],
                        [&](int dst, std::uint64_t gp, std::uint64_t off,
                            std::uint64_t len) {
-                         exchange_copy(w.kernels, out_data + gp,
+                         exchange_copy(be, out_data + gp,
                                        buf.data() + local_prefix[b] + off,
                                        len, part_bytes);
-                         if (paired) {
-                           std::memcpy(pay_out->data() + gp,
-                                       pay_buf.data() + local_prefix[b] + off,
-                                       len * sizeof(keys::Payload));
-                         }
                          if (dst == r) {
                            local_bytes += len * sizeof(Key);
                          } else {
@@ -398,16 +404,13 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
 void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
   DSM_REQUIRE(w.comm != nullptr && w.parts_a != nullptr && w.parts_b != nullptr,
               "MPI radix world is incomplete");
-  const bool paired = w.pay_a != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_b != nullptr && w.chunk_messages),
-              "payload lanes need both mirrors and chunked messages");
   const int p = ctx.nprocs();
   const int r = ctx.rank();
-  const std::size_t buckets = std::size_t{1} << w.radix_bits;
-
-  Index n_total = 0;
-  for (const auto& part : *w.parts_a) n_total += part.size();
-  const sas::HomeMap homes(n_total, p);
+  const int bits = w.spec.radix_bits;
+  const KernelBackend be = w.spec.kernel_backend;
+  const bool chunk_messages = w.spec.ablations.mpi_chunk_messages;
+  const std::size_t buckets = std::size_t{1} << bits;
+  const sas::HomeMap homes(w.spec.n, p);
   const auto rr = static_cast<std::size_t>(r);
   DSM_REQUIRE((*w.parts_a)[rr].size() == homes.count_of(r) &&
                   (*w.parts_b)[rr].size() == homes.count_of(r),
@@ -420,45 +423,41 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
   std::vector<msg::Communicator::Send> sends;
   std::vector<Key> buf(n_local);
   RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.kernel_jobs;
+  ws.jobs = w.spec.kernel_jobs;
   std::vector<Key> stage;  // coalesced-mode receive staging
-  if (!w.chunk_messages) stage.resize(n_local);
-  // Payload-mirror scratch (kv32 only; see CcSasRadixWorld::pay_a).
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);
-  std::vector<keys::Payload> pay_buf(paired ? n_local : 0);
-  std::vector<std::vector<keys::Payload>>* pay_parts_in = w.pay_a;
-  std::vector<std::vector<keys::Payload>>* pay_parts_out = w.pay_b;
+  if (!chunk_messages) stage.resize(n_local);
+  std::vector<std::uint64_t> mirror(w.pay_a.empty() ? 0 : buckets);
+  std::span<keys::Payload> pay_in = w.pay_a;
+  std::span<keys::Payload> pay_out = w.pay_b;
 
   std::vector<Key>* in = &(*w.parts_a)[rr];
   std::vector<Key>* out = &(*w.parts_b)[rr];
-  int passes = radix_passes(w.radix_bits);
-  if (w.detect_max_key) {
+  int passes = radix_passes(bits);
+  if (w.spec.ablations.detect_max_key) {
     const Key local_max = charged_local_max(ctx, *in);
     const Key global_max = w.comm->allreduce_max<Key>(ctx, local_max);
-    passes = radix_passes_for_max(w.radix_bits, global_max);
+    passes = radix_passes_for_max(bits, global_max);
   }
   w.passes_used.store(passes, std::memory_order_relaxed);
   for (int pass = 0; pass < passes; ++pass) {
     ctx.phase("local histogram");
     const std::uint64_t active =
-        charged_histogram(ctx, *in, pass, w.radix_bits, hist, w.kernels, ws);
+        charged_histogram(ctx, *in, pass, bits, hist, be, ws);
     ctx.phase("global histogram");
     const auto table = w.comm->allgather_reduce<std::uint64_t, HistTable>(
         ctx, hist, build_hist_table);
     charge_prefix_scan(ctx, buckets);
     ctx.phase("permutation");
-    buffered_permute(ctx, *in, buf, pass, w.radix_bits, hist, local_prefix,
-                     cursor, active, w.kernels, ws);
-    if (paired) {
-      // Replay the staging scatter on the payload lane (see radix_ccsas).
-      std::copy(local_prefix.begin(), local_prefix.end(), mirror.begin());
-      payload_mirror_scatter(*in, (*pay_parts_in)[rr], pay_buf, pass,
-                             w.radix_bits, mirror);
-    }
+    buffered_permute(ctx, *in, buf, pass, bits, hist, local_prefix, cursor,
+                     active, be, ws);
+    // The exchange below is collective: it orders these lane writes before
+    // every rank's next-pass reads.
+    move_payloads(*in, pay_in, pay_out, homes.begin_of(r), pass, bits, mirror,
+                  [&](std::size_t b) { return table->start(r, b); });
     ctx.phase("redistribution");
 
     sends.clear();
-    if (w.chunk_messages) {
+    if (chunk_messages) {
       // One message per contiguously-destined chunk piece (the paper's
       // preferred implementation) — placed directly at its final offset.
       for (std::size_t b = 0; b < buckets; ++b) {
@@ -468,19 +467,8 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
             [&](int dst, std::uint64_t gp, std::uint64_t off,
                 std::uint64_t len) {
               const Key* src = buf.data() + local_prefix[b] + off;
-              if (paired) {
-                // Sender-side payload push: destination lanes are
-                // preallocated, pieces land at disjoint final offsets, and
-                // the collective exchange below orders every lane write
-                // before the receiver's next-pass reads.
-                std::memcpy(
-                    (*pay_parts_out)[static_cast<std::size_t>(dst)].data() +
-                        (gp - homes.begin_of(dst)),
-                    pay_buf.data() + local_prefix[b] + off,
-                    len * sizeof(keys::Payload));
-              }
               if (dst == r) {
-                exchange_copy(w.kernels, out->data() + (gp - homes.begin_of(r)),
+                exchange_copy(be, out->data() + (gp - homes.begin_of(r)),
                               src, len, part_bytes);
                 ctx.stream(2 * len * sizeof(Key), part_bytes);
                 return;
@@ -519,7 +507,7 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
               reinterpret_cast<const std::byte*>(buf.data() + my_buf_off),
               len * sizeof(Key)});
         } else {
-          exchange_copy(w.kernels, stage.data() + stage_off,
+          exchange_copy(be, stage.data() + stage_off,
                         buf.data() + my_buf_off, len, part_bytes);
           ctx.stream(2 * len * sizeof(Key), part_bytes);
         }
@@ -537,7 +525,7 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
           *table, r,
           [&](int, std::size_t, std::uint64_t lo, std::uint64_t hi,
               std::uint64_t) {
-            exchange_copy(w.kernels, out->data() + (lo - my_begin),
+            exchange_copy(be, out->data() + (lo - my_begin),
                           stage.data() + stage_pos, hi - lo, part_bytes);
             stage_pos += hi - lo;
             ++pieces;
@@ -558,14 +546,11 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
     }
 
     std::swap(in, out);
-    std::swap(pay_parts_in, pay_parts_out);
+    std::swap(pay_in, pay_out);
   }
   if (passes % 2 != 0) {
-    exchange_copy(w.kernels, out->data(), in->data(), n_local, part_bytes);
-    if (paired) {
-      std::memcpy((*pay_parts_out)[rr].data(), (*pay_parts_in)[rr].data(),
-                  n_local * sizeof(keys::Payload));
-    }
+    exchange_copy(be, out->data(), in->data(), n_local, part_bytes);
+    copy_back_payloads(pay_in, pay_out, homes, r);
     std::swap(in, out);
     ctx.stream(2 * part_bytes, 2 * part_bytes);
   }
@@ -573,14 +558,12 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
 
 void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
   DSM_REQUIRE(w.sh != nullptr, "SHMEM radix world is incomplete");
-  const bool paired = w.pay_a != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_b != nullptr && w.pay_stage != nullptr &&
-                          !w.use_put),
-              "payload lanes need all three mirrors and the get path");
   const int p = ctx.nprocs();
   const int r = ctx.rank();
-  const std::size_t buckets = std::size_t{1} << w.radix_bits;
-  const sas::HomeMap homes(w.n_total, p);
+  const int bits = w.spec.radix_bits;
+  const KernelBackend be = w.spec.kernel_backend;
+  const std::size_t buckets = std::size_t{1} << bits;
+  const sas::HomeMap homes(w.spec.n, p);
   const Index n_local = homes.count_of(r);
   DSM_REQUIRE(n_local <= w.part_capacity, "partition exceeds capacity");
   const std::uint64_t part_bytes = n_local * sizeof(Key);
@@ -591,21 +574,19 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
   std::vector<shmem::GetOp> gets;
   std::vector<shmem::PutOp> puts;
   RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.kernel_jobs;
-  // Payload-mirror scratch (kv32 only; see ShmemRadixWorld::pay_a).
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);
-  std::vector<std::vector<keys::Payload>>* pay_parts_in = w.pay_a;
-  std::vector<std::vector<keys::Payload>>* pay_parts_out = w.pay_b;
-  const auto rr = static_cast<std::size_t>(r);
+  ws.jobs = w.spec.kernel_jobs;
+  std::vector<std::uint64_t> mirror(w.pay_a.empty() ? 0 : buckets);
+  std::span<keys::Payload> pay_in = w.pay_a;
+  std::span<keys::Payload> pay_out = w.pay_b;
 
   std::uint64_t in_off = w.off_a;
   std::uint64_t out_off = w.off_b;
-  int passes = radix_passes(w.radix_bits);
-  if (w.detect_max_key) {
+  int passes = radix_passes(bits);
+  if (w.spec.ablations.detect_max_key) {
     const Key local_max = charged_local_max(
         ctx, std::span<const Key>(heap.at<Key>(r, in_off), n_local));
     const Key global_max = w.sh->max_to_all<Key>(ctx, local_max);
-    passes = radix_passes_for_max(w.radix_bits, global_max);
+    passes = radix_passes_for_max(bits, global_max);
   }
   w.passes_used.store(passes, std::memory_order_relaxed);
   bool cold_input = false;
@@ -622,8 +603,8 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
       cold_input = false;
     }
     ctx.phase("local histogram");
-    const std::uint64_t active = charged_histogram(
-        ctx, my_keys, pass, w.radix_bits, hist, w.kernels, ws);
+    const std::uint64_t active =
+        charged_histogram(ctx, my_keys, pass, bits, hist, be, ws);
     ctx.phase("global histogram");
     const auto table = w.sh->fcollect_reduce<std::uint64_t, HistTable>(
         ctx, hist, build_hist_table);
@@ -632,19 +613,15 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
     ctx.phase("permutation");
     Key* const stage = heap.at<Key>(r, w.off_stage);
     buffered_permute(ctx, my_keys, std::span<Key>(stage, n_local), pass,
-                     w.radix_bits, hist, local_prefix, cursor, active,
-                     w.kernels, ws);
-    if (paired) {
-      // Replay the staging scatter on this PE's staged payload lane; the
-      // barrier below publishes it alongside the symmetric staging buffer.
-      std::copy(local_prefix.begin(), local_prefix.end(), mirror.begin());
-      payload_mirror_scatter(my_keys, (*pay_parts_in)[rr],
-                             (*w.pay_stage)[rr], pass, w.radix_bits, mirror);
-    }
+                     bits, hist, local_prefix, cursor, active, be, ws);
+    // The pass-closing barrier orders these lane writes before every PE's
+    // next-pass reads.
+    move_payloads(my_keys, pay_in, pay_out, homes.begin_of(r), pass, bits,
+                  mirror, [&](std::size_t b) { return table->start(r, b); });
     ctx.phase("redistribution");
     w.sh->barrier_all(ctx);  // staging buffers are now globally readable
 
-    if (!w.use_put) {
+    if (!w.spec.ablations.shmem_use_put) {
       // Receiver-initiated: fetch every chunk piece that lands in my
       // partition from its source PE's staging buffer.
       Key* const out = heap.at<Key>(r, out_off);
@@ -654,16 +631,8 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
           *table, r,
           [&](int j, std::size_t, std::uint64_t lo, std::uint64_t hi,
               std::uint64_t src) {
-            if (paired) {
-              // Receiver-side payload pull from j's staged lane, published
-              // by the pre-redistribution barrier.
-              std::memcpy((*pay_parts_out)[rr].data() + (lo - my_begin),
-                          (*w.pay_stage)[static_cast<std::size_t>(j)].data() +
-                              src,
-                          (hi - lo) * sizeof(keys::Payload));
-            }
             if (j == r) {
-              exchange_copy(w.kernels, out + (lo - my_begin), stage + src,
+              exchange_copy(be, out + (lo - my_begin), stage + src,
                             hi - lo, part_bytes);
               ctx.stream(2 * (hi - lo) * sizeof(Key), part_bytes);
             } else {
@@ -691,7 +660,7 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
               const std::uint64_t dst_off =
                   out_off + (gp - homes.begin_of(dst)) * sizeof(Key);
               if (dst == r) {
-                exchange_copy(w.kernels,
+                exchange_copy(be,
                               heap.at<Key>(r, out_off) + (gp - homes.begin_of(r)),
                               src, len, part_bytes);
                 ctx.stream(2 * len * sizeof(Key), part_bytes);
@@ -707,15 +676,12 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
     }
     w.sh->barrier_all(ctx);
     std::swap(in_off, out_off);
-    std::swap(pay_parts_in, pay_parts_out);
+    std::swap(pay_in, pay_out);
   }
   if (passes % 2 != 0) {
-    exchange_copy(w.kernels, heap.at<Key>(r, w.off_a),
-                  heap.at<Key>(r, w.off_b), n_local, part_bytes);
-    if (paired) {
-      std::memcpy((*w.pay_a)[rr].data(), (*pay_parts_in)[rr].data(),
-                  n_local * sizeof(keys::Payload));
-    }
+    exchange_copy(be, heap.at<Key>(r, w.off_a), heap.at<Key>(r, w.off_b),
+                  n_local, part_bytes);
+    copy_back_payloads(pay_in, pay_out, homes, r);
     ctx.stream(2 * part_bytes, 2 * part_bytes);
   }
 }

@@ -17,6 +17,9 @@
 //                    ablation)
 //        SHMEM       local buffering into a symmetric staging buffer,
 //                    then receiver-initiated gets (or puts, ablation)
+//   4. a kv32 payload lane, which sits outside the simulated machine,
+//      moves in one uncharged stable scatter to the keys' final global
+//      positions, the same under every model (the lane note below).
 //
 // Entry points are collective: call from every rank inside SimTeam::run.
 #pragma once
@@ -32,6 +35,7 @@
 #include "shmem/shmem.hpp"
 #include "sim/proc.hpp"
 #include "sort/kernels.hpp"
+#include "sort/sort_api.hpp"
 
 namespace dsm::sort {
 
@@ -102,56 +106,44 @@ void for_each_inbound_piece(const HistTable& t, int d, Fn&& fn) {
   }
 }
 
-/// CC-SAS radix sort over two toggling shared arrays. `buffered` selects
-/// the CC-SAS-NEW restructuring. After the call the sorted keys are in
-/// `*a` if the pass count (see passes_used) is even, else in `*b`.
+/// kv32 payload lanes (DESIGN.md §11), one layout for every model: each
+/// lane is n long and indexed by global position, so rank r's range is
+/// [homes.begin_of(r), homes.end_of(r)) of the block HomeMap every model
+/// uses. The lanes live on the host outside the simulated machine. Each
+/// pass moves them in one uncharged model-independent step (every key
+/// route lands rank r's k-th bucket-b key at the same global position), so
+/// charged times stay bit-identical to the u32 sort. `pay_a` mirrors the
+/// input and `pay_b` the toggle array; both empty for u32.
+///
+/// Every World reads its settings (radix bits, kernel backend and jobs,
+/// ablations) from `spec` and holds only its storage.
+
+/// CC-SAS radix sort over two toggling shared arrays; spec.model kCcSasNew
+/// selects the buffered restructuring. After the call the sorted keys
+/// (and payloads) are in `*a` if the pass count (see passes_used) is even,
+/// else in `*b`.
 struct CcSasRadixWorld {
+  const SortSpec& spec;
   sas::SharedArray<Key>* a = nullptr;
   sas::SharedArray<Key>* b = nullptr;
-  /// Optional kv32 payload lanes mirroring `a`/`b` (size n_total each).
-  /// The lanes live on the host outside the simulated machine: every key
-  /// movement is replayed on them uncharged, so charged times stay
-  /// bit-identical to the u32 sort (DESIGN.md §11). Both null for u32.
-  std::vector<keys::Payload>* pay_a = nullptr;
-  std::vector<keys::Payload>* pay_b = nullptr;
+  std::span<keys::Payload> pay_a{}, pay_b{};
   sas::BucketScan* scan = nullptr;
-  int radix_bits = 8;
-  bool buffered = false;  // true => CC-SAS-NEW
-  /// §3.1: "the maximum key value determines how many iterations will
-  /// actually be needed" — when set, a collective max-reduction bounds the
-  /// pass count instead of assuming full-width keys.
-  bool detect_max_key = false;
-  /// Host kernel backend for the local histogram/permute work. Virtual
-  /// times are identical across backends (the charge-invariance
-  /// contract); this only changes host speed.
-  KernelBackend kernels = KernelBackend::kOptimized;
-  /// Host threads per rank for the kernel calls (see
-  /// RadixWorkspace::jobs). Output and charged times are byte-identical
-  /// for every value.
-  int kernel_jobs = 1;
   std::atomic<int> passes_used{0};  // output (identical on every rank)
 };
 void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w);
 
 /// MPI radix sort over per-rank partitions (private address spaces).
-/// Sorted keys end up in parts_a (the algorithm copies back if the pass
-/// count is odd). `chunk_messages` selects one message per contiguous
-/// chunk (the paper's choice) vs one coalesced message per destination
-/// with receiver-side reorganisation (NAS IS style).
+/// Sorted keys end up in parts_a, and payloads in pay_a (the algorithm
+/// copies back if the pass count is odd). spec.ablations.mpi_chunk_messages
+/// selects one message per contiguous chunk (the paper's choice) vs one
+/// coalesced message per destination with receiver-side reorganisation
+/// (NAS IS style).
 struct MpiRadixWorld {
+  const SortSpec& spec;
   msg::Communicator* comm = nullptr;
   std::vector<std::vector<Key>>* parts_a = nullptr;  // [rank] -> partition
   std::vector<std::vector<Key>>* parts_b = nullptr;
-  /// Optional kv32 payload lanes mirroring parts_a/parts_b (see
-  /// CcSasRadixWorld). Requires chunk_messages (the coalesced ablation
-  /// does not carry payloads). Both null for u32.
-  std::vector<std::vector<keys::Payload>>* pay_a = nullptr;
-  std::vector<std::vector<keys::Payload>>* pay_b = nullptr;
-  int radix_bits = 8;
-  bool chunk_messages = true;
-  bool detect_max_key = false;      // see CcSasRadixWorld
-  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasRadixWorld
-  int kernel_jobs = 1;              // see CcSasRadixWorld
+  std::span<keys::Payload> pay_a{}, pay_b{};
   std::atomic<int> passes_used{0};  // output
 };
 void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w);
@@ -159,28 +151,18 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w);
 /// SHMEM radix sort over symmetric partition arrays. `off_a`/`off_b` are
 /// symmetric offsets of Key arrays of capacity `part_capacity` each;
 /// `off_stage` a staging array of the same capacity. Sorted keys end in
-/// the `off_a` array. `use_put` switches the permutation from
-/// receiver-initiated gets (the paper's choice: data lands in the
-/// destination cache) to sender-initiated puts (ablation: the next pass
-/// finds its keys cold).
+/// the `off_a` array, and payloads in pay_a. spec.ablations.shmem_use_put
+/// switches the permutation from receiver-initiated gets (the paper's
+/// choice: data lands in the destination cache) to sender-initiated puts
+/// (ablation: the next pass finds its keys cold).
 struct ShmemRadixWorld {
+  const SortSpec& spec;
   shmem::Shmem* sh = nullptr;
   std::uint64_t off_a = 0;
   std::uint64_t off_b = 0;
   std::uint64_t off_stage = 0;
-  /// Optional kv32 payload lanes mirroring the off_a/off_b/off_stage
-  /// symmetric arrays: [pe] -> that PE's partition lane (see
-  /// CcSasRadixWorld). Requires the get path (!use_put). All null for u32.
-  std::vector<std::vector<keys::Payload>>* pay_a = nullptr;
-  std::vector<std::vector<keys::Payload>>* pay_b = nullptr;
-  std::vector<std::vector<keys::Payload>>* pay_stage = nullptr;
   Index part_capacity = 0;
-  Index n_total = 0;
-  int radix_bits = 8;
-  bool use_put = false;
-  bool detect_max_key = false;      // see CcSasRadixWorld
-  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasRadixWorld
-  int kernel_jobs = 1;              // see CcSasRadixWorld
+  std::span<keys::Payload> pay_a{}, pay_b{};
   std::atomic<int> passes_used{0};  // output
 };
 void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -19,31 +18,61 @@ namespace {
 /// backend honors the same contracts (sorted result in `keys`, charges a
 /// pure function of the key sequence, a non-empty payload lane sorted
 /// with the keys and charged nothing), so the surrounding phases are
-/// untouched.
-void charged_local_sort(sim::ProcContext& ctx, LocalSort alg,
-                        std::span<Key> keys, std::span<Key> tmp,
-                        int radix_bits, KernelBackend be, RadixWorkspace& ws,
-                        PayloadLanes lanes) {
-  switch (alg) {
-    case LocalSort::kLsd:
-      local_radix_sort(ctx, keys, tmp, radix_bits, be, ws, lanes);
-      return;
-    case LocalSort::kMsd:
+/// untouched. `tmp` and `pay_tmp` are scratch, resized here.
+void charged_local_sort(sim::ProcContext& ctx, const SortSpec& spec,
+                        std::span<Key> keys, std::vector<Key>& tmp,
+                        std::span<keys::Payload> pays,
+                        std::vector<keys::Payload>& pay_tmp,
+                        RadixWorkspace& ws) {
+  tmp.resize(keys.size());
+  pay_tmp.resize(pays.size());
+  const PayloadLanes lanes{pays, pay_tmp};
+  const KernelBackend be = spec.kernel_backend;
+  switch (spec.algo) {
+    case Algo::kMsdRadix:
       local_msd_sort(ctx, keys, be, ws, lanes);
       return;
-    case LocalSort::kMerge:
-      local_merge_sort(ctx, keys, tmp, radix_bits, be, ws, lanes);
+    case Algo::kMergesort:
+      local_merge_sort(ctx, keys, tmp, spec.radix_bits, be, ws, lanes);
+      return;
+    case Algo::kRadix:
+    case Algo::kSample:
+      local_radix_sort(ctx, keys, tmp, spec.radix_bits, be, ws, lanes);
       return;
   }
   DSM_REQUIRE(false, "unknown local sort");
 }
 
-/// Rank `r`'s payload lane in an optional per-rank lane array (empty for
-/// a u32 sort, whose lane array is null).
-std::span<keys::Payload> lane_of(
-    std::vector<std::vector<keys::Payload>>* lanes, std::size_t r) {
-  if (lanes == nullptr) return {};
-  return (*lanes)[r];
+/// Rank r's range of a global payload lane (empty for u32).
+std::span<keys::Payload> rank_lane(std::span<keys::Payload> pay,
+                                   const sas::HomeMap& homes, int r) {
+  if (pay.empty()) return {};
+  return pay.subspan(homes.begin_of(r), homes.count_of(r));
+}
+
+/// The kv32 payload step of the redistribution, the same under every model
+/// (DESIGN.md §11). Rank r receives source j's range [bounds_j[r],
+/// bounds_j[r + 1]) of j's sorted partition, in source-rank order; j's
+/// partition starts at homes.begin_of(j) of the global lane. Every lane is
+/// final once the boundaries are published. `bounds` holds p rows of
+/// p + 1. Uncharged. Returns r's received run: empty for u32.
+std::span<keys::Payload> pull_payloads(
+    std::span<const keys::Payload> pay, const sas::HomeMap& homes,
+    const std::uint64_t* bounds, int r,
+    std::vector<std::vector<keys::Payload>>* result) {
+  if (pay.empty()) return {};
+  const int p = homes.nprocs();
+  std::vector<keys::Payload>& out = (*result)[static_cast<std::size_t>(r)];
+  out.clear();
+  for (int j = 0; j < p; ++j) {
+    const std::uint64_t* bj =
+        bounds + static_cast<std::size_t>(j) * static_cast<std::size_t>(p + 1);
+    const auto first = pay.begin() + static_cast<std::ptrdiff_t>(
+                                          homes.begin_of(j) + bj[r]);
+    out.insert(out.end(), first,
+               first + static_cast<std::ptrdiff_t>(bj[r + 1] - bj[r]));
+  }
+  return out;
 }
 
 /// Evenly select `s` samples from a sorted span (repeats allowed when the
@@ -144,8 +173,8 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const auto rr = static_cast<std::size_t>(r);
-  const auto s = static_cast<std::size_t>(w.sample_count);
-  DSM_REQUIRE(w.sample_count >= 1, "need at least one sample per process");
+  const auto s = static_cast<std::size_t>(w.spec.ablations.sample_count);
+  DSM_REQUIRE(s >= 1, "need at least one sample per process");
   DSM_REQUIRE(w.samples->size() == s * static_cast<std::size_t>(p) &&
                   w.splitters->size() == static_cast<std::size_t>(p - 1) &&
                   w.boundaries->size() ==
@@ -153,24 +182,20 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
                           static_cast<std::size_t>(p + 1),
               "shared scratch sized incorrectly");
 
-  const bool paired = w.pay != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_result != nullptr &&
-                          w.pay->size() == w.keys->size()),
+  DSM_REQUIRE(w.pay.empty() || (w.pay_result != nullptr &&
+                                 w.pay.size() == w.keys->size()),
               "payload lanes must mirror the key array and the result");
+  const sas::HomeMap& homes = w.keys->homes();
 
   // Phase 1: local radix sort of my partition.
   ctx.phase("local sort 1");
   std::span<Key> mine = w.keys->partition(r);
-  std::vector<Key> tmp(mine.size());
+  std::vector<Key> tmp;
+  std::vector<keys::Payload> pay_tmp;
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
-  ws.jobs = w.kernel_jobs;
-  const std::span<keys::Payload> my_pay =
-      paired ? std::span<keys::Payload>(
-                   w.pay->data() + w.keys->homes().begin_of(r), mine.size())
-             : std::span<keys::Payload>();
-  std::vector<keys::Payload> pay_tmp(my_pay.size());
-  charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels, ws,
-                     {my_pay, pay_tmp});
+  ws.jobs = w.spec.kernel_jobs;
+  charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
+                     pay_tmp, ws);
 
   // Phase 2: publish my samples (my slot of the shared sample array).
   ctx.phase("sampling");
@@ -181,7 +206,7 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   // Only the charges of the group sorts and the merge are needed: rank 0
   // picks the splitters once from the rank-ordered sample array.
   ctx.phase("splitters");
-  const int gsize = std::min(w.group_size, p);
+  const int gsize = std::min(w.spec.ablations.sample_group_size, p);
   const bool collector = r % gsize == 0;
   if (collector) {
     const int members = std::min(gsize, p - r);
@@ -254,7 +279,8 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   }
   std::vector<Key>& out = (*w.result)[rr];
   out.resize(total);
-  if (paired) (*w.pay_result)[rr].resize(total);
+  const std::span<keys::Payload> pay_out =
+      pull_payloads(w.pay, homes, w.boundaries->data(), r, w.pay_result);
   std::vector<sim::Transfer> reads;
   std::uint64_t pos = 0;
   for (int j = 0; j < p; ++j) {
@@ -264,15 +290,8 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
     const std::uint64_t cnt = bj[r + 1] - bj[r];
     if (cnt == 0) continue;
     const Key* src = w.keys->partition(j).data() + bj[r];
-    exchange_copy(w.kernels, out.data() + pos, src, cnt,
+    exchange_copy(w.spec.kernel_backend, out.data() + pos, src, cnt,
                   total * sizeof(Key));
-    if (paired) {
-      // Receiver-side payload pull: j's partition (and its lane) is
-      // final once the boundary-publication barrier has passed.
-      std::memcpy((*w.pay_result)[rr].data() + pos,
-                  w.pay->data() + w.keys->homes().begin_of(j) + bj[r],
-                  cnt * sizeof(keys::Payload));
-    }
     if (j == r) {
       ctx.stream(2 * cnt * sizeof(Key), 2 * cnt * sizeof(Key));
     } else {
@@ -286,11 +305,7 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
 
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
-  tmp.resize(out.size());
-  const std::span<keys::Payload> pay_out = lane_of(w.pay_result, rr);
-  pay_tmp.resize(pay_out.size());
-  charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels, ws,
-                     {pay_out, pay_tmp});
+  charged_local_sort(ctx, w.spec, out, tmp, pay_out, pay_tmp, ws);
   ctx.phase("barrier");
   sas::ccsas_barrier(ctx);
 }
@@ -300,23 +315,21 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const auto rr = static_cast<std::size_t>(r);
-  const auto s = static_cast<std::size_t>(w.sample_count);
-  DSM_REQUIRE(w.sample_count >= 1, "need at least one sample per process");
-
-  const bool paired = w.pay_parts != nullptr;
-  DSM_REQUIRE(!paired || w.pay_result != nullptr,
+  const auto s = static_cast<std::size_t>(w.spec.ablations.sample_count);
+  DSM_REQUIRE(s >= 1, "need at least one sample per process");
+  DSM_REQUIRE(w.pay.empty() || w.pay_result != nullptr,
               "payload lanes must mirror parts and result");
+  const sas::HomeMap homes(w.spec.n, p);
 
   // Phase 1: local sort.
   ctx.phase("local sort 1");
   std::vector<Key>& mine = (*w.parts)[rr];
-  std::vector<Key> tmp(mine.size());
+  std::vector<Key> tmp;
+  std::vector<keys::Payload> pay_tmp;
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
-  ws.jobs = w.kernel_jobs;
-  const std::span<keys::Payload> my_pay = lane_of(w.pay_parts, rr);
-  std::vector<keys::Payload> pay_tmp(my_pay.size());
-  charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels, ws,
-                     {my_pay, pay_tmp});
+  ws.jobs = w.spec.kernel_jobs;
+  charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
+                     pay_tmp, ws);
 
   // Phases 2+3: allgather samples; every modelled process sorts the full
   // sample set and picks splitters (charged per rank, computed once).
@@ -348,6 +361,8 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
   for (int j = 0; j < p; ++j) total += cnt_from_to(j, r);
   std::vector<Key>& out = (*w.result)[rr];
   out.resize(total);
+  const std::span<keys::Payload> pay_out =
+      pull_payloads(w.pay, homes, all_bounds.data(), r, w.pay_result);
 
   // One contiguous message per destination (the sample-sort property the
   // paper highlights).
@@ -360,7 +375,7 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
     std::uint64_t dst_off = 0;
     for (int j = 0; j < r; ++j) dst_off += cnt_from_to(j, dst);
     if (dst == r) {
-      exchange_copy(w.kernels, out.data() + dst_off, src, cnt,
+      exchange_copy(w.spec.kernel_backend, out.data() + dst_off, src, cnt,
                     total * sizeof(Key));
       ctx.stream(2 * cnt * sizeof(Key), 2 * cnt * sizeof(Key));
       continue;
@@ -372,32 +387,9 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
   ctx.busy_cycles(static_cast<double>(p) * ctx.params().cpu.scan_cycles);
   w.comm->exchange(ctx, sends, std::as_writable_bytes(std::span<Key>(out)));
 
-  if (paired) {
-    // Receiver-side payload pull, after the exchange: every source's
-    // sorted lane is final (the all_bounds allgather ordered phase 1
-    // before this point) and the receive layout is source-rank ordered.
-    (*w.pay_result)[rr].resize(total);
-    std::uint64_t pay_pos = 0;
-    for (int j = 0; j < p; ++j) {
-      const std::uint64_t cnt = cnt_from_to(j, r);
-      if (cnt == 0) continue;
-      const std::uint64_t* bs =
-          all_bounds.data() +
-          static_cast<std::size_t>(j) * static_cast<std::size_t>(p + 1);
-      std::memcpy((*w.pay_result)[rr].data() + pay_pos,
-                  (*w.pay_parts)[static_cast<std::size_t>(j)].data() + bs[r],
-                  cnt * sizeof(keys::Payload));
-      pay_pos += cnt;
-    }
-  }
-
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
-  tmp.resize(out.size());
-  const std::span<keys::Payload> pay_out = lane_of(w.pay_result, rr);
-  pay_tmp.resize(pay_out.size());
-  charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels, ws,
-                     {pay_out, pay_tmp});
+  charged_local_sort(ctx, w.spec, out, tmp, pay_out, pay_tmp, ws);
   ctx.phase("barrier");
   w.comm->barrier(ctx);
 }
@@ -407,27 +399,24 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const auto rr = static_cast<std::size_t>(r);
-  const auto s = static_cast<std::size_t>(w.sample_count);
-  DSM_REQUIRE(w.sample_count >= 1, "need at least one sample per process");
-  const sas::HomeMap homes(w.n_total, p);
+  const auto s = static_cast<std::size_t>(w.spec.ablations.sample_count);
+  DSM_REQUIRE(s >= 1, "need at least one sample per process");
+  DSM_REQUIRE(w.pay.empty() || w.pay_result != nullptr,
+              "payload lanes must mirror the partitions and the result");
+  const sas::HomeMap homes(w.spec.n, p);
   const Index n_local = homes.count_of(r);
   DSM_REQUIRE(n_local <= w.part_capacity, "partition exceeds capacity");
   shmem::SymmetricHeap& heap = w.sh->heap();
 
-  const bool paired = w.pay_parts != nullptr;
-  DSM_REQUIRE(!paired || w.pay_result != nullptr,
-              "payload lanes must mirror the partitions and the result");
-
   // Phase 1: local sort (in the symmetric segment, so phase 4 can get()).
   ctx.phase("local sort 1");
   std::span<Key> mine(heap.at<Key>(r, w.off_keys), n_local);
-  std::vector<Key> tmp(mine.size());
+  std::vector<Key> tmp;
+  std::vector<keys::Payload> pay_tmp;
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
-  ws.jobs = w.kernel_jobs;
-  const std::span<keys::Payload> my_pay = lane_of(w.pay_parts, rr);
-  std::vector<keys::Payload> pay_tmp(my_pay.size());
-  charged_local_sort(ctx, w.local_sort, mine, tmp, w.radix_bits, w.kernels, ws,
-                     {my_pay, pay_tmp});
+  ws.jobs = w.spec.kernel_jobs;
+  charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
+                     pay_tmp, ws);
 
   // Phases 2+3: fcollect samples; every modelled PE sorts them and picks
   // splitters (charged per PE, computed once).
@@ -457,25 +446,19 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
   }
   std::vector<Key>& out = (*w.result)[rr];
   out.resize(total);
+  const std::span<keys::Payload> pay_out =
+      pull_payloads(w.pay, homes, all_bounds.data(), r, w.pay_result);
 
   ctx.phase("redistribution");
-  if (paired) (*w.pay_result)[rr].resize(total);
   std::vector<shmem::GetOp> gets;
   std::uint64_t pos = 0;
   for (int j = 0; j < p; ++j) {
     const std::uint64_t* bj = bounds_of(j);
     const std::uint64_t cnt = bj[r + 1] - bj[r];
     if (cnt == 0) continue;
-    if (paired) {
-      // Receiver-side payload pull: j's sorted lane is final once the
-      // all_bounds fcollect has passed.
-      std::memcpy((*w.pay_result)[rr].data() + pos,
-                  (*w.pay_parts)[static_cast<std::size_t>(j)].data() + bj[r],
-                  cnt * sizeof(keys::Payload));
-    }
     if (j == r) {
-      exchange_copy(w.kernels, out.data() + pos, mine.data() + bj[r], cnt,
-                    total * sizeof(Key));
+      exchange_copy(w.spec.kernel_backend, out.data() + pos,
+                    mine.data() + bj[r], cnt, total * sizeof(Key));
       ctx.stream(2 * cnt * sizeof(Key), 2 * cnt * sizeof(Key));
     } else {
       gets.push_back(shmem::GetOp{
@@ -489,11 +472,7 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
 
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
-  tmp.resize(out.size());
-  const std::span<keys::Payload> pay_out = lane_of(w.pay_result, rr);
-  pay_tmp.resize(pay_out.size());
-  charged_local_sort(ctx, w.local_sort, out, tmp, w.radix_bits, w.kernels, ws,
-                     {pay_out, pay_tmp});
+  charged_local_sort(ctx, w.spec, out, tmp, pay_out, pay_tmp, ws);
   ctx.phase("barrier");
   w.sh->barrier_all(ctx);
 }

@@ -18,6 +18,10 @@
 // or rank 0 under CC-SAS) and never materialises the sorted copies
 // (DESIGN.md §5.1).
 //
+// A kv32 payload lane sits outside the simulated machine: both local
+// sorts carry it along uncharged, and the redistribution pulls it in one
+// step that is the same under every model.
+//
 // Entry points are collective; final runs land in (*result)[rank], whose
 // concatenation by rank is the globally sorted sequence.
 #pragma once
@@ -30,81 +34,56 @@
 #include "shmem/shmem.hpp"
 #include "sim/proc.hpp"
 #include "sort/kernels.hpp"
+#include "sort/sort_api.hpp"
 
 namespace dsm::sort {
 
-/// Default per-process sample count (the paper's choice).
-inline constexpr int kDefaultSampleCount = 128;
-
-/// Which charged local sort the skeleton's two sorting phases run. The
-/// sampling/splitter/redistribution phases are identical for all three:
-/// Algo::kSample, kMsdRadix and kMergesort share this skeleton and
-/// differ only here (plus their predictor cost models).
-enum class LocalSort {
-  kLsd,    // seq_radix.hpp (Algo::kSample)
-  kMsd,    // msd_radix.hpp (Algo::kMsdRadix)
-  kMerge,  // merge_sort.hpp (Algo::kMergesort)
-};
-
+/// Every World reads its settings (radix bits, sample count and group
+/// size, kernel backend and jobs) from `spec`, and spec.algo picks the
+/// charged local sort of both sorting phases: kSample keeps the paper's
+/// LSD local sorts, kMsdRadix and kMergesort reuse the identical skeleton
+/// with their own local-sort kernels.
+///
+/// kv32 payload lanes (DESIGN.md §11): `pay` is the n-long input lane
+/// indexed by global position, so rank r's partition owns
+/// [homes.begin_of(r), homes.end_of(r)) of the block HomeMap every model
+/// uses; `pay_result` mirrors `result`, rank by rank. The lanes are
+/// host-side and uncharged: the redistribution pulls them in one
+/// model-independent step, so charged times stay bit-identical to the u32
+/// sort. `pay` is empty for u32, which leaves `pay_result` untouched
+/// (it may then be null).
 struct CcSasSampleWorld {
+  const SortSpec& spec;
   sas::SharedArray<Key>* keys = nullptr;             // input, sorted in place
   std::vector<std::vector<Key>>* result = nullptr;   // [rank] output run
-  /// Optional kv32 payload lanes: `pay` mirrors the shared key array
-  /// (size n_total, partitioned by the same HomeMap); `pay_result` mirrors
-  /// `result`. Host-side and uncharged — charged times stay bit-identical
-  /// to the u32 sort (DESIGN.md §11). Both null for u32.
-  std::vector<keys::Payload>* pay = nullptr;
+  std::span<keys::Payload> pay{};
   std::vector<std::vector<keys::Payload>>* pay_result = nullptr;
   // Shared scratch, sized by the driver:
   std::vector<Key>* samples = nullptr;        // sample_count * p
   std::vector<Key>* splitters = nullptr;      // p - 1 (values)
   std::vector<int>* splitter_srcs = nullptr;  // p - 1 (tie-break ranks)
   std::vector<std::uint64_t>* boundaries = nullptr;  // p * (p + 1)
-  int radix_bits = 11;
-  int sample_count = kDefaultSampleCount;
-  int group_size = 32;  // paper: "every set of 32 processes forms a group"
-  LocalSort local_sort = LocalSort::kLsd;  // both local sort phases
-  /// Host kernel backend for both local sort phases; charged virtual
-  /// times are backend-invariant (DESIGN.md §9).
-  KernelBackend kernels = KernelBackend::kOptimized;
-  /// Host threads per rank for the kernel calls. Output and charged times
-  /// are byte-identical for every value.
-  int kernel_jobs = 1;
 };
 void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w);
 
 struct MpiSampleWorld {
+  const SortSpec& spec;
   msg::Communicator* comm = nullptr;
   std::vector<std::vector<Key>>* parts = nullptr;   // input, sorted in place
   std::vector<std::vector<Key>>* result = nullptr;  // [rank] output run
-  /// Optional kv32 payload lanes mirroring parts/result (see
-  /// CcSasSampleWorld). Both null for u32.
-  std::vector<std::vector<keys::Payload>>* pay_parts = nullptr;
+  std::span<keys::Payload> pay{};
   std::vector<std::vector<keys::Payload>>* pay_result = nullptr;
-  int radix_bits = 11;
-  int sample_count = kDefaultSampleCount;
-  LocalSort local_sort = LocalSort::kLsd;            // both local sort phases
-  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasSampleWorld
-  int kernel_jobs = 1;                                // see CcSasSampleWorld
 };
 void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w);
 
 struct ShmemSampleWorld {
+  const SortSpec& spec;
   shmem::Shmem* sh = nullptr;
   std::uint64_t off_keys = 0;  // symmetric Key array, capacity part_capacity
   Index part_capacity = 0;
-  Index n_total = 0;
   std::vector<std::vector<Key>>* result = nullptr;  // [rank] output run
-  /// Optional kv32 payload lanes: pay_parts[pe] mirrors that PE's
-  /// symmetric key partition; pay_result mirrors `result` (see
-  /// CcSasSampleWorld). Both null for u32.
-  std::vector<std::vector<keys::Payload>>* pay_parts = nullptr;
+  std::span<keys::Payload> pay{};
   std::vector<std::vector<keys::Payload>>* pay_result = nullptr;
-  int radix_bits = 11;
-  int sample_count = kDefaultSampleCount;
-  LocalSort local_sort = LocalSort::kLsd;            // both local sort phases
-  KernelBackend kernels = KernelBackend::kOptimized;  // see CcSasSampleWorld
-  int kernel_jobs = 1;                                // see CcSasSampleWorld
 };
 void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w);
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/fsio.hpp"
 #include "sas/prefix_tree.hpp"
 #include "sas/shared_array.hpp"
 #include "shmem/shmem.hpp"
@@ -14,8 +16,6 @@
 #include "sort/sample_parallel.hpp"
 #include "sort/seq_radix.hpp"
 #include "sort/verify.hpp"
-
-#include <fstream>
 
 namespace dsm::sort {
 namespace {
@@ -45,54 +45,82 @@ void arm_team(const SortSpec& spec, sim::SimTeam& team) {
   }
 }
 
-/// Generate every rank's partition (host-side, uncharged — the paper times
-/// sorting, not initialisation) and return the input multiset checksum.
-Checksum generate_partitions(const SortSpec& spec,
-                             const sas::HomeMap& homes,
-                             const std::function<std::span<Key>(int)>& part) {
+/// A sort's generated input (host-side, uncharged — the paper times
+/// sorting, not initialisation): the key multiset checksum and, for a
+/// payload-carrying record, the payload lanes (DESIGN.md §11). Every model
+/// indexes a lane by global position, so rank r's range is
+/// [homes.begin_of(r), homes.end_of(r)). `pay_a` holds each key's global
+/// input index, the canonical payload: ascending payloads within every
+/// equal-key run of the output prove stability. `pay_b` is the radix
+/// sorts' toggle lane. Both are empty for u32.
+struct Input {
+  Checksum keys;
+  std::uint64_t pairs = 0;  // pair_fingerprint of the input records
+  std::vector<keys::Payload> pay_a, pay_b;
+};
+
+Input generate_input(const SortSpec& spec, const sas::HomeMap& homes,
+                     const std::function<std::span<Key>(int)>& part) {
   checkpoint(spec, "keygen", 0.0);
-  return generate_partitions_cached(spec.dist, spec.n, spec.nprocs,
-                                    spec.radix_bits, spec.seed, homes, part);
+  Input in;
+  in.keys = generate_partitions_cached(spec.dist, spec.n, spec.nprocs,
+                                       spec.radix_bits, spec.seed, homes, part);
+  if (!keys::record_info(spec.record).has_payload) return in;
+  in.pay_a.resize(spec.n);
+  std::iota(in.pay_a.begin(), in.pay_a.end(), keys::Payload{0});
+  if (spec.algo == Algo::kRadix) in.pay_b.resize(spec.n);
+  for (int r = 0; r < spec.nprocs; ++r) {
+    in.pairs += pair_fingerprint(
+        part(r), std::span<const keys::Payload>(in.pay_a)
+                     .subspan(homes.begin_of(r), homes.count_of(r)));
+  }
+  return in;
 }
 
 using PayloadRuns = std::vector<std::span<const keys::Payload>>;
 
-bool paired_records(const SortSpec& spec) {
-  return keys::record_info(spec.record).has_payload;
-}
-
-/// Fill a payload partition lane with the records' global input indices —
-/// the canonical kv32 payload: after the sort, ascending payloads within
-/// every equal-key run prove stability (DESIGN.md §11).
-void iota_payload(std::span<keys::Payload> pay, Index global_begin) {
-  for (std::size_t i = 0; i < pay.size(); ++i) {
-    pay[i] = static_cast<keys::Payload>(global_begin + static_cast<Index>(i));
+/// A global payload lane cut into the output's runs (none for u32).
+PayloadRuns lane_runs(std::span<const keys::Payload> lane,
+                      const std::vector<std::span<const Key>>& runs) {
+  PayloadRuns out;
+  if (lane.empty()) return out;
+  std::size_t pos = 0;
+  for (const auto& run : runs) {
+    out.push_back(lane.subspan(pos, run.size()));
+    pos += run.size();
   }
+  return out;
 }
 
-void perf_write_trace(const std::string& path, const sim::SimTeam& team) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw Error(Status::io_error("cannot open trace file: " + path));
-  }
-  out << team.trace_json();
+/// The sample sorts' per-rank payload result lanes as runs (none for u32).
+PayloadRuns rank_runs(const Input& in,
+                      const std::vector<std::vector<keys::Payload>>& lanes) {
+  if (in.pay_a.empty()) return {};
+  return PayloadRuns(lanes.begin(), lanes.end());
 }
 
-void maybe_write_trace(const SortSpec& spec, const sim::SimTeam& team) {
+/// Publish the run's event trace when the spec asks for one. The write is
+/// atomic (temporary, fsync, rename), so a failed write, fsync or close
+/// surfaces as kIoError instead of leaving a truncated trace behind.
+void write_trace(const SortSpec& spec, const sim::SimTeam& team) {
   if (spec.trace_json_path.empty()) return;
-  perf_write_trace(spec.trace_json_path, team);
+  const Status s = try_write_file_atomic(spec.trace_json_path,
+                                         team.trace_json());
+  if (!s.ok()) {
+    throw Error(Status::io_error("cannot write trace: " + s.message()));
+  }
 }
 
-SortResult finish(const SortSpec& spec, sim::SimTeam& team,
-                  const Checksum& input,
-                  const std::vector<std::span<const Key>>& runs,
-                  int passes_used = -1, const PayloadRuns* pay_runs = nullptr,
-                  std::uint64_t input_pairs = 0) {
+/// Verify the output, fill the result and publish the trace. `pay_runs`
+/// aligns with `runs` for a payload-carrying record and is empty for u32.
+SortResult finish(const SortSpec& spec, sim::SimTeam& team, const Input& in,
+                  int passes, const std::vector<std::span<const Key>>& runs,
+                  const PayloadRuns& pay_runs) {
   checkpoint(spec, "verify", team.elapsed_ns());
   SortResult res;
   res.n = spec.n;
   res.record = spec.record;
-  res.passes = passes_used >= 0 ? passes_used : radix_passes(spec.radix_bits);
+  res.passes = passes;
   res.elapsed_ns = team.elapsed_ns();
   res.per_proc.reserve(static_cast<std::size_t>(spec.nprocs));
   for (int r = 0; r < spec.nprocs; ++r) {
@@ -106,9 +134,9 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
     for (const auto& run : runs) {
       res.output.insert(res.output.end(), run.begin(), run.end());
     }
-    if (pay_runs != nullptr) {
+    if (!pay_runs.empty()) {
       res.payload_output.reserve(spec.n);
-      for (const auto& run : *pay_runs) {
+      for (const auto& run : pay_runs) {
         res.payload_output.insert(res.payload_output.end(), run.begin(),
                                   run.end());
       }
@@ -119,7 +147,7 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
   RunsVerdict verdict;
   if (!spec.verify) {
     verdict = RunsVerdict{true, run_order_hash(key_runs)};
-  } else if (pay_runs != nullptr) {
+  } else if (!pay_runs.empty()) {
     // Paired verification: key order, exact (key, payload) multiset
     // preservation, and stability — every algorithm here is stable (LSD
     // radix by construction; the sample-sort skeleton — and the MSD and
@@ -127,17 +155,17 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
     // routes equal keys by source rank, partitions ascend by rank, and
     // every local payload mirror is a stable record sort).
     verdict = verify_sorted_runs_paired(
-        input, input_pairs, key_runs,
-        std::span<const std::span<const keys::Payload>>(*pay_runs),
+        in.keys, in.pairs, key_runs,
+        std::span<const std::span<const keys::Payload>>(pay_runs),
         /*require_stable=*/true);
   } else {
-    verdict = verify_and_hash_runs(input, key_runs);
+    verdict = verify_and_hash_runs(in.keys, key_runs);
   }
   res.verified = verdict.ok;
   DSM_CHECK(res.verified, "sort produced an incorrect result");
-  res.input_checksum = input;
+  res.input_checksum = in.keys;
   res.run_hash = verdict.order_hash;
-  maybe_write_trace(spec, team);
+  write_trace(spec, team);
   return res;
 }
 
@@ -147,40 +175,18 @@ SortResult run_radix_ccsas(const SortSpec& spec,
   arm_team(spec, team);
   sas::SharedArray<Key> a(spec.n, spec.nprocs), b(spec.n, spec.nprocs);
   sas::BucketScan scan(spec.nprocs, std::size_t{1} << spec.radix_bits);
-  const Checksum input = generate_partitions(
-      spec, a.homes(), [&](int r) { return a.partition(r); });
+  Input in = generate_input(spec, a.homes(),
+                            [&](int r) { return a.partition(r); });
 
-  const bool paired = paired_records(spec);
-  std::vector<keys::Payload> pay_a(paired ? spec.n : 0);
-  std::vector<keys::Payload> pay_b(paired ? spec.n : 0);
-  std::uint64_t input_pairs = 0;
-  if (paired) {
-    iota_payload(pay_a, 0);
-    input_pairs = pair_fingerprint(a.all(), pay_a);
-  }
-
-  CcSasRadixWorld w;
-  w.a = &a;
-  w.b = &b;
-  if (paired) {
-    w.pay_a = &pay_a;
-    w.pay_b = &pay_b;
-  }
-  w.scan = &scan;
-  w.radix_bits = spec.radix_bits;
-  w.buffered = spec.model == Model::kCcSasNew;
-  w.detect_max_key = spec.ablations.detect_max_key;
-  w.kernels = spec.kernel_backend;
-  w.kernel_jobs = spec.kernel_jobs;
+  CcSasRadixWorld w{.spec = spec, .a = &a, .b = &b, .pay_a = in.pay_a,
+                    .pay_b = in.pay_b, .scan = &scan};
   team.run([&](sim::ProcContext& ctx) { radix_ccsas(ctx, w); });
 
   const int passes = w.passes_used.load(std::memory_order_relaxed);
-  sas::SharedArray<Key>& out = passes % 2 == 0 ? a : b;
-  const std::vector<std::span<const Key>> runs{out.all()};
-  const PayloadRuns pay_runs{
-      std::span<const keys::Payload>(passes % 2 == 0 ? pay_a : pay_b)};
-  return finish(spec, team, input, runs, passes, paired ? &pay_runs : nullptr,
-                input_pairs);
+  const bool in_a = passes % 2 == 0;
+  const std::vector<std::span<const Key>> runs{(in_a ? a : b).all()};
+  return finish(spec, team, in, passes, runs,
+                lane_runs(in_a ? in.pay_a : in.pay_b, runs));
 }
 
 SortResult run_radix_mpi(const SortSpec& spec,
@@ -195,47 +201,18 @@ SortResult run_radix_mpi(const SortSpec& spec,
     parts_a[static_cast<std::size_t>(r)].resize(homes.count_of(r));
     parts_b[static_cast<std::size_t>(r)].resize(homes.count_of(r));
   }
-  const Checksum input = generate_partitions(spec, homes, [&](int r) {
+  Input in = generate_input(spec, homes, [&](int r) {
     return std::span<Key>(parts_a[static_cast<std::size_t>(r)]);
   });
 
-  const bool paired = paired_records(spec);
-  std::vector<std::vector<keys::Payload>> pay_a, pay_b;
-  std::uint64_t input_pairs = 0;
-  if (paired) {
-    pay_a.resize(static_cast<std::size_t>(spec.nprocs));
-    pay_b.resize(static_cast<std::size_t>(spec.nprocs));
-    for (int r = 0; r < spec.nprocs; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      pay_a[rr].resize(homes.count_of(r));
-      pay_b[rr].resize(homes.count_of(r));
-      iota_payload(pay_a[rr], homes.begin_of(r));
-      input_pairs += pair_fingerprint(parts_a[rr], pay_a[rr]);
-    }
-  }
-
-  MpiRadixWorld w;
-  w.comm = &comm;
-  w.parts_a = &parts_a;
-  w.parts_b = &parts_b;
-  if (paired) {
-    w.pay_a = &pay_a;
-    w.pay_b = &pay_b;
-  }
-  w.radix_bits = spec.radix_bits;
-  w.chunk_messages = spec.ablations.mpi_chunk_messages;
-  w.detect_max_key = spec.ablations.detect_max_key;
-  w.kernels = spec.kernel_backend;
-  w.kernel_jobs = spec.kernel_jobs;
+  MpiRadixWorld w{.spec = spec, .comm = &comm, .parts_a = &parts_a,
+                  .parts_b = &parts_b, .pay_a = in.pay_a, .pay_b = in.pay_b};
   team.run([&](sim::ProcContext& ctx) { radix_mpi(ctx, w); });
 
   std::vector<std::span<const Key>> runs;
   for (const auto& part : parts_a) runs.emplace_back(part);
-  PayloadRuns pay_runs;
-  for (const auto& lane : pay_a) pay_runs.emplace_back(lane);
-  return finish(spec, team, input, runs,
-                w.passes_used.load(std::memory_order_relaxed),
-                paired ? &pay_runs : nullptr, input_pairs);
+  return finish(spec, team, in, w.passes_used.load(std::memory_order_relaxed),
+                runs, lane_runs(in.pay_a, runs));
 }
 
 SortResult run_radix_shmem(const SortSpec& spec,
@@ -247,70 +224,24 @@ SortResult run_radix_shmem(const SortSpec& spec,
   const std::uint64_t seg = 3 * (cap * sizeof(Key) + 64) + 4096;
   shmem::SymmetricHeap heap(spec.nprocs, seg);
   shmem::Shmem sh(team, heap);
-  ShmemRadixWorld w;
-  w.sh = &sh;
-  w.off_a = heap.alloc<Key>(cap);
-  w.off_b = heap.alloc<Key>(cap);
-  w.off_stage = heap.alloc<Key>(cap);
-  w.part_capacity = cap;
-  w.n_total = spec.n;
-  w.radix_bits = spec.radix_bits;
-  w.use_put = spec.ablations.shmem_use_put;
-  w.detect_max_key = spec.ablations.detect_max_key;
-  w.kernels = spec.kernel_backend;
-  w.kernel_jobs = spec.kernel_jobs;
+  const std::uint64_t off_a = heap.alloc<Key>(cap);
+  const std::uint64_t off_b = heap.alloc<Key>(cap);
+  const std::uint64_t off_stage = heap.alloc<Key>(cap);
+  const auto part = [&](int r) {
+    return std::span<Key>(heap.at<Key>(r, off_a), homes.count_of(r));
+  };
+  Input in = generate_input(spec, homes, part);
 
-  const Checksum input = generate_partitions(spec, homes, [&](int r) {
-    return std::span<Key>(heap.at<Key>(r, w.off_a), homes.count_of(r));
-  });
-
-  const bool paired = paired_records(spec);
-  std::vector<std::vector<keys::Payload>> pay_a, pay_b, pay_stage;
-  std::uint64_t input_pairs = 0;
-  if (paired) {
-    const auto p = static_cast<std::size_t>(spec.nprocs);
-    pay_a.resize(p);
-    pay_b.resize(p);
-    pay_stage.resize(p);
-    for (int r = 0; r < spec.nprocs; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      pay_a[rr].resize(homes.count_of(r));
-      pay_b[rr].resize(homes.count_of(r));
-      pay_stage[rr].resize(homes.count_of(r));
-      iota_payload(pay_a[rr], homes.begin_of(r));
-      input_pairs += pair_fingerprint(
-          std::span<const Key>(heap.at<Key>(r, w.off_a), homes.count_of(r)),
-          pay_a[rr]);
-    }
-    w.pay_a = &pay_a;
-    w.pay_b = &pay_b;
-    w.pay_stage = &pay_stage;
-  }
+  ShmemRadixWorld w{.spec = spec, .sh = &sh, .off_a = off_a,
+                    .off_b = off_b, .off_stage = off_stage,
+                    .part_capacity = cap, .pay_a = in.pay_a,
+                    .pay_b = in.pay_b};
   team.run([&](sim::ProcContext& ctx) { radix_shmem(ctx, w); });
 
   std::vector<std::span<const Key>> runs;
-  for (int r = 0; r < spec.nprocs; ++r) {
-    runs.emplace_back(heap.at<Key>(r, w.off_a), homes.count_of(r));
-  }
-  PayloadRuns pay_runs;
-  for (const auto& lane : pay_a) pay_runs.emplace_back(lane);
-  return finish(spec, team, input, runs,
-                w.passes_used.load(std::memory_order_relaxed),
-                paired ? &pay_runs : nullptr, input_pairs);
-}
-
-/// Which charged local sort the sample skeleton runs for this algorithm.
-/// kSample keeps the paper's LSD local sorts; kMsdRadix and kMergesort
-/// reuse the identical skeleton (sampling, splitters, redistribution)
-/// with their own local-sort kernels.
-LocalSort local_sort_of(Algo a) {
-  switch (a) {
-    case Algo::kMsdRadix: return LocalSort::kMsd;
-    case Algo::kMergesort: return LocalSort::kMerge;
-    case Algo::kRadix:
-    case Algo::kSample: break;
-  }
-  return LocalSort::kLsd;
+  for (int r = 0; r < spec.nprocs; ++r) runs.emplace_back(part(r));
+  return finish(spec, team, in, w.passes_used.load(std::memory_order_relaxed),
+                runs, lane_runs(in.pay_a, runs));
 }
 
 SortResult run_sample_ccsas(const SortSpec& spec,
@@ -318,50 +249,32 @@ SortResult run_sample_ccsas(const SortSpec& spec,
   sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
   sas::SharedArray<Key> keys(spec.n, spec.nprocs);
-  const Checksum input = generate_partitions(
-      spec, keys.homes(), [&](int r) { return keys.partition(r); });
+  Input in = generate_input(spec, keys.homes(),
+                            [&](int r) { return keys.partition(r); });
 
   const auto p = static_cast<std::size_t>(spec.nprocs);
   const auto s = static_cast<std::size_t>(spec.ablations.sample_count);
   std::vector<std::vector<Key>> result(p);
-  const bool paired = paired_records(spec);
-  std::vector<keys::Payload> pay(paired ? spec.n : 0);
-  std::vector<std::vector<keys::Payload>> pay_result(paired ? p : 0);
-  std::uint64_t input_pairs = 0;
-  if (paired) {
-    iota_payload(pay, 0);
-    input_pairs = pair_fingerprint(keys.all(), pay);
-  }
+  std::vector<std::vector<keys::Payload>> pay_result(p);
   std::vector<Key> samples(s * p);
   std::vector<Key> splitters(p - 1);
   std::vector<int> splitter_srcs(p - 1);
   std::vector<std::uint64_t> boundaries(p * (p + 1));
 
-  CcSasSampleWorld w;
-  w.keys = &keys;
-  w.result = &result;
-  if (paired) {
-    w.pay = &pay;
-    w.pay_result = &pay_result;
-  }
-  w.samples = &samples;
-  w.splitters = &splitters;
-  w.splitter_srcs = &splitter_srcs;
-  w.boundaries = &boundaries;
-  w.radix_bits = spec.radix_bits;
-  w.sample_count = spec.ablations.sample_count;
-  w.group_size = spec.ablations.sample_group_size;
-  w.local_sort = local_sort_of(spec.algo);
-  w.kernels = spec.kernel_backend;
-  w.kernel_jobs = spec.kernel_jobs;
+  CcSasSampleWorld w{.spec = spec,
+                     .keys = &keys,
+                     .result = &result,
+                     .pay = in.pay_a,
+                     .pay_result = &pay_result,
+                     .samples = &samples,
+                     .splitters = &splitters,
+                     .splitter_srcs = &splitter_srcs,
+                     .boundaries = &boundaries};
   team.run([&](sim::ProcContext& ctx) { sample_ccsas(ctx, w); });
 
-  std::vector<std::span<const Key>> runs;
-  for (const auto& run : result) runs.emplace_back(run);
-  PayloadRuns pay_runs;
-  for (const auto& lane : pay_result) pay_runs.emplace_back(lane);
-  return finish(spec, team, input, runs, -1, paired ? &pay_runs : nullptr,
-                input_pairs);
+  std::vector<std::span<const Key>> runs(result.begin(), result.end());
+  return finish(spec, team, in, radix_passes(spec.radix_bits), runs,
+                rank_runs(in, pay_result));
 }
 
 SortResult run_sample_mpi(const SortSpec& spec,
@@ -375,44 +288,19 @@ SortResult run_sample_mpi(const SortSpec& spec,
   for (int r = 0; r < spec.nprocs; ++r) {
     parts[static_cast<std::size_t>(r)].resize(homes.count_of(r));
   }
-  const Checksum input = generate_partitions(spec, homes, [&](int r) {
+  Input in = generate_input(spec, homes, [&](int r) {
     return std::span<Key>(parts[static_cast<std::size_t>(r)]);
   });
 
-  const bool paired = paired_records(spec);
-  std::vector<std::vector<keys::Payload>> pay_parts(paired ? p : 0);
-  std::vector<std::vector<keys::Payload>> pay_result(paired ? p : 0);
-  std::uint64_t input_pairs = 0;
-  if (paired) {
-    for (int r = 0; r < spec.nprocs; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      pay_parts[rr].resize(homes.count_of(r));
-      iota_payload(pay_parts[rr], homes.begin_of(r));
-      input_pairs += pair_fingerprint(parts[rr], pay_parts[rr]);
-    }
-  }
-
-  MpiSampleWorld w;
-  w.comm = &comm;
-  w.parts = &parts;
-  w.result = &result;
-  if (paired) {
-    w.pay_parts = &pay_parts;
-    w.pay_result = &pay_result;
-  }
-  w.radix_bits = spec.radix_bits;
-  w.sample_count = spec.ablations.sample_count;
-  w.local_sort = local_sort_of(spec.algo);
-  w.kernels = spec.kernel_backend;
-  w.kernel_jobs = spec.kernel_jobs;
+  std::vector<std::vector<keys::Payload>> pay_result(p);
+  MpiSampleWorld w{.spec = spec, .comm = &comm, .parts = &parts,
+                   .result = &result, .pay = in.pay_a,
+                   .pay_result = &pay_result};
   team.run([&](sim::ProcContext& ctx) { sample_mpi(ctx, w); });
 
-  std::vector<std::span<const Key>> runs;
-  for (const auto& run : result) runs.emplace_back(run);
-  PayloadRuns pay_runs;
-  for (const auto& lane : pay_result) pay_runs.emplace_back(lane);
-  return finish(spec, team, input, runs, -1, paired ? &pay_runs : nullptr,
-                input_pairs);
+  std::vector<std::span<const Key>> runs(result.begin(), result.end());
+  return finish(spec, team, in, radix_passes(spec.radix_bits), runs,
+                rank_runs(in, pay_result));
 }
 
 SortResult run_sample_shmem(const SortSpec& spec,
@@ -425,49 +313,22 @@ SortResult run_sample_shmem(const SortSpec& spec,
   shmem::SymmetricHeap heap(spec.nprocs, seg);
   shmem::Shmem sh(team, heap);
   const auto p = static_cast<std::size_t>(spec.nprocs);
-  std::vector<std::vector<Key>> result(p);
-
-  ShmemSampleWorld w;
-  w.sh = &sh;
-  w.off_keys = heap.alloc<Key>(cap);
-  w.part_capacity = cap;
-  w.n_total = spec.n;
-  w.result = &result;
-  w.radix_bits = spec.radix_bits;
-  w.sample_count = spec.ablations.sample_count;
-  w.local_sort = local_sort_of(spec.algo);
-  w.kernels = spec.kernel_backend;
-  w.kernel_jobs = spec.kernel_jobs;
-
-  const Checksum input = generate_partitions(spec, homes, [&](int r) {
-    return std::span<Key>(heap.at<Key>(r, w.off_keys), homes.count_of(r));
+  const std::uint64_t off_keys = heap.alloc<Key>(cap);
+  Input in = generate_input(spec, homes, [&](int r) {
+    return std::span<Key>(heap.at<Key>(r, off_keys), homes.count_of(r));
   });
 
-  const bool paired = paired_records(spec);
-  std::vector<std::vector<keys::Payload>> pay_parts(paired ? p : 0);
-  std::vector<std::vector<keys::Payload>> pay_result(paired ? p : 0);
-  std::uint64_t input_pairs = 0;
-  if (paired) {
-    for (int r = 0; r < spec.nprocs; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      pay_parts[rr].resize(homes.count_of(r));
-      iota_payload(pay_parts[rr], homes.begin_of(r));
-      input_pairs += pair_fingerprint(
-          std::span<const Key>(heap.at<Key>(r, w.off_keys),
-                               homes.count_of(r)),
-          pay_parts[rr]);
-    }
-    w.pay_parts = &pay_parts;
-    w.pay_result = &pay_result;
-  }
+  std::vector<std::vector<Key>> result(p);
+  std::vector<std::vector<keys::Payload>> pay_result(p);
+  ShmemSampleWorld w{.spec = spec, .sh = &sh, .off_keys = off_keys,
+                     .part_capacity = cap, .result = &result,
+                     .pay = in.pay_a,
+                     .pay_result = &pay_result};
   team.run([&](sim::ProcContext& ctx) { sample_shmem(ctx, w); });
 
-  std::vector<std::span<const Key>> runs;
-  for (const auto& run : result) runs.emplace_back(run);
-  PayloadRuns pay_runs;
-  for (const auto& lane : pay_result) pay_runs.emplace_back(lane);
-  return finish(spec, team, input, runs, -1, paired ? &pay_runs : nullptr,
-                input_pairs);
+  std::vector<std::span<const Key>> runs(result.begin(), result.end());
+  return finish(spec, team, in, radix_passes(spec.radix_bits), runs,
+                rank_runs(in, pay_result));
 }
 
 SortResult run_sort_impl(const SortSpec& spec,
@@ -480,8 +341,8 @@ SortResult run_sort_impl(const SortSpec& spec,
       case Model::kShmem: return run_radix_shmem(spec, mp);
     }
   } else {
-    // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton;
-    // run_sample_* pick the local-sort kernel via local_sort_of.
+    // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton,
+    // which picks the local-sort kernel from spec.algo.
     switch (spec.model) {
       case Model::kCcSas: return run_sample_ccsas(spec, mp);
       case Model::kCcSasNew: break;  // rejected by validate_status()
@@ -541,27 +402,12 @@ Status SortSpec::validate_status() const {
   if (!algo_supports_model(algo, model)) {
     violation("CC-SAS-NEW is a radix-sort restructuring only");
   }
-  if (keys::record_info(record).has_payload) {
-    // Payload-carrying records (DESIGN.md §11). The payload is the key's
-    // 32-bit global input index, and two message-layer ablations reorganise
-    // keys receiver-side in ways the host payload mirror cannot replay.
-    if (n > (Index{1} << 32)) {
-      violation("record '" + std::string(keys::record_name(record)) +
-                "' carries a 32-bit payload index; n must be <= 2^32, got " +
-                std::to_string(n));
-    }
-    if (algo == Algo::kRadix && model == Model::kMpi &&
-        !ablations.mpi_chunk_messages) {
-      violation("record '" + std::string(keys::record_name(record)) +
-                "' is not supported by the coalesced-message MPI radix "
-                "ablation (payloads need chunked messages)");
-    }
-    if (algo == Algo::kRadix && model == Model::kShmem &&
-        ablations.shmem_use_put) {
-      violation("record '" + std::string(keys::record_name(record)) +
-                "' is not supported by the SHMEM put-based radix ablation "
-                "(payloads need the get path)");
-    }
+  // Payload-carrying records (DESIGN.md §11): the payload is the key's
+  // 32-bit global input index.
+  if (keys::record_info(record).has_payload && n > (Index{1} << 32)) {
+    violation("record '" + std::string(keys::record_name(record)) +
+              "' carries a 32-bit payload index; n must be <= 2^32, got " +
+              std::to_string(n));
   }
   try {
     resolved_machine().validate();

@@ -99,7 +99,6 @@ std::vector<SortSpec> golden_grid() {
           max_key.ablations.detect_max_key = true;
           add(max_key);
           SortSpec alt = spec;  // coalesced messages / put delivery
-          alt.record = keys::RecordType::kU32;  // kv32 rejects both
           if (c.model == Model::kMpi) {
             alt.ablations.mpi_chunk_messages = false;
           } else {

@@ -25,6 +25,17 @@ TEST(RadixPassesForMax, MatchesKeyWidth) {
 
 // Direct-world harness: sort small-valued keys (< 2^16) with each variant
 // and check both the result and the detected pass count.
+SortSpec detecting_spec(Model m, Index n, int p) {
+  SortSpec spec;
+  spec.algo = Algo::kRadix;
+  spec.model = m;
+  spec.nprocs = p;
+  spec.n = n;
+  spec.radix_bits = 8;
+  spec.ablations.detect_max_key = true;
+  return spec;
+}
+
 std::vector<Key> small_keys(Index n) {
   std::vector<Key> keys(n);
   keys::GenSpec gs;
@@ -46,12 +57,8 @@ TEST(MaxKeyDetection, CcSasUsesTwoPassesForSmallKeys) {
   sas::SharedArray<Key> a(n, p), b(n, p);
   std::copy(input.begin(), input.end(), a.data());
   sas::BucketScan scan(p, 256);
-  CcSasRadixWorld w;
-  w.a = &a;
-  w.b = &b;
-  w.scan = &scan;
-  w.radix_bits = 8;
-  w.detect_max_key = true;
+  const SortSpec spec = detecting_spec(Model::kCcSas, n, p);
+  CcSasRadixWorld w{.spec = spec, .a = &a, .b = &b, .scan = &scan};
   team.run([&](sim::ProcContext& ctx) { radix_ccsas(ctx, w); });
 
   EXPECT_EQ(w.passes_used.load(), 2);
@@ -76,12 +83,9 @@ TEST(MaxKeyDetection, MpiUsesTwoPassesForSmallKeys) {
                       input.begin() + homes.end_of(r));
     parts_b[r].resize(homes.count_of(r));
   }
-  MpiRadixWorld w;
-  w.comm = &comm;
-  w.parts_a = &parts_a;
-  w.parts_b = &parts_b;
-  w.radix_bits = 8;
-  w.detect_max_key = true;
+  const SortSpec spec = detecting_spec(Model::kMpi, n, p);
+  MpiRadixWorld w{.spec = spec, .comm = &comm, .parts_a = &parts_a,
+                  .parts_b = &parts_b};
   team.run([&](sim::ProcContext& ctx) { radix_mpi(ctx, w); });
 
   EXPECT_EQ(w.passes_used.load(), 2);
@@ -102,15 +106,12 @@ TEST(MaxKeyDetection, ShmemUsesTwoPassesForSmallKeys) {
   const Index cap = homes.count_of(0);
   shmem::SymmetricHeap heap(p, 3 * (cap * sizeof(Key) + 64) + 4096);
   shmem::Shmem sh(team, heap);
-  ShmemRadixWorld w;
-  w.sh = &sh;
+  const SortSpec spec = detecting_spec(Model::kShmem, n, p);
+  ShmemRadixWorld w{.spec = spec, .sh = &sh};
   w.off_a = heap.alloc<Key>(cap);
   w.off_b = heap.alloc<Key>(cap);
   w.off_stage = heap.alloc<Key>(cap);
   w.part_capacity = cap;
-  w.n_total = n;
-  w.radix_bits = 8;
-  w.detect_max_key = true;
   for (int r = 0; r < p; ++r) {
     std::copy(input.begin() + homes.begin_of(r),
               input.begin() + homes.end_of(r), heap.at<Key>(r, w.off_a));

@@ -1,8 +1,9 @@
 // The record concept end-to-end (DESIGN.md §11): RecordTraits units, the
 // generic record_lsd_sort reference, registry/hostile parsing for record
 // names, and the kv32 (key + 32-bit payload index) record through every
-// {algo x model} combination — stability-verified, with the payload lane
-// attached to the kept output — plus the two contracts the tentpole
+// {algo x model} combination and every radix delivery path —
+// stability-verified, with the payload lane attached to the kept output —
+// plus the two contracts the tentpole
 // rests on: record-oblivious charging (kv32 elapsed_ns bit-identical to
 // u32) and record-oblivious prediction.
 #include "keys/record.hpp"
@@ -281,31 +282,97 @@ TEST(RecordSort, SkewedDistributionsSortUnderU32Too) {
   }
 }
 
-TEST(RecordSort, TypedRejectionsForUnsupportedPayloadPaths) {
-  // Coalesced-message MPI radix ablation cannot carry a payload lane.
-  SortSpec mpi = base_spec(Algo::kRadix, Model::kMpi);
-  mpi.record = RecordType::kKeyPayload32;
-  mpi.ablations.mpi_chunk_messages = false;
-  const Status s1 = mpi.validate_status();
-  ASSERT_FALSE(s1.ok());
-  EXPECT_EQ(s1.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s1.message().find("kv32"), std::string::npos);
-  // Put-based SHMEM radix ablation likewise.
-  SortSpec shm = base_spec(Algo::kRadix, Model::kShmem);
-  shm.record = RecordType::kKeyPayload32;
-  shm.ablations.shmem_use_put = true;
-  const Status s2 = shm.validate_status();
-  ASSERT_FALSE(s2.ok());
-  EXPECT_EQ(s2.code(), StatusCode::kInvalidArgument);
-  // The same ablations are fine under u32.
-  mpi.record = RecordType::kU32;
-  EXPECT_TRUE(mpi.validate_status().ok());
-  shm.record = RecordType::kU32;
-  EXPECT_TRUE(shm.validate_status().ok());
-  // And kv32 is fine on the default (chunked / get) paths.
-  SortSpec ok = base_spec(Algo::kRadix, Model::kMpi);
-  ok.record = RecordType::kKeyPayload32;
-  EXPECT_TRUE(ok.validate_status().ok());
+/// Every radix delivery path: the kv32 payload lane moves in one
+/// model-independent step, so every ablation carries it.
+struct RadixPath {
+  const char* name;
+  Model model;
+  bool coalesced = false;  // one MPI message per destination
+  bool staged = false;     // vendor-style staged MPI transport
+  bool put = false;        // sender-initiated SHMEM puts
+  bool detect = false;     // detect_max_key
+};
+constexpr RadixPath kRadixPaths[] = {
+    {"CC-SAS", Model::kCcSas},
+    {"CC-SAS-NEW", Model::kCcSasNew},
+    {"MPI chunked", Model::kMpi},
+    {"MPI coalesced", Model::kMpi, /*coalesced=*/true},
+    {"MPI staged", Model::kMpi, false, /*staged=*/true},
+    {"SHMEM get", Model::kShmem},
+    {"SHMEM put", Model::kShmem, false, false, /*put=*/true},
+    {"MPI detect_max_key", Model::kMpi, false, false, false, /*detect=*/true},
+    {"SHMEM detect_max_key", Model::kShmem, false, false, false,
+     /*detect=*/true},
+};
+
+void expect_same_breakdown(const sim::Breakdown& a, const sim::Breakdown& b,
+                           const std::string& where) {
+  EXPECT_EQ(a.busy_ns, b.busy_ns) << where;
+  EXPECT_EQ(a.lmem_ns, b.lmem_ns) << where;
+  EXPECT_EQ(a.rmem_ns, b.rmem_ns) << where;
+  EXPECT_EQ(a.sync_ns, b.sync_ns) << where;
+}
+
+/// The kv32 matrix over every radix path x radix {8, 11} on one engine.
+/// 11 bits takes 3 passes, so the MPI and SHMEM sorts run their odd-pass
+/// copy-back. Each cell must verify, equal the stable sort of (key, input
+/// index), and charge bitwise what the u32 sort of the same keys charges.
+void expect_kv32_on_every_radix_path(SpmdEngine engine) {
+  for (const RadixPath& path : kRadixPaths) {
+    for (const int radix : {8, 11}) {
+      SortSpec u32 = base_spec(Algo::kRadix, path.model, 20000);
+      u32.radix_bits = radix;
+      u32.engine = engine;
+      u32.ablations.mpi_chunk_messages = !path.coalesced;
+      if (path.staged) u32.ablations.mpi_impl = msg::Impl::kStaged;
+      u32.ablations.shmem_use_put = path.put;
+      u32.ablations.detect_max_key = path.detect;
+      SortSpec kv = u32;
+      kv.record = RecordType::kKeyPayload32;
+      const std::string cell =
+          std::string(path.name) + " radix=" + std::to_string(radix);
+
+      const Result<SortResult> ru = sort::try_run_sort(u32);
+      const Result<SortResult> rk = sort::try_run_sort(kv);
+      ASSERT_TRUE(ru.ok()) << cell << ": " << ru.status().message();
+      ASSERT_TRUE(rk.ok()) << cell << ": " << rk.status().message();
+      const SortResult& a = ru.value();
+      const SortResult& b = rk.value();
+      EXPECT_TRUE(b.verified) << cell;
+      const auto expect = expected_records(kv);
+      ASSERT_EQ(b.output.size(), expect.size()) << cell;
+      ASSERT_EQ(b.payload_output.size(), expect.size()) << cell;
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        ASSERT_EQ(b.output[i], expect[i].key) << cell << " @" << i;
+        ASSERT_EQ(b.payload_output[i], expect[i].payload)
+            << cell << " @" << i;
+      }
+
+      EXPECT_EQ(a.elapsed_ns, b.elapsed_ns) << cell;
+      EXPECT_EQ(a.passes, b.passes) << cell;
+      ASSERT_EQ(a.per_proc.size(), b.per_proc.size()) << cell;
+      for (std::size_t r = 0; r < a.per_proc.size(); ++r) {
+        expect_same_breakdown(a.per_proc[r], b.per_proc[r],
+                              cell + " rank " + std::to_string(r));
+      }
+      ASSERT_EQ(a.phases.size(), b.phases.size()) << cell;
+      for (std::size_t i = 0; i < a.phases.size(); ++i) {
+        EXPECT_EQ(a.phases[i].first, b.phases[i].first) << cell;
+        expect_same_breakdown(a.phases[i].second, b.phases[i].second,
+                              cell + " phase " + a.phases[i].first);
+      }
+    }
+  }
+}
+
+TEST(RecordSort, Kv32EveryRadixPathCooperativeEngine) {
+  expect_kv32_on_every_radix_path(SpmdEngine::kCooperative);
+}
+
+// Also the tsan. tier's cell: under the thread engine the ranks write
+// disjoint ranges of the shared global payload lanes concurrently.
+TEST(RecordSort, Kv32EveryRadixPathThreadEngine) {
+  expect_kv32_on_every_radix_path(SpmdEngine::kThreads);
 }
 
 TEST(RecordSort, PayloadIndexWidthBoundsN) {
@@ -322,12 +389,13 @@ TEST(RecordSort, PayloadIndexWidthBoundsN) {
 TEST(RecordSort, ValidateCollectsEveryViolationInOneStatus) {
   SortSpec spec = base_spec(Algo::kRadix, Model::kMpi);
   spec.record = RecordType::kKeyPayload32;
-  spec.ablations.mpi_chunk_messages = false;  // violation 1
-  spec.nprocs = 0;                            // violation 2
-  spec.radix_bits = 0;                        // violation 3
+  spec.n = (Index{1} << 32) + 1;  // violation 1: payload index overflows
+  spec.nprocs = 0;                // violation 2
+  spec.radix_bits = 0;            // violation 3
   const Status s = spec.validate_status();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("kv32"), std::string::npos);
+  EXPECT_NE(s.message().find("2^32"), std::string::npos);
   EXPECT_NE(s.message().find("nprocs"), std::string::npos);
   EXPECT_NE(s.message().find("radix"), std::string::npos);
 }
@@ -335,10 +403,11 @@ TEST(RecordSort, ValidateCollectsEveryViolationInOneStatus) {
 TEST(RecordSort, TryRunSortSurfacesPayloadRejectionAsStatus) {
   SortSpec spec = base_spec(Algo::kRadix, Model::kShmem);
   spec.record = RecordType::kKeyPayload32;
-  spec.ablations.shmem_use_put = true;
+  spec.n = (Index{1} << 32) + 1;  // rejected before any allocation
   const Result<SortResult> r = sort::try_run_sort(spec);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("2^32"), std::string::npos);
 }
 
 TEST(RecordPrediction, PredictorIsRecordOblivious) {

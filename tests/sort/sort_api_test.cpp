@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fsio.hpp"
 #include "common/status.hpp"
 
 namespace dsm::sort {
@@ -199,6 +201,27 @@ TEST(TryRunSort, ValueOnErrorThrowsErrorCarryingTheStatus) {
     EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(std::string(e.what()), want.message());
   }
+}
+
+TEST(TryRunSort, FailedTraceWriteReturnsIoError) {
+  // Every write through the fsio shim fails: the trace sink must report
+  // it, not return OK over a missing or truncated trace.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dsmsort_trace_fault";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SortSpec s;
+  s.nprocs = 2;
+  s.n = 1 << 12;
+  s.trace_json_path = (dir / "trace.jsonl").string();
+  set_fs_fault_config(FsFaultConfig{7, 1.0});
+  const Result<SortResult> r = try_run_sort(s);
+  set_fs_fault_config(FsFaultConfig{});  // disarm for whoever runs next
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("trace"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(s.trace_json_path));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunSort, ResultFieldsPopulated) {
