@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -57,118 +56,124 @@ EpochResult simulate_two_sided(
   //  * Completion (waitall): a process leaves when it has drained all
   //    expected messages AND all of its own sends have injected; residual
   //    wait is SYNC.
+  // A pair's slot frees only when that pair's own receiver consumes, so
+  // receivers never interact: each is simulated alone, with its own
+  // arrival queue (DESIGN.md §5.2).
   const int p = cost.nprocs();
+  const auto pp = static_cast<std::size_t>(p);
   DSM_REQUIRE(static_cast<int>(sends.size()) == p,
               "sends must cover every process");
   check_entries(entry_ns, p);
   DSM_REQUIRE(cfg.slot_depth >= 1, "slot depth must be >= 1");
+  const auto depth = static_cast<std::size_t>(cfg.slot_depth);
 
-  struct Msg {
-    int src;
-    int dst;
-    std::uint64_t bytes;
-    std::size_t pair_seq;   // index within its (src,dst) FIFO
-    double ready_ns = 0;    // posted (sender-side) time
-    double inject_ns = -1;  // entered the wire
-    double consume_ns = -1; // receiver finished its recv processing
-  };
-
-  // Flatten and validate; compute posting timelines.
-  std::vector<Msg> msgs;
-  std::vector<double> post_end(static_cast<std::size_t>(p));
-  std::vector<double> rmem(static_cast<std::size_t>(p), 0.0);
-  std::vector<std::uint64_t> expected(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::size_t>> pair_fifo(
-      static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
+  // Validate and bucket the messages into one CSR keyed by (dst, src):
+  // pair (s, d)'s FIFO is msgs[pair_begin[d * p + s], pair_begin[.. + 1])
+  // in posting order.
+  std::vector<std::size_t> pair_begin(pp * pp + 1, 0);
   for (int r = 0; r < p; ++r) {
-    double t = entry_ns[static_cast<std::size_t>(r)];
     for (const Transfer& m : *sends[static_cast<std::size_t>(r)]) {
       DSM_REQUIRE(m.src == r, "transfer src must match the posting rank");
       DSM_REQUIRE(m.dst >= 0 && m.dst < p && m.dst != r,
                   "transfer dst must be a different valid rank");
+      ++pair_begin[static_cast<std::size_t>(m.dst) * pp +
+                   static_cast<std::size_t>(r) + 1];
+    }
+  }
+  for (std::size_t i = 0; i < pp * pp; ++i) pair_begin[i + 1] += pair_begin[i];
+
+  // Posting timelines: each message's ready (posted) time.
+  struct Msg {
+    double ready_ns;
+    std::uint64_t bytes;
+  };
+  std::vector<Msg> msgs(pair_begin.back());
+  std::vector<std::size_t> pair_fill(pair_begin.begin(), pair_begin.end() - 1);
+  std::vector<double> post_end(pp);
+  std::vector<double> rmem(pp, 0.0);
+  for (int r = 0; r < p; ++r) {
+    double t = entry_ns[static_cast<std::size_t>(r)];
+    for (const Transfer& m : *sends[static_cast<std::size_t>(r)]) {
       const double c = cfg.send_overhead_ns +
                        cfg.send_copy_ns_per_byte * static_cast<double>(m.bytes);
       t += c;
       rmem[static_cast<std::size_t>(r)] += c;
-      Msg msg{m.src, m.dst, m.bytes, 0, t, -1, -1};
-      const std::size_t pid = static_cast<std::size_t>(r) *
-                                  static_cast<std::size_t>(p) +
-                              static_cast<std::size_t>(m.dst);
-      msg.pair_seq = pair_fifo[pid].size();
-      pair_fifo[pid].push_back(msgs.size());
-      msgs.push_back(msg);
-      ++expected[static_cast<std::size_t>(m.dst)];
+      msgs[pair_fill[static_cast<std::size_t>(m.dst) * pp +
+                     static_cast<std::size_t>(r)]++] = Msg{t, m.bytes};
     }
     post_end[static_cast<std::size_t>(r)] = t;
   }
 
-  // Receiver state: time the CPU becomes free to process the next arrival
-  // and accumulated waiting (SYNC).
-  std::vector<double> recv_free = post_end;
-  std::vector<double> recv_sync(static_cast<std::size_t>(p), 0.0);
-  std::vector<std::uint64_t> consumed(static_cast<std::size_t>(p), 0);
-
-  // Event queue of arrivals: (arrival time, seq, msg index).
-  using Arr = std::tuple<double, std::uint64_t, std::size_t>;
-  std::priority_queue<Arr, std::vector<Arr>, std::greater<>> arrivals;
-  std::uint64_t seq = 0;
-
-  auto inject = [&](std::size_t mi, double when) {
-    Msg& m = msgs[mi];
-    m.inject_ns = std::max(m.ready_ns, when);
-    // The payload movement is the initiator's copy (charged at post
-    // time); only the descriptor/first-word latency remains in flight.
-    const double arr = m.inject_ns + cost.line_rtt_ns(m.src, m.dst);
-    arrivals.emplace(arr, seq++, mi);
+  // Per receiver: consume arrivals in (arrival, seq) order, where seq
+  // numbers the receiver's injections in the order a single global queue
+  // would have made them (seeds by source, then one per consumption), so
+  // every tie breaks as it always has. Consuming message k of a pair
+  // frees the slot for message k + depth.
+  struct Arrival {
+    double arr_ns;
+    std::uint64_t seq;
+    std::size_t msg;
+    int src;
   };
-
-  // Seed: the first `depth` messages of every pair can inject immediately.
-  for (const auto& fifo : pair_fifo) {
-    for (std::size_t k = 0;
-         k < fifo.size() && k < static_cast<std::size_t>(cfg.slot_depth); ++k) {
-      inject(fifo[k], 0.0);
+  const auto later = [](const Arrival& a, const Arrival& b) {
+    return std::tie(a.arr_ns, a.seq) > std::tie(b.arr_ns, b.seq);
+  };
+  std::vector<Arrival> heap;
+  std::vector<double> rtt_to_d(pp);  // line_rtt_ns(src, d) of the receiver
+  std::vector<double> recv_free(pp);
+  std::vector<double> send_done(pp, 0.0);
+  for (int d = 0; d < p; ++d) {
+    const auto dd = static_cast<std::size_t>(d);
+    const std::size_t* const row = pair_begin.data() + dd * pp;
+    for (int s = 0; s < p; ++s) {
+      rtt_to_d[static_cast<std::size_t>(s)] = cost.line_rtt_ns(s, d);
     }
-  }
-
-  // Receivers consume arrivals in global arrival order; consuming message
-  // k of a pair frees the slot for message k + depth.
-  while (!arrivals.empty()) {
-    const auto [arr, s, mi] = arrivals.top();
-    (void)s;
-    arrivals.pop();
-    Msg& m = msgs[mi];
-    const auto d = static_cast<std::size_t>(m.dst);
-    const double start = std::max(recv_free[d], arr);
-    recv_sync[d] += std::max(0.0, arr - recv_free[d]);
-    const double c = cfg.recv_overhead_ns +
-                     cfg.recv_copy_ns_per_byte * static_cast<double>(m.bytes);
-    m.consume_ns = start + c;
-    recv_free[d] = m.consume_ns;
-    rmem[d] += c;
-    ++consumed[d];
-    const std::size_t pid = static_cast<std::size_t>(m.src) *
-                                static_cast<std::size_t>(p) +
-                            d;
-    const std::size_t next = m.pair_seq + static_cast<std::size_t>(cfg.slot_depth);
-    if (next < pair_fifo[pid].size()) {
-      inject(pair_fifo[pid][next], m.consume_ns);
+    std::uint64_t seq = 0;
+    auto inject = [&](std::size_t mi, int src, double when) {
+      // The payload movement is the initiator's copy (charged at post
+      // time); only the descriptor/first-word latency remains in flight.
+      const double inject_ns = std::max(msgs[mi].ready_ns, when);
+      double& done = send_done[static_cast<std::size_t>(src)];
+      done = std::max(done, inject_ns);
+      heap.push_back(Arrival{
+          inject_ns + rtt_to_d[static_cast<std::size_t>(src)], seq++, mi,
+          src});
+      std::push_heap(heap.begin(), heap.end(), later);
+    };
+    // Seed: the first `depth` messages of every pair inject immediately.
+    for (int s = 0; s < p; ++s) {
+      const auto ss = static_cast<std::size_t>(s);
+      const std::size_t end = std::min(row[ss + 1], row[ss] + depth);
+      for (std::size_t mi = row[ss]; mi < end; ++mi) inject(mi, s, 0.0);
     }
+    double free_ns = post_end[dd];
+    std::size_t consumed = 0;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const Arrival a = heap.back();
+      heap.pop_back();
+      const double start = std::max(free_ns, a.arr_ns);
+      const double c =
+          cfg.recv_overhead_ns +
+          cfg.recv_copy_ns_per_byte * static_cast<double>(msgs[a.msg].bytes);
+      free_ns = start + c;
+      rmem[dd] += c;
+      ++consumed;
+      const std::size_t next = a.msg + depth;
+      if (next < row[static_cast<std::size_t>(a.src) + 1]) {
+        inject(next, a.src, free_ns);
+      }
+    }
+    DSM_CHECK(consumed == row[pp] - row[0], "receiver missed messages");
+    recv_free[dd] = free_ns;
   }
 
   EpochResult res;
-  res.procs.resize(static_cast<std::size_t>(p));
-  std::vector<double> send_done(static_cast<std::size_t>(p), 0.0);
-  for (const Msg& m : msgs) {
-    DSM_CHECK(m.consume_ns >= 0, "message never consumed (model deadlock)");
-    const auto srs = static_cast<std::size_t>(m.src);
-    send_done[srs] = std::max(send_done[srs], m.inject_ns);
-  }
+  res.procs.resize(pp);
   for (int r = 0; r < p; ++r) {
     const auto rr = static_cast<std::size_t>(r);
-    DSM_CHECK(consumed[rr] == expected[rr], "receiver missed messages");
     ProcOutcome& o = res.procs[rr];
-    const double drained = recv_free[rr];
-    o.end_ns = std::max(drained, send_done[rr]);
+    o.end_ns = std::max(recv_free[rr], send_done[rr]);
     o.rmem_ns = rmem[rr];
     // SYNC is every nanosecond of the phase not spent in messaging work:
     // waits between arrivals plus the final waitall residue.
@@ -199,59 +204,85 @@ EpochResult simulate_gets(const machine::CostModel& cost,
   // overlap — but every source serves requests through a FIFO memory/
   // directory server (occupancy + payload at link bandwidth), so many
   // getters hammering one source serialise there. The phase ends at the
-  // last response.
+  // last response. A server sees only its own requests, so each source's
+  // queue is ordered and served alone (DESIGN.md §5.2).
   const int p = cost.nprocs();
-  DSM_REQUIRE(static_cast<int>(gets.size()) == p, "gets must cover every process");
+  const auto pp = static_cast<std::size_t>(p);
+  DSM_REQUIRE(p >= 1 && static_cast<int>(gets.size()) == p,
+              "gets must cover every process");
   check_entries(entry_ns, p);
 
   const auto& mp = cost.params();
 
-  // Gather all requests with their issue times, then serve per source in
-  // request-arrival order.
-  struct Request {
-    double arrive_ns;
-    std::uint64_t seq;
-    int getter;
-    std::size_t idx;
-  };
-  std::vector<Request> requests;
-  std::vector<double> issue_end(static_cast<std::size_t>(p));
-  std::uint64_t seq = 0;
+  // Validate and count the requests per source.
+  std::vector<std::size_t> src_begin(pp + 1, 0);
   for (int r = 0; r < p; ++r) {
-    double t = entry_ns[static_cast<std::size_t>(r)];
-    const auto& mine = *gets[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      const Transfer& m = mine[i];
+    for (const Transfer& m : *gets[static_cast<std::size_t>(r)]) {
       DSM_REQUIRE(m.dst == r, "get dst must be the issuing rank");
       DSM_REQUIRE(m.src >= 0 && m.src < p && m.src != r,
                   "get src must be a different valid rank");
+      ++src_begin[static_cast<std::size_t>(m.src) + 1];
+    }
+  }
+  for (std::size_t s = 0; s < pp; ++s) src_begin[s + 1] += src_begin[s];
+
+  // Bucket every request by source with its arrival time at the server,
+  // each source's slice in the global issue order (getter-major).
+  struct Request {
+    double arrive_ns;
+    std::uint64_t bytes;
+    int getter;
+  };
+  std::vector<Request> requests(src_begin.back());
+  std::vector<std::size_t> src_fill(src_begin.begin(), src_begin.end() - 1);
+  std::vector<double> issue_end(pp);
+  // One-way latency between getter r and source s, [r * p + s].
+  std::vector<double> half_rtt(pp * pp);
+  for (int r = 0; r < p; ++r) {
+    for (int s = 0; s < p; ++s) {
+      half_rtt[static_cast<std::size_t>(r) * pp + static_cast<std::size_t>(s)] =
+          cost.line_rtt_ns(r, s) / 2.0;
+    }
+  }
+  for (int r = 0; r < p; ++r) {
+    double t = entry_ns[static_cast<std::size_t>(r)];
+    const double* const half_rtt_r =
+        half_rtt.data() + static_cast<std::size_t>(r) * pp;
+    for (const Transfer& m : *gets[static_cast<std::size_t>(r)]) {
       t += cfg.overhead_ns;
-      requests.push_back(
-          Request{t + cost.line_rtt_ns(r, m.src) / 2.0, seq++, r, i});
+      requests[src_fill[static_cast<std::size_t>(m.src)]++] = Request{
+          t + half_rtt_r[static_cast<std::size_t>(m.src)], m.bytes, r};
     }
     issue_end[static_cast<std::size_t>(r)] = t;
   }
-  std::sort(requests.begin(), requests.end(),
-            [](const Request& a, const Request& b) {
-              return std::tie(a.arrive_ns, a.seq) < std::tie(b.arrive_ns, b.seq);
-            });
 
-  std::vector<double> server_free(static_cast<std::size_t>(p), 0.0);
-  std::vector<double> last_response(static_cast<std::size_t>(p), 0.0);
-  for (const Request& rq : requests) {
-    const Transfer& m =
-        (*gets[static_cast<std::size_t>(rq.getter)])[rq.idx];
-    double& srv = server_free[static_cast<std::size_t>(m.src)];
-    const double start = std::max(srv, rq.arrive_ns);
-    srv = start + mp.mem.dir_occupancy_ns +
-          static_cast<double>(m.bytes) / mp.mem.bulk_copy_bytes_per_ns;
-    const double response = srv + cost.line_rtt_ns(rq.getter, m.src) / 2.0;
-    auto& lr = last_response[static_cast<std::size_t>(rq.getter)];
-    lr = std::max(lr, response);
+  // Each source serves its requests in arrival order; equal arrivals keep
+  // the issue order (the stable sort), as in one global (arrival, issue)
+  // order.
+  std::vector<double> last_response(pp, 0.0);
+  for (int s = 0; s < p; ++s) {
+    Request* const first =
+        requests.data() + src_begin[static_cast<std::size_t>(s)];
+    Request* const last =
+        requests.data() + src_begin[static_cast<std::size_t>(s) + 1];
+    std::stable_sort(first, last, [](const Request& a, const Request& b) {
+      return a.arrive_ns < b.arrive_ns;
+    });
+    double srv = 0.0;
+    for (const Request* it = first; it != last; ++it) {
+      const double start = std::max(srv, it->arrive_ns);
+      srv = start + mp.mem.dir_occupancy_ns +
+            static_cast<double>(it->bytes) / mp.mem.bulk_copy_bytes_per_ns;
+      const double response =
+          srv + half_rtt[static_cast<std::size_t>(it->getter) * pp +
+                         static_cast<std::size_t>(s)];
+      auto& lr = last_response[static_cast<std::size_t>(it->getter)];
+      lr = std::max(lr, response);
+    }
   }
 
   EpochResult res;
-  res.procs.resize(static_cast<std::size_t>(p));
+  res.procs.resize(pp);
   for (int r = 0; r < p; ++r) {
     const auto rr = static_cast<std::size_t>(r);
     ProcOutcome& o = res.procs[rr];

@@ -106,6 +106,11 @@ void RadixWorkspace::prepare(int radix_bits, int passes) {
   const std::size_t buckets = std::size_t{1} << radix_bits;
   const std::size_t rows = static_cast<std::size_t>(passes) * buckets;
   if (pass_hist.size() < rows) pass_hist.resize(rows);
+}
+
+void RadixWorkspace::prepare_staging(int radix_bits) {
+  DSM_REQUIRE(radix_bits >= 1 && radix_bits <= 20, "radix bits out of range");
+  const std::size_t buckets = std::size_t{1} << radix_bits;
   // One staging line per bucket while that fits the tunable cap; past it
   // the permute switches to the two-level scatter, whose first level
   // needs at most 2^kTwoLevelMaxCoarseBits lines.
@@ -525,7 +530,7 @@ std::uint64_t permute_optimized(std::span<const Key> in, std::span<Key> out,
     // scatter).
     const bool amortized = !cache_resident && n >= buckets * kWcLineKeys;
     if (dram_bound || (buckets >= kernel_wc_min_buckets() && amortized)) {
-      ws.prepare(radix_bits, 1);  // ensure staging even for direct callers
+      ws.prepare_staging(radix_bits);
 #if defined(__SSE2__)
       if (dram_bound) {
         return permute_wc_stream(in, out, pass, radix_bits, cursor, ws);
@@ -544,7 +549,7 @@ std::uint64_t permute_optimized(std::span<const Key> in, std::span<Key> out,
   // pass measured 0.86x at 256K x r16.
   if (n * sizeof(Key) >= 4 * kernel_staging_bytes() &&
       n >= buckets * kTwoLevelMinKeysPerBucket) {
-    ws.prepare(radix_bits, 1);
+    ws.prepare_staging(radix_bits);
     return permute_two_level(in, out, pass, radix_bits, cursor, ws);
   }
   return permute_reference(in, out, pass, radix_bits, cursor);
@@ -597,7 +602,6 @@ std::uint64_t permute_threaded(std::span<const Key> in, std::span<Key> out,
     const auto ti = static_cast<std::size_t>(t);
     RadixWorkspace& sw = ws.shards[ti];
     sw.jobs = 1;
-    sw.prepare(radix_bits, 1);
     const std::span<std::uint64_t> cur(
         ws.shard_cursor.data() + ti * buckets, buckets);
     const std::span<const std::uint64_t> h(
@@ -672,6 +676,73 @@ std::uint64_t histogram_kernel(KernelBackend be, std::span<const Key> keys,
       sum += ws.shard_hist[t * buckets + b];
     }
     hist[b] = sum;
+  }
+  return count_active(hist);
+}
+
+namespace {
+
+/// Serial body of histogram_runs_kernel over one key span.
+void histogram_runs_span(std::span<const Key> keys, int pass, int radix_bits,
+                         std::uint64_t* hist, std::uint64_t* run_starts) {
+  std::uint32_t prev_digit = ~0u;
+  for (const Key k : keys) {
+    const std::uint32_t d = radix_digit(k, pass, radix_bits);
+    ++hist[d];
+    run_starts[d] += d != prev_digit ? 1 : 0;
+    prev_digit = d;
+  }
+}
+
+}  // namespace
+
+std::uint64_t histogram_runs_kernel(KernelBackend be,
+                                    std::span<const Key> keys, int pass,
+                                    int radix_bits,
+                                    std::span<std::uint64_t> hist,
+                                    std::span<std::uint64_t> run_starts,
+                                    RadixWorkspace& ws) {
+  const std::size_t buckets = std::size_t{1} << radix_bits;
+  DSM_REQUIRE(hist.size() == buckets && run_starts.size() == buckets,
+              "histogram span size mismatch");
+  std::fill(hist.begin(), hist.end(), 0);
+  std::fill(run_starts.begin(), run_starts.end(), 0);
+  const int shards = be == KernelBackend::kOptimized
+                         ? effective_kernel_shards(ws.jobs, keys.size())
+                         : 1;
+  if (shards <= 1) {
+    histogram_runs_span(keys, pass, radix_bits, hist.data(),
+                        run_starts.data());
+    return count_active(hist);
+  }
+  // Threaded: per-shard [hist | run starts] rows summed in fixed shard
+  // order; a shard whose first key continues the previous shard's last
+  // digit counted one run start too many.
+  const std::size_t n = keys.size();
+  const auto sc = static_cast<std::size_t>(shards);
+  if (ws.shard_hist.size() < sc * 2 * buckets) {
+    ws.shard_hist.resize(sc * 2 * buckets);
+  }
+  run_shards(shards, [&](int t) {
+    const std::size_t b0 = shard_begin(n, shards, t);
+    const std::size_t b1 = shard_begin(n, shards, t + 1);
+    std::uint64_t* const h =
+        ws.shard_hist.data() + static_cast<std::size_t>(t) * 2 * buckets;
+    std::fill(h, h + 2 * buckets, 0);
+    histogram_runs_span(keys.subspan(b0, b1 - b0), pass, radix_bits, h,
+                        h + buckets);
+  });
+  for (std::size_t t = 0; t < sc; ++t) {
+    const std::uint64_t* const h = ws.shard_hist.data() + t * 2 * buckets;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      hist[b] += h[b];
+      run_starts[b] += h[buckets + b];
+    }
+    if (t > 0) {
+      const std::size_t b0 = shard_begin(n, shards, static_cast<int>(t));
+      const std::uint32_t d = radix_digit(keys[b0], pass, radix_bits);
+      if (d == radix_digit(keys[b0 - 1], pass, radix_bits)) --run_starts[d];
+    }
   }
   return count_active(hist);
 }
@@ -787,23 +858,6 @@ std::uint64_t permute_kernel(KernelBackend be, std::span<const Key> in,
     }
   }
   return permute_optimized(in, out, pass, radix_bits, cursor, active, ws);
-}
-
-void wc_flush(Key* dst, const Key* src, std::size_t n_keys) {
-#if defined(__SSE2__)
-  if (n_keys == kWcLineKeys &&
-      reinterpret_cast<std::uintptr_t>(dst) % 64u == 0) {
-    stream_line(dst, src);
-    return;
-  }
-#endif
-  std::memcpy(dst, src, n_keys * sizeof(Key));
-}
-
-void wc_store_fence() {
-#if defined(__SSE2__)
-  _mm_sfence();
-#endif
 }
 
 void exchange_copy(KernelBackend be, Key* dst, const Key* src,

@@ -142,8 +142,12 @@ struct RadixWorkspace {
   /// Size `hist` for 2^radix_bits buckets (contents unspecified).
   void prepare(int radix_bits);
   /// Additionally size the one-sweep table (`pass_hist`, passes rows of
-  /// 2^radix_bits buckets) and the WC staging buffers.
+  /// 2^radix_bits buckets).
   void prepare(int radix_bits, int passes);
+  /// Size the WC staging buffers for a 2^radix_bits-bucket permute. The
+  /// staged permute paths call this themselves; the cache-resident direct
+  /// scatter never touches them.
+  void prepare_staging(int radix_bits);
 
   /// Kernel thread budget for calls made through this workspace:
   /// 1 = serial, N = up to N host threads. Output is byte-identical for
@@ -152,7 +156,8 @@ struct RadixWorkspace {
   int jobs = 1;
 
   std::vector<std::uint64_t> hist;       // 2^radix_bits running cursors
-  std::vector<std::uint64_t> pass_hist;  // [pass][bucket], one-sweep rows
+  ScratchVector<std::uint64_t> pass_hist;  // [pass][bucket], one-sweep
+                                           // rows (the kernel fills them)
   std::vector<Key> wc_keys;              // staging lines x kWcLineKeys
   std::vector<std::uint32_t> wc_fill;    // staged keys per bucket (all 0
                                          // between permute calls)
@@ -199,6 +204,20 @@ std::uint64_t histogram_kernel(KernelBackend be, std::span<const Key> keys,
                                std::span<std::uint64_t> hist,
                                RadixWorkspace& ws);
 
+/// One counting pass that also counts digit-run starts per bucket:
+/// `run_starts[b]` is the number of bucket-b keys whose predecessor in
+/// `keys` carries another digit (the first key counts), so the run starts
+/// sum to the `runs` permute_kernel measures on the same span. Fills
+/// `hist` exactly as histogram_kernel does and returns the nonzero bucket
+/// count. Under the optimized backend `ws.jobs > 1` shards the sweep,
+/// stitching run starts across shard boundaries.
+std::uint64_t histogram_runs_kernel(KernelBackend be,
+                                    std::span<const Key> keys, int pass,
+                                    int radix_bits,
+                                    std::span<std::uint64_t> hist,
+                                    std::span<std::uint64_t> run_starts,
+                                    RadixWorkspace& ws);
+
 /// Histograms of every pass at once: fills `pass_hist` (row-major,
 /// `passes` rows of 2^radix_bits). kReference performs `passes`
 /// independent key sweeps (the seed structure); kOptimized reads the
@@ -229,19 +248,6 @@ std::uint64_t permute_kernel(KernelBackend be, std::span<const Key> in,
                              std::span<Key> out, int pass, int radix_bits,
                              std::span<std::uint64_t> cursor,
                              std::uint64_t active, RadixWorkspace& ws);
-
-/// Flush one staged write-combining group (`n_keys` <= kWcLineKeys) to
-/// `dst`. A full-line flush to a 64-byte-aligned destination uses
-/// non-temporal stores where the build carries them; anything else is an
-/// ordinary contiguous copy. For callers that run their own staging state
-/// machine around a charge-measurement loop (the CC-SAS scatter); pair
-/// with wc_store_fence() after the final drain.
-void wc_flush(Key* dst, const Key* src, std::size_t n_keys);
-
-/// Order preceding non-temporal flushes before later loads or an
-/// inter-thread hand-off of the flushed destination. No-op on builds
-/// without streaming stores.
-void wc_store_fence();
 
 /// Contiguous key copy for between-pass exchanges (worker piece moves,
 /// sample sort's redistribution). kReference is std::memcpy; kOptimized

@@ -152,6 +152,76 @@ HistTable build_hist_table(sim::Blocks<std::uint64_t> hists) {
   return t;
 }
 
+void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
+                   const sas::HomeMap& homes, int r,
+                   std::span<const std::uint64_t> first,
+                   std::span<const std::uint64_t> hist,
+                   std::span<const std::uint64_t> run_starts,
+                   ScatterTally& tally) {
+  const std::size_t buckets = std::size_t{1} << radix_bits;
+  DSM_REQUIRE(first.size() == buckets && hist.size() == buckets &&
+                  run_starts.size() == buckets,
+              "tally inputs must hold one entry per bucket");
+  tally.bytes_to.assign(static_cast<std::size_t>(homes.nprocs()), 0);
+  tally.runs_to.assign(static_cast<std::size_t>(homes.nprocs()), 0);
+  tally.local_accesses = 0;
+  tally.local_runs = 0;
+  const auto add_runs = [&](int home, std::uint64_t runs) {
+    if (home == r) {
+      tally.local_runs += runs;
+    } else {
+      tally.runs_to[static_cast<std::size_t>(home)] += runs;
+    }
+  };
+  if (tally.slot.size() < buckets) tally.slot.resize(buckets, 0);
+  tally.straddling.clear();
+  // The slices ascend with the bucket, so the home of each slice's first
+  // key only moves forward.
+  int home = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::uint64_t count = hist[b];
+    if (count == 0) continue;
+    while (first[b] >= homes.end_of(home)) ++home;
+    for_each_piece(homes, first[b], count,
+                   [&](int dst, std::uint64_t, std::uint64_t,
+                       std::uint64_t len) {
+                     if (dst == r) {
+                       tally.local_accesses += len;
+                     } else {
+                       tally.bytes_to[static_cast<std::size_t>(dst)] +=
+                           len * sizeof(Key);
+                     }
+                   });
+    if (first[b] + count <= homes.end_of(home)) {
+      add_runs(home, run_starts[b]);
+    } else {
+      tally.straddling.push_back(ScatterTally::Straddle{
+          first[b], homes.end_of(home), b, home});
+      tally.slot[b] = static_cast<std::uint32_t>(tally.straddling.size());
+    }
+  }
+  if (tally.straddling.empty()) return;
+  // One walk places the run starts of the straddling slices: each such
+  // key lands at its slice's next position, whose home only moves forward.
+  std::uint32_t prev_digit = ~0u;
+  for (const Key k : keys) {
+    const std::uint32_t d = radix_digit(k, pass, radix_bits);
+    const std::uint32_t slot = tally.slot[d];
+    if (slot != 0) {
+      ScatterTally::Straddle& s = tally.straddling[slot - 1];
+      const std::uint64_t pos = s.next_pos++;
+      if (d != prev_digit) {
+        while (pos >= s.home_end) s.home_end = homes.end_of(++s.home);
+        add_runs(s.home, 1);
+      }
+    }
+    prev_digit = d;
+  }
+  for (const ScatterTally::Straddle& s : tally.straddling) {
+    tally.slot[s.bucket] = 0;
+  }
+}
+
 void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
   DSM_REQUIRE(w.a != nullptr && w.b != nullptr && w.scan != nullptr,
               "CC-SAS radix world is incomplete");
@@ -182,11 +252,10 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
   // pass allocates nothing.
   std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
       global_cnt(buckets), global_start(buckets), cursor(buckets),
-      local_prefix(buckets), owner_end(buckets);
-  std::vector<int> owner(buckets);
-  std::vector<std::uint64_t> bytes_to(static_cast<std::size_t>(p)),
-      runs_to(static_cast<std::size_t>(p)),
-      lines_to(static_cast<std::size_t>(p));
+      local_prefix(buckets);
+  std::vector<std::uint64_t> run_starts(buffered ? 0 : buckets);
+  ScatterTally tally;
+  std::vector<std::uint64_t> lines_to(static_cast<std::size_t>(p));
   std::vector<sim::ScatteredTraffic> traffic;
   traffic.reserve(static_cast<std::size_t>(p));
   std::vector<Key> buf(buffered ? homes.count_of(r) : 0);
@@ -201,8 +270,9 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
   for (int pass = 0; pass < passes; ++pass) {
     const std::span<const Key> my_keys = in->partition(r);
     ctx.phase("local histogram");
-    const std::uint64_t active =
-        charged_histogram(ctx, my_keys, pass, bits, hist, be, ws);
+    const std::uint64_t active = charged_histogram(
+        ctx, my_keys, pass, bits, hist, be, ws,
+        buffered ? std::span<std::uint64_t>{} : std::span(run_starts));
     ctx.phase("global histogram");
     w.scan->scan(ctx, hist, rank_prefix, global_cnt);
     exclusive_prefix(ctx, global_cnt, global_start);
@@ -216,129 +286,49 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
 
     if (!buffered) {
       // Original SPLASH-2 style: write each key straight to its global
-      // position — temporally scattered remote writes.
+      // position — temporally scattered remote writes. The keys move
+      // through the shared stable permute; the per-home tallies the stores
+      // are charged from come from the histogram sweep (tally_scatter).
       for (std::size_t b = 0; b < buckets; ++b) {
         cursor[b] = global_start[b] + rank_prefix[b];
       }
       ctx.busy_cycles(static_cast<double>(buckets) *
                       ctx.params().cpu.scan_cycles);
-      // Each bucket's write cursor only moves forward, so its home owner
-      // advances monotonically too: track it with a boundary compare
-      // instead of the integer divide inside owner_of (one divide per key
-      // dominates this loop otherwise). Starting every bucket at owner 0
-      // costs at most p boundary steps per bucket over the whole pass.
-      for (std::size_t b = 0; b < buckets; ++b) {
-        owner[b] = 0;
-        owner_end[b] = homes.end_of(0);
-      }
-
       const double permute_start_ns = ctx.clock().now_ns();
-      Key* const out_data = out->data();
-      // Worker-exchange write-combining: under the optimized backend the
-      // scattered remote stores are staged per bucket and flushed as
-      // contiguous lines (non-temporal on aligned full lines), exactly
-      // like the local WC permute. The measurement loop below — cursor
-      // positions, home-owner tracking, per-home byte/run tallies — is
-      // untouched, so every charge is identical; only the physical store
-      // order changes, and flushes land each key at its cursor position.
-      const bool stage_writes =
-          be == KernelBackend::kOptimized &&
-          buckets * kWcLineKeys * sizeof(Key) <= kernel_staging_bytes() &&
-          (part_bytes >= kWcMinFootprintBytes ||
-           (buckets >= kernel_wc_min_buckets() &&
-            my_keys.size() >= buckets * kWcLineKeys));
-      Key* wc = nullptr;
-      std::uint32_t* wfill = nullptr;
-      std::uint32_t* wneed = nullptr;
-      if (stage_writes) {
-        ws.prepare(bits, 1);
-        wc = ws.wc_keys.data();
-        wfill = ws.wc_fill.data();
-        wneed = ws.wc_need.data();
-        // Phase each bucket's first flush to the destination's next
-        // 64-byte boundary so later full-line flushes can stream.
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const auto addr =
-              reinterpret_cast<std::uintptr_t>(out_data + cursor[b]);
-          const std::size_t off = (addr % 64u) / sizeof(Key);
-          wneed[b] = static_cast<std::uint32_t>(
-              off == 0 ? kWcLineKeys : kWcLineKeys - off);
-        }
-      }
-      std::uint64_t local_accesses = 0, local_runs = 0;
-      std::fill(bytes_to.begin(), bytes_to.end(), 0);
-      std::fill(runs_to.begin(), runs_to.end(), 0);
-      std::uint32_t prev_digit = ~0u;
-      for (const Key k : my_keys) {
-        const std::uint32_t d = radix_digit(k, pass, bits);
-        const std::uint64_t pos = cursor[d]++;
-        if (!stage_writes) {
-          out_data[pos] = k;
-        } else {
-          std::uint32_t f = wfill[d];
-          wc[d * kWcLineKeys + f] = k;
-          ++f;
-          if (f == wneed[d]) {
-            wc_flush(out_data + (pos + 1 - f), wc + d * kWcLineKeys, f);
-            wneed[d] = kWcLineKeys;
-            f = 0;
-          }
-          wfill[d] = f;
-        }
-        while (pos >= owner_end[d]) {
-          ++owner[d];
-          owner_end[d] = homes.end_of(owner[d]);
-        }
-        const int home = owner[d];
-        const bool new_run = d != prev_digit;
-        prev_digit = d;
-        if (home == r) {
-          ++local_accesses;
-          local_runs += new_run ? 1 : 0;
-        } else {
-          bytes_to[static_cast<std::size_t>(home)] += sizeof(Key);
-          runs_to[static_cast<std::size_t>(home)] += new_run ? 1 : 0;
-        }
-      }
-      if (stage_writes) {
-        // Drain partial lines (restoring the all-zero staging invariant)
-        // and fence the streamed stores before the ownership hand-off.
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const std::uint32_t f = wfill[b];
-          if (f == 0) continue;
-          wc_flush(out_data + (cursor[b] - f), wc + b * kWcLineKeys, f);
-          wfill[b] = 0;
-        }
-        wc_store_fence();
-      }
+      tally_scatter(my_keys, pass, bits, homes, r, cursor, hist, run_starts,
+                    tally);
+      (void)permute_kernel(be, my_keys, out->all(), pass, bits, cursor,
+                           active, ws);
       ctx.busy_cycles(static_cast<double>(my_keys.size()) *
                       ctx.params().cpu.permute_cycles);
       ctx.stream(my_keys.size() * sizeof(Key), part_bytes);
-      if (local_accesses > 0) {
+      if (tally.local_accesses > 0) {
         machine::AccessPattern ap;
-        ap.accesses = local_accesses;
+        ap.accesses = tally.local_accesses;
         ap.elem_bytes = sizeof(Key);
-        ap.runs = std::max<std::uint64_t>(1, local_runs);
+        ap.runs = std::max<std::uint64_t>(1, tally.local_runs);
         ap.active_regions = std::max<std::uint64_t>(1, active);
         ap.footprint_bytes = part_bytes;
         ctx.scattered(ap);
       }
       std::uint64_t remote_bytes = 0;
       for (int h = 0; h < p; ++h) {
-        remote_bytes += bytes_to[static_cast<std::size_t>(h)];
+        remote_bytes += tally.bytes_to[static_cast<std::size_t>(h)];
       }
       const auto profile = ctx.cost().scattered_write_profile(remote_bytes);
       traffic.clear();
       for (int h = 0; h < p; ++h) {
         const auto hh = static_cast<std::size_t>(h);
-        if (bytes_to[hh] == 0) continue;
+        const std::uint64_t bytes = tally.bytes_to[hh];
+        if (bytes == 0) continue;
         sim::ScatteredTraffic t;
         t.writer = r;
         t.home = h;
         // Fine-grained interleaving re-fetches a line on almost every run
         // switch; contiguous tails within a run transfer at line grain.
-        t.lines = std::max<std::uint64_t>(std::max<std::uint64_t>(1, runs_to[hh]),
-                                          ceil_div(bytes_to[hh], kLine));
+        t.lines = std::max<std::uint64_t>(
+            std::max<std::uint64_t>(1, tally.runs_to[hh]),
+            ceil_div(bytes, kLine));
         t.per_line_ns = profile.per_line_ns;
         t.transactions =
             static_cast<double>(t.lines) * profile.transactions_per_line;

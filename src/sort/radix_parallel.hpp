@@ -106,6 +106,45 @@ void for_each_inbound_piece(const HistTable& t, int d, Fn&& fn) {
   }
 }
 
+/// One rank's non-buffered CC-SAS scatter of one pass, tallied per home:
+/// the bytes and digit-run starts its remote stores send to every other
+/// home, and the accesses and run starts that land in its own partition.
+/// These are the only inputs the permutation's charges read.
+struct ScatterTally {
+  std::vector<std::uint64_t> bytes_to;  // [home]; the rank's own entry is 0
+  std::vector<std::uint64_t> runs_to;   // [home]; the rank's own entry is 0
+  std::uint64_t local_accesses = 0;
+  std::uint64_t local_runs = 0;
+
+  // Scratch reused across passes: a slice that straddles a home boundary
+  // (at most p - 1 per pass) and its walk state; slot[b] is 1 + its index
+  // for such a bucket, else 0 (all zero between calls).
+  struct Straddle {
+    std::uint64_t next_pos;  // global position of the slice's next key
+    std::uint64_t home_end;  // end of `home`'s partition
+    std::size_t bucket;
+    int home;  // home of the position before next_pos
+  };
+  std::vector<Straddle> straddling;
+  std::vector<std::uint32_t> slot;
+};
+
+/// Derive rank r's ScatterTally of the stable scatter of `keys` by digit
+/// `pass` without performing it (DESIGN.md §5.2). Bucket b's keys land, in
+/// key order, on the global positions [first[b], first[b] + hist[b]);
+/// run_starts[b] counts those whose predecessor in `keys` carries another
+/// digit (the first key counts), as histogram_runs_kernel returns them.
+/// Bytes and accesses come from splitting each slice by home. A slice that
+/// lies in one home takes all its run starts there; the run starts of
+/// slices that straddle a home boundary are placed by one walk over
+/// `keys`, taken only when some slice straddles.
+void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
+                   const sas::HomeMap& homes, int r,
+                   std::span<const std::uint64_t> first,
+                   std::span<const std::uint64_t> hist,
+                   std::span<const std::uint64_t> run_starts,
+                   ScatterTally& tally);
+
 /// kv32 payload lanes (DESIGN.md §11), one layout for every model: each
 /// lane is n long and indexed by global position, so rank r's range is
 /// [homes.begin_of(r), homes.end_of(r)) of the block HomeMap every model

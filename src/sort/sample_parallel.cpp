@@ -18,15 +18,16 @@ namespace {
 /// backend honors the same contracts (sorted result in `keys`, charges a
 /// pure function of the key sequence, a non-empty payload lane sorted
 /// with the keys and charged nothing), so the surrounding phases are
-/// untouched. `tmp` and `pay_tmp` are scratch, resized here.
+/// untouched. `tmp` and `pay_tmp` are scratch, grown here and never
+/// zero-filled: every local sort writes its toggle buffers before reading
+/// them.
 void charged_local_sort(sim::ProcContext& ctx, const SortSpec& spec,
-                        std::span<Key> keys, std::vector<Key>& tmp,
+                        std::span<Key> keys, ScratchVector<Key>& tmp_store,
                         std::span<keys::Payload> pays,
-                        std::vector<keys::Payload>& pay_tmp,
+                        ScratchVector<keys::Payload>& pay_tmp_store,
                         RadixWorkspace& ws) {
-  tmp.resize(keys.size());
-  pay_tmp.resize(pays.size());
-  const PayloadLanes lanes{pays, pay_tmp};
+  const std::span<Key> tmp = scratch_span(tmp_store, keys.size());
+  const PayloadLanes lanes{pays, scratch_span(pay_tmp_store, pays.size())};
   const KernelBackend be = spec.kernel_backend;
   switch (spec.algo) {
     case Algo::kMsdRadix:
@@ -190,8 +191,8 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
   // Phase 1: local radix sort of my partition.
   ctx.phase("local sort 1");
   std::span<Key> mine = w.keys->partition(r);
-  std::vector<Key> tmp;
-  std::vector<keys::Payload> pay_tmp;
+  ScratchVector<Key> tmp;
+  ScratchVector<keys::Payload> pay_tmp;
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
   ws.jobs = w.spec.kernel_jobs;
   charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
@@ -324,8 +325,8 @@ void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
   // Phase 1: local sort.
   ctx.phase("local sort 1");
   std::vector<Key>& mine = (*w.parts)[rr];
-  std::vector<Key> tmp;
-  std::vector<keys::Payload> pay_tmp;
+  ScratchVector<Key> tmp;
+  ScratchVector<keys::Payload> pay_tmp;
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
   ws.jobs = w.spec.kernel_jobs;
   charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
@@ -411,8 +412,8 @@ void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
   // Phase 1: local sort (in the symmetric segment, so phase 4 can get()).
   ctx.phase("local sort 1");
   std::span<Key> mine(heap.at<Key>(r, w.off_keys), n_local);
-  std::vector<Key> tmp;
-  std::vector<keys::Payload> pay_tmp;
+  ScratchVector<Key> tmp;
+  ScratchVector<keys::Payload> pay_tmp;
   RadixWorkspace ws;  // kernel scratch shared by both local sort phases
   ws.jobs = w.spec.kernel_jobs;
   charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),

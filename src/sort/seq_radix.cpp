@@ -84,11 +84,15 @@ int radix_passes_for_max(int radix_bits, Key max_key) {
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
-                                KernelBackend be, RadixWorkspace& ws) {
+                                KernelBackend be, RadixWorkspace& ws,
+                                std::span<std::uint64_t> run_starts) {
   const std::size_t buckets = std::size_t{1} << radix_bits;
   DSM_REQUIRE(hist.size() == buckets, "histogram span size mismatch");
   const std::uint64_t active =
-      histogram_kernel(be, keys, pass, radix_bits, hist, ws);
+      run_starts.empty()
+          ? histogram_kernel(be, keys, pass, radix_bits, hist, ws)
+          : histogram_runs_kernel(be, keys, pass, radix_bits, hist,
+                                  run_starts, ws);
   charge_histogram_pass(ctx, keys.size(), buckets);
   return active;
 }

@@ -71,12 +71,15 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
 /// radix_sort_impl, where the pass histograms are permutation-invariant.)
 /// The optimized backend may use the vectorized counting loop and shard
 /// across `ws.jobs` host threads; the histogram and the charged time are
-/// identical either way.
+/// identical either way. A non-empty `run_starts` (size 2^radix_bits) also
+/// receives the per-bucket digit-run starts of histogram_runs_kernel, from
+/// the same sweep and at the same charge.
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
                                 KernelBackend be = KernelBackend::kOptimized,
-                                RadixWorkspace& ws = tls_radix_workspace());
+                                RadixWorkspace& ws = tls_radix_workspace(),
+                                std::span<std::uint64_t> run_starts = {});
 
 /// One instrumented permutation of `keys` into `out` by digit `pass`,
 /// using `offset` (size 2^radix_bits) as the running write cursors

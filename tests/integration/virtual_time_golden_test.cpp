@@ -121,12 +121,77 @@ std::uint64_t grid_digest(SpmdEngine engine) {
   return d.h;
 }
 
+/// The sibling grid for the algorithm menu's sample-skeleton backends:
+/// MSD and merge local sorts under CC-SAS, MPI and SHMEM. Their
+/// redistribution goes through the same two-sided and get epochs the radix
+/// grid pins, with a different message mix (one message per destination,
+/// skewed splitter partitions). Team sizes 1 to 64, tiny to 64K inputs,
+/// four key distributions (two of them duplicate-heavy or adversarial) and
+/// both record types rotate across the cells; MPI cells repeat on the
+/// staged transport. The digest was recorded before the per-endpoint epoch
+/// engines and must never move.
+constexpr std::uint64_t kMenuGoldenDigest = 10408915856856791887ull;
+
+std::vector<SortSpec> menu_golden_grid() {
+  constexpr keys::Dist kDists[] = {keys::Dist::kGauss, keys::Dist::kDup,
+                                   keys::Dist::kZipf,
+                                   keys::Dist::kAdversarial};
+  std::vector<SortSpec> grid;
+  auto add = [&grid](const SortSpec& spec) {
+    if (spec.validate_status().ok()) grid.push_back(spec);
+  };
+  unsigned cell = 0;
+  for (const Algo algo : {Algo::kMsdRadix, Algo::kMergesort}) {
+    for (const Model model : {Model::kCcSas, Model::kMpi, Model::kShmem}) {
+      for (const int p : {1, 3, 16, 64}) {
+        for (const Index n : {static_cast<Index>(p), Index{5000},
+                              Index{1} << 16}) {
+          SortSpec spec;
+          spec.algo = algo;
+          spec.model = model;
+          spec.nprocs = p;
+          spec.n = n;
+          spec.dist = kDists[cell % 4];
+          spec.record = (cell / 4) % 2 == 0 ? keys::RecordType::kU32
+                                            : keys::RecordType::kKeyPayload32;
+          spec.seed = 11 + cell;
+          ++cell;
+          add(spec);
+          if (model == Model::kMpi) {
+            SortSpec staged = spec;
+            staged.ablations.mpi_impl = msg::Impl::kStaged;
+            add(staged);
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+std::uint64_t menu_grid_digest(SpmdEngine engine) {
+  Digest d;
+  for (SortSpec spec : menu_golden_grid()) {
+    spec.engine = engine;
+    d.result(try_run_sort(spec).value());
+  }
+  return d.h;
+}
+
 TEST(VirtualTimeGolden, CooperativeEngine) {
   EXPECT_EQ(grid_digest(SpmdEngine::kCooperative), kGoldenDigest);
 }
 
 TEST(VirtualTimeGolden, ThreadEngine) {
   EXPECT_EQ(grid_digest(SpmdEngine::kThreads), kGoldenDigest);
+}
+
+TEST(VirtualTimeGoldenMsdMerge, CooperativeEngine) {
+  EXPECT_EQ(menu_grid_digest(SpmdEngine::kCooperative), kMenuGoldenDigest);
+}
+
+TEST(VirtualTimeGoldenMsdMerge, ThreadEngine) {
+  EXPECT_EQ(menu_grid_digest(SpmdEngine::kThreads), kMenuGoldenDigest);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -438,27 +437,6 @@ TEST(ExchangeCopy, MatchesMemcpyAtEveryAlignmentAndSize) {
       EXPECT_EQ(dst_ref, dst_opt) << "off=" << off << " n=" << n;
     }
   }
-}
-
-TEST(WcFlushPrimitive, LandsBytesAndKeepsOrder) {
-  // wc_flush is the exported staging primitive the parallel workers use:
-  // partial lines, unaligned destinations, and full aligned lines must
-  // all store exactly the staged keys.
-  alignas(64) std::array<Key, 64> dst{};
-  std::array<Key, kWcLineKeys> line{};
-  for (std::size_t i = 0; i < kWcLineKeys; ++i) {
-    line[i] = static_cast<Key>(1000 + i);
-  }
-  wc_flush(dst.data(), line.data(), kWcLineKeys);        // aligned full line
-  wc_flush(dst.data() + 16, line.data(), kWcLineKeys);   // aligned full line
-  wc_flush(dst.data() + 33, line.data(), 7);             // unaligned partial
-  wc_store_fence();
-  for (std::size_t i = 0; i < kWcLineKeys; ++i) {
-    EXPECT_EQ(dst[i], line[i]);
-    EXPECT_EQ(dst[16 + i], line[i]);
-  }
-  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(dst[33 + i], line[i]);
-  EXPECT_EQ(dst[40], 0u);  // nothing past the partial flush
 }
 
 TEST(KernelIsa, NameIsKnown) {
