@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -13,24 +12,16 @@
 
 #include "cluster/frame.hpp"
 #include "common/fsio.hpp"
-#include "common/table.hpp"
 #include "sort/input_cache.hpp"
-#include "sort/sort_api.hpp"
-#include "svc/faults.hpp"
+#include "svc/remote.hpp"
 
 namespace dsm::cluster {
 namespace {
 
-/// Must render exactly like the master's local deadline message (the
-/// failure text lands in replayed JSON, which is byte-compared against
-/// a local run).
-std::string us_text(double ns) { return fmt_fixed(ns / 1e3, 3) + "us"; }
-
-/// Run one task and build its done message. Mirrors exactly one attempt
-/// of the master's local execute_one body: same spec, same hook order
-/// (mark, crash hook, fault check, virtual-deadline abort), same typed
-/// failure surface. Retry/serialize/deadline *classification* stay
-/// master-side.
+/// Run one task and build its done message. The attempt itself is
+/// svc::run_attempt_here; what is left here belongs to the worker:
+/// heartbeats, streaming marks to the master, the crash hook and the
+/// `--lie` corruption.
 WireMessage run_task(const WireMessage& task, Channel& ch,
                      const WorkerOptions& opts) {
   WireMessage done;
@@ -85,60 +76,35 @@ WireMessage run_task(const WireMessage& task, Channel& ch,
     beat_cv.notify_all();
     beater.join();
   };
-  sort::SortSpec spec = svc::sort_spec_for(task.job, task.plan.algo,
-                                           task.plan.model,
-                                           task.plan.radix_bits);
-  int fired_site = -1;
-  // Function scope, not else-block scope: the hook lambda below captures
-  // the injector by reference and outlives the branch.
-  const svc::FaultInjector injector(task.faults);
-  const double deadline_ns = static_cast<double>(task.job.deadline_us) * 1e3;
-  const bool abortable = task.job.deadline_us > 0 &&
-                         task.job.priority < svc::kCriticalPriority;
-  if (task.audit) {
-    // Audit runs measure the runner-up plan: no trace, no hooks, no
-    // faults, no deadline — the local audit contract.
-    spec.trace_json_path.clear();
-  } else {
-    spec.hooks.on_site = [&task, &opts, &injector, &fired_site, &locked_send,
-                          &last_virtual_ns, deadline_ns,
-                          abortable](const char* site, double virtual_ns) {
-      last_virtual_ns.store(virtual_ns, std::memory_order_relaxed);
-      WireMessage mark;
-      mark.type = MsgType::kMark;
-      mark.task_id = task.task_id;
-      mark.site = site;
-      mark.virtual_ns = virtual_ns;
-      const Status sent = locked_send(mark);
-      if (!sent.ok()) {
-        // The master is gone; abort the sort cleanly (the team poison
-        // machinery unwinds every rank) and let the main loop exit.
-        throw Error(sent);
-      }
-      if (opts.crash_hook) {
-        opts.crash_hook((std::string("exec.") + site).c_str(),
-                        task.job.svc_seq);
-      }
-      const bool keygen = std::strcmp(site, "keygen") == 0;
-      const svc::FaultSite fsite =
-          keygen ? svc::FaultSite::kKeygen : svc::FaultSite::kSortPhase;
-      const std::uint64_t salt = keygen ? 0 : svc::fault_salt(site);
-      if (injector.should_fire(fsite, task.job.id, task.attempt, salt)) {
-        fired_site = static_cast<int>(fsite);
-        throw Error(
-            svc::FaultInjector::fire(fsite, task.job.id, task.attempt));
-      }
-      if (abortable && virtual_ns > deadline_ns) {
-        throw Error(Status::deadline_exceeded(
-            std::string("virtual deadline exceeded at '") + site + "': " +
-            us_text(virtual_ns) + " > " + us_text(deadline_ns)));
-      }
-    };
-  }
+  svc::RemoteAttempt attempt;
+  attempt.job = task.job;
+  attempt.plan = task.plan;
+  attempt.attempt = task.attempt;
+  attempt.audit = task.audit;
+  const auto on_mark = [&](const char* site, double virtual_ns) {
+    last_virtual_ns.store(virtual_ns, std::memory_order_relaxed);
+    WireMessage mark;
+    mark.type = MsgType::kMark;
+    mark.task_id = task.task_id;
+    mark.site = site;
+    mark.virtual_ns = virtual_ns;
+    const Status sent = locked_send(mark);
+    if (!sent.ok()) {
+      // The master is gone; abort the sort cleanly (the team poison
+      // machinery unwinds every rank) and let the main loop exit.
+      throw Error(sent);
+    }
+    if (opts.crash_hook) {
+      opts.crash_hook((std::string("exec.") + site).c_str(),
+                      task.job.svc_seq);
+    }
+  };
 
-  const Result<sort::SortResult> r = sort::try_run_sort(spec);
+  const svc::AttemptRun run =
+      svc::run_attempt_here(attempt, task.faults, on_mark);
   stop_beater();
-  done.fired_site = fired_site;
+  done.fired_site = run.fired_site;
+  const Result<sort::SortResult>& r = run.result;
   if (r.ok()) {
     done.ok = true;
     done.measured_ns = r->elapsed_ns;

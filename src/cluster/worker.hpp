@@ -1,14 +1,13 @@
 // Cluster worker: the process-side loop behind a Channel.
 //
 // A worker is intentionally dumb: it owns no queue, no planner, no
-// journal. It sends a hello, then serves one task at a time — build the
-// SortSpec exactly as the master's local executor would (svc/
-// sort_spec_for), reconstruct the deterministic FaultInjector from the
-// task's FaultConfig, stream progress marks back, run the sort, answer
-// with a done message — until the channel closes or a shutdown message
-// arrives. All policy (retry, deadline classification, journaling,
-// calibration) stays in the master; that is what makes a remote attempt
-// byte-identical to a local one.
+// journal. It sends a hello, then serves one task at a time — run the
+// attempt through svc::run_attempt_here (the function the in-process
+// service runs, with the task's FaultConfig), stream its progress marks
+// back, answer with a done message — until the channel closes or a
+// shutdown message arrives. All policy (retry, deadline classification,
+// journaling, calibration) stays in the master; that is what makes a
+// remote attempt byte-identical to a local one.
 #pragma once
 
 #include <cstdint>

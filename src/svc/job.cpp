@@ -24,6 +24,8 @@ sort::SortSpec sort_spec_for(const JobSpec& job, sort::Algo algo,
   return spec;
 }
 
+std::string us_text(double ns) { return fmt_fixed(ns / 1e3, 3) + "us"; }
+
 Status JobSpec::validate_status() const {
   std::string problems;
   const auto add = [&](const std::string& p) {

@@ -176,11 +176,14 @@ struct JobResult {
   std::string to_json(bool include_host = false) const;
 };
 
-/// The SortSpec a (job, plan-dimension) pair executes as. Shared by the
-/// local executor and the cluster worker so a remote attempt builds
-/// exactly the spec the master would have run — the cross-process
-/// determinism contract starts here.
+/// The SortSpec a (job, plan-dimension) pair executes as: what
+/// run_attempt_here runs, in this process or on a cluster worker.
 sort::SortSpec sort_spec_for(const JobSpec& job, sort::Algo algo,
                              sort::Model model, int radix_bits);
+
+/// A virtual time in ns as microseconds, three decimals ("12.345us"):
+/// the one rendering of every deadline message (shed, mid-run abort,
+/// finished late), which replayed JSON compares byte for byte.
+std::string us_text(double ns);
 
 }  // namespace dsm::svc

@@ -1,13 +1,17 @@
-// The seam between the single-process service and the cluster tier.
+// The seam between the service and whatever runs its attempts.
 //
-// SortService executes attempts either locally (in the worker cell's own
-// thread) or, when ServiceConfig::remote is set, by handing the attempt
-// to a RemoteExecutor — PR 7's cluster::WorkerPool, which ships it to a
-// worker process over the framed socket transport. The interface is
-// deliberately attempt-grained: retry policy, deadline classification,
-// serialize-fault injection, journaling and metrics stay in svc/server,
-// so a remote run is byte-identical to a local one (the determinism
-// contract extends across process boundaries — see DESIGN.md §10).
+// SortService hands every execution attempt and audit to a
+// RemoteExecutor: ServiceConfig::remote when set (cluster::WorkerPool,
+// which ships the attempt to a worker process over the framed socket
+// transport), otherwise the service's own InProcessExecutor, which runs
+// it on the calling thread. Both run the attempt through one function,
+// run_attempt_here: the same spec, the same hook order (mark, fault
+// check, virtual-deadline abort), the same failure text. The interface
+// is deliberately attempt-grained: retry policy, deadline
+// classification, serialize-fault injection, journaling and metrics
+// stay in svc/server, so a remote run is byte-identical to a local one
+// (the determinism contract extends across process boundaries — see
+// DESIGN.md §10).
 //
 // svc/ must not depend on cluster/ (the cluster depends on svc's job and
 // codec types), so this header is the only thing the server knows about
@@ -19,6 +23,7 @@
 #include <string>
 
 #include "common/status.hpp"
+#include "sort/sort_api.hpp"
 #include "sort/verify.hpp"
 #include "svc/faults.hpp"
 #include "svc/job.hpp"
@@ -26,9 +31,8 @@
 
 namespace dsm::svc {
 
-/// One execution attempt to run remotely. `audit` runs measure the
-/// runner-up plan: no hooks, no faults, no trace — exactly the local
-/// audit contract.
+/// One execution attempt. `audit` runs measure the runner-up plan: no
+/// marks, no faults, no deadline, no trace.
 struct RemoteAttempt {
   JobSpec job;
   Plan plan;
@@ -43,11 +47,10 @@ struct RemoteAttempt {
   sort::Checksum expect;
 };
 
-/// What the remote attempt produced. When `ran` is false the pool could
-/// not execute the attempt anywhere (every worker dead and none
-/// spawnable) and `failure` says why; when `ran` is true the attempt has
-/// exactly the local outcome shape: ok + measurements, or a typed
-/// failure with the fault site that fired worker-side.
+/// What the attempt produced. When `ran` is false the pool could not
+/// execute the attempt anywhere (every worker dead and none spawnable)
+/// and `failure` says why; when `ran` is true it is ok + measurements,
+/// or a typed failure with the fault site that fired during the sort.
 struct RemoteOutcome {
   bool ran = false;
   bool ok = false;
@@ -96,5 +99,42 @@ class RemoteExecutor {
     (void)queue_depth;
   }
 };
+
+/// The executor the service uses when ServiceConfig::remote is unset:
+/// runs each attempt on the calling thread. It never calls `on_dispatch`
+/// (nothing is dispatched) and ignores `check_integrity` (the result
+/// never left the process).
+class InProcessExecutor final : public RemoteExecutor {
+ public:
+  RemoteOutcome run_attempt(const RemoteAttempt& attempt,
+                            const MarkFn& on_mark,
+                            const DispatchFn& on_dispatch) override;
+  void bind_service(Metrics*, const FaultConfig& faults,
+                    std::uint64_t) override {
+    faults_ = faults;
+  }
+
+ private:
+  FaultConfig faults_;
+};
+
+/// What run_attempt_here produced: the sort's result or typed failure,
+/// and the FaultSite that fired during it (-1 if none).
+struct AttemptRun {
+  Result<sort::SortResult> result;
+  int fired_site = -1;
+};
+
+/// Run one attempt in the calling process — the one attempt body behind
+/// the in-process service and the cluster worker. A primary attempt runs
+/// sort_spec_for(job, plan) with a hook that, at every phase mark, calls
+/// `on_mark` (may be empty; may throw to abort the sort), then fires the
+/// keygen/sort-phase fault `faults` decides for (job, attempt, site),
+/// then aborts with kDeadlineExceeded once virtual time passes the job's
+/// deadline (never for kCriticalPriority jobs). An audit attempt runs
+/// untraced with no hook at all.
+AttemptRun run_attempt_here(const RemoteAttempt& attempt,
+                            const FaultConfig& faults,
+                            const RemoteExecutor::MarkFn& on_mark);
 
 }  // namespace dsm::svc

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <sstream>
@@ -18,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/prng.hpp"
-#include "common/table.hpp"
 #include "sas/shared_array.hpp"
 #include "sim/sweep.hpp"
 #include "sort/input_cache.hpp"
@@ -51,22 +49,11 @@ void append_line_durable(const std::string& path, const std::string& line) {
   ::close(fd);
 }
 
-std::string us_text(double ns) { return fmt_fixed(ns / 1e3, 3) + "us"; }
-
-/// The master-side expectation for end-to-end integrity (DESIGN.md §12):
-/// the input checksum from the input cache (usually a hit — the job's
-/// primary attempt and its audit ask for the same input back to back).
-/// Keygen depends on (dist, n, nprocs, radix_bits, seed) only, never on
-/// the algorithm, so the same helper serves primary and audit plans.
-sort::Checksum expected_input_checksum(const JobSpec& job, int radix_bits) {
-  return sort::input_checksum_cached(job.dist, job.n, job.nprocs, radix_bits,
-                                     job.seed);
-}
-
 }  // namespace
 
 SortService::SortService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
+      executor_(cfg_.remote != nullptr ? cfg_.remote : &local_),
       queue_(cfg_.queue_capacity),
       injector_(cfg_.faults),
       planner_(cfg_.planner) {
@@ -80,13 +67,11 @@ SortService::SortService(ServiceConfig cfg)
   DSM_REQUIRE(!durable() || cfg_.workers == 1,
               "durability requires workers == 1 (snapshots between batches "
               "must cover every in-flight job)");
-  if (cfg_.remote != nullptr) {
-    // Hand the remote tier our metrics registry plus the knobs every
-    // dispatched task must carry, so a worker-side run is configured
-    // exactly like a local one.
-    cfg_.remote->bind_service(&metrics_, cfg_.faults,
-                              cfg_.input_cache_budget_bytes);
-  }
+  // Hand the executor our metrics registry plus the knobs every attempt
+  // must carry, so a worker-side run is configured exactly like a local
+  // one.
+  executor_->bind_service(&metrics_, cfg_.faults,
+                          cfg_.input_cache_budget_bytes);
   if (durable()) recover();
 }
 
@@ -406,15 +391,13 @@ void SortService::process_batch(std::vector<JobSpec>& batch) {
     }
   }
 
-  if (cfg_.remote != nullptr) {
-    // Batch-boundary elasticity signal: the pool may resize here (and
-    // only here), so the worker-process count never changes mid-batch.
-    double predicted_ns = 0;
-    for (const auto& p : plans) {
-      if (p.has_value()) predicted_ns += p->predicted_ns;
-    }
-    cfg_.remote->note_batch(count, predicted_ns, queue_.depth());
+  // Batch-boundary elasticity signal: a pool may resize here (and only
+  // here), so the worker-process count never changes mid-batch.
+  double predicted_ns = 0;
+  for (const auto& p : plans) {
+    if (p.has_value()) predicted_ns += p->predicted_ns;
   }
+  executor_->note_batch(count, predicted_ns, queue_.depth());
 
   // Execute concurrently; every cell only writes its own slot and never
   // throws (failures are recorded in the slot), so one poisoned job
@@ -482,8 +465,48 @@ void SortService::process_batch(std::vector<JobSpec>& batch) {
 void SortService::execute_one(const JobSpec& job, const Plan& plan,
                               std::uint64_t seq, JobResult& out) {
   const double deadline_ns = static_cast<double>(job.deadline_us) * 1e3;
-  const bool abortable =
-      job.deadline_us > 0 && job.priority < kCriticalPriority;
+  const auto attempt_of = [&](const Plan& cell, bool audit) {
+    RemoteAttempt a;
+    a.job = job;
+    a.plan = cell;
+    a.audit = audit;
+    if (cfg_.remote != nullptr && cfg_.verify_remote_integrity) {
+      // End-to-end integrity (DESIGN.md §12) guards results that cross a
+      // process boundary; an in-process attempt pays no checksum. Keygen
+      // depends on (dist, n, nprocs, radix_bits, seed) only, so this is
+      // usually an input-cache hit.
+      a.check_integrity = true;
+      a.expect = sort::input_checksum_cached(job.dist, job.n, job.nprocs,
+                                             cell.radix_bits, job.seed);
+    }
+    return a;
+  };
+  RemoteAttempt ra = attempt_of(plan, /*audit=*/false);
+  const auto on_mark = [this, seq](const char* site, double) {
+    if (!durable()) return;
+    // Progress mark: pins a crash during this phase to the precise
+    // "execute:<site>" identity quarantine counting keys on.
+    JournalRecord m;
+    m.type = RecordType::kMark;
+    m.seq = seq;
+    m.site = site;
+    journal_->append(m);
+    if (cfg_.durability.crash_hook) {
+      cfg_.durability.crash_hook((std::string("exec.") + site).c_str(), seq);
+    }
+  };
+  const auto on_dispatch = [this, seq, &ra](const std::string& w) {
+    if (!durable()) return;
+    // WAL the dispatch before the task leaves the master: a crash right
+    // after the send still knows this attempt may have reached worker
+    // `w`, and recovery re-drives it like a started attempt.
+    JournalRecord d;
+    d.type = RecordType::kDispatch;
+    d.seq = seq;
+    d.attempt = ra.attempt;
+    d.site = w;
+    journal_->append(d);
+  };
 
   for (int attempt = 0;; ++attempt) {
     if (durable()) {
@@ -493,118 +516,15 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
       r.attempt = attempt;
       journal_->append(r);
     }
-    int fired_site = -1;
-    bool attempt_ok = false;
-    double measured_ns = 0;
-    int passes = 0;
-    bool verified = false;
-    Status failure;
-
-    if (cfg_.remote != nullptr) {
-      // Cluster mode: ship the attempt to a worker process. The worker
-      // mirrors exactly the local hook body below (marks, faults,
-      // virtual-deadline abort) from the same FaultConfig, so the
-      // outcome is byte-identical; journaling and the crash hook stay
-      // here, on the mark callbacks the worker streams back.
-      RemoteAttempt ra;
-      ra.job = job;
-      ra.plan = plan;
-      ra.attempt = attempt;
-      if (cfg_.verify_remote_integrity) {
-        ra.check_integrity = true;
-        ra.expect = expected_input_checksum(job, plan.radix_bits);
-      }
-      const auto on_mark = [this, seq](const char* site, double) {
-        if (durable()) {
-          JournalRecord m;
-          m.type = RecordType::kMark;
-          m.seq = seq;
-          m.site = site;
-          journal_->append(m);
-        }
-        if (durable() && cfg_.durability.crash_hook) {
-          cfg_.durability.crash_hook(
-              (std::string("exec.") + site).c_str(), seq);
-        }
-      };
-      const auto on_dispatch = [this, seq, attempt](const std::string& w) {
-        if (!durable()) return;
-        // WAL the dispatch before the task leaves the master: a crash
-        // right after the send still knows this attempt may have reached
-        // worker `w`, and recovery re-drives it like a started attempt.
-        JournalRecord d;
-        d.type = RecordType::kDispatch;
-        d.seq = seq;
-        d.attempt = attempt;
-        d.site = w;
-        journal_->append(d);
-      };
-      const RemoteOutcome ro =
-          cfg_.remote->run_attempt(ra, on_mark, on_dispatch);
-      if (ro.fired_site >= 0) {
-        // The fault fired worker-side (same injector, same seed); its
-        // counter lives in this process.
-        metrics_.on_fault(static_cast<FaultSite>(ro.fired_site));
-        fired_site = ro.fired_site;
-      }
-      if (ro.ran && ro.ok) {
-        attempt_ok = true;
-        measured_ns = ro.measured_ns;
-        passes = ro.passes;
-        verified = ro.verified;
-      } else {
-        failure = ro.failure;
-      }
-    } else {
-      sort::SortSpec spec =
-          sort_spec_for(job, plan.algo, plan.model, plan.radix_bits);
-      spec.hooks.on_site = [this, id = job.id, attempt, deadline_ns,
-                            abortable, seq, &fired_site](
-                               const char* site, double virtual_ns) {
-        if (durable()) {
-          // Progress mark: pins a crash during this phase to the precise
-          // "execute:<site>" identity quarantine counting keys on.
-          JournalRecord m;
-          m.type = RecordType::kMark;
-          m.seq = seq;
-          m.site = site;
-          journal_->append(m);
-        }
-        if (durable() && cfg_.durability.crash_hook) {
-          cfg_.durability.crash_hook(
-              (std::string("exec.") + site).c_str(), seq);
-        }
-        const bool keygen = std::strcmp(site, "keygen") == 0;
-        const FaultSite fsite =
-            keygen ? FaultSite::kKeygen : FaultSite::kSortPhase;
-        const std::uint64_t salt = keygen ? 0 : fault_salt(site);
-        if (injector_.should_fire(fsite, id, attempt, salt)) {
-          metrics_.on_fault(fsite);
-          fired_site = static_cast<int>(fsite);
-          throw Error(FaultInjector::fire(fsite, id, attempt));
-        }
-        // Cooperative straggler abort: virtual time already past the
-        // deadline at a phase boundary means the job cannot finish in
-        // budget; unwind now instead of finishing late.
-        if (abortable && virtual_ns > deadline_ns) {
-          throw Error(Status::deadline_exceeded(
-              std::string("virtual deadline exceeded at '") + site +
-              "': " + us_text(virtual_ns) + " > " + us_text(deadline_ns)));
-        }
-      };
-
-      Result<sort::SortResult> r = sort::try_run_sort(spec);
-      if (r.ok()) {
-        attempt_ok = true;
-        measured_ns = r->elapsed_ns;
-        passes = r->passes;
-        verified = r->verified;
-      } else {
-        failure = r.status();
-      }
+    ra.attempt = attempt;
+    const RemoteOutcome ro = executor_->run_attempt(ra, on_mark, on_dispatch);
+    int fired_site = ro.fired_site;
+    if (fired_site >= 0) {
+      metrics_.on_fault(static_cast<FaultSite>(fired_site));
     }
+    Status failure = ro.failure;
 
-    if (attempt_ok) {
+    if (ro.ran && ro.ok) {
       if (injector_.should_fire(FaultSite::kSerialize, job.id, attempt)) {
         // The sort finished but its result was lost on the way out; the
         // whole attempt must rerun. (Serialization is a master-side step,
@@ -613,13 +533,13 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
         fired_site = static_cast<int>(FaultSite::kSerialize);
         failure = FaultInjector::fire(FaultSite::kSerialize, job.id, attempt);
       } else {
-        out.measured_ns = measured_ns;
-        out.passes = passes;
-        out.verified = verified;
-        if (job.deadline_us > 0 && measured_ns > deadline_ns) {
+        out.measured_ns = ro.measured_ns;
+        out.passes = ro.passes;
+        out.verified = ro.verified;
+        if (job.deadline_us > 0 && ro.measured_ns > deadline_ns) {
           out.status = JobStatus::kDeadlineMiss;
           out.final_status = Status::deadline_exceeded(
-              "finished late: measured " + us_text(measured_ns) +
+              "finished late: measured " + us_text(ro.measured_ns) +
               " > deadline " + us_text(deadline_ns));
           out.error = out.final_status.message();
         }
@@ -661,49 +581,23 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
 
   if (out.status == JobStatus::kOk && cfg_.audit_every != 0 &&
       seq % cfg_.audit_every == 0 && plan.has_runner_up) {
+    // Measure the runner-up plan. Audit dispatches are not journaled: an
+    // audit is re-derivable from the terminal record and re-running it
+    // after a crash costs one sort, not correctness.
     out.audited = true;
-    if (cfg_.remote != nullptr) {
-      // Audit the runner-up on a worker process too (the master never
-      // sorts in cluster mode). Audit dispatches are not journaled: an
-      // audit is re-derivable from the terminal record and re-running it
-      // after a crash costs one sort, not correctness.
-      RemoteAttempt ra;
-      ra.job = job;
-      ra.plan = plan;
-      ra.plan.algo = plan.runner_algo;
-      ra.plan.model = plan.runner_model;
-      ra.plan.radix_bits = plan.runner_radix_bits;
-      ra.audit = true;
-      if (cfg_.verify_remote_integrity) {
-        ra.check_integrity = true;
-        ra.expect = expected_input_checksum(job, plan.runner_radix_bits);
-      }
-      const RemoteOutcome ro = cfg_.remote->run_attempt(ra, nullptr, nullptr);
-      if (ro.ran && ro.ok) {
-        out.runner_measured_ns = ro.measured_ns;
-        out.plan_hit = out.measured_ns <= out.runner_measured_ns;
-      } else {
-        // The runner-up itself is infeasible: the planner's choice
-        // stands (exactly the local failure path below).
-        out.runner_measured_ns = -1;
-        out.plan_hit = true;
-      }
+    Plan runner = plan;
+    runner.algo = plan.runner_algo;
+    runner.model = plan.runner_model;
+    runner.radix_bits = plan.runner_radix_bits;
+    const RemoteOutcome ro = executor_->run_attempt(
+        attempt_of(runner, /*audit=*/true), nullptr, nullptr);
+    if (ro.ran && ro.ok) {
+      out.runner_measured_ns = ro.measured_ns;
+      out.plan_hit = out.measured_ns <= out.runner_measured_ns;
     } else {
-      sort::SortSpec rs = sort_spec_for(job, plan.runner_algo,
-                                        plan.runner_model,
-                                        plan.runner_radix_bits);
-      rs.trace_json_path.clear();  // audit runs are not traced
-      // Audit runs carry no hooks: no faults, no deadline — they
-      // measure the runner-up plan, not the failure machinery.
-      const Result<sort::SortResult> r = sort::try_run_sort(rs);
-      if (r.ok()) {
-        out.runner_measured_ns = r->elapsed_ns;
-        out.plan_hit = out.measured_ns <= out.runner_measured_ns;
-      } else {
-        // The runner-up itself is infeasible: the planner's choice stands.
-        out.runner_measured_ns = -1;
-        out.plan_hit = true;
-      }
+      // The runner-up itself is infeasible: the planner's choice stands.
+      out.runner_measured_ns = -1;
+      out.plan_hit = true;
     }
   }
   if (job.host_submit_s > 0) {

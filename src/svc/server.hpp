@@ -105,7 +105,7 @@ struct ServiceConfig {
   DurabilityConfig durability;
   /// Remote execution tier (borrowed; must outlive the service). When
   /// set, execution attempts and audits run on the executor's worker
-  /// processes instead of in the worker cell's own thread; planning,
+  /// processes instead of on the service's InProcessExecutor; planning,
   /// retry, shedding, calibration and journaling stay here. The
   /// determinism contract is unchanged: results are byte-identical to a
   /// local run for any worker-process count.
@@ -171,14 +171,18 @@ class SortService {
   /// leaves `plan` empty on final failure (recorded in `out`).
   void plan_one(const JobSpec& job, JobResult& out,
                 std::optional<Plan>& plan);
-  /// Execute+audit one job with per-phase fault injection, deadline
-  /// enforcement, and retry; never throws (failures land in `out`).
+  /// Execute+audit one job on executor_, with retry, the serialize
+  /// fault and deadline classification; never throws (failures land in
+  /// `out`).
   void execute_one(const JobSpec& job, const Plan& plan, std::uint64_t seq,
                    JobResult& out);
   /// Deterministic backoff before retry `attempt` of `job`.
   double backoff_ms_for(const JobSpec& job, int attempt) const;
 
   ServiceConfig cfg_;
+  /// Runs every attempt and audit: cfg_.remote, or else local_.
+  InProcessExecutor local_;
+  RemoteExecutor* executor_;
   JobQueue queue_;
   FaultInjector injector_;
   Planner planner_;

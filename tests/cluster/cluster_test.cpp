@@ -639,5 +639,45 @@ TEST(Cluster, HeartbeatArmedReplayIsStillByteIdentical) {
   pool.shutdown();
 }
 
+TEST(Cluster, FaultAndDeadlineReplayMatchesSingleProcessService) {
+  // The same seeded attempts with every fault site armed and deadlines
+  // tight enough to shed some jobs and abort others mid-run: the hook
+  // order (mark, fault check, deadline abort), the failure texts and
+  // the master-side serialize fault must come out identical whichever
+  // process runs the attempt.
+  svc::LoadMix mix;
+  mix.sizes = {1u << 12, 1u << 13};
+  mix.procs = {4, 8};
+  mix.dists = {keys::Dist::kGauss, keys::Dist::kRandom, keys::Dist::kBucket};
+  mix.deadlines_us = {0, 0, 300, 1400, 2200};
+  mix.priorities = {0, 0, 0, svc::kCriticalPriority};
+  const std::vector<svc::JobSpec> trace = svc::make_trace(4321, 32, mix);
+  svc::ServiceConfig cfg = small_config();
+  cfg.audit_every = 2;
+  cfg.faults.seed = 99;
+  cfg.faults.rate = 0.15;
+
+  svc::SortService local(cfg);
+  const std::string base = replay_fingerprint(local, trace);
+  // Not vacuous: every attempt-level path fired in the reference run.
+  const std::vector<std::uint64_t> fired = local.metrics().fault_counts();
+  EXPECT_GT(fired[static_cast<std::size_t>(svc::FaultSite::kKeygen)], 0u);
+  EXPECT_GT(fired[static_cast<std::size_t>(svc::FaultSite::kSortPhase)], 0u);
+  EXPECT_GT(fired[static_cast<std::size_t>(svc::FaultSite::kSerialize)], 0u);
+  const svc::Metrics::Counters c = local.metrics().counters();
+  EXPECT_GT(c.shed, 0u);
+  EXPECT_GT(c.deadline_miss, 0u);
+  EXPECT_GT(c.audited, 0u);
+  EXPECT_NE(base.find("virtual deadline exceeded at '"), std::string::npos)
+      << "no job was aborted mid-run";
+
+  WorkerPool pool(pool_config(2));
+  cfg.remote = &pool;
+  svc::SortService clustered(cfg);
+  ASSERT_TRUE(pool.start().ok());
+  EXPECT_EQ(replay_fingerprint(clustered, trace), base);
+  pool.shutdown();
+}
+
 }  // namespace
 }  // namespace dsm::cluster

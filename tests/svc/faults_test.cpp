@@ -319,7 +319,8 @@ TEST(Deadlines, PredictedOverrunShedsUnlessCriticalThenItMisses) {
 
 // A job whose prediction *fits* but whose measured time does not is
 // aborted cooperatively at a phase mark (virtual time, so the abort
-// point is deterministic): kDeadlineMiss with no measurement.
+// point is deterministic): kDeadlineMiss with no measurement. The same
+// job at critical priority is never aborted: it finishes late.
 TEST(Deadlines, MidRunOverrunAbortsAtAPhaseMark) {
   // Find a candidate the planner underestimates; the search is over
   // deterministic virtual times, so the pick is stable.
@@ -361,14 +362,27 @@ TEST(Deadlines, MidRunOverrunAbortsAtAPhaseMark) {
   }
   ASSERT_TRUE(found) << "no underestimated job in the probe set";
 
+  JobSpec critical = job;
+  critical.id = job.id + 1;
+  critical.priority = kCriticalPriority;
   SortService svc(ServiceConfig{});
-  const std::vector<JobResult> results = svc.replay({job});
-  ASSERT_EQ(results.size(), 1u);
+  const std::vector<JobResult> results = svc.replay({job, critical});
+  ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].status, JobStatus::kDeadlineMiss);
   EXPECT_EQ(results[0].measured_ns, 0);  // aborted: no result to measure
-  EXPECT_NE(results[0].error.find("virtual deadline exceeded"),
+  EXPECT_EQ(results[0].error.rfind("virtual deadline exceeded at '", 0), 0u)
+      << results[0].error;
+  EXPECT_NE(results[0].error.find("us > " + us_text(
+                static_cast<double>(job.deadline_us) * 1e3)),
             std::string::npos)
       << results[0].error;
+
+  EXPECT_EQ(results[1].status, JobStatus::kDeadlineMiss);
+  EXPECT_GT(results[1].measured_ns,
+            static_cast<double>(job.deadline_us) * 1e3);
+  EXPECT_TRUE(results[1].verified);
+  EXPECT_EQ(results[1].error.rfind("finished late", 0), 0u)
+      << results[1].error;
 }
 
 TEST(Retry, BackoffScheduleIsSeededCappedAndExponential) {
