@@ -35,25 +35,16 @@ void Communicator::exchange(sim::ProcContext& ctx,
   // raises an error instead of corrupting another rank's window.
   for (const Send& s : sends) {
     DSM_REQUIRE(s.dst >= 0 && s.dst < p, "send dst out of range");
-    DSM_REQUIRE(s.bytes > 0, "empty sends must not be posted");
     const WinInfo& w = (*windows)[static_cast<std::size_t>(s.dst)];
     DSM_REQUIRE(s.dst_offset + s.bytes <= w.size,
                 "send overflows the destination window");
   }
 
-  std::vector<sim::Transfer> transfers;
-  transfers.reserve(sends.size());
   auto& stage = staging_[static_cast<std::size_t>(r)];
   for (const Send& s : sends) {
     std::byte* dst = (*windows)[static_cast<std::size_t>(s.dst)].ptr +
                      s.dst_offset;
-    if (s.dst == r) {
-      // Local delivery: a plain memory copy, charged as local streaming.
-      std::memcpy(dst, s.data, s.bytes);
-      ctx.stream(2 * s.bytes, 2 * s.bytes);
-      continue;
-    }
-    if (impl_ == Impl::kStaged) {
+    if (s.dst != r && impl_ == Impl::kStaged) {
       // Pure message passing: payload really goes through the library
       // bounce buffer (copy in, copy out).
       stage.resize(std::max<std::size_t>(stage.size(), s.bytes));
@@ -62,9 +53,26 @@ void Communicator::exchange(sim::ProcContext& ctx,
     } else {
       std::memcpy(dst, s.data, s.bytes);
     }
+  }
+  charge_exchange(ctx, sends);
+}
+
+void Communicator::charge_exchange(sim::ProcContext& ctx,
+                                   std::span<const Send> sends) {
+  const int p = nprocs();
+  const int r = ctx.rank();
+  std::vector<sim::Transfer> transfers;
+  transfers.reserve(sends.size());
+  for (const Send& s : sends) {
+    DSM_REQUIRE(s.dst >= 0 && s.dst < p, "send dst out of range");
+    DSM_REQUIRE(s.bytes > 0, "empty sends must not be posted");
+    if (s.dst == r) {
+      // Local delivery: a plain memory copy, charged as local streaming.
+      ctx.stream(2 * s.bytes, 2 * s.bytes);
+      continue;
+    }
     transfers.push_back(sim::Transfer{r, s.dst, s.bytes});
   }
-
   team_.two_sided_epoch(ctx, std::move(transfers), cfg_);
 }
 

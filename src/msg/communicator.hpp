@@ -51,6 +51,13 @@ class Communicator {
   void exchange(sim::ProcContext& ctx, std::span<const Send> sends,
                 std::span<std::byte> window);
 
+  /// The charge half of exchange(): reads only each send's `dst` and
+  /// `bytes` (`data` may be null) and charges the phase exactly as
+  /// exchange() does after moving the payloads. Collective, like
+  /// exchange(). Callers whose payloads already sit at their destinations
+  /// (the radix charge programs, DESIGN.md §5.3) call it directly.
+  void charge_exchange(sim::ProcContext& ctx, std::span<const Send> sends);
+
   /// Collective gather-and-reduce: every rank contributes an equal-size
   /// block `in`, the last arriver runs `reduce` once over the rank-indexed
   /// blocks (a sim::Blocks<T>), and every rank receives the same result.

@@ -109,7 +109,7 @@ DistFeatures dist_features(keys::Dist d, double n) {
   }
 }
 
-/// One charged histogram pass (matches charged_histogram).
+/// One charged histogram pass (matches charge_histogram_pass).
 void add_histogram(const Ctx& c, double n, Acc& a) {
   a.busy(c.cycles(n * c.mp.cpu.hist_update_cycles));
   const auto bytes = static_cast<std::uint64_t>(n * 4);
@@ -118,7 +118,7 @@ void add_histogram(const Ctx& c, double n, Acc& a) {
   a.lmem(c.cost.stream_ns(hist_bytes, hist_bytes));
 }
 
-/// One charged local permutation (matches charged_local_permute) over n
+/// One charged local permutation (matches charge_permute_pass) over n
 /// keys into a region of n keys (footprint doubled for the toggle pair).
 void add_permute(const Ctx& c, double n, bool clustered, Acc& a) {
   a.busy(c.cycles(n * c.mp.cpu.permute_cycles));

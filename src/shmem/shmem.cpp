@@ -43,14 +43,21 @@ Shmem::Shmem(sim::SimTeam& team, SymmetricHeap& heap)
 }
 
 void Shmem::get_phase(sim::ProcContext& ctx, std::span<const GetOp> gets) {
+  for (const GetOp& g : gets) {
+    DSM_REQUIRE(g.src_offset + g.bytes <= heap_.segment_bytes(),
+                "get reads past the symmetric segment");
+    std::memcpy(g.dst, heap_.addr(g.src_pe, g.src_offset), g.bytes);
+  }
+  charge_get_phase(ctx, gets);
+}
+
+void Shmem::charge_get_phase(sim::ProcContext& ctx,
+                             std::span<const GetOp> gets) {
   const int r = ctx.rank();
   std::vector<sim::Transfer> transfers;
   transfers.reserve(gets.size());
   for (const GetOp& g : gets) {
     DSM_REQUIRE(g.bytes > 0, "empty gets must not be posted");
-    DSM_REQUIRE(g.src_offset + g.bytes <= heap_.segment_bytes(),
-                "get reads past the symmetric segment");
-    std::memcpy(g.dst, heap_.addr(g.src_pe, g.src_offset), g.bytes);
     if (g.src_pe == r) {
       ctx.stream(2 * g.bytes, 2 * g.bytes);  // local copy
       continue;
@@ -63,14 +70,21 @@ void Shmem::get_phase(sim::ProcContext& ctx, std::span<const GetOp> gets) {
 }
 
 void Shmem::put_phase(sim::ProcContext& ctx, std::span<const PutOp> puts) {
+  for (const PutOp& pt : puts) {
+    DSM_REQUIRE(pt.dst_offset + pt.bytes <= heap_.segment_bytes(),
+                "put writes past the symmetric segment");
+    std::memcpy(heap_.addr(pt.dst_pe, pt.dst_offset), pt.src, pt.bytes);
+  }
+  charge_put_phase(ctx, puts);
+}
+
+void Shmem::charge_put_phase(sim::ProcContext& ctx,
+                             std::span<const PutOp> puts) {
   const int r = ctx.rank();
   std::vector<sim::Transfer> transfers;
   transfers.reserve(puts.size());
   for (const PutOp& pt : puts) {
     DSM_REQUIRE(pt.bytes > 0, "empty puts must not be posted");
-    DSM_REQUIRE(pt.dst_offset + pt.bytes <= heap_.segment_bytes(),
-                "put writes past the symmetric segment");
-    std::memcpy(heap_.addr(pt.dst_pe, pt.dst_offset), pt.src, pt.bytes);
     if (pt.dst_pe == r) {
       ctx.stream(2 * pt.bytes, 2 * pt.bytes);
       continue;

@@ -91,6 +91,14 @@ class Shmem {
   /// after the next barrier_all (quiescence), as in real SHMEM.
   void put_phase(sim::ProcContext& ctx, std::span<const PutOp> puts);
 
+  /// The charge halves of get_phase() and put_phase(): they read only each
+  /// op's PE and `bytes` (the addresses may be null) and charge the phase
+  /// exactly as the moving calls do. Collective. Callers whose data
+  /// already sits at its destination (the radix charge programs,
+  /// DESIGN.md §5.3) call them directly.
+  void charge_get_phase(sim::ProcContext& ctx, std::span<const GetOp> gets);
+  void charge_put_phase(sim::ProcContext& ctx, std::span<const PutOp> puts);
+
   void barrier_all(sim::ProcContext& ctx);
 
   /// Collective gather-and-reduce over fcollect: every PE contributes an

@@ -1,6 +1,10 @@
 #include "sort/radix_parallel.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <tuple>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -11,6 +15,11 @@ namespace {
 
 constexpr std::uint64_t kLine = 128;  // Origin L2 line (bytes)
 
+/// Charge of one exclusive prefix over `buckets` counters.
+void charge_scan(sim::ProcContext& ctx, std::size_t buckets) {
+  ctx.busy_cycles(static_cast<double>(buckets) * ctx.params().cpu.scan_cycles);
+}
+
 /// Exclusive prefix of `counts` into `starts` (same size), charged.
 void exclusive_prefix(sim::ProcContext& ctx,
                       std::span<const std::uint64_t> counts,
@@ -20,8 +29,7 @@ void exclusive_prefix(sim::ProcContext& ctx,
     starts[b] = acc;
     acc += counts[b];
   }
-  ctx.busy_cycles(static_cast<double>(counts.size()) *
-                  ctx.params().cpu.scan_cycles);
+  charge_scan(ctx, counts.size());
 }
 
 /// Charge one rank's derivation of its prefixes from the p x B gathered
@@ -34,82 +42,139 @@ void charge_prefix_scan(sim::ProcContext& ctx, std::size_t buckets) {
   ctx.stream(cells * sizeof(std::uint64_t), cells * sizeof(std::uint64_t));
 }
 
-/// Buffered local permutation: scatter `keys` into `buf` in bucket-major
-/// order (the local staging step of CC-SAS-NEW / MPI / SHMEM). On return
-/// `local_prefix[b]` is the start of bucket b's chunk within buf. Charged
-/// with the measured run structure; the backend only changes how the host
-/// executes the scatter.
-void buffered_permute(sim::ProcContext& ctx, std::span<const Key> keys,
-                      std::span<Key> buf, int pass, int radix_bits,
-                      std::span<const std::uint64_t> local_hist,
-                      std::span<std::uint64_t> local_prefix,
-                      std::span<std::uint64_t> cursor, std::uint64_t active,
-                      KernelBackend be, RadixWorkspace& ws) {
-  exclusive_prefix(ctx, local_hist, local_prefix);
-  std::copy(local_prefix.begin(), local_prefix.end(), cursor.begin());
-  charged_local_permute(ctx, keys, buf, pass, radix_bits, cursor, active, be,
-                        ws);
-  ctx.busy_cycles(static_cast<double>(keys.size()) *
+/// Charge the buffered local permutation of CC-SAS-NEW / MPI / SHMEM: the
+/// local prefix, the stable scatter of the rank's `n` keys into a staging
+/// buffer of the same size with the recorded run structure, and the
+/// buffer copy.
+void charge_buffered_permute(sim::ProcContext& ctx, std::uint64_t n,
+                             const LsdRecord::RankPass& mine,
+                             std::size_t buckets) {
+  charge_scan(ctx, buckets);
+  charge_permute_pass(ctx, n, mine.runs, mine.active, n);
+  ctx.busy_cycles(static_cast<double>(n) *
                   ctx.params().cpu.buffer_copy_cycles);
 }
 
+/// Charge of the local maximum sweep over `n` keys (detect_max_key).
+void charge_local_max(sim::ProcContext& ctx, std::uint64_t n) {
+  ctx.busy_cycles(static_cast<double>(n) * ctx.params().cpu.scan_cycles);
+  ctx.stream(n * sizeof(Key), n * sizeof(Key));
+}
+
+/// Rank r's recorded input maximum, the value its max collective reduces.
+Key recorded_max(const LsdRecord& rec, int r) {
+  DSM_REQUIRE(static_cast<std::size_t>(r) < rec.max_of.size(),
+              "the record holds no input maxima (detect_max_key was off)");
+  return rec.max_of[static_cast<std::size_t>(r)];
+}
+
+/// The pass count a charge program derived through its model's
+/// collectives must be the one the record executed.
+void check_passes(const LsdRecord& rec, int passes) {
+  DSM_CHECK(passes == rec.passes,
+            "charge program and record disagree on the pass count");
+}
+
 /// Split the contiguous destination range [gpos, gpos+count) by owner
-/// partition; fn(dst, gpos_piece, offset_within_chunk, len).
+/// partition; fn(dst, len) per piece.
 template <typename Fn>
 void for_each_piece(const sas::HomeMap& homes, std::uint64_t gpos,
                     std::uint64_t count, Fn&& fn) {
-  std::uint64_t off = 0;
   while (count > 0) {
     const int dst = homes.owner_of(gpos);
     const std::uint64_t len = std::min(count, homes.end_of(dst) - gpos);
-    fn(dst, gpos, off, len);
+    fn(dst, len);
     gpos += len;
-    off += len;
     count -= len;
   }
 }
 
-/// The kv32 payload step of one radix pass, the same under every model
-/// (DESIGN.md §11). Whatever route the keys take — direct remote writes,
-/// staged block copies, chunked or coalesced messages, gets or puts — rank
-/// r's k-th bucket-b key lands at global position first(b) + k. So one
-/// uncharged stable scatter of r's range of the global input lane onto the
-/// global output lane replays it. `cursor` holds one slot per bucket (empty
-/// for u32, whose lanes are empty).
-template <typename First>
-void move_payloads(std::span<const Key> keys,
-                   std::span<const keys::Payload> pay_in,
-                   std::span<keys::Payload> pay_out, std::uint64_t begin,
-                   int pass, int radix_bits, std::span<std::uint64_t> cursor,
-                   First&& first) {
-  if (pay_in.empty()) return;
-  for (std::size_t b = 0; b < cursor.size(); ++b) cursor[b] = first(b);
-  payload_mirror_scatter(keys, pay_in.subspan(begin, keys.size()), pay_out,
-                         pass, radix_bits, cursor);
+/// The spec fields that change what record_lsd executes or produces.
+auto record_key(const SortSpec& s) {
+  return std::make_tuple(s.dist, s.n, s.nprocs, s.radix_bits, s.seed,
+                         s.record, s.ablations.detect_max_key,
+                         s.kernel_backend, s.kernel_jobs);
 }
+using RecordKey = decltype(record_key(std::declval<const SortSpec&>()));
 
-/// The payload half of an odd pass count's copy-back: rank r's range of
-/// the last-written lane `from` back into `to`.
-void copy_back_payloads(std::span<const keys::Payload> from,
-                        std::span<keys::Payload> to, const sas::HomeMap& homes,
-                        int r) {
-  if (from.empty()) return;
-  std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(homes.begin_of(r)),
-              homes.count_of(r),
-              to.begin() + static_cast<std::ptrdiff_t>(homes.begin_of(r)));
-}
+/// One record being built or built, and the sorts waiting for it.
+struct RecordSlot {
+  explicit RecordSlot(RecordKey k) : key(std::move(k)) {}
+  const RecordKey key;
+  std::mutex mu;
+  std::condition_variable done_cv;
+  bool done = false;                     // guarded by mu
+  std::shared_ptr<const LsdRecord> rec;  // null after a failed build
+};
 
-/// Local max of a key span, charged as one sweep.
-Key charged_local_max(sim::ProcContext& ctx, std::span<const Key> keys) {
-  Key mx = 0;
-  for (const Key k : keys) mx = std::max(mx, k);
-  ctx.busy_cycles(static_cast<double>(keys.size()) *
-                  ctx.params().cpu.scan_cycles);
-  ctx.stream(keys.size() * sizeof(Key), keys.size() * sizeof(Key));
-  return mx;
+/// How often a sort waiting for another caller's build polls its own
+/// cancel token.
+constexpr std::chrono::milliseconds kWaiterCancelPoll{5};
+
+std::mutex g_retained_mu;
+std::shared_ptr<RecordSlot> g_retained;  // the most recently started record
+
+/// Finish `slot`'s build (a null `rec` for a failed one) and wake its
+/// waiters.
+void settle(RecordSlot& slot, std::shared_ptr<const LsdRecord> rec) {
+  {
+    const std::lock_guard<std::mutex> lock(slot.mu);
+    slot.rec = std::move(rec);
+    slot.done = true;
+  }
+  slot.done_cv.notify_all();
 }
 
 }  // namespace
+
+std::shared_ptr<const LsdRecord> shared_lsd_record(
+    const SortSpec& spec, const std::function<LsdRecord()>& build) {
+  const RecordKey key = record_key(spec);
+  for (;;) {
+    std::shared_ptr<RecordSlot> slot;
+    bool builder = false;
+    {
+      const std::lock_guard<std::mutex> lock(g_retained_mu);
+      if (g_retained == nullptr || g_retained->key != key) {
+        g_retained = std::make_shared<RecordSlot>(key);
+        builder = true;
+      }
+      slot = g_retained;
+    }
+    if (builder) {
+      std::shared_ptr<const LsdRecord> rec;
+      try {
+        rec = std::make_shared<const LsdRecord>(build());
+      } catch (...) {
+        {  // unpublish before the waiters wake, so they record afresh
+          const std::lock_guard<std::mutex> lock(g_retained_mu);
+          if (g_retained == slot) g_retained.reset();
+        }
+        settle(*slot, nullptr);
+        throw;
+      }
+      settle(*slot, rec);
+      return rec;
+    }
+    // Wait for the builder, polling our own cancel token: a cancelled
+    // waiter leaves at once instead of after another caller's build.
+    std::unique_lock<std::mutex> lock(slot->mu);
+    while (!slot->done) {
+      if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
+        throw Error(Status::cancelled(
+            "sort cancelled while waiting for its LSD record"));
+      }
+      slot->done_cv.wait_for(lock, kWaiterCancelPoll);
+    }
+    if (slot->rec != nullptr) return slot->rec;
+    // The build failed and was unpublished: start over.
+  }
+}
+
+void clear_retained_lsd_record() {
+  const std::lock_guard<std::mutex> lock(g_retained_mu);
+  g_retained.reset();
+}
 
 HistTable build_hist_table(sim::Blocks<std::uint64_t> hists) {
   const int p = static_cast<int>(hists.size());
@@ -140,8 +205,9 @@ HistTable build_hist_table(sim::Blocks<std::uint64_t> hists) {
     for (std::size_t b = 0; b < buckets; ++b) {
       if (h[b] != 0) {
         for_each_piece(t.homes, run[b], h[b],
-                       [&](int d, std::uint64_t, std::uint64_t,
-                           std::uint64_t len) { before[d + 1] += len; });
+                       [&](int d, std::uint64_t len) {
+                         before[d + 1] += len;
+                       });
       }
       run[b] += h[b];
     }
@@ -157,7 +223,7 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
                    std::span<const std::uint64_t> first,
                    std::span<const std::uint64_t> hist,
                    std::span<const std::uint64_t> run_starts,
-                   ScatterTally& tally) {
+                   ScatterTally& tally, TallyScratch& scratch) {
   const std::size_t buckets = std::size_t{1} << radix_bits;
   DSM_REQUIRE(first.size() == buckets && hist.size() == buckets &&
                   run_starts.size() == buckets,
@@ -173,8 +239,8 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
       tally.runs_to[static_cast<std::size_t>(home)] += runs;
     }
   };
-  if (tally.slot.size() < buckets) tally.slot.resize(buckets, 0);
-  tally.straddling.clear();
+  if (scratch.slot.size() < buckets) scratch.slot.resize(buckets, 0);
+  scratch.straddling.clear();
   // The slices ascend with the bucket, so the home of each slice's first
   // key only moves forward.
   int home = 0;
@@ -183,8 +249,7 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
     if (count == 0) continue;
     while (first[b] >= homes.end_of(home)) ++home;
     for_each_piece(homes, first[b], count,
-                   [&](int dst, std::uint64_t, std::uint64_t,
-                       std::uint64_t len) {
+                   [&](int dst, std::uint64_t len) {
                      if (dst == r) {
                        tally.local_accesses += len;
                      } else {
@@ -195,20 +260,20 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
     if (first[b] + count <= homes.end_of(home)) {
       add_runs(home, run_starts[b]);
     } else {
-      tally.straddling.push_back(ScatterTally::Straddle{
+      scratch.straddling.push_back(TallyScratch::Straddle{
           first[b], homes.end_of(home), b, home});
-      tally.slot[b] = static_cast<std::uint32_t>(tally.straddling.size());
+      scratch.slot[b] = static_cast<std::uint32_t>(scratch.straddling.size());
     }
   }
-  if (tally.straddling.empty()) return;
+  if (scratch.straddling.empty()) return;
   // One walk places the run starts of the straddling slices: each such
   // key lands at its slice's next position, whose home only moves forward.
   std::uint32_t prev_digit = ~0u;
   for (const Key k : keys) {
     const std::uint32_t d = radix_digit(k, pass, radix_bits);
-    const std::uint32_t slot = tally.slot[d];
+    const std::uint32_t slot = scratch.slot[d];
     if (slot != 0) {
-      ScatterTally::Straddle& s = tally.straddling[slot - 1];
+      TallyScratch::Straddle& s = scratch.straddling[slot - 1];
       const std::uint64_t pos = s.next_pos++;
       if (d != prev_digit) {
         while (pos >= s.home_end) s.home_end = homes.end_of(++s.home);
@@ -217,97 +282,159 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
     }
     prev_digit = d;
   }
-  for (const ScatterTally::Straddle& s : tally.straddling) {
-    tally.slot[s.bucket] = 0;
+  for (const TallyScratch::Straddle& s : scratch.straddling) {
+    scratch.slot[s.bucket] = 0;
   }
 }
 
-void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
-  DSM_REQUIRE(w.a != nullptr && w.b != nullptr && w.scan != nullptr,
-              "CC-SAS radix world is incomplete");
-  DSM_REQUIRE(w.a->size() == w.b->size(), "toggle arrays must match");
-  const bool paired = !w.pay_a.empty();
-  DSM_REQUIRE(!paired || (w.pay_a.size() == w.a->size() &&
-                          w.pay_b.size() == w.b->size()),
-              "payload lanes must mirror both toggle arrays");
+LsdRecord record_lsd(const SortSpec& spec, std::vector<Key> keys,
+                     std::vector<keys::Payload> payloads) {
+  const int p = spec.nprocs;
+  const int bits = spec.radix_bits;
+  const KernelBackend be = spec.kernel_backend;
+  const std::size_t buckets = std::size_t{1} << bits;
+  const std::size_t n = keys.size();
+  const bool paired = !payloads.empty();
+  DSM_REQUIRE(n == spec.n, "record input must hold n keys");
+  DSM_REQUIRE(!paired || payloads.size() == n,
+              "payload lane must mirror the keys");
+  LsdRecord rec;
+  rec.homes = sas::HomeMap(n, p);
+  const sas::HomeMap& homes = rec.homes;
+  const auto range = [&](const std::vector<Key>& v, int r) {
+    return std::span<const Key>(v).subspan(homes.begin_of(r),
+                                           homes.count_of(r));
+  };
+  rec.passes = radix_passes(bits);
+  if (spec.ablations.detect_max_key) {
+    Key global_max = 0;
+    for (int r = 0; r < p; ++r) {
+      const std::span<const Key> mine = range(keys, r);
+      rec.max_of.push_back(*std::max_element(mine.begin(), mine.end()));
+      global_max = std::max(global_max, rec.max_of.back());
+    }
+    rec.passes = radix_passes_for_max(bits, global_max);
+  }
+
+  // Per-rank counts of the pass, [rank * buckets + b].
+  const std::size_t cells = static_cast<std::size_t>(p) * buckets;
+  std::vector<std::uint64_t> hists(cells), run_starts(cells);
+  std::vector<std::span<const std::uint64_t>> blocks;
+  for (int r = 0; r < p; ++r) {
+    blocks.emplace_back(hists.data() + static_cast<std::size_t>(r) * buckets,
+                        buckets);
+  }
+  std::vector<std::uint64_t> cursor(buckets), mirror(paired ? buckets : 0);
+  std::vector<Key> tmp(n);
+  std::vector<keys::Payload> pay_tmp(payloads.size());
+  TallyScratch scratch;
+  RadixWorkspace ws;
+  ws.jobs = spec.kernel_jobs;
+  rec.pass.resize(static_cast<std::size_t>(rec.passes));
+  for (int pass = 0; pass < rec.passes; ++pass) {
+    if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
+      throw Error(Status::cancelled("sort cancelled while recording pass " +
+                                    std::to_string(pass)));
+    }
+    LsdRecord::Pass& rp = rec.pass[static_cast<std::size_t>(pass)];
+    rp.ranks.resize(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      const std::size_t off = static_cast<std::size_t>(r) * buckets;
+      LsdRecord::RankPass& mine = rp.ranks[static_cast<std::size_t>(r)];
+      const std::span<std::uint64_t> starts(run_starts.data() + off, buckets);
+      mine.active = histogram_runs_kernel(
+          be, range(keys, r), pass, bits,
+          std::span<std::uint64_t>(hists.data() + off, buckets), starts, ws);
+      for (const std::uint64_t s : starts) mine.runs += s;
+    }
+    rp.table = build_hist_table(sim::Blocks<std::uint64_t>(blocks));
+    for (int r = 0; r < p; ++r) {
+      const std::size_t off = static_cast<std::size_t>(r) * buckets;
+      tally_scatter(range(keys, r), pass, bits, homes, r,
+                    std::span<const std::uint64_t>(rp.table.starts)
+                        .subspan(off, buckets),
+                    blocks[static_cast<std::size_t>(r)],
+                    std::span<const std::uint64_t>(run_starts)
+                        .subspan(off, buckets),
+                    rp.ranks[static_cast<std::size_t>(r)].tally, scratch);
+    }
+    // Row 0 of the table holds the global bucket starts. Within a bucket
+    // the ranks' keys land in rank order, so one stable scatter of the
+    // whole array from there places every rank's keys where its model's
+    // route does.
+    std::copy_n(rp.table.starts.begin(), buckets, cursor.begin());
+    std::uint64_t active = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      if (rp.table.start(p, b) != cursor[b]) ++active;
+    }
+    if (paired) mirror = cursor;
+    (void)permute_kernel(be, keys, tmp, pass, bits, cursor, active, ws);
+    keys.swap(tmp);
+    if (paired) {
+      payload_mirror_scatter(tmp, payloads, pay_tmp, pass, bits, mirror);
+      payloads.swap(pay_tmp);
+    }
+  }
+  rec.keys = std::move(keys);
+  rec.payloads = std::move(payloads);
+  return rec;
+}
+
+void radix_ccsas(sim::ProcContext& ctx, const CcSasRadixWorld& w) {
+  DSM_REQUIRE(w.scan != nullptr, "CC-SAS radix world is incomplete");
+  const LsdRecord& rec = w.rec;
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const int bits = w.spec.radix_bits;
-  const KernelBackend be = w.spec.kernel_backend;
   const bool buffered = w.spec.model == Model::kCcSasNew;
   const std::size_t buckets = std::size_t{1} << bits;
   DSM_REQUIRE(w.scan->buckets() == buckets, "BucketScan bucket mismatch");
-  const sas::HomeMap& homes = w.a->homes();
+  const sas::HomeMap& homes = rec.homes;
+  const std::uint64_t n_local = homes.count_of(r);
   int passes = radix_passes(bits);
   if (w.spec.ablations.detect_max_key) {
-    const Key local_max = charged_local_max(ctx, w.a->partition(r));
-    const auto global_max =
-        static_cast<Key>(sas::ccsas_max_reduce(ctx, local_max));
+    charge_local_max(ctx, n_local);
+    const auto global_max = static_cast<Key>(
+        sas::ccsas_max_reduce(ctx, recorded_max(rec, r)));
     passes = radix_passes_for_max(bits, global_max);
   }
-  w.passes_used.store(passes, std::memory_order_relaxed);
-  const std::uint64_t part_bytes = homes.count_of(r) * sizeof(Key);
+  check_passes(rec, passes);
+  const std::uint64_t part_bytes = n_local * sizeof(Key);
 
-  // All per-pass scratch is hoisted here and re-zeroed in the loop, so a
-  // pass allocates nothing.
+  // All per-pass scratch is hoisted here, so a pass allocates nothing.
   std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
-      global_cnt(buckets), global_start(buckets), cursor(buckets),
-      local_prefix(buckets);
-  std::vector<std::uint64_t> run_starts(buffered ? 0 : buckets);
-  ScatterTally tally;
+      global_cnt(buckets), global_start(buckets);
   std::vector<std::uint64_t> lines_to(static_cast<std::size_t>(p));
   std::vector<sim::ScatteredTraffic> traffic;
   traffic.reserve(static_cast<std::size_t>(p));
-  std::vector<Key> buf(buffered ? homes.count_of(r) : 0);
-  RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.spec.kernel_jobs;
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);  // payload cursor
 
-  sas::SharedArray<Key>* in = w.a;
-  sas::SharedArray<Key>* out = w.b;
-  std::span<keys::Payload> pay_in = w.pay_a;
-  std::span<keys::Payload> pay_out = w.pay_b;
   for (int pass = 0; pass < passes; ++pass) {
-    const std::span<const Key> my_keys = in->partition(r);
+    const LsdRecord::Pass& rp = rec.pass[static_cast<std::size_t>(pass)];
+    const LsdRecord::RankPass& mine = rp.ranks[static_cast<std::size_t>(r)];
     ctx.phase("local histogram");
-    const std::uint64_t active = charged_histogram(
-        ctx, my_keys, pass, bits, hist, be, ws,
-        buffered ? std::span<std::uint64_t>{} : std::span(run_starts));
+    rp.table.counts_of(r, hist);
+    charge_histogram_pass(ctx, n_local, buckets);
     ctx.phase("global histogram");
     w.scan->scan(ctx, hist, rank_prefix, global_cnt);
     exclusive_prefix(ctx, global_cnt, global_start);
     ctx.phase("permutation");
-    // The pass-closing barrier orders these lane writes before every
-    // rank's next-pass reads.
-    move_payloads(my_keys, pay_in, pay_out, homes.begin_of(r), pass, bits,
-                  mirror, [&](std::size_t b) {
-                    return global_start[b] + rank_prefix[b];
-                  });
 
     if (!buffered) {
       // Original SPLASH-2 style: write each key straight to its global
-      // position — temporally scattered remote writes. The keys move
-      // through the shared stable permute; the per-home tallies the stores
-      // are charged from come from the histogram sweep (tally_scatter).
-      for (std::size_t b = 0; b < buckets; ++b) {
-        cursor[b] = global_start[b] + rank_prefix[b];
-      }
-      ctx.busy_cycles(static_cast<double>(buckets) *
-                      ctx.params().cpu.scan_cycles);
+      // position — temporally scattered remote writes, charged from the
+      // recorded per-home tallies. The scan derives the write cursors.
+      charge_scan(ctx, buckets);
       const double permute_start_ns = ctx.clock().now_ns();
-      tally_scatter(my_keys, pass, bits, homes, r, cursor, hist, run_starts,
-                    tally);
-      (void)permute_kernel(be, my_keys, out->all(), pass, bits, cursor,
-                           active, ws);
-      ctx.busy_cycles(static_cast<double>(my_keys.size()) *
+      const ScatterTally& tally = mine.tally;
+      ctx.busy_cycles(static_cast<double>(n_local) *
                       ctx.params().cpu.permute_cycles);
-      ctx.stream(my_keys.size() * sizeof(Key), part_bytes);
+      ctx.stream(n_local * sizeof(Key), part_bytes);
       if (tally.local_accesses > 0) {
         machine::AccessPattern ap;
         ap.accesses = tally.local_accesses;
         ap.elem_bytes = sizeof(Key);
         ap.runs = std::max<std::uint64_t>(1, tally.local_runs);
-        ap.active_regions = std::max<std::uint64_t>(1, active);
+        ap.active_regions = std::max<std::uint64_t>(1, mine.active);
         ap.footprint_bytes = part_bytes;
         ctx.scattered(ap);
       }
@@ -340,20 +467,13 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
     } else {
       // CC-SAS-NEW (§4.2.1): buffer locally, then copy contiguous chunks.
       const double permute_start_ns = ctx.clock().now_ns();
-      buffered_permute(ctx, my_keys, buf, pass, bits, hist, local_prefix,
-                       cursor, active, be, ws);
-      Key* const out_data = out->data();
+      charge_buffered_permute(ctx, n_local, mine, buckets);
       std::fill(lines_to.begin(), lines_to.end(), 0);
       std::uint64_t local_bytes = 0;
       for (std::size_t b = 0; b < buckets; ++b) {
         if (hist[b] == 0) continue;
-        const std::uint64_t gpos = global_start[b] + rank_prefix[b];
-        for_each_piece(homes, gpos, hist[b],
-                       [&](int dst, std::uint64_t gp, std::uint64_t off,
-                           std::uint64_t len) {
-                         exchange_copy(be, out_data + gp,
-                                       buf.data() + local_prefix[b] + off,
-                                       len, part_bytes);
+        for_each_piece(homes, global_start[b] + rank_prefix[b], hist[b],
+                       [&](int dst, std::uint64_t len) {
                          if (dst == r) {
                            local_bytes += len * sizeof(Key);
                          } else {
@@ -386,64 +506,45 @@ void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
 
     ctx.phase("barrier");
     sas::ccsas_barrier(ctx);
-    std::swap(in, out);
-    std::swap(pay_in, pay_out);
   }
 }
 
-void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
-  DSM_REQUIRE(w.comm != nullptr && w.parts_a != nullptr && w.parts_b != nullptr,
-              "MPI radix world is incomplete");
+void radix_mpi(sim::ProcContext& ctx, const MpiRadixWorld& w) {
+  DSM_REQUIRE(w.comm != nullptr, "MPI radix world is incomplete");
+  const LsdRecord& rec = w.rec;
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const int bits = w.spec.radix_bits;
-  const KernelBackend be = w.spec.kernel_backend;
   const bool chunk_messages = w.spec.ablations.mpi_chunk_messages;
   const std::size_t buckets = std::size_t{1} << bits;
-  const sas::HomeMap homes(w.spec.n, p);
-  const auto rr = static_cast<std::size_t>(r);
-  DSM_REQUIRE((*w.parts_a)[rr].size() == homes.count_of(r) &&
-                  (*w.parts_b)[rr].size() == homes.count_of(r),
-              "partition sizes must follow the block HomeMap");
-  const Index n_local = homes.count_of(r);
+  const sas::HomeMap& homes = rec.homes;
+  const std::uint64_t n_local = homes.count_of(r);
   const std::uint64_t part_bytes = n_local * sizeof(Key);
-
-  std::vector<std::uint64_t> hist(buckets), local_prefix(buckets),
-      cursor(buckets);
-  std::vector<msg::Communicator::Send> sends;
-  std::vector<Key> buf(n_local);
-  RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.spec.kernel_jobs;
-  std::vector<Key> stage;  // coalesced-mode receive staging
-  if (!chunk_messages) stage.resize(n_local);
-  std::vector<std::uint64_t> mirror(w.pay_a.empty() ? 0 : buckets);
-  std::span<keys::Payload> pay_in = w.pay_a;
-  std::span<keys::Payload> pay_out = w.pay_b;
-
-  std::vector<Key>* in = &(*w.parts_a)[rr];
-  std::vector<Key>* out = &(*w.parts_b)[rr];
   int passes = radix_passes(bits);
   if (w.spec.ablations.detect_max_key) {
-    const Key local_max = charged_local_max(ctx, *in);
-    const Key global_max = w.comm->allreduce_max<Key>(ctx, local_max);
+    charge_local_max(ctx, n_local);
+    const Key global_max =
+        w.comm->allreduce_max<Key>(ctx, recorded_max(rec, r));
     passes = radix_passes_for_max(bits, global_max);
   }
-  w.passes_used.store(passes, std::memory_order_relaxed);
+  check_passes(rec, passes);
+
+  std::vector<std::uint64_t> hist(buckets);
+  std::vector<msg::Communicator::Send> sends;
   for (int pass = 0; pass < passes; ++pass) {
+    const LsdRecord::Pass& rp = rec.pass[static_cast<std::size_t>(pass)];
     ctx.phase("local histogram");
-    const std::uint64_t active =
-        charged_histogram(ctx, *in, pass, bits, hist, be, ws);
+    rp.table.counts_of(r, hist);
+    charge_histogram_pass(ctx, n_local, buckets);
     ctx.phase("global histogram");
-    const auto table = w.comm->allgather_reduce<std::uint64_t, HistTable>(
-        ctx, hist, build_hist_table);
+    const HistTable& table =
+        **w.comm->allgather_reduce<std::uint64_t, const HistTable*>(
+            ctx, hist,
+            [&rp](sim::Blocks<std::uint64_t>) { return &rp.table; });
     charge_prefix_scan(ctx, buckets);
     ctx.phase("permutation");
-    buffered_permute(ctx, *in, buf, pass, bits, hist, local_prefix, cursor,
-                     active, be, ws);
-    // The exchange below is collective: it orders these lane writes before
-    // every rank's next-pass reads.
-    move_payloads(*in, pay_in, pay_out, homes.begin_of(r), pass, bits, mirror,
-                  [&](std::size_t b) { return table->start(r, b); });
+    charge_buffered_permute(ctx, n_local,
+                            rp.ranks[static_cast<std::size_t>(r)], buckets);
     ctx.phase("redistribution");
 
     sends.clear();
@@ -452,24 +553,17 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
       // preferred implementation) — placed directly at its final offset.
       for (std::size_t b = 0; b < buckets; ++b) {
         if (hist[b] == 0) continue;
-        for_each_piece(
-            homes, table->start(r, b), hist[b],
-            [&](int dst, std::uint64_t gp, std::uint64_t off,
-                std::uint64_t len) {
-              const Key* src = buf.data() + local_prefix[b] + off;
-              if (dst == r) {
-                exchange_copy(be, out->data() + (gp - homes.begin_of(r)),
-                              src, len, part_bytes);
-                ctx.stream(2 * len * sizeof(Key), part_bytes);
-                return;
-              }
-              sends.push_back(msg::Communicator::Send{
-                  dst, (gp - homes.begin_of(dst)) * sizeof(Key),
-                  reinterpret_cast<const std::byte*>(src), len * sizeof(Key)});
-            });
+        for_each_piece(homes, table.start(r, b), hist[b],
+                       [&](int dst, std::uint64_t len) {
+                         if (dst == r) {
+                           ctx.stream(2 * len * sizeof(Key), part_bytes);
+                         } else {
+                           sends.push_back(msg::Communicator::Send{
+                               dst, 0, nullptr, len * sizeof(Key)});
+                         }
+                       });
       }
-      w.comm->exchange(ctx, sends,
-                       std::as_writable_bytes(std::span<Key>(*out)));
+      w.comm->charge_exchange(ctx, sends);
     } else {
       // NAS-IS style ablation: one coalesced message per destination; the
       // receiver reorganises pieces into place afterwards. A destination's
@@ -483,44 +577,24 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
       ctx.busy_cycles(static_cast<double>(static_cast<std::size_t>(p) *
                                           buckets) *
                       ctx.params().cpu.scan_cycles);
-
-      // My blob for dst starts where my pieces to lower dsts end.
-      std::uint64_t my_buf_off = 0;
       for (int dst = 0; dst < p; ++dst) {
-        const std::uint64_t len = table->keys_to(r, dst);
+        const std::uint64_t len = table.keys_to(r, dst);
         if (len == 0) continue;
-        std::uint64_t stage_off = 0;  // dst's staging offset for my blob
-        for (int i = 0; i < r; ++i) stage_off += table->keys_to(i, dst);
         if (dst != r) {
-          sends.push_back(msg::Communicator::Send{
-              dst, stage_off * sizeof(Key),
-              reinterpret_cast<const std::byte*>(buf.data() + my_buf_off),
-              len * sizeof(Key)});
+          sends.push_back(
+              msg::Communicator::Send{dst, 0, nullptr, len * sizeof(Key)});
         } else {
-          exchange_copy(be, stage.data() + stage_off,
-                        buf.data() + my_buf_off, len, part_bytes);
           ctx.stream(2 * len * sizeof(Key), part_bytes);
         }
-        my_buf_off += len;
       }
-      w.comm->exchange(ctx, sends,
-                       std::as_writable_bytes(std::span<Key>(stage)));
+      w.comm->charge_exchange(ctx, sends);
 
       // Receiver-side reorganisation: scatter pieces from the (by-source,
       // by-bucket ordered) staging area to their final positions.
-      const std::uint64_t my_begin = homes.begin_of(r);
-      std::uint64_t stage_pos = 0;
       std::uint64_t pieces = 0;
       for_each_inbound_piece(
-          *table, r,
-          [&](int, std::size_t, std::uint64_t lo, std::uint64_t hi,
-              std::uint64_t) {
-            exchange_copy(be, out->data() + (lo - my_begin),
-                          stage.data() + stage_pos, hi - lo, part_bytes);
-            stage_pos += hi - lo;
-            ++pieces;
-          });
-      DSM_CHECK(stage_pos == n_local, "coalesced staging must refill the partition");
+          table, r,
+          [&](int, std::size_t, std::uint64_t, std::uint64_t) { ++pieces; });
       ctx.busy_cycles(static_cast<double>(n_local) *
                       ctx.params().cpu.buffer_copy_cycles);
       ctx.stream(n_local * sizeof(Key), part_bytes);  // staging read
@@ -534,55 +608,35 @@ void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
         ctx.scattered(ap);
       }
     }
-
-    std::swap(in, out);
-    std::swap(pay_in, pay_out);
   }
-  if (passes % 2 != 0) {
-    exchange_copy(be, out->data(), in->data(), n_local, part_bytes);
-    copy_back_payloads(pay_in, pay_out, homes, r);
-    std::swap(in, out);
-    ctx.stream(2 * part_bytes, 2 * part_bytes);
-  }
+  // An odd pass count copies the partition back into the input array.
+  if (passes % 2 != 0) ctx.stream(2 * part_bytes, 2 * part_bytes);
 }
 
-void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
+void radix_shmem(sim::ProcContext& ctx, const ShmemRadixWorld& w) {
   DSM_REQUIRE(w.sh != nullptr, "SHMEM radix world is incomplete");
+  const LsdRecord& rec = w.rec;
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const int bits = w.spec.radix_bits;
-  const KernelBackend be = w.spec.kernel_backend;
   const std::size_t buckets = std::size_t{1} << bits;
-  const sas::HomeMap homes(w.spec.n, p);
-  const Index n_local = homes.count_of(r);
-  DSM_REQUIRE(n_local <= w.part_capacity, "partition exceeds capacity");
+  const sas::HomeMap& homes = rec.homes;
+  const std::uint64_t n_local = homes.count_of(r);
   const std::uint64_t part_bytes = n_local * sizeof(Key);
-  shmem::SymmetricHeap& heap = w.sh->heap();
-
-  std::vector<std::uint64_t> hist(buckets), local_prefix(buckets),
-      cursor(buckets);
-  std::vector<shmem::GetOp> gets;
-  std::vector<shmem::PutOp> puts;
-  RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.spec.kernel_jobs;
-  std::vector<std::uint64_t> mirror(w.pay_a.empty() ? 0 : buckets);
-  std::span<keys::Payload> pay_in = w.pay_a;
-  std::span<keys::Payload> pay_out = w.pay_b;
-
-  std::uint64_t in_off = w.off_a;
-  std::uint64_t out_off = w.off_b;
   int passes = radix_passes(bits);
   if (w.spec.ablations.detect_max_key) {
-    const Key local_max = charged_local_max(
-        ctx, std::span<const Key>(heap.at<Key>(r, in_off), n_local));
-    const Key global_max = w.sh->max_to_all<Key>(ctx, local_max);
+    charge_local_max(ctx, n_local);
+    const Key global_max = w.sh->max_to_all<Key>(ctx, recorded_max(rec, r));
     passes = radix_passes_for_max(bits, global_max);
   }
-  w.passes_used.store(passes, std::memory_order_relaxed);
+  check_passes(rec, passes);
+
+  std::vector<std::uint64_t> hist(buckets);
+  std::vector<shmem::GetOp> gets;
+  std::vector<shmem::PutOp> puts;
   bool cold_input = false;
   for (int pass = 0; pass < passes; ++pass) {
-    Key* const in = heap.at<Key>(r, in_off);
-    const std::span<const Key> my_keys(in, n_local);
+    const LsdRecord::Pass& rp = rec.pass[static_cast<std::size_t>(pass)];
     if (cold_input) {
       // Put-based delivery (ablation) leaves the keys in memory, not in
       // this PE's cache: charge the cold re-fetch a get would have hidden.
@@ -593,42 +647,33 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
       cold_input = false;
     }
     ctx.phase("local histogram");
-    const std::uint64_t active =
-        charged_histogram(ctx, my_keys, pass, bits, hist, be, ws);
+    rp.table.counts_of(r, hist);
+    charge_histogram_pass(ctx, n_local, buckets);
     ctx.phase("global histogram");
-    const auto table = w.sh->fcollect_reduce<std::uint64_t, HistTable>(
-        ctx, hist, build_hist_table);
+    const HistTable& table =
+        **w.sh->fcollect_reduce<std::uint64_t, const HistTable*>(
+            ctx, hist,
+            [&rp](sim::Blocks<std::uint64_t>) { return &rp.table; });
     charge_prefix_scan(ctx, buckets);
 
     ctx.phase("permutation");
-    Key* const stage = heap.at<Key>(r, w.off_stage);
-    buffered_permute(ctx, my_keys, std::span<Key>(stage, n_local), pass,
-                     bits, hist, local_prefix, cursor, active, be, ws);
-    // The pass-closing barrier orders these lane writes before every PE's
-    // next-pass reads.
-    move_payloads(my_keys, pay_in, pay_out, homes.begin_of(r), pass, bits,
-                  mirror, [&](std::size_t b) { return table->start(r, b); });
+    charge_buffered_permute(ctx, n_local,
+                            rp.ranks[static_cast<std::size_t>(r)], buckets);
     ctx.phase("redistribution");
     w.sh->barrier_all(ctx);  // staging buffers are now globally readable
 
     if (!w.spec.ablations.shmem_use_put) {
       // Receiver-initiated: fetch every chunk piece that lands in my
       // partition from its source PE's staging buffer.
-      Key* const out = heap.at<Key>(r, out_off);
-      const std::uint64_t my_begin = homes.begin_of(r);
       gets.clear();
       for_each_inbound_piece(
-          *table, r,
-          [&](int j, std::size_t, std::uint64_t lo, std::uint64_t hi,
-              std::uint64_t src) {
+          table, r,
+          [&](int j, std::size_t, std::uint64_t lo, std::uint64_t hi) {
             if (j == r) {
-              exchange_copy(be, out + (lo - my_begin), stage + src,
-                            hi - lo, part_bytes);
               ctx.stream(2 * (hi - lo) * sizeof(Key), part_bytes);
             } else {
-              gets.push_back(shmem::GetOp{
-                  reinterpret_cast<std::byte*>(out + (lo - my_begin)), j,
-                  w.off_stage + src * sizeof(Key), (hi - lo) * sizeof(Key)});
+              gets.push_back(
+                  shmem::GetOp{nullptr, j, 0, (hi - lo) * sizeof(Key)});
             }
           });
       // The modelled PE computes the get parameters in one sweep over the
@@ -636,44 +681,29 @@ void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
       ctx.busy_cycles(static_cast<double>(static_cast<std::size_t>(p) *
                                           buckets) *
                       ctx.params().cpu.scan_cycles);
-      w.sh->get_phase(ctx, gets);
+      w.sh->charge_get_phase(ctx, gets);
     } else {
       // Sender-initiated ablation: push my chunks into their destinations.
       puts.clear();
       for (std::size_t b = 0; b < buckets; ++b) {
         if (hist[b] == 0) continue;
-        for_each_piece(
-            homes, table->start(r, b), hist[b],
-            [&](int dst, std::uint64_t gp, std::uint64_t off,
-                std::uint64_t len) {
-              const Key* src = stage + local_prefix[b] + off;
-              const std::uint64_t dst_off =
-                  out_off + (gp - homes.begin_of(dst)) * sizeof(Key);
-              if (dst == r) {
-                exchange_copy(be,
-                              heap.at<Key>(r, out_off) + (gp - homes.begin_of(r)),
-                              src, len, part_bytes);
-                ctx.stream(2 * len * sizeof(Key), part_bytes);
-                return;
-              }
-              puts.push_back(shmem::PutOp{
-                  reinterpret_cast<const std::byte*>(src), dst, dst_off,
-                  len * sizeof(Key)});
-            });
+        for_each_piece(homes, table.start(r, b), hist[b],
+                       [&](int dst, std::uint64_t len) {
+                         if (dst == r) {
+                           ctx.stream(2 * len * sizeof(Key), part_bytes);
+                         } else {
+                           puts.push_back(shmem::PutOp{nullptr, dst, 0,
+                                                       len * sizeof(Key)});
+                         }
+                       });
       }
-      w.sh->put_phase(ctx, puts);
+      w.sh->charge_put_phase(ctx, puts);
       cold_input = true;
     }
     w.sh->barrier_all(ctx);
-    std::swap(in_off, out_off);
-    std::swap(pay_in, pay_out);
   }
-  if (passes % 2 != 0) {
-    exchange_copy(be, heap.at<Key>(r, w.off_a), heap.at<Key>(r, w.off_b),
-                  n_local, part_bytes);
-    copy_back_payloads(pay_in, pay_out, homes, r);
-    ctx.stream(2 * part_bytes, 2 * part_bytes);
-  }
+  // An odd pass count copies the partition back into the input array.
+  if (passes % 2 != 0) ctx.stream(2 * part_bytes, 2 * part_bytes);
 }
 
 }  // namespace dsm::sort

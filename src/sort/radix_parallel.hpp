@@ -1,31 +1,43 @@
 // Parallel LSD radix sort under the three programming models (§3.1 of the
 // paper), plus the restructured CC-SAS-NEW variant (§4.2.1).
 //
-// All variants share the same algorithm skeleton per pass:
-//   1. local histogram of the current r-bit digit;
-//   2. global histogram: CC-SAS uses the fine-grained parallel prefix
-//      (BucketScan); MPI/SHMEM allgather the local histograms and every
-//      process derives its prefixes from all p x B counts (the paper's
-//      design, charged to every rank). The host builds that result once
-//      per pass, as one shared HistTable (DESIGN.md §5.1);
-//   3. permutation into the output array (all-to-all personalised
-//      communication) — this is where the models differ:
-//        CC-SAS      direct temporally-scattered remote writes
-//        CC-SAS-NEW  local buffering, then contiguous block copies
-//        MPI         local buffering, then one message per contiguous
-//                    chunk (or one per destination, the NAS-IS style
-//                    ablation)
-//        SHMEM       local buffering into a symmetric staging buffer,
-//                    then receiver-initiated gets (or puts, ablation)
-//   4. a kv32 payload lane, which sits outside the simulated machine,
-//      moves in one uncharged stable scatter to the keys' final global
-//      positions, the same under every model (the lane note below).
+// Every model runs the same data question: a stable LSD sort of the same
+// keys, block-partitioned over the ranks. The models differ only in what
+// they charge for moving the keys, so a sort is split in two (DESIGN.md
+// §5.3):
+//   * the record (record_lsd): one model-independent host execution of
+//     the LSD passes over the whole array. Per pass it counts each rank's
+//     range, builds the global HistTable, derives each rank's CC-SAS
+//     scatter tally, and moves all n keys in one stable scatter from the
+//     global bucket starts, which lands rank r's k-th bucket-b key exactly
+//     where every model's route lands it. A kv32 payload lane replays the
+//     same scatter, uncharged (DESIGN.md §11);
+//   * one charge program per model (radix_ccsas / radix_mpi /
+//     radix_shmem): the model's per-rank skeleton with every key movement
+//     deleted. It makes the same charges and collectives, in the same
+//     order, from the recorded counts:
+//       1. local histogram of the current r-bit digit;
+//       2. global histogram: CC-SAS uses the fine-grained parallel prefix
+//          (BucketScan); MPI/SHMEM allgather the local histograms and
+//          every process derives its prefixes from all p x B counts (the
+//          paper's design, charged to every rank; the recorded HistTable
+//          is the shared result, DESIGN.md §5.1);
+//       3. permutation (all-to-all personalised communication):
+//            CC-SAS      direct temporally-scattered remote writes
+//            CC-SAS-NEW  local buffering, then contiguous block copies
+//            MPI         local buffering, then one message per contiguous
+//                        chunk (or one per destination, the NAS-IS style
+//                        ablation)
+//            SHMEM       local buffering into a symmetric staging buffer,
+//                        then receiver-initiated gets (or puts, ablation)
 //
-// Entry points are collective: call from every rank inside SimTeam::run.
+// Charge programs are collective: call from every rank inside
+// SimTeam::run.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,8 +57,7 @@ namespace dsm::sort {
 /// Within bucket b the ranks' keys land in rank order, so rank j's bucket-b
 /// keys occupy the global positions [start(j, b), start(j + 1, b)); row p
 /// holds the bucket ends. before(j, d) counts rank j's keys that land in
-/// partitions below d: the index, in j's bucket-major staging buffer, of
-/// j's first key for partition d.
+/// partitions below d, so keys_to(j, d) is the size of j's message to d.
 struct HistTable {
   sas::HomeMap homes{0, 1};  // block partition of the n sorted keys
   std::size_t buckets = 0;
@@ -68,17 +79,20 @@ struct HistTable {
   std::uint64_t keys_to(int j, int d) const {
     return keys_before(j, d + 1) - keys_before(j, d);
   }
+  /// Rank j's local histogram, written into `out` (one entry per bucket).
+  void counts_of(int j, std::span<std::uint64_t> out) const {
+    for (std::size_t b = 0; b < buckets; ++b) out[b] = count(j, b);
+  }
 };
 
 /// The reducer: O(p x B + p^2) over the rank-indexed local histograms.
 HistTable build_hist_table(sim::Blocks<std::uint64_t> hists);
 
 /// Visit every piece (source rank j, bucket b) of the global layout that
-/// lands in partition `d`, source-major then bucket order:
-/// fn(j, b, lo, hi, src) where [lo, hi) is the piece's overlap with the
-/// partition in global positions and src its index in j's staging buffer.
-/// Only the buckets of the partition's window are visited: O(p x window),
-/// not O(p x B).
+/// lands in partition `d`, source-major then bucket order: fn(j, b, lo, hi)
+/// where [lo, hi) is the piece's overlap with the partition in global
+/// positions. Only the buckets of the partition's window are visited:
+/// O(p x window), not O(p x B).
 template <typename Fn>
 void for_each_inbound_piece(const HistTable& t, int d, Fn&& fn) {
   const std::uint64_t begin = t.homes.begin_of(d);
@@ -93,15 +107,10 @@ void for_each_inbound_piece(const HistTable& t, int d, Fn&& fn) {
   const auto b_hi = static_cast<std::size_t>(
       std::lower_bound(starts, starts + t.buckets, end) - starts);
   for (int j = 0; j < t.nprocs(); ++j) {
-    // j's keys for this partition are contiguous in its staging buffer.
-    std::uint64_t src = t.keys_before(j, d);
     for (std::size_t b = b_lo; b < b_hi; ++b) {
       const std::uint64_t lo = std::max(t.start(j, b), begin);
       const std::uint64_t hi = std::min(t.start(j + 1, b), end);
-      if (lo < hi) {
-        fn(j, b, lo, hi, src);
-        src += hi - lo;
-      }
+      if (lo < hi) fn(j, b, lo, hi);
     }
   }
 }
@@ -115,10 +124,12 @@ struct ScatterTally {
   std::vector<std::uint64_t> runs_to;   // [home]; the rank's own entry is 0
   std::uint64_t local_accesses = 0;
   std::uint64_t local_runs = 0;
+};
 
-  // Scratch reused across passes: a slice that straddles a home boundary
-  // (at most p - 1 per pass) and its walk state; slot[b] is 1 + its index
-  // for such a bucket, else 0 (all zero between calls).
+/// tally_scatter's scratch, reused across calls: the slices that straddle
+/// a home boundary (at most p - 1 per pass) and their walk state; slot[b]
+/// is 1 + its index for such a bucket, else 0 (all zero between calls).
+struct TallyScratch {
   struct Straddle {
     std::uint64_t next_pos;  // global position of the slice's next key
     std::uint64_t home_end;  // end of `home`'s partition
@@ -143,67 +154,93 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
                    std::span<const std::uint64_t> first,
                    std::span<const std::uint64_t> hist,
                    std::span<const std::uint64_t> run_starts,
-                   ScatterTally& tally);
+                   ScatterTally& tally, TallyScratch& scratch);
 
-/// kv32 payload lanes (DESIGN.md §11), one layout for every model: each
-/// lane is n long and indexed by global position, so rank r's range is
-/// [homes.begin_of(r), homes.end_of(r)) of the block HomeMap every model
-/// uses. The lanes live on the host outside the simulated machine. Each
-/// pass moves them in one uncharged model-independent step (every key
-/// route lands rank r's k-th bucket-b key at the same global position), so
-/// charged times stay bit-identical to the u32 sort. `pay_a` mirrors the
-/// input and `pay_b` the toggle array; both empty for u32.
-///
-/// Every World reads its settings (radix bits, kernel backend and jobs,
-/// ablations) from `spec` and holds only its storage.
+/// One recorded host execution of the LSD passes (DESIGN.md §5.3):
+/// everything the charge programs read, and the sorted output every model
+/// reports. Immutable once built; any number of sorts may charge it
+/// concurrently.
+struct LsdRecord {
+  sas::HomeMap homes{0, 1};  // the block partition every model uses
+  int passes = 0;
+  std::vector<Key> max_of;  // [rank] input maximum; detect_max_key only
 
-/// CC-SAS radix sort over two toggling shared arrays; spec.model kCcSasNew
-/// selects the buffered restructuring. After the call the sorted keys
-/// (and payloads) are in `*a` if the pass count (see passes_used) is even,
-/// else in `*b`.
+  struct RankPass {
+    std::uint64_t active = 0;  // nonzero buckets of the rank's histogram
+    std::uint64_t runs = 0;    // digit runs of the rank's keys, in order
+    ScatterTally tally;        // its non-buffered CC-SAS scatter
+  };
+  struct Pass {
+    HistTable table;              // every rank's counts and positions
+    std::vector<RankPass> ranks;  // [rank]
+  };
+  std::vector<Pass> pass;  // [pass]
+
+  std::vector<Key> keys;                // the sorted output
+  std::vector<keys::Payload> payloads;  // its kv32 lane; empty for u32
+  Checksum input;                       // input key multiset
+  std::uint64_t input_pairs = 0;  // pair_fingerprint of the input records
+};
+
+/// Execute the LSD passes `spec` describes (radix bits, detect_max_key,
+/// kernel backend and jobs) over `keys`, the global input in block-
+/// partition order, with `payloads` (empty for u32) riding along. Polls
+/// spec.hooks.cancel between passes. The input checksums are the
+/// caller's to fill.
+LsdRecord record_lsd(const SortSpec& spec, std::vector<Key> keys,
+                     std::vector<keys::Payload> payloads);
+
+/// The record `spec` asks for, shared between sorts (DESIGN.md §5.3).
+/// Sorts whose specs agree on every field that changes what the host
+/// executes or produces — dist, n, nprocs, radix_bits, seed, record type,
+/// detect_max_key, kernel_backend and kernel_jobs — share one record.
+/// The most recently started record stays retained until the next one
+/// starts; a record some sort still holds is never freed. A caller that
+/// finds its record still being built blocks until it is done, polling
+/// its own spec.hooks.cancel while it waits: a cancelled waiter throws
+/// kCancelled and leaves the build to its owner. A build that throws
+/// (cancellation, a failed allocation) is never shared: its builder gets
+/// the error, and its waiters start over. `build` runs on the calling
+/// thread, at most once per call.
+std::shared_ptr<const LsdRecord> shared_lsd_record(
+    const SortSpec& spec, const std::function<LsdRecord()>& build);
+
+/// Drop the retained record, so the next sort of any spec records afresh.
+void clear_retained_lsd_record();
+
+/// The charge programs. Each reads its settings (radix bits, ablations)
+/// from `spec` and its counts from `rec`, recorded for the same spec; it
+/// re-derives the pass count through the model's own collectives and
+/// checks it against the record's.
+
+/// CC-SAS; spec.model kCcSasNew selects the buffered restructuring.
 struct CcSasRadixWorld {
   const SortSpec& spec;
-  sas::SharedArray<Key>* a = nullptr;
-  sas::SharedArray<Key>* b = nullptr;
-  std::span<keys::Payload> pay_a{}, pay_b{};
+  const LsdRecord& rec;
   sas::BucketScan* scan = nullptr;
-  std::atomic<int> passes_used{0};  // output (identical on every rank)
 };
-void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w);
+void radix_ccsas(sim::ProcContext& ctx, const CcSasRadixWorld& w);
 
-/// MPI radix sort over per-rank partitions (private address spaces).
-/// Sorted keys end up in parts_a, and payloads in pay_a (the algorithm
-/// copies back if the pass count is odd). spec.ablations.mpi_chunk_messages
-/// selects one message per contiguous chunk (the paper's choice) vs one
-/// coalesced message per destination with receiver-side reorganisation
-/// (NAS IS style).
+/// MPI over private partitions. spec.ablations.mpi_chunk_messages selects
+/// one message per contiguous chunk (the paper's choice) vs one coalesced
+/// message per destination with receiver-side reorganisation (NAS IS
+/// style).
 struct MpiRadixWorld {
   const SortSpec& spec;
+  const LsdRecord& rec;
   msg::Communicator* comm = nullptr;
-  std::vector<std::vector<Key>>* parts_a = nullptr;  // [rank] -> partition
-  std::vector<std::vector<Key>>* parts_b = nullptr;
-  std::span<keys::Payload> pay_a{}, pay_b{};
-  std::atomic<int> passes_used{0};  // output
 };
-void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w);
+void radix_mpi(sim::ProcContext& ctx, const MpiRadixWorld& w);
 
-/// SHMEM radix sort over symmetric partition arrays. `off_a`/`off_b` are
-/// symmetric offsets of Key arrays of capacity `part_capacity` each;
-/// `off_stage` a staging array of the same capacity. Sorted keys end in
-/// the `off_a` array, and payloads in pay_a. spec.ablations.shmem_use_put
-/// switches the permutation from receiver-initiated gets (the paper's
-/// choice: data lands in the destination cache) to sender-initiated puts
-/// (ablation: the next pass finds its keys cold).
+/// SHMEM over symmetric partitions. spec.ablations.shmem_use_put switches
+/// the permutation from receiver-initiated gets (the paper's choice: data
+/// lands in the destination cache) to sender-initiated puts (ablation:
+/// the next pass finds its keys cold).
 struct ShmemRadixWorld {
   const SortSpec& spec;
+  const LsdRecord& rec;
   shmem::Shmem* sh = nullptr;
-  std::uint64_t off_a = 0;
-  std::uint64_t off_b = 0;
-  std::uint64_t off_stage = 0;
-  Index part_capacity = 0;
-  std::span<keys::Payload> pay_a{}, pay_b{};
-  std::atomic<int> passes_used{0};  // output
 };
-void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w);
+void radix_shmem(sim::ProcContext& ctx, const ShmemRadixWorld& w);
 
 }  // namespace dsm::sort

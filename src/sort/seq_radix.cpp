@@ -8,38 +8,6 @@
 namespace dsm::sort {
 namespace {
 
-/// Charges of one counting pass, shared by both backends so they cannot
-/// drift: per-key BUSY updates, the key sweep, the resident counters
-/// (2^r * 8 bytes cleared + incremented).
-void charge_histogram_pass(sim::ProcContext& ctx, std::uint64_t n,
-                           std::size_t buckets) {
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n) * cpu.hist_update_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // key sweep
-  ctx.stream(buckets * sizeof(std::uint64_t),
-             buckets * sizeof(std::uint64_t));
-}
-
-/// Charges of one permutation pass, parameterised by the measured run
-/// structure (`runs`, `active`) — pure functions of the key order, hence
-/// identical under every backend.
-void charge_permute_pass(sim::ProcContext& ctx, std::uint64_t n,
-                         std::uint64_t runs, std::uint64_t active,
-                         std::uint64_t out_size) {
-  if (n == 0) return;
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n) * cpu.permute_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // read the source keys
-  machine::AccessPattern p;
-  p.accesses = n;
-  p.elem_bytes = sizeof(Key);
-  p.runs = runs;
-  p.active_regions = std::max<std::uint64_t>(1, active);
-  // Both toggle arrays compete for the cache during a pass.
-  p.footprint_bytes = 2 * out_size * sizeof(Key);
-  ctx.scattered(p);
-}
-
 /// Exclusive prefix of `counts` into `cursor` (write cursors), returning
 /// the nonzero bucket count from the same sweep. Fused because n << 2^r
 /// sorts are bound by these bucket loops, not the key sweeps.
@@ -81,40 +49,30 @@ int radix_passes_for_max(int radix_bits, Key max_key) {
                static_cast<std::uint64_t>(radix_bits)));
 }
 
-std::uint64_t charged_histogram(sim::ProcContext& ctx,
-                                std::span<const Key> keys, int pass,
-                                int radix_bits, std::span<std::uint64_t> hist,
-                                KernelBackend be, RadixWorkspace& ws,
-                                std::span<std::uint64_t> run_starts) {
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  DSM_REQUIRE(hist.size() == buckets, "histogram span size mismatch");
-  const std::uint64_t active =
-      run_starts.empty()
-          ? histogram_kernel(be, keys, pass, radix_bits, hist, ws)
-          : histogram_runs_kernel(be, keys, pass, radix_bits, hist,
-                                  run_starts, ws);
-  charge_histogram_pass(ctx, keys.size(), buckets);
-  return active;
+void charge_histogram_pass(sim::ProcContext& ctx, std::uint64_t n,
+                           std::size_t buckets) {
+  const auto& cpu = ctx.params().cpu;
+  ctx.busy_cycles(static_cast<double>(n) * cpu.hist_update_cycles);
+  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // key sweep
+  ctx.stream(buckets * sizeof(std::uint64_t),
+             buckets * sizeof(std::uint64_t));
 }
 
-void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
-                           std::span<Key> out, int pass, int radix_bits,
-                           std::span<std::uint64_t> offset,
-                           std::uint64_t active, KernelBackend be,
-                           RadixWorkspace& ws) {
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  DSM_REQUIRE(offset.size() == buckets, "offset span size mismatch");
-  const std::size_t n = keys.size();
-  // Hoisted bounds sanity: every write cursor starts inside the output
-  // (the per-element check stays as a debug-only assertion so the release
-  // hot loop does not branch per key).
-  DSM_REQUIRE(n <= out.size(), "output smaller than the key span");
-  for (const std::uint64_t o : offset) {
-    DSM_REQUIRE(o <= out.size(), "permutation cursor starts past the output");
-  }
-  const std::uint64_t runs =
-      permute_kernel(be, keys, out, pass, radix_bits, offset, active, ws);
-  charge_permute_pass(ctx, n, runs, active, out.size());
+void charge_permute_pass(sim::ProcContext& ctx, std::uint64_t n,
+                         std::uint64_t runs, std::uint64_t active,
+                         std::uint64_t out_size) {
+  if (n == 0) return;
+  const auto& cpu = ctx.params().cpu;
+  ctx.busy_cycles(static_cast<double>(n) * cpu.permute_cycles);
+  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // read the source keys
+  machine::AccessPattern p;
+  p.accesses = n;
+  p.elem_bytes = sizeof(Key);
+  p.runs = runs;
+  p.active_regions = std::max<std::uint64_t>(1, active);
+  // Both toggle arrays compete for the cache during a pass.
+  p.footprint_bytes = 2 * out_size * sizeof(Key);
+  ctx.scattered(p);
 }
 
 void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,

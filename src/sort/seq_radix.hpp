@@ -63,34 +63,19 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       RadixWorkspace& ws = tls_radix_workspace(),
                       PayloadLanes lanes = {});
 
-/// One instrumented counting pass over `keys` for digit `pass`: fills
-/// `hist` (size 2^radix_bits) and charges the clock. Returns the number of
-/// nonzero buckets. Shared by the parallel radix sorts. (A single
-/// counting pass is the same loop under every backend; the optimized
-/// backend's histogram win — one sweep for all passes — lives in
-/// radix_sort_impl, where the pass histograms are permutation-invariant.)
-/// The optimized backend may use the vectorized counting loop and shard
-/// across `ws.jobs` host threads; the histogram and the charged time are
-/// identical either way. A non-empty `run_starts` (size 2^radix_bits) also
-/// receives the per-bucket digit-run starts of histogram_runs_kernel, from
-/// the same sweep and at the same charge.
-std::uint64_t charged_histogram(sim::ProcContext& ctx,
-                                std::span<const Key> keys, int pass,
-                                int radix_bits, std::span<std::uint64_t> hist,
-                                KernelBackend be = KernelBackend::kOptimized,
-                                RadixWorkspace& ws = tls_radix_workspace(),
-                                std::span<std::uint64_t> run_starts = {});
+/// Charges of one counting pass over `n` keys into 2^r = `buckets`
+/// counters: per-key BUSY updates, the key sweep, the resident counters.
+/// One function for every caller, so the charges cannot drift between the
+/// local sorts and the parallel radix charge programs.
+void charge_histogram_pass(sim::ProcContext& ctx, std::uint64_t n,
+                           std::size_t buckets);
 
-/// One instrumented permutation of `keys` into `out` by digit `pass`,
-/// using `offset` (size 2^radix_bits) as the running write cursors
-/// (consumed). Charges stream-read + scattered-write + BUSY with the
-/// measured run structure. `active` is the nonzero bucket count from the
-/// histogram. out.size() is used as the destination footprint.
-void charged_local_permute(sim::ProcContext& ctx, std::span<const Key> keys,
-                           std::span<Key> out, int pass, int radix_bits,
-                           std::span<std::uint64_t> offset,
-                           std::uint64_t active,
-                           KernelBackend be = KernelBackend::kOptimized,
-                           RadixWorkspace& ws = tls_radix_workspace());
+/// Charges of one stable permutation of `n` keys into an `out_size`-key
+/// destination, parameterised by the measured run structure (`runs`
+/// digit runs in input order, `active` nonzero buckets) — pure functions
+/// of the key order, hence identical under every backend.
+void charge_permute_pass(sim::ProcContext& ctx, std::uint64_t n,
+                         std::uint64_t runs, std::uint64_t active,
+                         std::uint64_t out_size);
 
 }  // namespace dsm::sort

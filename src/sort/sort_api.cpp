@@ -47,34 +47,38 @@ void arm_team(const SortSpec& spec, sim::SimTeam& team) {
 
 /// A sort's generated input (host-side, uncharged — the paper times
 /// sorting, not initialisation): the key multiset checksum and, for a
-/// payload-carrying record, the payload lanes (DESIGN.md §11). Every model
-/// indexes a lane by global position, so rank r's range is
-/// [homes.begin_of(r), homes.end_of(r)). `pay_a` holds each key's global
+/// payload-carrying record, the payload lane (DESIGN.md §11). Every model
+/// indexes the lane by global position, so rank r's range is
+/// [homes.begin_of(r), homes.end_of(r)). `pays` holds each key's global
 /// input index, the canonical payload: ascending payloads within every
-/// equal-key run of the output prove stability. `pay_b` is the radix
-/// sorts' toggle lane. Both are empty for u32.
+/// equal-key run of the output prove stability. Empty for u32.
 struct Input {
   Checksum keys;
   std::uint64_t pairs = 0;  // pair_fingerprint of the input records
-  std::vector<keys::Payload> pay_a, pay_b;
+  std::vector<keys::Payload> pays;
 };
 
-Input generate_input(const SortSpec& spec, const sas::HomeMap& homes,
-                     const std::function<std::span<Key>(int)>& part) {
-  checkpoint(spec, "keygen", 0.0);
+Input fill_input(const SortSpec& spec, const sas::HomeMap& homes,
+                 const std::function<std::span<Key>(int)>& part) {
   Input in;
   in.keys = generate_partitions_cached(spec.dist, spec.n, spec.nprocs,
                                        spec.radix_bits, spec.seed, homes, part);
   if (!keys::record_info(spec.record).has_payload) return in;
-  in.pay_a.resize(spec.n);
-  std::iota(in.pay_a.begin(), in.pay_a.end(), keys::Payload{0});
-  if (spec.algo == Algo::kRadix) in.pay_b.resize(spec.n);
+  in.pays.resize(spec.n);
+  std::iota(in.pays.begin(), in.pays.end(), keys::Payload{0});
   for (int r = 0; r < spec.nprocs; ++r) {
     in.pairs += pair_fingerprint(
-        part(r), std::span<const keys::Payload>(in.pay_a)
+        part(r), std::span<const keys::Payload>(in.pays)
                      .subspan(homes.begin_of(r), homes.count_of(r)));
   }
   return in;
+}
+
+/// The "keygen" checkpoint, then the input.
+Input generate_input(const SortSpec& spec, const sas::HomeMap& homes,
+                     const std::function<std::span<Key>(int)>& part) {
+  checkpoint(spec, "keygen", 0.0);
+  return fill_input(spec, homes, part);
 }
 
 using PayloadRuns = std::vector<std::span<const keys::Payload>>;
@@ -95,7 +99,7 @@ PayloadRuns lane_runs(std::span<const keys::Payload> lane,
 /// The sample sorts' per-rank payload result lanes as runs (none for u32).
 PayloadRuns rank_runs(const Input& in,
                       const std::vector<std::vector<keys::Payload>>& lanes) {
-  if (in.pay_a.empty()) return {};
+  if (in.pays.empty()) return {};
   return PayloadRuns(lanes.begin(), lanes.end());
 }
 
@@ -111,9 +115,11 @@ void write_trace(const SortSpec& spec, const sim::SimTeam& team) {
   }
 }
 
-/// Verify the output, fill the result and publish the trace. `pay_runs`
-/// aligns with `runs` for a payload-carrying record and is empty for u32.
-SortResult finish(const SortSpec& spec, sim::SimTeam& team, const Input& in,
+/// Verify the output against the input checksums, fill the result and
+/// publish the trace. `pay_runs` aligns with `runs` for a payload-carrying
+/// record and is empty for u32.
+SortResult finish(const SortSpec& spec, sim::SimTeam& team,
+                  const Checksum& input, std::uint64_t input_pairs,
                   int passes, const std::vector<std::span<const Key>>& runs,
                   const PayloadRuns& pay_runs) {
   checkpoint(spec, "verify", team.elapsed_ns());
@@ -155,93 +161,81 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team, const Input& in,
     // routes equal keys by source rank, partitions ascend by rank, and
     // every local payload mirror is a stable record sort).
     verdict = verify_sorted_runs_paired(
-        in.keys, in.pairs, key_runs,
+        input, input_pairs, key_runs,
         std::span<const std::span<const keys::Payload>>(pay_runs),
         /*require_stable=*/true);
   } else {
-    verdict = verify_and_hash_runs(in.keys, key_runs);
+    verdict = verify_and_hash_runs(input, key_runs);
   }
   res.verified = verdict.ok;
   DSM_CHECK(res.verified, "sort produced an incorrect result");
-  res.input_checksum = in.keys;
+  res.input_checksum = input;
   res.run_hash = verdict.order_hash;
   write_trace(spec, team);
   return res;
 }
 
-SortResult run_radix_ccsas(const SortSpec& spec,
-                           const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, spec.engine);
-  arm_team(spec, team);
-  sas::SharedArray<Key> a(spec.n, spec.nprocs), b(spec.n, spec.nprocs);
-  sas::BucketScan scan(spec.nprocs, std::size_t{1} << spec.radix_bits);
-  Input in = generate_input(spec, a.homes(),
-                            [&](int r) { return a.partition(r); });
-
-  CcSasRadixWorld w{.spec = spec, .a = &a, .b = &b, .pay_a = in.pay_a,
-                    .pay_b = in.pay_b, .scan = &scan};
-  team.run([&](sim::ProcContext& ctx) { radix_ccsas(ctx, w); });
-
-  const int passes = w.passes_used.load(std::memory_order_relaxed);
-  const bool in_a = passes % 2 == 0;
-  const std::vector<std::span<const Key>> runs{(in_a ? a : b).all()};
-  return finish(spec, team, in, passes, runs,
-                lane_runs(in_a ? in.pay_a : in.pay_b, runs));
-}
-
-SortResult run_radix_mpi(const SortSpec& spec,
-                         const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, spec.engine);
-  arm_team(spec, team);
-  msg::Communicator comm(team, spec.ablations.mpi_impl);
-  const sas::HomeMap homes(spec.n, spec.nprocs);
-  std::vector<std::vector<Key>> parts_a(static_cast<std::size_t>(spec.nprocs));
-  std::vector<std::vector<Key>> parts_b(static_cast<std::size_t>(spec.nprocs));
-  for (int r = 0; r < spec.nprocs; ++r) {
-    parts_a[static_cast<std::size_t>(r)].resize(homes.count_of(r));
-    parts_b[static_cast<std::size_t>(r)].resize(homes.count_of(r));
-  }
-  Input in = generate_input(spec, homes, [&](int r) {
-    return std::span<Key>(parts_a[static_cast<std::size_t>(r)]);
+/// The radix sorts' recorded LSD execution (DESIGN.md §5.3), shared with
+/// the sorts of the same input that find it retained. Every caller passes
+/// the "keygen" checkpoint; only the one that records generates the input.
+std::shared_ptr<const LsdRecord> radix_record(const SortSpec& spec) {
+  checkpoint(spec, "keygen", 0.0);
+  return shared_lsd_record(spec, [&spec] {
+    const sas::HomeMap homes(spec.n, spec.nprocs);
+    std::vector<Key> keys(spec.n);
+    Input in = fill_input(spec, homes, [&](int r) {
+      return std::span<Key>(keys).subspan(homes.begin_of(r),
+                                          homes.count_of(r));
+    });
+    LsdRecord rec = record_lsd(spec, std::move(keys), std::move(in.pays));
+    rec.input = in.keys;
+    rec.input_pairs = in.pairs;
+    return rec;
   });
-
-  MpiRadixWorld w{.spec = spec, .comm = &comm, .parts_a = &parts_a,
-                  .parts_b = &parts_b, .pay_a = in.pay_a, .pay_b = in.pay_b};
-  team.run([&](sim::ProcContext& ctx) { radix_mpi(ctx, w); });
-
-  std::vector<std::span<const Key>> runs;
-  for (const auto& part : parts_a) runs.emplace_back(part);
-  return finish(spec, team, in, w.passes_used.load(std::memory_order_relaxed),
-                runs, lane_runs(in.pay_a, runs));
 }
 
-SortResult run_radix_shmem(const SortSpec& spec,
-                           const machine::MachineParams& mp) {
+/// Radix sort under any model: one shared record, then the model's charge
+/// program on a fresh team.
+SortResult run_radix(const SortSpec& spec, const machine::MachineParams& mp) {
   sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
-  const sas::HomeMap homes(spec.n, spec.nprocs);
-  const Index cap = homes.count_of(0);  // leading partitions are largest
-  const std::uint64_t seg = 3 * (cap * sizeof(Key) + 64) + 4096;
-  shmem::SymmetricHeap heap(spec.nprocs, seg);
-  shmem::Shmem sh(team, heap);
-  const std::uint64_t off_a = heap.alloc<Key>(cap);
-  const std::uint64_t off_b = heap.alloc<Key>(cap);
-  const std::uint64_t off_stage = heap.alloc<Key>(cap);
-  const auto part = [&](int r) {
-    return std::span<Key>(heap.at<Key>(r, off_a), homes.count_of(r));
-  };
-  Input in = generate_input(spec, homes, part);
-
-  ShmemRadixWorld w{.spec = spec, .sh = &sh, .off_a = off_a,
-                    .off_b = off_b, .off_stage = off_stage,
-                    .part_capacity = cap, .pay_a = in.pay_a,
-                    .pay_b = in.pay_b};
-  team.run([&](sim::ProcContext& ctx) { radix_shmem(ctx, w); });
-
+  const std::shared_ptr<const LsdRecord> rec = radix_record(spec);
+  switch (spec.model) {
+    case Model::kCcSas:
+    case Model::kCcSasNew: {
+      sas::BucketScan scan(spec.nprocs, std::size_t{1} << spec.radix_bits);
+      const CcSasRadixWorld w{.spec = spec, .rec = *rec, .scan = &scan};
+      team.run([&](sim::ProcContext& ctx) { radix_ccsas(ctx, w); });
+      break;
+    }
+    case Model::kMpi: {
+      msg::Communicator comm(team, spec.ablations.mpi_impl);
+      const MpiRadixWorld w{.spec = spec, .rec = *rec, .comm = &comm};
+      team.run([&](sim::ProcContext& ctx) { radix_mpi(ctx, w); });
+      break;
+    }
+    case Model::kShmem: {
+      shmem::SymmetricHeap heap(spec.nprocs, 64);  // the program stores nothing
+      shmem::Shmem sh(team, heap);
+      const ShmemRadixWorld w{.spec = spec, .rec = *rec, .sh = &sh};
+      team.run([&](sim::ProcContext& ctx) { radix_shmem(ctx, w); });
+      break;
+    }
+  }
+  // CC-SAS sorts one shared array: one run. MPI and SHMEM sort private
+  // partitions: one run per rank.
+  const std::span<const Key> out(rec->keys);
   std::vector<std::span<const Key>> runs;
-  for (int r = 0; r < spec.nprocs; ++r) runs.emplace_back(part(r));
-  return finish(spec, team, in, w.passes_used.load(std::memory_order_relaxed),
-                runs, lane_runs(in.pay_a, runs));
+  if (spec.model == Model::kCcSas || spec.model == Model::kCcSasNew) {
+    runs.push_back(out);
+  } else {
+    for (int r = 0; r < spec.nprocs; ++r) {
+      runs.push_back(out.subspan(rec->homes.begin_of(r),
+                                 rec->homes.count_of(r)));
+    }
+  }
+  return finish(spec, team, rec->input, rec->input_pairs, rec->passes, runs,
+                lane_runs(rec->payloads, runs));
 }
 
 SortResult run_sample_ccsas(const SortSpec& spec,
@@ -264,7 +258,7 @@ SortResult run_sample_ccsas(const SortSpec& spec,
   CcSasSampleWorld w{.spec = spec,
                      .keys = &keys,
                      .result = &result,
-                     .pay = in.pay_a,
+                     .pay = in.pays,
                      .pay_result = &pay_result,
                      .samples = &samples,
                      .splitters = &splitters,
@@ -273,7 +267,8 @@ SortResult run_sample_ccsas(const SortSpec& spec,
   team.run([&](sim::ProcContext& ctx) { sample_ccsas(ctx, w); });
 
   std::vector<std::span<const Key>> runs(result.begin(), result.end());
-  return finish(spec, team, in, radix_passes(spec.radix_bits), runs,
+  return finish(spec, team, in.keys, in.pairs, radix_passes(spec.radix_bits),
+                runs,
                 rank_runs(in, pay_result));
 }
 
@@ -294,12 +289,13 @@ SortResult run_sample_mpi(const SortSpec& spec,
 
   std::vector<std::vector<keys::Payload>> pay_result(p);
   MpiSampleWorld w{.spec = spec, .comm = &comm, .parts = &parts,
-                   .result = &result, .pay = in.pay_a,
+                   .result = &result, .pay = in.pays,
                    .pay_result = &pay_result};
   team.run([&](sim::ProcContext& ctx) { sample_mpi(ctx, w); });
 
   std::vector<std::span<const Key>> runs(result.begin(), result.end());
-  return finish(spec, team, in, radix_passes(spec.radix_bits), runs,
+  return finish(spec, team, in.keys, in.pairs, radix_passes(spec.radix_bits),
+                runs,
                 rank_runs(in, pay_result));
 }
 
@@ -322,33 +318,26 @@ SortResult run_sample_shmem(const SortSpec& spec,
   std::vector<std::vector<keys::Payload>> pay_result(p);
   ShmemSampleWorld w{.spec = spec, .sh = &sh, .off_keys = off_keys,
                      .part_capacity = cap, .result = &result,
-                     .pay = in.pay_a,
+                     .pay = in.pays,
                      .pay_result = &pay_result};
   team.run([&](sim::ProcContext& ctx) { sample_shmem(ctx, w); });
 
   std::vector<std::span<const Key>> runs(result.begin(), result.end());
-  return finish(spec, team, in, radix_passes(spec.radix_bits), runs,
+  return finish(spec, team, in.keys, in.pairs, radix_passes(spec.radix_bits),
+                runs,
                 rank_runs(in, pay_result));
 }
 
 SortResult run_sort_impl(const SortSpec& spec,
                          const machine::MachineParams& mp) {
-  if (spec.algo == Algo::kRadix) {
-    switch (spec.model) {
-      case Model::kCcSas:
-      case Model::kCcSasNew: return run_radix_ccsas(spec, mp);
-      case Model::kMpi: return run_radix_mpi(spec, mp);
-      case Model::kShmem: return run_radix_shmem(spec, mp);
-    }
-  } else {
-    // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton,
-    // which picks the local-sort kernel from spec.algo.
-    switch (spec.model) {
-      case Model::kCcSas: return run_sample_ccsas(spec, mp);
-      case Model::kCcSasNew: break;  // rejected by validate_status()
-      case Model::kMpi: return run_sample_mpi(spec, mp);
-      case Model::kShmem: return run_sample_shmem(spec, mp);
-    }
+  if (spec.algo == Algo::kRadix) return run_radix(spec, mp);
+  // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton,
+  // which picks the local-sort kernel from spec.algo.
+  switch (spec.model) {
+    case Model::kCcSas: return run_sample_ccsas(spec, mp);
+    case Model::kCcSasNew: break;  // rejected by validate_status()
+    case Model::kMpi: return run_sample_mpi(spec, mp);
+    case Model::kShmem: return run_sample_shmem(spec, mp);
   }
   throw Error("unhandled spec");
 }

@@ -1,8 +1,11 @@
 // Unified driver for every {algorithm x programming model} combination in
-// the paper: sets up the model-appropriate storage (shared arrays for
-// CC-SAS, private partitions for MPI, a symmetric heap for SHMEM),
-// generates the requested key distribution, runs the collective sort on a
-// SimTeam, verifies the result, and returns virtual-time breakdowns.
+// the paper: generates the requested key distribution, runs the
+// collective sort on a SimTeam, verifies the result, and returns
+// virtual-time breakdowns. The sample-sort skeleton sets up the
+// model-appropriate storage (shared arrays for CC-SAS, private partitions
+// for MPI, a symmetric heap for SHMEM); radix sort executes its passes
+// once in a shared record and runs the model's charge program over it
+// (DESIGN.md §5.3).
 //
 // This is the library's main public entry point; examples and the bench
 // harnesses drive everything through SortSpec. One call shape:
@@ -131,9 +134,13 @@ struct SortSpec {
   /// paper used for this data-set size.
   std::optional<machine::MachineParams> machine;
 
-  // Host settings. These three fields, and no process-global state,
-  // decide how the host runs the sort. None of them changes the sorted
-  // output, a virtual time or replay JSON (DESIGN.md §9).
+  // Host settings. These three fields decide how the host runs the
+  // sort, with one piece of process-global state: the retained LSD
+  // record (sort::shared_lsd_record, DESIGN.md §5.3) decides whether a
+  // radix sort executes its passes or charges a record another sort of
+  // the same input made; sort::clear_retained_lsd_record() drops it.
+  // None of them changes the sorted output, a virtual time or replay
+  // JSON (DESIGN.md §9).
 
   /// Host execution engine for the simulated ranks: cooperative fibers on
   /// the calling thread, or one OS thread per rank.

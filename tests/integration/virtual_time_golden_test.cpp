@@ -178,6 +178,83 @@ std::uint64_t menu_grid_digest(SpmdEngine engine) {
   return d.h;
 }
 
+/// The CC-SAS sibling of the radix grid: radix sort under CC-SAS (direct
+/// scattered remote writes, charged from the per-home scatter tallies) and
+/// CC-SAS-NEW (staged block copies), team sizes 1 to 64, radix widths 4 to
+/// 16, three key distributions and both record types; the input size
+/// rotates across cells. The detect_max_key cells add the max-reduction of
+/// every radix model. The digest was recorded before radix sort split into
+/// one host execution and per-model charge programs, and must never move.
+constexpr std::uint64_t kCcSasRadixGoldenDigest = 10566003719361673498ull;
+
+std::vector<SortSpec> ccsas_radix_golden_grid() {
+  constexpr keys::Dist kDists[] = {keys::Dist::kGauss, keys::Dist::kDup,
+                                   keys::Dist::kZipf};
+  constexpr int kProcs[] = {1, 3, 16, 64};
+  constexpr int kRadixes[] = {4, 8, 11, 16};
+  std::vector<SortSpec> grid;
+  auto add = [&grid](const SortSpec& spec) {
+    if (spec.validate_status().ok()) grid.push_back(spec);
+  };
+  auto size_for = [](unsigned cell, int p) {
+    const Index sizes[] = {static_cast<Index>(p), Index{5000}, Index{1} << 16};
+    return sizes[(cell + cell / 6) % 3];
+  };
+  unsigned cell = 0;
+  for (const Model model : {Model::kCcSas, Model::kCcSasNew}) {
+    for (const int p : kProcs) {
+      for (const int radix : kRadixes) {
+        for (const keys::Dist dist : kDists) {
+          for (const keys::RecordType record :
+               {keys::RecordType::kU32, keys::RecordType::kKeyPayload32}) {
+            SortSpec spec;
+            spec.algo = Algo::kRadix;
+            spec.model = model;
+            spec.nprocs = p;
+            spec.radix_bits = radix;
+            spec.n = size_for(cell, p);
+            spec.dist = dist;
+            spec.record = record;
+            spec.seed = 17 + cell;
+            ++cell;
+            add(spec);
+          }
+        }
+      }
+    }
+  }
+  for (const Model model :
+       {Model::kCcSas, Model::kCcSasNew, Model::kMpi, Model::kShmem}) {
+    for (const int p : kProcs) {
+      for (const int radix : kRadixes) {
+        SortSpec spec;
+        spec.algo = Algo::kRadix;
+        spec.model = model;
+        spec.nprocs = p;
+        spec.radix_bits = radix;
+        spec.n = size_for(cell, p);
+        spec.dist = kDists[cell % 3];
+        spec.record = cell % 2 == 0 ? keys::RecordType::kU32
+                                    : keys::RecordType::kKeyPayload32;
+        spec.seed = 17 + cell;
+        spec.ablations.detect_max_key = true;
+        ++cell;
+        add(spec);
+      }
+    }
+  }
+  return grid;
+}
+
+std::uint64_t ccsas_radix_grid_digest(SpmdEngine engine) {
+  Digest d;
+  for (SortSpec spec : ccsas_radix_golden_grid()) {
+    spec.engine = engine;
+    d.result(try_run_sort(spec).value());
+  }
+  return d.h;
+}
+
 TEST(VirtualTimeGolden, CooperativeEngine) {
   EXPECT_EQ(grid_digest(SpmdEngine::kCooperative), kGoldenDigest);
 }
@@ -192,6 +269,16 @@ TEST(VirtualTimeGoldenMsdMerge, CooperativeEngine) {
 
 TEST(VirtualTimeGoldenMsdMerge, ThreadEngine) {
   EXPECT_EQ(menu_grid_digest(SpmdEngine::kThreads), kMenuGoldenDigest);
+}
+
+TEST(VirtualTimeGoldenRadixCcSas, CooperativeEngine) {
+  EXPECT_EQ(ccsas_radix_grid_digest(SpmdEngine::kCooperative),
+            kCcSasRadixGoldenDigest);
+}
+
+TEST(VirtualTimeGoldenRadixCcSas, ThreadEngine) {
+  EXPECT_EQ(ccsas_radix_grid_digest(SpmdEngine::kThreads),
+            kCcSasRadixGoldenDigest);
 }
 
 }  // namespace

@@ -54,8 +54,8 @@ void brute_prefixes(const Hists& h, int r, std::vector<std::uint64_t>& rank,
   }
 }
 
-using Piece = std::tuple<int, std::size_t, std::uint64_t, std::uint64_t,
-                         std::uint64_t>;  // j, b, lo, hi, src
+using Piece =
+    std::tuple<int, std::size_t, std::uint64_t, std::uint64_t>;  // j, b, lo, hi
 
 /// The full-scan get list: every (j, b) cell of the p x B matrix, in
 /// j-major order, intersected with [begin, end).
@@ -67,19 +67,14 @@ std::vector<Piece> full_scan(const Hists& h, std::uint64_t begin,
   std::vector<std::uint64_t> run(buckets, 0);
   std::vector<Piece> out;
   for (std::size_t j = 0; j < h.size(); ++j) {
-    std::uint64_t src_prefix = 0;
     for (std::size_t b = 0; b < buckets; ++b) {
       const std::uint64_t cnt = h[j][b];
       if (cnt == 0) continue;
       const std::uint64_t gpos = start[b] + run[b];
       const std::uint64_t lo = std::max(gpos, begin);
       const std::uint64_t hi = std::min(gpos + cnt, end);
-      if (lo < hi) {
-        out.emplace_back(static_cast<int>(j), b, lo, hi,
-                         src_prefix + (lo - gpos));
-      }
+      if (lo < hi) out.emplace_back(static_cast<int>(j), b, lo, hi);
       run[b] += cnt;
-      src_prefix += cnt;
     }
   }
   return out;
@@ -89,8 +84,8 @@ std::vector<Piece> windowed(const HistTable& t, int d) {
   std::vector<Piece> out;
   for_each_inbound_piece(t, d,
                          [&](int j, std::size_t b, std::uint64_t lo,
-                             std::uint64_t hi, std::uint64_t src) {
-                           out.emplace_back(j, b, lo, hi, src);
+                             std::uint64_t hi) {
+                           out.emplace_back(j, b, lo, hi);
                          });
   return out;
 }

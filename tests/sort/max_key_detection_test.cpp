@@ -23,8 +23,11 @@ TEST(RadixPassesForMax, MatchesKeyWidth) {
   EXPECT_EQ(radix_passes_for_max(11, (1u << 31) - 1), 3);
 }
 
-// Direct-world harness: sort small-valued keys (< 2^16) with each variant
-// and check both the result and the detected pass count.
+// Direct harness: record small-valued keys (< 2^16) and check the sorted
+// output and the detected pass count, then run a model's charge program
+// over the record. The program re-derives the pass count through its
+// model's own max collective (a disagreement with the record fails the
+// run) and charges only those passes.
 SortSpec detecting_spec(Model m, Index n, int p) {
   SortSpec spec;
   spec.algo = Algo::kRadix;
@@ -46,85 +49,71 @@ std::vector<Key> small_keys(Index n) {
   return keys;
 }
 
-TEST(MaxKeyDetection, CcSasUsesTwoPassesForSmallKeys) {
+/// Virtual time of `spec`'s charge program over `rec`.
+double charge_ns(const SortSpec& spec, const LsdRecord& rec) {
+  sim::SimTeam team(spec.nprocs, machine::MachineParams::origin2000());
+  switch (spec.model) {
+    case Model::kCcSas:
+    case Model::kCcSasNew: {
+      sas::BucketScan scan(spec.nprocs, std::size_t{1} << spec.radix_bits);
+      const CcSasRadixWorld w{.spec = spec, .rec = rec, .scan = &scan};
+      team.run([&](sim::ProcContext& ctx) { radix_ccsas(ctx, w); });
+      break;
+    }
+    case Model::kMpi: {
+      msg::Communicator comm(team, msg::Impl::kDirect);
+      const MpiRadixWorld w{.spec = spec, .rec = rec, .comm = &comm};
+      team.run([&](sim::ProcContext& ctx) { radix_mpi(ctx, w); });
+      break;
+    }
+    case Model::kShmem: {
+      shmem::SymmetricHeap heap(spec.nprocs, 64);
+      shmem::Shmem sh(team, heap);
+      const ShmemRadixWorld w{.spec = spec, .rec = rec, .sh = &sh};
+      team.run([&](sim::ProcContext& ctx) { radix_shmem(ctx, w); });
+      break;
+    }
+  }
+  return team.elapsed_ns();
+}
+
+/// Detection records and charges two passes for 16-bit keys, where the
+/// same keys without detection record and charge the full count.
+void expect_two_passes(Model m) {
   const int p = 4;
   const Index n = 10000;
   const auto input = small_keys(n);
   auto expect = input;
   std::sort(expect.begin(), expect.end());
 
-  sim::SimTeam team(p, machine::MachineParams::origin2000());
-  sas::SharedArray<Key> a(n, p), b(n, p);
-  std::copy(input.begin(), input.end(), a.data());
-  sas::BucketScan scan(p, 256);
-  const SortSpec spec = detecting_spec(Model::kCcSas, n, p);
-  CcSasRadixWorld w{.spec = spec, .a = &a, .b = &b, .scan = &scan};
-  team.run([&](sim::ProcContext& ctx) { radix_ccsas(ctx, w); });
+  const SortSpec spec = detecting_spec(m, n, p);
+  const LsdRecord rec = record_lsd(spec, input, {});
+  EXPECT_EQ(rec.passes, 2);
+  EXPECT_EQ(rec.keys, expect);
+  SortSpec full = spec;
+  full.ablations.detect_max_key = false;
+  const LsdRecord full_rec = record_lsd(full, input, {});
+  EXPECT_EQ(full_rec.passes, radix_passes(spec.radix_bits));
+  EXPECT_EQ(full_rec.keys, expect);
+  EXPECT_LT(charge_ns(spec, rec), charge_ns(full, full_rec));
+  // A program charges only a record made for its own pass count: one
+  // that detects fails on a record without maxima, and one that does not
+  // fails on a record of the detected passes.
+  EXPECT_THROW((void)charge_ns(spec, full_rec), Error);
+  EXPECT_THROW((void)charge_ns(full, rec), Error);
+}
 
-  EXPECT_EQ(w.passes_used.load(), 2);
-  // Even pass count: result in a.
-  const std::span<const Key> out = a.all();
-  EXPECT_TRUE(std::equal(out.begin(), out.end(), expect.begin()));
+TEST(MaxKeyDetection, CcSasUsesTwoPassesForSmallKeys) {
+  expect_two_passes(Model::kCcSas);
+  expect_two_passes(Model::kCcSasNew);
 }
 
 TEST(MaxKeyDetection, MpiUsesTwoPassesForSmallKeys) {
-  const int p = 4;
-  const Index n = 10000;
-  const auto input = small_keys(n);
-  auto expect = input;
-  std::sort(expect.begin(), expect.end());
-
-  sim::SimTeam team(p, machine::MachineParams::origin2000());
-  msg::Communicator comm(team, msg::Impl::kDirect);
-  const sas::HomeMap homes(n, p);
-  std::vector<std::vector<Key>> parts_a(p), parts_b(p);
-  for (int r = 0; r < p; ++r) {
-    parts_a[r].assign(input.begin() + homes.begin_of(r),
-                      input.begin() + homes.end_of(r));
-    parts_b[r].resize(homes.count_of(r));
-  }
-  const SortSpec spec = detecting_spec(Model::kMpi, n, p);
-  MpiRadixWorld w{.spec = spec, .comm = &comm, .parts_a = &parts_a,
-                  .parts_b = &parts_b};
-  team.run([&](sim::ProcContext& ctx) { radix_mpi(ctx, w); });
-
-  EXPECT_EQ(w.passes_used.load(), 2);
-  std::vector<Key> out;
-  for (const auto& part : parts_a) out.insert(out.end(), part.begin(), part.end());
-  EXPECT_EQ(out, expect);
+  expect_two_passes(Model::kMpi);
 }
 
 TEST(MaxKeyDetection, ShmemUsesTwoPassesForSmallKeys) {
-  const int p = 4;
-  const Index n = 10000;
-  const auto input = small_keys(n);
-  auto expect = input;
-  std::sort(expect.begin(), expect.end());
-
-  sim::SimTeam team(p, machine::MachineParams::origin2000());
-  const sas::HomeMap homes(n, p);
-  const Index cap = homes.count_of(0);
-  shmem::SymmetricHeap heap(p, 3 * (cap * sizeof(Key) + 64) + 4096);
-  shmem::Shmem sh(team, heap);
-  const SortSpec spec = detecting_spec(Model::kShmem, n, p);
-  ShmemRadixWorld w{.spec = spec, .sh = &sh};
-  w.off_a = heap.alloc<Key>(cap);
-  w.off_b = heap.alloc<Key>(cap);
-  w.off_stage = heap.alloc<Key>(cap);
-  w.part_capacity = cap;
-  for (int r = 0; r < p; ++r) {
-    std::copy(input.begin() + homes.begin_of(r),
-              input.begin() + homes.end_of(r), heap.at<Key>(r, w.off_a));
-  }
-  team.run([&](sim::ProcContext& ctx) { radix_shmem(ctx, w); });
-
-  EXPECT_EQ(w.passes_used.load(), 2);
-  std::vector<Key> out;
-  for (int r = 0; r < p; ++r) {
-    const Key* part = heap.at<Key>(r, w.off_a);
-    out.insert(out.end(), part, part + homes.count_of(r));
-  }
-  EXPECT_EQ(out, expect);
+  expect_two_passes(Model::kShmem);
 }
 
 TEST(MaxKeyDetection, FullWidthKeysKeepFullPassCount) {

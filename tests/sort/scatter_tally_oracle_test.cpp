@@ -202,6 +202,7 @@ void check_case(int p, int bits, Index n, int shape, std::uint64_t seed,
 
   std::vector<Key> want(n), got(n);
   ScatterTally tally;
+  TallyScratch scratch;
   for (int r = 0; r < p; ++r) {
     const auto rr = static_cast<std::size_t>(r);
     const std::span<const Key> mine(keys.data() + homes.begin_of(r),
@@ -210,7 +211,7 @@ void check_case(int p, int bits, Index n, int shape, std::uint64_t seed,
         fused_scatter(mine, pass, bits, homes, r, first[rr], want.data(),
                       (seed & 1) != 0);
     tally_scatter(mine, pass, bits, homes, r, first[rr], hist[rr],
-                  run_starts[rr], tally);
+                  run_starts[rr], tally, scratch);
     std::vector<std::uint64_t> cursor = first[rr];
     const std::uint64_t runs = permute_kernel(be, mine, got, pass, bits,
                                               cursor, active[rr], ws);

@@ -158,12 +158,16 @@ TEST(ChargedHistogram, CountsAndActiveBuckets) {
   team.run([&](sim::ProcContext& ctx) {
     std::vector<Key> keys{0, 1, 1, 255, 255, 255};
     std::vector<std::uint64_t> hist(256);
-    const auto active = charged_histogram(ctx, keys, 0, 8, hist);
+    const auto active = histogram_kernel(KernelBackend::kOptimized, keys, 0,
+                                         8, hist);
+    charge_histogram_pass(ctx, keys.size(), hist.size());
     if (active != 3) throw Error("active count wrong");
     if (hist[0] != 1 || hist[1] != 2 || hist[255] != 3) {
       throw Error("histogram wrong");
     }
   });
+  // The counting pass charges its key sweep and counters.
+  EXPECT_GT(team.elapsed_ns(), 0.0);
 }
 
 TEST(ChargedPermute, RespectsCursors) {
@@ -175,10 +179,15 @@ TEST(ChargedPermute, RespectsCursors) {
     offset[1] = 0;
     offset[2] = 1;
     offset[3] = 2;
-    charged_local_permute(ctx, keys, out, 0, 8, offset, 3);
+    const std::uint64_t runs = permute_kernel(
+        KernelBackend::kOptimized, keys, out, 0, 8, offset, 3,
+        tls_radix_workspace());
+    charge_permute_pass(ctx, keys.size(), runs, 3, out.size());
     const std::vector<Key> expect{1, 2, 3, 3};
     if (out != expect) throw Error("permute wrong");
+    if (runs != 4) throw Error("run count wrong");
   });
+  EXPECT_GT(team.elapsed_ns(), 0.0);
 }
 
 }  // namespace

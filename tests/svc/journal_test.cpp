@@ -465,7 +465,9 @@ TEST(JournalDegraded, IntermittentFaultsNeverThrowAndEveryLandedRecordIsValid) {
     const SegmentScan scan = read_segment(seg);
     EXPECT_EQ(scan.corrupt, 0u) << seg;
     for (const JournalRecord& rec : scan.records) {
-      if (!first) EXPECT_GT(rec.lsn, prev_lsn);
+      if (!first) {
+        EXPECT_GT(rec.lsn, prev_lsn);
+      }
       prev_lsn = rec.lsn;
       first = false;
       ++landed;
