@@ -190,21 +190,30 @@ inline BestCell best_over_models_and_radixes(
   static constexpr sort::Model kSampleModels[] = {
       sort::Model::kCcSas, sort::Model::kMpi, sort::Model::kShmem};
 
-  BestCell best;
-  best.ns = 1e300;
   const auto models = algo == sort::Algo::kRadix
                           ? std::span<const sort::Model>(kRadixModels)
                           : std::span<const sort::Model>(kSampleModels);
-  for (const sort::Model m : models) {
-    for (const int r : radixes) {
+  // The models of one radix size run back to back, so they charge one
+  // retained record (DESIGN.md §5.3); ties still go to the first model,
+  // then the first radix size.
+  std::vector<double> ns(models.size() * radixes.size());
+  for (std::size_t ri = 0; ri < radixes.size(); ++ri) {
+    for (std::size_t mi = 0; mi < models.size(); ++mi) {
       sort::SortSpec spec;
       spec.algo = algo;
-      spec.model = m;
+      spec.model = models[mi];
       spec.nprocs = procs;
       spec.n = n;
-      spec.radix_bits = r;
-      const double ns = run_spec(spec, env).elapsed_ns;
-      if (ns < best.ns) best = BestCell{ns, m, r};
+      spec.radix_bits = radixes[ri];
+      ns[mi * radixes.size() + ri] = run_spec(spec, env).elapsed_ns;
+    }
+  }
+  BestCell best;
+  best.ns = 1e300;
+  for (std::size_t mi = 0; mi < models.size(); ++mi) {
+    for (std::size_t ri = 0; ri < radixes.size(); ++ri) {
+      const double t = ns[mi * radixes.size() + ri];
+      if (t < best.ns) best = BestCell{t, models[mi], radixes[ri]};
     }
   }
   return best;

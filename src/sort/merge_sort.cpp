@@ -2,46 +2,12 @@
 
 #include <algorithm>
 
-#include "common/bits.hpp"
 #include "sort/seq_radix.hpp"
 
 namespace dsm::sort {
 namespace {
 
 using KeyTraits = keys::RecordTraits<Key>;
-
-/// Charges of the backbone/stray split: the measured tail-array probes
-/// (one fast-path compare per key on sorted-ish input, plus a binary
-/// search per stray), the membership sweep, and the partition sweep
-/// (read keys, write tmp — twice through the data).
-void charge_split_sweep(sim::ProcContext& ctx, std::uint64_t n,
-                        std::uint64_t probes) {
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(probes) * cpu.binary_search_cycles +
-                  static_cast<double>(n) * cpu.compare_cycles);
-  ctx.stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
-}
-
-/// Charges of one k-way merge producing `n` keys: the tournament
-/// (ceil(log2 k) compares per element), the sequential read/write
-/// streams, and the run-interleaving read pattern priced by the measured
-/// segment count — few segments behave like a stream, ~n segments like a
-/// gather over both buffers.
-void charge_merge_round(sim::ProcContext& ctx, std::uint64_t n,
-                        std::size_t ways, std::uint64_t segments) {
-  if (n == 0) return;
-  const auto& cpu = ctx.params().cpu;
-  const int levels = ways > 1 ? bit_width_u64(ways - 1) : 0;
-  ctx.busy_cycles(static_cast<double>(n) * levels * cpu.compare_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));
-  machine::AccessPattern p;
-  p.accesses = n;
-  p.elem_bytes = sizeof(Key);
-  p.runs = std::max<std::uint64_t>(1, segments);
-  p.active_regions = std::max<std::uint64_t>(1, ways);
-  p.footprint_bytes = 2 * n * sizeof(Key);
-  ctx.scattered(p);
-}
 
 /// Backend dispatch for one merge group. Output and the measured segment
 /// count are backend-invariant (same selection rule).
@@ -54,8 +20,8 @@ std::uint64_t merge_group(KernelBackend be,
 }
 
 /// The driver shared by the charged and uncharged entry points
-/// (ctx == nullptr charges nothing; outputs are identical either way).
-void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
+/// (log == nullptr charges nothing; outputs are identical either way).
+void merge_sort_impl(ChargeLog* log, std::span<Key> keys,
                      std::span<Key> tmp, int radix_bits, KernelBackend be,
                      RadixWorkspace& ws) {
   const std::size_t n = keys.size();
@@ -121,7 +87,7 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
     }
   }
   const std::size_t backbone = chain;
-  if (ctx != nullptr) charge_split_sweep(*ctx, n, probes);
+  if (log != nullptr) log->split_sweep(n, probes);
   const std::size_t strays = n - backbone;
   if (strays == 0) return;  // already sorted; keys untouched
 
@@ -152,12 +118,12 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
     // into tmp, so keys doubles as the LSD scratch), then one 2-way
     // merge back into keys.
     const std::span<Key> stray_span = tmp.subspan(stray_at, strays);
-    radix_sort_impl(ctx, stray_span, keys.first(strays), {}, radix_bits, be,
+    radix_sort_impl(log, stray_span, keys.first(strays), {}, radix_bits, be,
                     ws);
     const std::span<const Key> group[2] = {tmp.first(backbone), stray_span};
     const std::uint64_t segments =
         merge_group(be, std::span<const std::span<const Key>>(group, 2), keys);
-    if (ctx != nullptr) charge_merge_round(*ctx, n, 2, segments);
+    if (log != nullptr) log->merge_round(n, 2, segments);
     return;
   }
 
@@ -166,7 +132,7 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
   std::vector<std::size_t> bounds{0};
   for (std::size_t off = 0; off < n; off += kMergeRunBlock) {
     const std::size_t len = std::min(kMergeRunBlock, n - off);
-    radix_sort_impl(ctx, keys.subspan(off, len), tmp.subspan(off, len), {},
+    radix_sort_impl(log, keys.subspan(off, len), tmp.subspan(off, len), {},
                     radix_bits, be, ws);
     bounds.push_back(off + len);
   }
@@ -189,7 +155,7 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
       const std::uint64_t segments = merge_group(
           be, std::span<const std::span<const Key>>(group.data(), ways),
           dst.subspan(lo, hi - lo));
-      if (ctx != nullptr) charge_merge_round(*ctx, hi - lo, ways, segments);
+      if (log != nullptr) log->merge_round(hi - lo, ways, segments);
       next.push_back(hi);
     }
     std::swap(src, dst);
@@ -197,9 +163,7 @@ void merge_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
   }
   if (src.data() != keys.data()) {
     std::copy(src.begin(), src.end(), keys.begin());
-    if (ctx != nullptr) {
-      ctx->stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
-    }
+    if (log != nullptr) log->copy_back(n);
   }
 }
 
@@ -210,13 +174,21 @@ void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
   merge_sort_impl(nullptr, keys, tmp, radix_bits, be, ws);
 }
 
-void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                      std::span<Key> tmp, int radix_bits, KernelBackend be,
-                      RadixWorkspace& ws, PayloadLanes lanes) {
+void local_merge_sort(ChargeLog& log, std::span<Key> keys, std::span<Key> tmp,
+                      int radix_bits, KernelBackend be, RadixWorkspace& ws,
+                      PayloadLanes lanes) {
   // Host-side stable pair mirror (uncharged, DESIGN.md §11), derived from
   // the unsorted keys because the key sort reorders equal keys.
   if (!lanes.pays.empty()) stable_payload_mirror(keys, lanes.pays, ws);
-  merge_sort_impl(&ctx, keys, tmp, radix_bits, be, ws);
+  merge_sort_impl(&log, keys, tmp, radix_bits, be, ws);
+}
+
+void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
+                      std::span<Key> tmp, int radix_bits, KernelBackend be,
+                      RadixWorkspace& ws, PayloadLanes lanes) {
+  ChargeLog log;
+  local_merge_sort(log, keys, tmp, radix_bits, be, ws, lanes);
+  log.replay(ctx);
 }
 
 }  // namespace dsm::sort

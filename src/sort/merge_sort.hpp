@@ -40,6 +40,7 @@
 #include "common/types.hpp"
 #include "keys/record.hpp"
 #include "sim/proc.hpp"
+#include "sort/charge_log.hpp"
 #include "sort/kernels.hpp"
 
 namespace dsm::sort {
@@ -200,13 +201,20 @@ void seq_merge_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
                     KernelBackend be = KernelBackend::kOptimized,
                     RadixWorkspace& ws = tls_radix_workspace());
 
-/// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
-/// Charged times are identical for every backend: pure functions of the
+/// Instrumented variant; sorts and logs its charges. Result in `keys`.
+/// The charges are identical for every backend: pure functions of the
 /// key sequence (split sweep, the charged LSD run sorts, and per merge
 /// round the measured run-switch segment count). Non-empty `lanes` (kv32)
 /// leave the key lane and the charges bit-identical; the payload lane is
 /// re-derived host-side by stable_payload_mirror (the split/merge data
 /// path is not itself mirrored; `lanes.tmp` is unused).
+void local_merge_sort(ChargeLog& log, std::span<Key> keys, std::span<Key> tmp,
+                      int radix_bits,
+                      KernelBackend be = KernelBackend::kOptimized,
+                      RadixWorkspace& ws = tls_radix_workspace(),
+                      PayloadLanes lanes = {});
+
+/// The same sort charging ctx's clock (its log, replayed).
 void local_merge_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits,
                       KernelBackend be = KernelBackend::kOptimized,

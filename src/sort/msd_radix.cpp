@@ -19,46 +19,6 @@ struct CountSweep {
   bool all_equal = false;   // the whole span is one distinct key
 };
 
-/// Charges of one counting sweep over n keys, shared by both backends:
-/// per-key BUSY updates, the key sweep, the resident byte counters, and
-/// the 256-entry prefix scan that turns counts into bucket starts.
-void charge_count_sweep(sim::ProcContext& ctx, std::uint64_t n) {
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n) * cpu.hist_update_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // key sweep
-  ctx.stream(kMsdBuckets * sizeof(std::uint64_t),
-             kMsdBuckets * sizeof(std::uint64_t));
-  ctx.busy_cycles(static_cast<double>(kMsdBuckets) * cpu.scan_cycles);
-}
-
-/// Charges of one American-flag permutation. Unlike the LSD scatter
-/// (sequential read stream + scattered writes into a toggle pair), the
-/// in-place cycle chase performs a dependent random read *and* a random
-/// write per placement — 2n accesses — but over a single-array footprint,
-/// half of LSD's.
-void charge_flag_permute(sim::ProcContext& ctx, std::uint64_t n,
-                         std::uint64_t runs, std::uint64_t active) {
-  if (n == 0) return;
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n) * cpu.permute_cycles);
-  machine::AccessPattern p;
-  p.accesses = 2 * n;
-  p.elem_bytes = sizeof(Key);
-  p.runs = runs;
-  p.active_regions = std::max<std::uint64_t>(1, active);
-  p.footprint_bytes = n * sizeof(Key);
-  ctx.scattered(p);
-}
-
-/// Charges of the insertion-sort base case: the placement scan plus the
-/// measured shifts, and one sweep through the (cache-resident) span.
-void charge_insertion(sim::ProcContext& ctx, std::uint64_t n,
-                      std::uint64_t shifts) {
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n + shifts) * cpu.compare_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));
-}
-
 /// Reference counting sweep: the plain loop, kept verbatim in the seed
 /// style — one histogram increment, run boundary test, and all-equal
 /// test per key.
@@ -172,23 +132,23 @@ void flag_permute(std::span<Key> a, int byte_k,
   }
 }
 
-/// One recursion node; ctx == nullptr is the uncharged (bench/test) path.
+/// One recursion node; log == nullptr is the uncharged (bench/test) path.
 /// Mirrors detail::msd_record_sort_at exactly, so the charged sort and
 /// the generic template produce identical outputs.
-void msd_sort_node(sim::ProcContext* ctx, KernelBackend be, std::span<Key> a,
+void msd_sort_node(ChargeLog* log, KernelBackend be, std::span<Key> a,
                    int byte_k) {
   const std::size_t n = a.size();
   if (n <= 1) return;
   if (n <= kMsdCutoff) {
     const std::uint64_t shifts = msd_insertion_sort<KeyTraits>(a);
-    if (ctx != nullptr) charge_insertion(*ctx, n, shifts);
+    if (log != nullptr) log->insertion(n, shifts);
     return;
   }
 
   const CountSweep s = be == KernelBackend::kReference
                            ? sweep_reference(a, byte_k)
                            : sweep_optimized(a, byte_k);
-  if (ctx != nullptr) charge_count_sweep(*ctx, n);
+  if (log != nullptr) log->count_sweep(n);
   if (s.all_equal) return;
 
   std::array<std::size_t, kMsdBuckets> start;
@@ -202,12 +162,12 @@ void msd_sort_node(sim::ProcContext* ctx, KernelBackend be, std::span<Key> a,
 
   if (active > 1) {
     flag_permute(a, byte_k, start, s.count);
-    if (ctx != nullptr) charge_flag_permute(*ctx, n, s.runs, active);
+    if (log != nullptr) log->flag_permute(n, s.runs, active);
   }
   if (byte_k == 0) return;
   for (std::size_t b = 0; b < kMsdBuckets; ++b) {
     if (s.count[b] > 1) {
-      msd_sort_node(ctx, be, a.subspan(start[b], s.count[b]), byte_k - 1);
+      msd_sort_node(log, be, a.subspan(start[b], s.count[b]), byte_k - 1);
     }
   }
 }
@@ -218,12 +178,19 @@ void seq_msd_sort(std::span<Key> keys, KernelBackend be, RadixWorkspace&) {
   msd_sort_node(nullptr, be, keys, KeyTraits::n_bytes - 1);
 }
 
-void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
-                    KernelBackend be, RadixWorkspace& ws, PayloadLanes lanes) {
+void local_msd_sort(ChargeLog& log, std::span<Key> keys, KernelBackend be,
+                    RadixWorkspace& ws, PayloadLanes lanes) {
   // Host-side stable pair mirror (uncharged, DESIGN.md §11), derived from
   // the unsorted keys because the key sort reorders equal keys.
   if (!lanes.pays.empty()) stable_payload_mirror(keys, lanes.pays, ws);
-  msd_sort_node(&ctx, be, keys, KeyTraits::n_bytes - 1);
+  msd_sort_node(&log, be, keys, KeyTraits::n_bytes - 1);
+}
+
+void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
+                    KernelBackend be, RadixWorkspace& ws, PayloadLanes lanes) {
+  ChargeLog log;
+  local_msd_sort(log, keys, be, ws, lanes);
+  log.replay(ctx);
 }
 
 }  // namespace dsm::sort

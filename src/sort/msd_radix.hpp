@@ -39,6 +39,7 @@
 #include "common/types.hpp"
 #include "keys/record.hpp"
 #include "sim/proc.hpp"
+#include "sort/charge_log.hpp"
 #include "sort/kernels.hpp"
 
 namespace dsm::sort {
@@ -150,13 +151,19 @@ void seq_msd_sort(std::span<Key> keys,
                   KernelBackend be = KernelBackend::kOptimized,
                   RadixWorkspace& ws = tls_radix_workspace());
 
-/// Instrumented variant; sorts and charges ctx's clock. Result in `keys`.
-/// Charged times are identical for every backend and are a pure function
+/// Instrumented variant; sorts and logs its charges. Result in `keys`.
+/// The charges are identical for every backend and are a pure function
 /// of the key sequence (counting sweeps, measured digit runs, measured
 /// insertion shifts). Non-empty `lanes` (kv32) leave the key lane and the
 /// charges bit-identical; because this key sort reorders equal keys, the
 /// payload lane is re-derived host-side by stable_payload_mirror, so
 /// equal keys keep their incoming payload order (`lanes.tmp` is unused).
+void local_msd_sort(ChargeLog& log, std::span<Key> keys,
+                    KernelBackend be = KernelBackend::kOptimized,
+                    RadixWorkspace& ws = tls_radix_workspace(),
+                    PayloadLanes lanes = {});
+
+/// The same sort charging ctx's clock (its log, replayed).
 void local_msd_sort(sim::ProcContext& ctx, std::span<Key> keys,
                     KernelBackend be = KernelBackend::kOptimized,
                     RadixWorkspace& ws = tls_radix_workspace(),

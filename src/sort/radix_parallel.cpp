@@ -1,10 +1,6 @@
 #include "sort/radix_parallel.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <tuple>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -89,92 +85,7 @@ void for_each_piece(const sas::HomeMap& homes, std::uint64_t gpos,
   }
 }
 
-/// The spec fields that change what record_lsd executes or produces.
-auto record_key(const SortSpec& s) {
-  return std::make_tuple(s.dist, s.n, s.nprocs, s.radix_bits, s.seed,
-                         s.record, s.ablations.detect_max_key,
-                         s.kernel_backend, s.kernel_jobs);
-}
-using RecordKey = decltype(record_key(std::declval<const SortSpec&>()));
-
-/// One record being built or built, and the sorts waiting for it.
-struct RecordSlot {
-  explicit RecordSlot(RecordKey k) : key(std::move(k)) {}
-  const RecordKey key;
-  std::mutex mu;
-  std::condition_variable done_cv;
-  bool done = false;                     // guarded by mu
-  std::shared_ptr<const LsdRecord> rec;  // null after a failed build
-};
-
-/// How often a sort waiting for another caller's build polls its own
-/// cancel token.
-constexpr std::chrono::milliseconds kWaiterCancelPoll{5};
-
-std::mutex g_retained_mu;
-std::shared_ptr<RecordSlot> g_retained;  // the most recently started record
-
-/// Finish `slot`'s build (a null `rec` for a failed one) and wake its
-/// waiters.
-void settle(RecordSlot& slot, std::shared_ptr<const LsdRecord> rec) {
-  {
-    const std::lock_guard<std::mutex> lock(slot.mu);
-    slot.rec = std::move(rec);
-    slot.done = true;
-  }
-  slot.done_cv.notify_all();
-}
-
 }  // namespace
-
-std::shared_ptr<const LsdRecord> shared_lsd_record(
-    const SortSpec& spec, const std::function<LsdRecord()>& build) {
-  const RecordKey key = record_key(spec);
-  for (;;) {
-    std::shared_ptr<RecordSlot> slot;
-    bool builder = false;
-    {
-      const std::lock_guard<std::mutex> lock(g_retained_mu);
-      if (g_retained == nullptr || g_retained->key != key) {
-        g_retained = std::make_shared<RecordSlot>(key);
-        builder = true;
-      }
-      slot = g_retained;
-    }
-    if (builder) {
-      std::shared_ptr<const LsdRecord> rec;
-      try {
-        rec = std::make_shared<const LsdRecord>(build());
-      } catch (...) {
-        {  // unpublish before the waiters wake, so they record afresh
-          const std::lock_guard<std::mutex> lock(g_retained_mu);
-          if (g_retained == slot) g_retained.reset();
-        }
-        settle(*slot, nullptr);
-        throw;
-      }
-      settle(*slot, rec);
-      return rec;
-    }
-    // Wait for the builder, polling our own cancel token: a cancelled
-    // waiter leaves at once instead of after another caller's build.
-    std::unique_lock<std::mutex> lock(slot->mu);
-    while (!slot->done) {
-      if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
-        throw Error(Status::cancelled(
-            "sort cancelled while waiting for its LSD record"));
-      }
-      slot->done_cv.wait_for(lock, kWaiterCancelPoll);
-    }
-    if (slot->rec != nullptr) return slot->rec;
-    // The build failed and was unpublished: start over.
-  }
-}
-
-void clear_retained_lsd_record() {
-  const std::lock_guard<std::mutex> lock(g_retained_mu);
-  g_retained.reset();
-}
 
 HistTable build_hist_table(sim::Blocks<std::uint64_t> hists) {
   const int p = static_cast<int>(hists.size());

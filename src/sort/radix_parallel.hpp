@@ -36,8 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,6 +45,7 @@
 #include "shmem/shmem.hpp"
 #include "sim/proc.hpp"
 #include "sort/kernels.hpp"
+#include "sort/record_share.hpp"
 #include "sort/sort_api.hpp"
 
 namespace dsm::sort {
@@ -160,7 +159,8 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
 /// everything the charge programs read, and the sorted output every model
 /// reports. Immutable once built; any number of sorts may charge it
 /// concurrently.
-struct LsdRecord {
+struct LsdRecord : RecordedOutput {
+  static constexpr RecordKind kKind = RecordKind::kLsd;
   sas::HomeMap homes{0, 1};  // the block partition every model uses
   int passes = 0;
   std::vector<Key> max_of;  // [rank] input maximum; detect_max_key only
@@ -175,38 +175,15 @@ struct LsdRecord {
     std::vector<RankPass> ranks;  // [rank]
   };
   std::vector<Pass> pass;  // [pass]
-
-  std::vector<Key> keys;                // the sorted output
-  std::vector<keys::Payload> payloads;  // its kv32 lane; empty for u32
-  Checksum input;                       // input key multiset
-  std::uint64_t input_pairs = 0;  // pair_fingerprint of the input records
 };
 
 /// Execute the LSD passes `spec` describes (radix bits, detect_max_key,
 /// kernel backend and jobs) over `keys`, the global input in block-
 /// partition order, with `payloads` (empty for u32) riding along. Polls
-/// spec.hooks.cancel between passes. The input checksums are the
-/// caller's to fill.
+/// spec.hooks.cancel between passes. The input checksums and the verdict
+/// are the caller's to fill.
 LsdRecord record_lsd(const SortSpec& spec, std::vector<Key> keys,
                      std::vector<keys::Payload> payloads);
-
-/// The record `spec` asks for, shared between sorts (DESIGN.md §5.3).
-/// Sorts whose specs agree on every field that changes what the host
-/// executes or produces — dist, n, nprocs, radix_bits, seed, record type,
-/// detect_max_key, kernel_backend and kernel_jobs — share one record.
-/// The most recently started record stays retained until the next one
-/// starts; a record some sort still holds is never freed. A caller that
-/// finds its record still being built blocks until it is done, polling
-/// its own spec.hooks.cancel while it waits: a cancelled waiter throws
-/// kCancelled and leaves the build to its owner. A build that throws
-/// (cancellation, a failed allocation) is never shared: its builder gets
-/// the error, and its waiters start over. `build` runs on the calling
-/// thread, at most once per call.
-std::shared_ptr<const LsdRecord> shared_lsd_record(
-    const SortSpec& spec, const std::function<LsdRecord()>& build);
-
-/// Drop the retained record, so the next sort of any spec records afresh.
-void clear_retained_lsd_record();
 
 /// The charge programs. Each reads its settings (radix bits, ablations)
 /// from `spec` and its counts from `rec`, recorded for the same spec; it

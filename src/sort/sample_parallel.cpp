@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -13,79 +15,51 @@
 namespace dsm::sort {
 namespace {
 
+using Splitter = SampleRecord::Splitter;
+
 /// Local-sort dispatch for the skeleton's two sorting phases: the only
 /// point where Algo::kSample / kMsdRadix / kMergesort differ. Every
 /// backend honors the same contracts (sorted result in `keys`, charges a
 /// pure function of the key sequence, a non-empty payload lane sorted
 /// with the keys and charged nothing), so the surrounding phases are
-/// untouched. `tmp` and `pay_tmp` are scratch, grown here and never
-/// zero-filled: every local sort writes its toggle buffers before reading
-/// them.
-void charged_local_sort(sim::ProcContext& ctx, const SortSpec& spec,
-                        std::span<Key> keys, ScratchVector<Key>& tmp_store,
-                        std::span<keys::Payload> pays,
-                        ScratchVector<keys::Payload>& pay_tmp_store,
-                        RadixWorkspace& ws) {
+/// untouched. `tmp_store` and `pay_tmp_store` are scratch, grown here and
+/// never zero-filled: every local sort writes its toggle buffers before
+/// reading them.
+void local_sort(ChargeLog& log, const SortSpec& spec, std::span<Key> keys,
+                ScratchVector<Key>& tmp_store, std::span<keys::Payload> pays,
+                ScratchVector<keys::Payload>& pay_tmp_store,
+                RadixWorkspace& ws) {
   const std::span<Key> tmp = scratch_span(tmp_store, keys.size());
   const PayloadLanes lanes{pays, scratch_span(pay_tmp_store, pays.size())};
   const KernelBackend be = spec.kernel_backend;
   switch (spec.algo) {
     case Algo::kMsdRadix:
-      local_msd_sort(ctx, keys, be, ws, lanes);
+      local_msd_sort(log, keys, be, ws, lanes);
       return;
     case Algo::kMergesort:
-      local_merge_sort(ctx, keys, tmp, spec.radix_bits, be, ws, lanes);
+      local_merge_sort(log, keys, tmp, spec.radix_bits, be, ws, lanes);
       return;
     case Algo::kRadix:
     case Algo::kSample:
-      local_radix_sort(ctx, keys, tmp, spec.radix_bits, be, ws, lanes);
+      local_radix_sort(log, keys, tmp, spec.radix_bits, be, ws, lanes);
       return;
   }
   DSM_REQUIRE(false, "unknown local sort");
 }
 
-/// Rank r's range of a global payload lane (empty for u32).
-std::span<keys::Payload> rank_lane(std::span<keys::Payload> pay,
-                                   const sas::HomeMap& homes, int r) {
-  if (pay.empty()) return {};
-  return pay.subspan(homes.begin_of(r), homes.count_of(r));
-}
-
-/// The kv32 payload step of the redistribution, the same under every model
-/// (DESIGN.md §11). Rank r receives source j's range [bounds_j[r],
-/// bounds_j[r + 1]) of j's sorted partition, in source-rank order; j's
-/// partition starts at homes.begin_of(j) of the global lane. Every lane is
-/// final once the boundaries are published. `bounds` holds p rows of
-/// p + 1. Uncharged. Returns r's received run: empty for u32.
-std::span<keys::Payload> pull_payloads(
-    std::span<const keys::Payload> pay, const sas::HomeMap& homes,
-    const std::uint64_t* bounds, int r,
-    std::vector<std::vector<keys::Payload>>* result) {
-  if (pay.empty()) return {};
-  const int p = homes.nprocs();
-  std::vector<keys::Payload>& out = (*result)[static_cast<std::size_t>(r)];
-  out.clear();
-  for (int j = 0; j < p; ++j) {
-    const std::uint64_t* bj =
-        bounds + static_cast<std::size_t>(j) * static_cast<std::size_t>(p + 1);
-    const auto first = pay.begin() + static_cast<std::ptrdiff_t>(
-                                          homes.begin_of(j) + bj[r]);
-    out.insert(out.end(), first,
-               first + static_cast<std::ptrdiff_t>(bj[r + 1] - bj[r]));
-  }
-  return out;
-}
-
-/// Evenly select `s` samples from a sorted span (repeats allowed when the
-/// span is shorter than s).
-void select_samples(sim::ProcContext& ctx, std::span<const Key> sorted,
-                    std::span<Key> out) {
+/// Evenly select out.size() samples from a sorted span (repeats allowed
+/// when the span is shorter).
+void select_samples(std::span<const Key> sorted, std::span<Key> out) {
   DSM_REQUIRE(!sorted.empty(), "cannot sample an empty partition");
   const std::uint64_t n = sorted.size();
   const std::uint64_t s = out.size();
   for (std::uint64_t i = 0; i < s; ++i) {
     out[i] = sorted[static_cast<std::size_t>((i * n) / s)];
   }
+}
+
+/// Charge of selecting `s` samples: one strided sweep.
+void charge_select_samples(sim::ProcContext& ctx, std::uint64_t s) {
   ctx.busy_cycles(static_cast<double>(s) * ctx.params().cpu.scan_cycles);
   ctx.stream(s * sizeof(Key), s * sizeof(Key));
 }
@@ -102,18 +76,9 @@ void charge_small_sort(sim::ProcContext& ctx, std::size_t n) {
   ctx.stream(n * sizeof(Key), n * sizeof(Key));
 }
 
-/// A splitter carries its value and the rank that contributed the sample
-/// — ties on the value are broken by source rank (the regular-sampling
-/// duplicate-handling of Li et al. [13]), which keeps duplicate-heavy
-/// inputs (the paper's `zero` distribution) load balanced.
-struct Splitter {
-  Key value = 0;
-  int src = 0;
-};
-
 /// Sort the gathered sample set (one equal-size block per contributing
 /// rank) as (value, src) tuples and pick every s-th as a splitter: p - 1
-/// splitters for p blocks. The allgather_reduce/fcollect_reduce reducer.
+/// splitters for p blocks.
 std::vector<Splitter> pick_splitters(sim::Blocks<Key> samples_by_rank) {
   const std::size_t p = samples_by_rank.size();
   const std::size_t s = samples_by_rank[0].size();
@@ -135,13 +100,11 @@ std::vector<Splitter> pick_splitters(sim::Blocks<Key> samples_by_rank) {
 
 /// Partition boundaries of rank `r`'s sorted run by the splitters, with
 /// ties broken by source rank: a key equal to splitter_k stays in the
-/// lower destination iff r < splitter_k.src.
-/// bounds[0]=0, bounds[p]=n.
-void charged_boundaries(sim::ProcContext& ctx, std::span<const Key> sorted,
-                        std::span<const Splitter> splitters,
-                        std::span<std::uint64_t> bounds) {
+/// lower destination iff r < splitter_k.src. bounds[0]=0, bounds[p]=n.
+void cut_at_splitters(std::span<const Key> sorted,
+                      std::span<const Splitter> splitters, int r,
+                      std::span<std::uint64_t> bounds) {
   const std::size_t p = splitters.size() + 1;
-  const int r = ctx.rank();
   DSM_REQUIRE(bounds.size() == p + 1, "bounds must have p+1 entries");
   bounds[0] = 0;
   bounds[p] = sorted.size();
@@ -158,54 +121,186 @@ void charged_boundaries(sim::ProcContext& ctx, std::span<const Key> sorted,
   for (std::size_t k = 1; k <= p; ++k) {
     DSM_CHECK(bounds[k] >= bounds[k - 1], "boundaries must be monotone");
   }
-  if (p > 1 && !sorted.empty()) {
+}
+
+/// Charge of cutting `n_local` sorted keys at the p - 1 splitters: one
+/// binary search per splitter.
+void charge_cut(sim::ProcContext& ctx, std::uint64_t n_local) {
+  const auto p = static_cast<std::size_t>(ctx.nprocs());
+  if (p > 1 && n_local > 0) {
     ctx.busy_cycles(static_cast<double>(p - 1) *
-                    std::log2(static_cast<double>(sorted.size())) *
+                    std::log2(static_cast<double>(n_local)) *
                     ctx.params().cpu.binary_search_cycles);
   }
 }
 
+void poll_cancel(const SortSpec& spec, const char* what, int r) {
+  if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
+    throw Error(Status::cancelled("sort cancelled while recording " +
+                                  std::string(what) + " of rank " +
+                                  std::to_string(r)));
+  }
+}
+
+/// The record must be the one this program's spec and team ask for.
+void check_record(sim::ProcContext& ctx, const SortSpec& spec,
+                  const SampleRecord& rec) {
+  DSM_REQUIRE(rec.nprocs() == ctx.nprocs() &&
+                  rec.sample_count == spec.ablations.sample_count,
+              "sample record was made for another team or sample count");
+}
+
 }  // namespace
 
-void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
-  DSM_REQUIRE(w.keys && w.result && w.samples && w.splitters &&
-                  w.boundaries,
-              "CC-SAS sample world is incomplete");
+std::span<const Key> SampleRecord::samples_of(int r) const {
+  const auto s = static_cast<std::size_t>(sample_count);
+  return std::span<const Key>(samples).subspan(static_cast<std::size_t>(r) * s,
+                                               s);
+}
+
+std::span<const std::uint64_t> SampleRecord::bounds_of(int j) const {
+  const auto row = static_cast<std::size_t>(nprocs() + 1);
+  return std::span<const std::uint64_t>(bounds).subspan(
+      static_cast<std::size_t>(j) * row, row);
+}
+
+std::uint64_t SampleRecord::count(int src, int dst) const {
+  const std::span<const std::uint64_t> b = bounds_of(src);
+  const auto d = static_cast<std::size_t>(dst);
+  return b[d + 1] - b[d];
+}
+
+std::span<const Key> SampleRecord::run(int r) const {
+  const auto rr = static_cast<std::size_t>(r);
+  return std::span<const Key>(keys).subspan(run_begin[rr],
+                                             run_begin[rr + 1] - run_begin[rr]);
+}
+
+SampleRecord record_sample(const SortSpec& spec, std::vector<Key> keys,
+                           std::vector<keys::Payload> payloads) {
+  const int p = spec.nprocs;
+  const auto pp = static_cast<std::size_t>(p);
+  const auto s = static_cast<std::size_t>(spec.ablations.sample_count);
+  const std::size_t n = keys.size();
+  const bool paired = !payloads.empty();
+  DSM_REQUIRE(n == spec.n, "record input must hold n keys");
+  DSM_REQUIRE(s >= 1, "need at least one sample per process");
+  DSM_REQUIRE(!paired || payloads.size() == n,
+              "payload lane must mirror the keys");
+  SampleRecord rec;
+  rec.homes = sas::HomeMap(n, p);
+  const sas::HomeMap& homes = rec.homes;
+  rec.sample_count = static_cast<int>(s);
+  // The range [begin, begin + count) of a payload lane; empty for u32.
+  const auto lane = [](std::vector<keys::Payload>& v, std::uint64_t begin,
+                       std::uint64_t count) {
+    return v.empty() ? std::span<keys::Payload>()
+                     : std::span<keys::Payload>(v).subspan(begin, count);
+  };
+  ScratchVector<Key> tmp;
+  ScratchVector<keys::Payload> pay_tmp;
+  RadixWorkspace ws;  // kernel scratch shared by every local sort
+  ws.jobs = spec.kernel_jobs;
+
+  // Local sort 1 of every rank's block, and its samples.
+  rec.sort1.resize(pp);
+  rec.samples.resize(pp * s);
+  for (int r = 0; r < p; ++r) {
+    poll_cancel(spec, "local sort 1", r);
+    const auto rr = static_cast<std::size_t>(r);
+    const std::span<Key> mine =
+        std::span<Key>(keys).subspan(homes.begin_of(r), homes.count_of(r));
+    local_sort(rec.sort1[rr], spec, mine, tmp,
+               lane(payloads, homes.begin_of(r), homes.count_of(r)), pay_tmp,
+               ws);
+    select_samples(mine, std::span<Key>(rec.samples).subspan(rr * s, s));
+  }
+
+  // The splitters every model's collective hands back, and every rank's
+  // sorted block cut at them.
+  std::vector<std::span<const Key>> blocks;
+  for (int r = 0; r < p; ++r) blocks.push_back(rec.samples_of(r));
+  rec.splitters = pick_splitters(blocks);
+  rec.bounds.resize(pp * (pp + 1));
+  for (int r = 0; r < p; ++r) {
+    cut_at_splitters(
+        std::span<const Key>(keys).subspan(homes.begin_of(r),
+                                           homes.count_of(r)),
+        rec.splitters, r,
+        std::span<std::uint64_t>(rec.bounds)
+            .subspan(static_cast<std::size_t>(r) * (pp + 1), pp + 1));
+  }
+
+  // Every rank's received run, pulled in source-rank order.
+  rec.run_begin.assign(pp + 1, 0);
+  for (int r = 0; r < p; ++r) {
+    std::uint64_t total = 0;
+    for (int j = 0; j < p; ++j) total += rec.count(j, r);
+    rec.run_begin[static_cast<std::size_t>(r) + 1] =
+        rec.run_begin[static_cast<std::size_t>(r)] + total;
+  }
+  std::vector<Key> out(n);
+  std::vector<keys::Payload> pay_out(paired ? n : 0);
+  for (int r = 0; r < p; ++r) {
+    const std::uint64_t begin = rec.run_begin[static_cast<std::size_t>(r)];
+    const std::uint64_t total =
+        rec.run_begin[static_cast<std::size_t>(r) + 1] - begin;
+    std::uint64_t pos = begin;
+    for (int j = 0; j < p; ++j) {
+      const std::uint64_t cnt = rec.count(j, r);
+      if (cnt == 0) continue;
+      const std::uint64_t src =
+          homes.begin_of(j) + rec.bounds_of(j)[static_cast<std::size_t>(r)];
+      exchange_copy(spec.kernel_backend, out.data() + pos, keys.data() + src,
+                    cnt, total * sizeof(Key));
+      if (paired) {
+        std::copy_n(payloads.begin() + static_cast<std::ptrdiff_t>(src), cnt,
+                    pay_out.begin() + static_cast<std::ptrdiff_t>(pos));
+      }
+      pos += cnt;
+    }
+  }
+  // The input is spent: free it before local sort 2.
+  std::vector<Key>().swap(keys);
+  std::vector<keys::Payload>().swap(payloads);
+
+  // Local sort 2 of every received run.
+  rec.sort2.resize(pp);
+  for (int r = 0; r < p; ++r) {
+    poll_cancel(spec, "local sort 2", r);
+    const auto rr = static_cast<std::size_t>(r);
+    const std::uint64_t begin = rec.run_begin[rr];
+    const std::uint64_t count = rec.run_begin[rr + 1] - begin;
+    local_sort(rec.sort2[rr], spec,
+               std::span<Key>(out).subspan(begin, count), tmp,
+               lane(pay_out, begin, count), pay_tmp, ws);
+  }
+  rec.keys = std::move(out);
+  rec.payloads = std::move(pay_out);
+  return rec;
+}
+
+void sample_ccsas(sim::ProcContext& ctx, const CcSasSampleWorld& w) {
+  const SampleRecord& rec = w.rec;
+  check_record(ctx, w.spec, rec);
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const auto rr = static_cast<std::size_t>(r);
-  const auto s = static_cast<std::size_t>(w.spec.ablations.sample_count);
-  DSM_REQUIRE(s >= 1, "need at least one sample per process");
-  DSM_REQUIRE(w.samples->size() == s * static_cast<std::size_t>(p) &&
-                  w.splitters->size() == static_cast<std::size_t>(p - 1) &&
-                  w.boundaries->size() ==
-                      static_cast<std::size_t>(p) *
-                          static_cast<std::size_t>(p + 1),
-              "shared scratch sized incorrectly");
+  const auto s = static_cast<std::size_t>(rec.sample_count);
+  const std::size_t splitters = static_cast<std::size_t>(p - 1);
 
-  DSM_REQUIRE(w.pay.empty() || (w.pay_result != nullptr &&
-                                 w.pay.size() == w.keys->size()),
-              "payload lanes must mirror the key array and the result");
-  const sas::HomeMap& homes = w.keys->homes();
-
-  // Phase 1: local radix sort of my partition.
+  // Phase 1: local sort of my partition.
   ctx.phase("local sort 1");
-  std::span<Key> mine = w.keys->partition(r);
-  ScratchVector<Key> tmp;
-  ScratchVector<keys::Payload> pay_tmp;
-  RadixWorkspace ws;  // kernel scratch shared by both local sort phases
-  ws.jobs = w.spec.kernel_jobs;
-  charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
-                     pay_tmp, ws);
+  rec.sort1[rr].replay(ctx);
 
   // Phase 2: publish my samples (my slot of the shared sample array).
   ctx.phase("sampling");
-  select_samples(ctx, mine, std::span<Key>(*w.samples).subspan(rr * s, s));
+  charge_select_samples(ctx, s);
   sas::ccsas_barrier(ctx);
 
   // Phase 3: group collectors gather/sort, then merge across groups.
-  // Only the charges of the group sorts and the merge are needed: rank 0
-  // picks the splitters once from the rank-ordered sample array.
+  // Only the charges of the group sorts and the merge are needed: the
+  // record picked the splitters once from the rank-ordered samples.
   ctx.phase("splitters");
   const int gsize = std::min(w.spec.ablations.sample_group_size, p);
   const bool collector = r % gsize == 0;
@@ -221,9 +316,9 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
 
   if (collector) {
     // Merge every group's sorted slot (reading remote collectors' slots);
-    // the merge cost is charged here, while the splitter values themselves
-    // are computed from the rank-ordered sample array so ties keep their
-    // contributing rank (duplicate handling).
+    // the merge cost is charged here, while the splitter values come from
+    // the rank-ordered samples so ties keep their contributing rank
+    // (duplicate handling).
     for (int g = 0; g * gsize < p; ++g) {
       if (g * gsize != r && g * gsize < p) {
         const int members = std::min(gsize, p - g * gsize);
@@ -236,69 +331,36 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
                                       ceil_div(static_cast<std::uint64_t>(p),
                                                static_cast<std::uint64_t>(gsize))))) *
                     ctx.params().cpu.compare_cycles);
-    if (r == 0) {
-      std::vector<std::span<const Key>> blocks;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(p); ++j) {
-        blocks.emplace_back(w.samples->data() + j * s, s);
-      }
-      const std::vector<Splitter> splitters = pick_splitters(blocks);
-      for (std::size_t k = 0; k + 1 < static_cast<std::size_t>(p); ++k) {
-        (*w.splitters)[k] = splitters[k].value;
-        (*w.splitter_srcs)[k] = splitters[k].src;
-      }
-      ctx.stream(w.splitters->size() * sizeof(Key),
-                 w.splitters->size() * sizeof(Key));
+    if (r == 0) {  // rank 0 publishes the splitters
+      ctx.stream(splitters * sizeof(Key), splitters * sizeof(Key));
     }
   }
   sas::ccsas_barrier(ctx);
   if (r != 0 && p > 1) {
     ctx.rmem_ns(ctx.cost().block_transfer_ns(
-        r, 0, w.splitters->size() * (sizeof(Key) + sizeof(int))));
-  }
-  std::vector<Splitter> splitters(static_cast<std::size_t>(p - 1));
-  for (std::size_t k = 0; k + 1 < static_cast<std::size_t>(p); ++k) {
-    splitters[k] = Splitter{(*w.splitters)[k], (*w.splitter_srcs)[k]};
+        r, 0, splitters * (sizeof(Key) + sizeof(int))));
   }
 
   // Phase 4a: publish my partition boundaries.
   ctx.phase("partition");
-  std::span<std::uint64_t> my_bounds(
-      w.boundaries->data() + rr * static_cast<std::size_t>(p + 1),
-      static_cast<std::size_t>(p + 1));
-  charged_boundaries(ctx, mine, splitters, my_bounds);
+  charge_cut(ctx, rec.homes.count_of(r));
   sas::ccsas_barrier(ctx);
 
-  // Phase 4b: pull my incoming ranges from every process (remote reads).
+  // Phase 4b: pull my incoming ranges from every process (remote reads of
+  // every boundaries row, then of the ranges).
   ctx.phase("redistribution");
-  std::uint64_t total = 0;
   for (int j = 0; j < p; ++j) {
-    const std::uint64_t* bj =
-        w.boundaries->data() +
-        static_cast<std::size_t>(j) * static_cast<std::size_t>(p + 1);
-    total += bj[r + 1] - bj[r];
     if (j != r) ctx.rmem_ns(ctx.cost().line_rtt_ns(r, j));  // read bj row
   }
-  std::vector<Key>& out = (*w.result)[rr];
-  out.resize(total);
-  const std::span<keys::Payload> pay_out =
-      pull_payloads(w.pay, homes, w.boundaries->data(), r, w.pay_result);
   std::vector<sim::Transfer> reads;
-  std::uint64_t pos = 0;
   for (int j = 0; j < p; ++j) {
-    const std::uint64_t* bj =
-        w.boundaries->data() +
-        static_cast<std::size_t>(j) * static_cast<std::size_t>(p + 1);
-    const std::uint64_t cnt = bj[r + 1] - bj[r];
+    const std::uint64_t cnt = rec.count(j, r);
     if (cnt == 0) continue;
-    const Key* src = w.keys->partition(j).data() + bj[r];
-    exchange_copy(w.spec.kernel_backend, out.data() + pos, src, cnt,
-                  total * sizeof(Key));
     if (j == r) {
       ctx.stream(2 * cnt * sizeof(Key), 2 * cnt * sizeof(Key));
     } else {
       reads.push_back(sim::Transfer{j, r, cnt * sizeof(Key)});
     }
-    pos += cnt;
   }
   // Hardware remote loads: no software overhead per chunk beyond the
   // first-line latency the wire model already includes.
@@ -306,174 +368,112 @@ void sample_ccsas(sim::ProcContext& ctx, CcSasSampleWorld& w) {
 
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
-  charged_local_sort(ctx, w.spec, out, tmp, pay_out, pay_tmp, ws);
+  rec.sort2[rr].replay(ctx);
   ctx.phase("barrier");
   sas::ccsas_barrier(ctx);
 }
 
-void sample_mpi(sim::ProcContext& ctx, MpiSampleWorld& w) {
-  DSM_REQUIRE(w.comm && w.parts && w.result, "MPI sample world is incomplete");
+void sample_mpi(sim::ProcContext& ctx, const MpiSampleWorld& w) {
+  DSM_REQUIRE(w.comm != nullptr, "MPI sample world is incomplete");
+  const SampleRecord& rec = w.rec;
+  check_record(ctx, w.spec, rec);
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const auto rr = static_cast<std::size_t>(r);
-  const auto s = static_cast<std::size_t>(w.spec.ablations.sample_count);
-  DSM_REQUIRE(s >= 1, "need at least one sample per process");
-  DSM_REQUIRE(w.pay.empty() || w.pay_result != nullptr,
-              "payload lanes must mirror parts and result");
-  const sas::HomeMap homes(w.spec.n, p);
+  const auto s = static_cast<std::size_t>(rec.sample_count);
+  const auto recorded = [&rec](auto) { return &rec; };
 
   // Phase 1: local sort.
   ctx.phase("local sort 1");
-  std::vector<Key>& mine = (*w.parts)[rr];
-  ScratchVector<Key> tmp;
-  ScratchVector<keys::Payload> pay_tmp;
-  RadixWorkspace ws;  // kernel scratch shared by both local sort phases
-  ws.jobs = w.spec.kernel_jobs;
-  charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
-                     pay_tmp, ws);
+  rec.sort1[rr].replay(ctx);
 
   // Phases 2+3: allgather samples; every modelled process sorts the full
-  // sample set and picks splitters (charged per rank, computed once).
+  // sample set and picks splitters (charged per rank; the record holds
+  // the result).
   ctx.phase("sampling");
-  std::vector<Key> my_samples(s);
-  select_samples(ctx, mine, my_samples);
+  charge_select_samples(ctx, s);
   ctx.phase("splitters");
-  const auto splitters =
-      w.comm->allgather_reduce<Key, std::vector<Splitter>>(
-          ctx, my_samples, pick_splitters);
+  w.comm->allgather_reduce<Key, const SampleRecord*>(ctx, rec.samples_of(r),
+                                                     recorded);
   charge_small_sort(ctx, s * static_cast<std::size_t>(p));
 
   // Phase 4: boundaries, allgathered so everyone can size windows and
   // compute send offsets.
   ctx.phase("partition");
-  std::vector<std::uint64_t> my_bounds(static_cast<std::size_t>(p + 1));
-  charged_boundaries(ctx, mine, *splitters, my_bounds);
-  std::vector<std::uint64_t> all_bounds(static_cast<std::size_t>(p) *
-                                        static_cast<std::size_t>(p + 1));
-  w.comm->allgather<std::uint64_t>(ctx, my_bounds, all_bounds);
-
-  auto cnt_from_to = [&](int src, int dst) {
-    const std::uint64_t* bs =
-        all_bounds.data() +
-        static_cast<std::size_t>(src) * static_cast<std::size_t>(p + 1);
-    return bs[dst + 1] - bs[dst];
-  };
-  std::uint64_t total = 0;
-  for (int j = 0; j < p; ++j) total += cnt_from_to(j, r);
-  std::vector<Key>& out = (*w.result)[rr];
-  out.resize(total);
-  const std::span<keys::Payload> pay_out =
-      pull_payloads(w.pay, homes, all_bounds.data(), r, w.pay_result);
+  charge_cut(ctx, rec.homes.count_of(r));
+  w.comm->allgather_reduce<std::uint64_t, const SampleRecord*>(
+      ctx, rec.bounds_of(r), recorded);
 
   // One contiguous message per destination (the sample-sort property the
   // paper highlights).
   ctx.phase("redistribution");
   std::vector<msg::Communicator::Send> sends;
   for (int dst = 0; dst < p; ++dst) {
-    const std::uint64_t cnt = cnt_from_to(r, dst);
+    const std::uint64_t cnt = rec.count(r, dst);
     if (cnt == 0) continue;
-    const Key* src = mine.data() + my_bounds[static_cast<std::size_t>(dst)];
-    std::uint64_t dst_off = 0;
-    for (int j = 0; j < r; ++j) dst_off += cnt_from_to(j, dst);
     if (dst == r) {
-      exchange_copy(w.spec.kernel_backend, out.data() + dst_off, src, cnt,
-                    total * sizeof(Key));
       ctx.stream(2 * cnt * sizeof(Key), 2 * cnt * sizeof(Key));
       continue;
     }
-    sends.push_back(msg::Communicator::Send{
-        dst, dst_off * sizeof(Key), reinterpret_cast<const std::byte*>(src),
-        cnt * sizeof(Key)});
+    sends.push_back(
+        msg::Communicator::Send{dst, 0, nullptr, cnt * sizeof(Key)});
   }
   ctx.busy_cycles(static_cast<double>(p) * ctx.params().cpu.scan_cycles);
-  w.comm->exchange(ctx, sends, std::as_writable_bytes(std::span<Key>(out)));
+  w.comm->charge_exchange(ctx, sends);
 
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
-  charged_local_sort(ctx, w.spec, out, tmp, pay_out, pay_tmp, ws);
+  rec.sort2[rr].replay(ctx);
   ctx.phase("barrier");
   w.comm->barrier(ctx);
 }
 
-void sample_shmem(sim::ProcContext& ctx, ShmemSampleWorld& w) {
-  DSM_REQUIRE(w.sh && w.result, "SHMEM sample world is incomplete");
+void sample_shmem(sim::ProcContext& ctx, const ShmemSampleWorld& w) {
+  DSM_REQUIRE(w.sh != nullptr, "SHMEM sample world is incomplete");
+  const SampleRecord& rec = w.rec;
+  check_record(ctx, w.spec, rec);
   const int p = ctx.nprocs();
   const int r = ctx.rank();
   const auto rr = static_cast<std::size_t>(r);
-  const auto s = static_cast<std::size_t>(w.spec.ablations.sample_count);
-  DSM_REQUIRE(s >= 1, "need at least one sample per process");
-  DSM_REQUIRE(w.pay.empty() || w.pay_result != nullptr,
-              "payload lanes must mirror the partitions and the result");
-  const sas::HomeMap homes(w.spec.n, p);
-  const Index n_local = homes.count_of(r);
-  DSM_REQUIRE(n_local <= w.part_capacity, "partition exceeds capacity");
-  shmem::SymmetricHeap& heap = w.sh->heap();
+  const auto s = static_cast<std::size_t>(rec.sample_count);
+  const auto recorded = [&rec](auto) { return &rec; };
 
   // Phase 1: local sort (in the symmetric segment, so phase 4 can get()).
   ctx.phase("local sort 1");
-  std::span<Key> mine(heap.at<Key>(r, w.off_keys), n_local);
-  ScratchVector<Key> tmp;
-  ScratchVector<keys::Payload> pay_tmp;
-  RadixWorkspace ws;  // kernel scratch shared by both local sort phases
-  ws.jobs = w.spec.kernel_jobs;
-  charged_local_sort(ctx, w.spec, mine, tmp, rank_lane(w.pay, homes, r),
-                     pay_tmp, ws);
+  rec.sort1[rr].replay(ctx);
 
   // Phases 2+3: fcollect samples; every modelled PE sorts them and picks
-  // splitters (charged per PE, computed once).
+  // splitters (charged per PE; the record holds the result).
   ctx.phase("sampling");
-  std::vector<Key> my_samples(s);
-  select_samples(ctx, mine, my_samples);
+  charge_select_samples(ctx, s);
   ctx.phase("splitters");
-  const auto splitters = w.sh->fcollect_reduce<Key, std::vector<Splitter>>(
-      ctx, my_samples, pick_splitters);
+  w.sh->fcollect_reduce<Key, const SampleRecord*>(ctx, rec.samples_of(r),
+                                                  recorded);
   charge_small_sort(ctx, s * static_cast<std::size_t>(p));
 
   // Phase 4: boundaries; fcollect them; pull my ranges with get().
   ctx.phase("partition");
-  std::vector<std::uint64_t> my_bounds(static_cast<std::size_t>(p + 1));
-  charged_boundaries(ctx, mine, *splitters, my_bounds);
-  std::vector<std::uint64_t> all_bounds(static_cast<std::size_t>(p) *
-                                        static_cast<std::size_t>(p + 1));
-  w.sh->fcollect<std::uint64_t>(ctx, my_bounds, all_bounds);
-
-  auto bounds_of = [&](int src) {
-    return all_bounds.data() +
-           static_cast<std::size_t>(src) * static_cast<std::size_t>(p + 1);
-  };
-  std::uint64_t total = 0;
-  for (int j = 0; j < p; ++j) {
-    total += bounds_of(j)[r + 1] - bounds_of(j)[r];
-  }
-  std::vector<Key>& out = (*w.result)[rr];
-  out.resize(total);
-  const std::span<keys::Payload> pay_out =
-      pull_payloads(w.pay, homes, all_bounds.data(), r, w.pay_result);
+  charge_cut(ctx, rec.homes.count_of(r));
+  w.sh->fcollect_reduce<std::uint64_t, const SampleRecord*>(
+      ctx, rec.bounds_of(r), recorded);
 
   ctx.phase("redistribution");
   std::vector<shmem::GetOp> gets;
-  std::uint64_t pos = 0;
   for (int j = 0; j < p; ++j) {
-    const std::uint64_t* bj = bounds_of(j);
-    const std::uint64_t cnt = bj[r + 1] - bj[r];
+    const std::uint64_t cnt = rec.count(j, r);
     if (cnt == 0) continue;
     if (j == r) {
-      exchange_copy(w.spec.kernel_backend, out.data() + pos,
-                    mine.data() + bj[r], cnt, total * sizeof(Key));
       ctx.stream(2 * cnt * sizeof(Key), 2 * cnt * sizeof(Key));
     } else {
-      gets.push_back(shmem::GetOp{
-          reinterpret_cast<std::byte*>(out.data() + pos), j,
-          w.off_keys + bj[r] * sizeof(Key), cnt * sizeof(Key)});
+      gets.push_back(shmem::GetOp{nullptr, j, 0, cnt * sizeof(Key)});
     }
-    pos += cnt;
   }
   ctx.busy_cycles(static_cast<double>(p) * ctx.params().cpu.scan_cycles);
-  w.sh->get_phase(ctx, gets);
+  w.sh->charge_get_phase(ctx, gets);
 
   // Phase 5: local sort of the received run.
   ctx.phase("local sort 2");
-  charged_local_sort(ctx, w.spec, out, tmp, pay_out, pay_tmp, ws);
+  rec.sort2[rr].replay(ctx);
   ctx.phase("barrier");
   w.sh->barrier_all(ctx);
 }

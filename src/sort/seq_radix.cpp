@@ -49,33 +49,7 @@ int radix_passes_for_max(int radix_bits, Key max_key) {
                static_cast<std::uint64_t>(radix_bits)));
 }
 
-void charge_histogram_pass(sim::ProcContext& ctx, std::uint64_t n,
-                           std::size_t buckets) {
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n) * cpu.hist_update_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // key sweep
-  ctx.stream(buckets * sizeof(std::uint64_t),
-             buckets * sizeof(std::uint64_t));
-}
-
-void charge_permute_pass(sim::ProcContext& ctx, std::uint64_t n,
-                         std::uint64_t runs, std::uint64_t active,
-                         std::uint64_t out_size) {
-  if (n == 0) return;
-  const auto& cpu = ctx.params().cpu;
-  ctx.busy_cycles(static_cast<double>(n) * cpu.permute_cycles);
-  ctx.stream(n * sizeof(Key), n * sizeof(Key));  // read the source keys
-  machine::AccessPattern p;
-  p.accesses = n;
-  p.elem_bytes = sizeof(Key);
-  p.runs = runs;
-  p.active_regions = std::max<std::uint64_t>(1, active);
-  // Both toggle arrays compete for the cache during a pass.
-  p.footprint_bytes = 2 * out_size * sizeof(Key);
-  ctx.scattered(p);
-}
-
-void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
+void radix_sort_impl(ChargeLog* log, std::span<Key> keys,
                      std::span<Key> tmp, PayloadLanes lanes, int radix_bits,
                      KernelBackend be, RadixWorkspace& ws) {
   DSM_REQUIRE(tmp.size() >= keys.size(), "tmp must be at least as large");
@@ -100,7 +74,7 @@ void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
     if (paired) mirror = snapshot_cursor(ws, cursor);
     const std::uint64_t runs =
         permute_kernel(be, src, dst, pass, radix_bits, cursor, active, ws);
-    if (ctx != nullptr) charge_permute_pass(*ctx, n, runs, active, n);
+    if (log != nullptr) log->permute_pass(n, runs, active, n);
     if (paired) {
       payload_mirror_scatter(src, in_keys ? lanes.pays : pay_tmp,
                              in_keys ? pay_tmp : lanes.pays, pass, radix_bits,
@@ -116,7 +90,7 @@ void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
     for (int pass = 0; pass < passes; ++pass) {
       const std::uint64_t active = histogram_kernel(
           be, in_keys ? keys : key_tmp, pass, radix_bits, hist, ws);
-      if (ctx != nullptr) charge_histogram_pass(*ctx, n, buckets);
+      if (log != nullptr) log->histogram_pass(n, buckets);
       // Exclusive prefix -> running write cursors.
       std::uint64_t acc = 0;
       for (std::size_t b = 0; b < buckets; ++b) {
@@ -124,10 +98,7 @@ void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
         hist[b] = acc;
         acc += c;
       }
-      if (ctx != nullptr) {
-        ctx->busy_cycles(static_cast<double>(buckets) *
-                         ctx->params().cpu.scan_cycles);
-      }
+      if (log != nullptr) log->scan(buckets);
       permute(pass, hist, active);
     }
   } else {
@@ -145,19 +116,16 @@ void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
       const std::span<const std::uint64_t> hist_p = pass_hist.subspan(
           static_cast<std::size_t>(pass) * buckets, buckets);
       const std::uint64_t active = exclusive_prefix_active(hist_p, cursor);
-      if (ctx != nullptr) {
-        charge_histogram_pass(*ctx, n, buckets);
-        ctx->busy_cycles(static_cast<double>(buckets) *
-                         ctx->params().cpu.scan_cycles);
+      if (log != nullptr) {
+        log->histogram_pass(n, buckets);
+        log->scan(buckets);
       }
       if (active <= 1) {
         // Dead pass: the identity permutation (its one bucket's exclusive
         // prefix is 0). Charge exactly what the reference measures for it
         // (one run, one active bucket) and move no data — the buffer
         // toggle is logical only.
-        if (ctx != nullptr) {
-          charge_permute_pass(*ctx, n, n > 0 ? 1 : 0, active, n);
-        }
+        if (log != nullptr) log->permute_pass(n, n > 0 ? 1 : 0, active, n);
         continue;
       }
       permute(pass, cursor, active);
@@ -165,9 +133,7 @@ void radix_sort_impl(sim::ProcContext* ctx, std::span<Key> keys,
   }
   // The reference copies back (and charges the copy) iff the total pass
   // count is odd; physically we copy iff the data ended up in tmp.
-  if (ctx != nullptr && passes % 2 != 0) {
-    ctx->stream(2 * n * sizeof(Key), 2 * n * sizeof(Key));
-  }
+  if (log != nullptr && passes % 2 != 0) log->copy_back(n);
   if (!in_keys) {
     std::copy_n(key_tmp.data(), n, keys.data());
     if (paired) std::copy_n(pay_tmp.data(), n, lanes.pays.data());
@@ -180,10 +146,18 @@ void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
   radix_sort_impl(nullptr, keys, tmp, lanes, radix_bits, be, ws);
 }
 
+void local_radix_sort(ChargeLog& log, std::span<Key> keys, std::span<Key> tmp,
+                      int radix_bits, KernelBackend be, RadixWorkspace& ws,
+                      PayloadLanes lanes) {
+  radix_sort_impl(&log, keys, tmp, lanes, radix_bits, be, ws);
+}
+
 void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
                       std::span<Key> tmp, int radix_bits, KernelBackend be,
                       RadixWorkspace& ws, PayloadLanes lanes) {
-  radix_sort_impl(&ctx, keys, tmp, lanes, radix_bits, be, ws);
+  ChargeLog log;
+  local_radix_sort(log, keys, tmp, radix_bits, be, ws, lanes);
+  log.replay(ctx);
 }
 
 }  // namespace dsm::sort

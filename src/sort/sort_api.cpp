@@ -46,11 +46,11 @@ void arm_team(const SortSpec& spec, sim::SimTeam& team) {
 }
 
 /// A sort's generated input (host-side, uncharged — the paper times
-/// sorting, not initialisation): the key multiset checksum and, for a
-/// payload-carrying record, the payload lane (DESIGN.md §11). Every model
-/// indexes the lane by global position, so rank r's range is
-/// [homes.begin_of(r), homes.end_of(r)). `pays` holds each key's global
-/// input index, the canonical payload: ascending payloads within every
+/// sorting, not initialisation), written into the n-key global array in
+/// block-partition order: the key multiset checksum and, for a
+/// payload-carrying record, the payload lane (DESIGN.md §11), indexed by
+/// global position like the keys. `pays` holds each key's global input
+/// index, the canonical payload: ascending payloads within every
 /// equal-key run of the output prove stability. Empty for u32.
 struct Input {
   Checksum keys;
@@ -58,49 +58,19 @@ struct Input {
   std::vector<keys::Payload> pays;
 };
 
-Input fill_input(const SortSpec& spec, const sas::HomeMap& homes,
-                 const std::function<std::span<Key>(int)>& part) {
+Input fill_input(const SortSpec& spec, std::span<Key> global) {
+  const sas::HomeMap homes(spec.n, spec.nprocs);
   Input in;
-  in.keys = generate_partitions_cached(spec.dist, spec.n, spec.nprocs,
-                                       spec.radix_bits, spec.seed, homes, part);
+  in.keys = generate_partitions_cached(
+      spec.dist, spec.n, spec.nprocs, spec.radix_bits, spec.seed, homes,
+      [&](int r) {
+        return global.subspan(homes.begin_of(r), homes.count_of(r));
+      });
   if (!keys::record_info(spec.record).has_payload) return in;
   in.pays.resize(spec.n);
   std::iota(in.pays.begin(), in.pays.end(), keys::Payload{0});
-  for (int r = 0; r < spec.nprocs; ++r) {
-    in.pairs += pair_fingerprint(
-        part(r), std::span<const keys::Payload>(in.pays)
-                     .subspan(homes.begin_of(r), homes.count_of(r)));
-  }
+  in.pairs = pair_fingerprint(global, in.pays);
   return in;
-}
-
-/// The "keygen" checkpoint, then the input.
-Input generate_input(const SortSpec& spec, const sas::HomeMap& homes,
-                     const std::function<std::span<Key>(int)>& part) {
-  checkpoint(spec, "keygen", 0.0);
-  return fill_input(spec, homes, part);
-}
-
-using PayloadRuns = std::vector<std::span<const keys::Payload>>;
-
-/// A global payload lane cut into the output's runs (none for u32).
-PayloadRuns lane_runs(std::span<const keys::Payload> lane,
-                      const std::vector<std::span<const Key>>& runs) {
-  PayloadRuns out;
-  if (lane.empty()) return out;
-  std::size_t pos = 0;
-  for (const auto& run : runs) {
-    out.push_back(lane.subspan(pos, run.size()));
-    pos += run.size();
-  }
-  return out;
-}
-
-/// The sample sorts' per-rank payload result lanes as runs (none for u32).
-PayloadRuns rank_runs(const Input& in,
-                      const std::vector<std::vector<keys::Payload>>& lanes) {
-  if (in.pays.empty()) return {};
-  return PayloadRuns(lanes.begin(), lanes.end());
 }
 
 /// Publish the run's event trace when the spec asks for one. The write is
@@ -115,13 +85,50 @@ void write_trace(const SortSpec& spec, const sim::SimTeam& team) {
   }
 }
 
-/// Verify the output against the input checksums, fill the result and
-/// publish the trace. `pay_runs` aligns with `runs` for a payload-carrying
-/// record and is empty for u32.
+/// The verdict on a record's output, checked against its input
+/// checksums: key order and key multiset, plus for a payload-carrying
+/// record the exact (key, payload) multiset and stability. Every
+/// algorithm here is stable (LSD radix by construction; the sample-sort
+/// skeleton — and the MSD and mergesort backends riding on it — because
+/// the splitter tie-break routes equal keys by source rank, partitions
+/// ascend by rank, and every local payload mirror is a stable record
+/// sort). One sweep over the output also computes its order hash.
+RunsVerdict verdict_of(const RecordedOutput& rec) {
+  const std::span<const Key> keys[] = {rec.keys};
+  if (rec.payloads.empty()) return verify_and_hash_runs(rec.input, keys);
+  const std::span<const keys::Payload> pays[] = {rec.payloads};
+  return verify_sorted_runs_paired(rec.input, rec.input_pairs, keys, pays,
+                                   /*require_stable=*/true);
+}
+
+/// The record `spec` asks for (DESIGN.md §5.3), shared with the sorts of
+/// the same input that find it retained. Every caller passes the "keygen"
+/// checkpoint; only the one that records generates the input, executes
+/// the sort (`execute`: record_lsd or record_sample) and verifies the
+/// output, once for every sort that shares the record.
+template <typename Rec>
+std::shared_ptr<const Rec> record_for(
+    const SortSpec& spec,
+    Rec (*execute)(const SortSpec&, std::vector<Key>,
+                   std::vector<keys::Payload>)) {
+  checkpoint(spec, "keygen", 0.0);
+  return shared_record<Rec>(spec, [&spec, execute] {
+    std::vector<Key> keys(spec.n);
+    Input in = fill_input(spec, keys);
+    Rec rec = execute(spec, std::move(keys), std::move(in.pays));
+    rec.input = in.keys;
+    rec.input_pairs = in.pairs;
+    rec.verdict = verdict_of(rec);
+    return rec;
+  });
+}
+
+/// Fill the result from the team and the record, check the record's
+/// verdict and publish the trace. The concatenation of the sort's runs,
+/// `run_sizes` long each, is the record's output.
 SortResult finish(const SortSpec& spec, sim::SimTeam& team,
-                  const Checksum& input, std::uint64_t input_pairs,
-                  int passes, const std::vector<std::span<const Key>>& runs,
-                  const PayloadRuns& pay_runs) {
+                  const RecordedOutput& rec, int passes,
+                  std::vector<Index> run_sizes) {
   checkpoint(spec, "verify", team.elapsed_ns());
   SortResult res;
   res.n = spec.n;
@@ -133,65 +140,17 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
     res.per_proc.push_back(team.breakdown_of(r));
   }
   res.phases = team.mean_phase_report();
-  res.run_sizes.reserve(runs.size());
-  for (const auto& run : runs) res.run_sizes.push_back(run.size());
+  res.run_sizes = std::move(run_sizes);
   if (spec.keep_output) {
-    res.output.reserve(spec.n);
-    for (const auto& run : runs) {
-      res.output.insert(res.output.end(), run.begin(), run.end());
-    }
-    if (!pay_runs.empty()) {
-      res.payload_output.reserve(spec.n);
-      for (const auto& run : pay_runs) {
-        res.payload_output.insert(res.payload_output.end(), run.begin(),
-                                  run.end());
-      }
-    }
+    res.output = rec.keys;
+    res.payload_output = rec.payloads;
   }
-  // One sweep over the output verifies it and computes its order hash.
-  const std::span<const std::span<const Key>> key_runs(runs);
-  RunsVerdict verdict;
-  if (!spec.verify) {
-    verdict = RunsVerdict{true, run_order_hash(key_runs)};
-  } else if (!pay_runs.empty()) {
-    // Paired verification: key order, exact (key, payload) multiset
-    // preservation, and stability — every algorithm here is stable (LSD
-    // radix by construction; the sample-sort skeleton — and the MSD and
-    // mergesort backends riding on it — because the splitter tie-break
-    // routes equal keys by source rank, partitions ascend by rank, and
-    // every local payload mirror is a stable record sort).
-    verdict = verify_sorted_runs_paired(
-        input, input_pairs, key_runs,
-        std::span<const std::span<const keys::Payload>>(pay_runs),
-        /*require_stable=*/true);
-  } else {
-    verdict = verify_and_hash_runs(input, key_runs);
-  }
-  res.verified = verdict.ok;
+  res.verified = !spec.verify || rec.verdict.ok;
   DSM_CHECK(res.verified, "sort produced an incorrect result");
-  res.input_checksum = input;
-  res.run_hash = verdict.order_hash;
+  res.input_checksum = rec.input;
+  res.run_hash = rec.verdict.order_hash;
   write_trace(spec, team);
   return res;
-}
-
-/// The radix sorts' recorded LSD execution (DESIGN.md §5.3), shared with
-/// the sorts of the same input that find it retained. Every caller passes
-/// the "keygen" checkpoint; only the one that records generates the input.
-std::shared_ptr<const LsdRecord> radix_record(const SortSpec& spec) {
-  checkpoint(spec, "keygen", 0.0);
-  return shared_lsd_record(spec, [&spec] {
-    const sas::HomeMap homes(spec.n, spec.nprocs);
-    std::vector<Key> keys(spec.n);
-    Input in = fill_input(spec, homes, [&](int r) {
-      return std::span<Key>(keys).subspan(homes.begin_of(r),
-                                          homes.count_of(r));
-    });
-    LsdRecord rec = record_lsd(spec, std::move(keys), std::move(in.pays));
-    rec.input = in.keys;
-    rec.input_pairs = in.pairs;
-    return rec;
-  });
 }
 
 /// Radix sort under any model: one shared record, then the model's charge
@@ -199,7 +158,8 @@ std::shared_ptr<const LsdRecord> radix_record(const SortSpec& spec) {
 SortResult run_radix(const SortSpec& spec, const machine::MachineParams& mp) {
   sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
-  const std::shared_ptr<const LsdRecord> rec = radix_record(spec);
+  const std::shared_ptr<const LsdRecord> rec =
+      record_for<LsdRecord>(spec, record_lsd);
   switch (spec.model) {
     case Model::kCcSas:
     case Model::kCcSasNew: {
@@ -224,122 +184,60 @@ SortResult run_radix(const SortSpec& spec, const machine::MachineParams& mp) {
   }
   // CC-SAS sorts one shared array: one run. MPI and SHMEM sort private
   // partitions: one run per rank.
-  const std::span<const Key> out(rec->keys);
-  std::vector<std::span<const Key>> runs;
+  std::vector<Index> run_sizes;
   if (spec.model == Model::kCcSas || spec.model == Model::kCcSasNew) {
-    runs.push_back(out);
+    run_sizes.push_back(spec.n);
   } else {
     for (int r = 0; r < spec.nprocs; ++r) {
-      runs.push_back(out.subspan(rec->homes.begin_of(r),
-                                 rec->homes.count_of(r)));
+      run_sizes.push_back(rec->homes.count_of(r));
     }
   }
-  return finish(spec, team, rec->input, rec->input_pairs, rec->passes, runs,
-                lane_runs(rec->payloads, runs));
+  return finish(spec, team, *rec, rec->passes, std::move(run_sizes));
 }
 
-SortResult run_sample_ccsas(const SortSpec& spec,
-                            const machine::MachineParams& mp) {
+/// kSample, kMsdRadix and kMergesort all run the sample-sort skeleton,
+/// which picks the local-sort kernel from spec.algo: one shared record,
+/// then the model's charge program on a fresh team. Every model reports
+/// one run per rank.
+SortResult run_sample(const SortSpec& spec, const machine::MachineParams& mp) {
   sim::SimTeam team(spec.nprocs, mp, spec.engine);
   arm_team(spec, team);
-  sas::SharedArray<Key> keys(spec.n, spec.nprocs);
-  Input in = generate_input(spec, keys.homes(),
-                            [&](int r) { return keys.partition(r); });
-
-  const auto p = static_cast<std::size_t>(spec.nprocs);
-  const auto s = static_cast<std::size_t>(spec.ablations.sample_count);
-  std::vector<std::vector<Key>> result(p);
-  std::vector<std::vector<keys::Payload>> pay_result(p);
-  std::vector<Key> samples(s * p);
-  std::vector<Key> splitters(p - 1);
-  std::vector<int> splitter_srcs(p - 1);
-  std::vector<std::uint64_t> boundaries(p * (p + 1));
-
-  CcSasSampleWorld w{.spec = spec,
-                     .keys = &keys,
-                     .result = &result,
-                     .pay = in.pays,
-                     .pay_result = &pay_result,
-                     .samples = &samples,
-                     .splitters = &splitters,
-                     .splitter_srcs = &splitter_srcs,
-                     .boundaries = &boundaries};
-  team.run([&](sim::ProcContext& ctx) { sample_ccsas(ctx, w); });
-
-  std::vector<std::span<const Key>> runs(result.begin(), result.end());
-  return finish(spec, team, in.keys, in.pairs, radix_passes(spec.radix_bits),
-                runs,
-                rank_runs(in, pay_result));
-}
-
-SortResult run_sample_mpi(const SortSpec& spec,
-                          const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, spec.engine);
-  arm_team(spec, team);
-  msg::Communicator comm(team, spec.ablations.mpi_impl);
-  const sas::HomeMap homes(spec.n, spec.nprocs);
-  const auto p = static_cast<std::size_t>(spec.nprocs);
-  std::vector<std::vector<Key>> parts(p), result(p);
-  for (int r = 0; r < spec.nprocs; ++r) {
-    parts[static_cast<std::size_t>(r)].resize(homes.count_of(r));
+  const std::shared_ptr<const SampleRecord> rec =
+      record_for<SampleRecord>(spec, record_sample);
+  switch (spec.model) {
+    case Model::kCcSas: {
+      const CcSasSampleWorld w{.spec = spec, .rec = *rec};
+      team.run([&](sim::ProcContext& ctx) { sample_ccsas(ctx, w); });
+      break;
+    }
+    case Model::kCcSasNew:  // rejected by validate_status()
+      throw Error("CC-SAS-NEW is a radix-sort restructuring only");
+    case Model::kMpi: {
+      msg::Communicator comm(team, spec.ablations.mpi_impl);
+      const MpiSampleWorld w{.spec = spec, .rec = *rec, .comm = &comm};
+      team.run([&](sim::ProcContext& ctx) { sample_mpi(ctx, w); });
+      break;
+    }
+    case Model::kShmem: {
+      shmem::SymmetricHeap heap(spec.nprocs, 64);  // the program stores nothing
+      shmem::Shmem sh(team, heap);
+      const ShmemSampleWorld w{.spec = spec, .rec = *rec, .sh = &sh};
+      team.run([&](sim::ProcContext& ctx) { sample_shmem(ctx, w); });
+      break;
+    }
   }
-  Input in = generate_input(spec, homes, [&](int r) {
-    return std::span<Key>(parts[static_cast<std::size_t>(r)]);
-  });
-
-  std::vector<std::vector<keys::Payload>> pay_result(p);
-  MpiSampleWorld w{.spec = spec, .comm = &comm, .parts = &parts,
-                   .result = &result, .pay = in.pays,
-                   .pay_result = &pay_result};
-  team.run([&](sim::ProcContext& ctx) { sample_mpi(ctx, w); });
-
-  std::vector<std::span<const Key>> runs(result.begin(), result.end());
-  return finish(spec, team, in.keys, in.pairs, radix_passes(spec.radix_bits),
-                runs,
-                rank_runs(in, pay_result));
-}
-
-SortResult run_sample_shmem(const SortSpec& spec,
-                            const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, spec.engine);
-  arm_team(spec, team);
-  const sas::HomeMap homes(spec.n, spec.nprocs);
-  const Index cap = homes.count_of(0);
-  const std::uint64_t seg = cap * sizeof(Key) + 4096;
-  shmem::SymmetricHeap heap(spec.nprocs, seg);
-  shmem::Shmem sh(team, heap);
-  const auto p = static_cast<std::size_t>(spec.nprocs);
-  const std::uint64_t off_keys = heap.alloc<Key>(cap);
-  Input in = generate_input(spec, homes, [&](int r) {
-    return std::span<Key>(heap.at<Key>(r, off_keys), homes.count_of(r));
-  });
-
-  std::vector<std::vector<Key>> result(p);
-  std::vector<std::vector<keys::Payload>> pay_result(p);
-  ShmemSampleWorld w{.spec = spec, .sh = &sh, .off_keys = off_keys,
-                     .part_capacity = cap, .result = &result,
-                     .pay = in.pays,
-                     .pay_result = &pay_result};
-  team.run([&](sim::ProcContext& ctx) { sample_shmem(ctx, w); });
-
-  std::vector<std::span<const Key>> runs(result.begin(), result.end());
-  return finish(spec, team, in.keys, in.pairs, radix_passes(spec.radix_bits),
-                runs,
-                rank_runs(in, pay_result));
+  std::vector<Index> run_sizes;
+  for (int r = 0; r < spec.nprocs; ++r) {
+    run_sizes.push_back(rec->run(r).size());
+  }
+  return finish(spec, team, *rec, radix_passes(spec.radix_bits),
+                std::move(run_sizes));
 }
 
 SortResult run_sort_impl(const SortSpec& spec,
                          const machine::MachineParams& mp) {
-  if (spec.algo == Algo::kRadix) return run_radix(spec, mp);
-  // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton,
-  // which picks the local-sort kernel from spec.algo.
-  switch (spec.model) {
-    case Model::kCcSas: return run_sample_ccsas(spec, mp);
-    case Model::kCcSasNew: break;  // rejected by validate_status()
-    case Model::kMpi: return run_sample_mpi(spec, mp);
-    case Model::kShmem: return run_sample_shmem(spec, mp);
-  }
-  throw Error("unhandled spec");
+  return spec.algo == Algo::kRadix ? run_radix(spec, mp)
+                                   : run_sample(spec, mp);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Unified driver for every {algorithm x programming model} combination in
 // the paper: generates the requested key distribution, runs the
 // collective sort on a SimTeam, verifies the result, and returns
-// virtual-time breakdowns. The sample-sort skeleton sets up the
-// model-appropriate storage (shared arrays for CC-SAS, private partitions
-// for MPI, a symmetric heap for SHMEM); radix sort executes its passes
-// once in a shared record and runs the model's charge program over it
-// (DESIGN.md §5.3).
+// virtual-time breakdowns. Radix sort and the sample-sort skeleton each
+// execute once in a shared record (its output verified once) and run the
+// model's charge program over it (DESIGN.md §5.3).
 //
 // This is the library's main public entry point; examples and the bench
 // harnesses drive everything through SortSpec. One call shape:
@@ -135,12 +133,12 @@ struct SortSpec {
   std::optional<machine::MachineParams> machine;
 
   // Host settings. These three fields decide how the host runs the
-  // sort, with one piece of process-global state: the retained LSD
-  // record (sort::shared_lsd_record, DESIGN.md §5.3) decides whether a
-  // radix sort executes its passes or charges a record another sort of
-  // the same input made; sort::clear_retained_lsd_record() drops it.
-  // None of them changes the sorted output, a virtual time or replay
-  // JSON (DESIGN.md §9).
+  // sort, with one piece of process-global state: the retained records
+  // (sort::shared_record, DESIGN.md §5.3) decide whether a sort executes
+  // or charges a record another sort of the same input made;
+  // sort::release_retained_records() drops one input's and
+  // sort::clear_retained_records() all of them. None of them changes the
+  // sorted output, a virtual time or replay JSON (DESIGN.md §9).
 
   /// Host execution engine for the simulated ranks: cooperative fibers on
   /// the calling thread, or one OS thread per rank.

@@ -20,6 +20,7 @@
 #include "sas/shared_array.hpp"
 #include "sim/sweep.hpp"
 #include "sort/input_cache.hpp"
+#include "sort/record_share.hpp"
 #include "svc/snapshot.hpp"
 
 namespace dsm::svc {
@@ -410,6 +411,13 @@ void SortService::process_batch(std::vector<JobSpec>& batch) {
     }
     if (!plans[i].has_value()) return;  // failed at planning, or shed
     execute_one(batch[i], *plans[i], batch[i].svc_seq, results[i]);
+    // The job's attempts and audit are the sorts its input's shared
+    // records serve: free them now, on this worker, rather than leave
+    // them resident until another job's record of their kind starts
+    // (DESIGN.md §5.3). A later job of the same input records afresh,
+    // which costs host time only.
+    sort::release_retained_records(sort_spec_for(
+        batch[i], plans[i]->algo, plans[i]->model, plans[i]->radix_bits));
   });
 
   // Observe and record in batch order — deterministic calibration. Only

@@ -255,6 +255,65 @@ std::uint64_t ccsas_radix_grid_digest(SpmdEngine engine) {
   return d.h;
 }
 
+/// The sample skeleton's own ablations: sample, MSD and merge local sorts
+/// under CC-SAS, MPI and SHMEM with 1, 7 and 512 samples per rank, and
+/// under CC-SAS splitter groups of 1, 5 and 64 ranks (the group size
+/// changes only CC-SAS charges), at team sizes 1, 3, 48 and 64. The key
+/// distribution (duplicate-heavy, zipf, adversarial), the record type, the
+/// input size and the kernel backend rotate across cells. The digest was
+/// recorded before the sample skeleton split into one host execution and
+/// per-model charge programs, and must never move.
+constexpr std::uint64_t kSampleSkeletonGoldenDigest = 7092572381965482163ull;
+
+std::vector<SortSpec> sample_skeleton_golden_grid() {
+  constexpr keys::Dist kDists[] = {keys::Dist::kDup, keys::Dist::kZipf,
+                                   keys::Dist::kAdversarial};
+  std::vector<SortSpec> grid;
+  auto add = [&grid](const SortSpec& spec) {
+    if (spec.validate_status().ok()) grid.push_back(spec);
+  };
+  unsigned cell = 0;
+  for (const Algo algo : {Algo::kSample, Algo::kMsdRadix, Algo::kMergesort}) {
+    for (const Model model : {Model::kCcSas, Model::kMpi, Model::kShmem}) {
+      for (const int p : {1, 3, 48, 64}) {
+        for (const int samples : {1, 7, 512}) {
+          for (const int group : {1, 5, 64}) {
+            if (model != Model::kCcSas && group != 5) continue;
+            const Index sizes[] = {static_cast<Index>(p), Index{5000},
+                                   Index{3} << 14};
+            SortSpec spec;
+            spec.algo = algo;
+            spec.model = model;
+            spec.nprocs = p;
+            spec.n = sizes[(cell + cell / 3) % 3];
+            spec.dist = kDists[cell % 3];
+            spec.record = (cell / 3) % 2 == 0
+                              ? keys::RecordType::kU32
+                              : keys::RecordType::kKeyPayload32;
+            spec.kernel_backend = cell % 2 == 0 ? KernelBackend::kReference
+                                                : KernelBackend::kOptimized;
+            spec.ablations.sample_count = samples;
+            spec.ablations.sample_group_size = group;
+            spec.seed = 23 + cell;
+            ++cell;
+            add(spec);
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+std::uint64_t sample_skeleton_grid_digest(SpmdEngine engine) {
+  Digest d;
+  for (SortSpec spec : sample_skeleton_golden_grid()) {
+    spec.engine = engine;
+    d.result(try_run_sort(spec).value());
+  }
+  return d.h;
+}
+
 TEST(VirtualTimeGolden, CooperativeEngine) {
   EXPECT_EQ(grid_digest(SpmdEngine::kCooperative), kGoldenDigest);
 }
@@ -279,6 +338,16 @@ TEST(VirtualTimeGoldenRadixCcSas, CooperativeEngine) {
 TEST(VirtualTimeGoldenRadixCcSas, ThreadEngine) {
   EXPECT_EQ(ccsas_radix_grid_digest(SpmdEngine::kThreads),
             kCcSasRadixGoldenDigest);
+}
+
+TEST(VirtualTimeGoldenSampleSkeleton, CooperativeEngine) {
+  EXPECT_EQ(sample_skeleton_grid_digest(SpmdEngine::kCooperative),
+            kSampleSkeletonGoldenDigest);
+}
+
+TEST(VirtualTimeGoldenSampleSkeleton, ThreadEngine) {
+  EXPECT_EQ(sample_skeleton_grid_digest(SpmdEngine::kThreads),
+            kSampleSkeletonGoldenDigest);
 }
 
 }  // namespace

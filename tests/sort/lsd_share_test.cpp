@@ -11,13 +11,13 @@
 
 #include <atomic>
 #include <barrier>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "result_identity.hpp"
 #include "sort/radix_parallel.hpp"
 #include "sort/sort_api.hpp"
 
@@ -46,43 +46,11 @@ SortSpec with_model(SortSpec spec, Model m) {
   return spec;
 }
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-bool same_breakdown(const sim::Breakdown& a, const sim::Breakdown& b) {
-  return same_bits(a.busy_ns, b.busy_ns) && same_bits(a.lmem_ns, b.lmem_ns) &&
-         same_bits(a.rmem_ns, b.rmem_ns) && same_bits(a.sync_ns, b.sync_ns);
-}
-
-void expect_identical(const SortResult& want, const SortResult& got,
-                      const std::string& what) {
-  EXPECT_TRUE(same_bits(want.elapsed_ns, got.elapsed_ns)) << what;
-  ASSERT_EQ(want.per_proc.size(), got.per_proc.size()) << what;
-  for (std::size_t r = 0; r < want.per_proc.size(); ++r) {
-    EXPECT_TRUE(same_breakdown(want.per_proc[r], got.per_proc[r]))
-        << what << " rank " << r;
-  }
-  ASSERT_EQ(want.phases.size(), got.phases.size()) << what;
-  for (std::size_t i = 0; i < want.phases.size(); ++i) {
-    EXPECT_EQ(want.phases[i].first, got.phases[i].first) << what;
-    EXPECT_TRUE(same_breakdown(want.phases[i].second, got.phases[i].second))
-        << what << " phase " << want.phases[i].first;
-  }
-  EXPECT_EQ(want.run_hash, got.run_hash) << what;
-  EXPECT_EQ(want.run_sizes, got.run_sizes) << what;
-  EXPECT_EQ(want.passes, got.passes) << what;
-  EXPECT_EQ(want.output, got.output) << what;
-  EXPECT_EQ(want.payload_output, got.payload_output) << what;
-  EXPECT_EQ(want.input_checksum, got.input_checksum) << what;
-  EXPECT_TRUE(got.verified) << what;
-}
-
 /// The sort run alone: nothing retained before or after it.
 SortResult solo(const SortSpec& spec) {
-  clear_retained_lsd_record();
+  clear_retained_records();
   SortResult res = try_run_sort(spec).value();
-  clear_retained_lsd_record();
+  clear_retained_records();
   return res;
 }
 
@@ -103,7 +71,7 @@ TEST(LsdRecordSharing, BackToBackModelsMatchSoloRuns) {
   for (const SortSpec& base : kBases) {
     std::vector<SortResult> want;
     for (const Model m : kModels) want.push_back(solo(with_model(base, m)));
-    clear_retained_lsd_record();
+    clear_retained_records();
     for (std::size_t i = 0; i < std::size(kModels); ++i) {
       const SortSpec spec = with_model(base, kModels[i]);
       expect_identical(want[i], try_run_sort(spec).value(), name_of(spec));
@@ -116,7 +84,7 @@ TEST(LsdRecordSharing, ConcurrentModelsMatchSoloRuns) {
     std::vector<SortResult> want;
     for (const Model m : kModels) want.push_back(solo(with_model(base, m)));
     for (int round = 0; round < 3; ++round) {
-      clear_retained_lsd_record();
+      clear_retained_records();
       std::vector<Result<SortResult>> got(std::size(kModels),
                                           Status::internal("not run"));
       std::barrier start(static_cast<std::ptrdiff_t>(std::size(kModels)));
@@ -144,7 +112,7 @@ TEST(LsdRecordSharing, ClearedRecordMatchesSoloRuns) {
     const SortSpec spec = with_model(base, m);
     const SortResult want = solo(spec);
     (void)try_run_sort(spec).value();  // retain this spec's record
-    clear_retained_lsd_record();
+    clear_retained_records();
     expect_identical(want, try_run_sort(spec).value(), name_of(spec));
   }
 }
@@ -185,13 +153,13 @@ TEST(LsdRecordSharing, SpecsThatDifferInHostWorkRecordApart) {
 // token: it leaves with kCancelled while the build is still running, and
 // the builder's record is unaffected.
 TEST(LsdRecordSharing, CancelledWaiterLeavesWhileRecordBuilds) {
-  clear_retained_lsd_record();
+  clear_retained_records();
   const SortSpec spec = with_model(kBases[0], Model::kMpi);
   std::atomic<bool> building{false};
   std::atomic<bool> release{false};
   std::shared_ptr<const LsdRecord> built;
   std::thread builder([&] {
-    built = shared_lsd_record(spec, [&] {
+    built = shared_record<LsdRecord>(spec, [&] {
       building.store(true);
       while (!release.load()) std::this_thread::yield();
       LsdRecord rec;
@@ -206,7 +174,7 @@ TEST(LsdRecordSharing, CancelledWaiterLeavesWhileRecordBuilds) {
   SortSpec waiter = spec;
   waiter.hooks.cancel = &token;
   try {
-    (void)shared_lsd_record(waiter, [] {
+    (void)shared_record<LsdRecord>(waiter, [] {
       ADD_FAILURE() << "the waiter must not build";
       return LsdRecord{};
     });
@@ -218,7 +186,7 @@ TEST(LsdRecordSharing, CancelledWaiterLeavesWhileRecordBuilds) {
   builder.join();
   ASSERT_NE(built, nullptr);
   EXPECT_EQ(built->passes, 3);
-  clear_retained_lsd_record();
+  clear_retained_records();
 }
 
 TEST(LsdRecordSharing, FailingCallersLeaveOthersIntact) {
@@ -229,7 +197,7 @@ TEST(LsdRecordSharing, FailingCallersLeaveOthersIntact) {
   // A cancelled caller that records first never shares its record: the
   // next caller records for itself.
   {
-    clear_retained_lsd_record();
+    clear_retained_records();
     CancelToken token;
     SortSpec cancelled = with_model(base, kModels[0]);
     cancelled.hooks.cancel = &token;
@@ -247,7 +215,7 @@ TEST(LsdRecordSharing, FailingCallersLeaveOthersIntact) {
   // 1's token fires at keygen; models 2 and 3 must match their solo runs
   // whichever caller happens to record.
   for (int round = 0; round < 3; ++round) {
-    clear_retained_lsd_record();
+    clear_retained_records();
     CancelToken token;
     std::vector<SortSpec> specs;
     for (const Model m : kModels) specs.push_back(with_model(base, m));
@@ -278,7 +246,7 @@ TEST(LsdRecordSharing, FailingCallersLeaveOthersIntact) {
                        name_of(specs[i]) + " round " + std::to_string(round));
     }
   }
-  clear_retained_lsd_record();
+  clear_retained_records();
 }
 
 }  // namespace

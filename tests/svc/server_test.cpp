@@ -12,6 +12,9 @@
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
+#include "sort/radix_parallel.hpp"
+#include "sort/record_share.hpp"
+#include "sort/sample_parallel.hpp"
 #include "svc/trace.hpp"
 
 namespace dsm::svc {
@@ -92,6 +95,49 @@ TEST(SortService, ReplayReturnsResultsInTraceOrderAndCalibrates) {
   EXPECT_EQ(total_obs, trace.size());  // every success feeds calibration
   // audit_every=3 with sequence numbers 0..7 audits seqs 0, 3, 6.
   EXPECT_EQ(svc.metrics().counters().audited, 3u);
+}
+
+/// Whether a sort of `spec` would record afresh: no record of its kind
+/// is retained for it. A probe that records evicts the retained record of
+/// its kind, and drops its own empty record again.
+bool records_afresh(const sort::SortSpec& spec) {
+  bool built = false;
+  const auto probe = [&]<typename Rec>(Rec) {
+    (void)sort::shared_record<Rec>(spec, [&] {
+      built = true;
+      return Rec{};
+    });
+  };
+  if (spec.algo == sort::Algo::kRadix) {
+    probe(sort::LsdRecord{});
+  } else {
+    probe(sort::SampleRecord{});
+  }
+  sort::release_retained_records(spec);
+  return built;
+}
+
+// A job's shared records go with it (DESIGN.md §5.3): neither its run's
+// nor its audit's stays resident until a later job's record evicts it.
+TEST(SortService, FinishedJobsLeaveNoRecordsRetained) {
+  const std::vector<JobSpec> trace = small_trace(3);
+  ServiceConfig cfg = small_config(1);
+  cfg.audit_every = 1;
+  SortService svc(cfg);
+  const std::vector<JobResult> results = svc.replay(trace);
+  ASSERT_EQ(results.size(), trace.size());
+  // One worker runs the jobs in order, so the last job's audit and run
+  // started the most recent records. Probe the audit's first, as probing
+  // the run's could evict it.
+  const JobResult& last = results.back();
+  ASSERT_EQ(last.status, JobStatus::kOk) << last.error;
+  ASSERT_TRUE(last.audited);
+  const Plan& plan = last.plan;
+  EXPECT_TRUE(records_afresh(sort_spec_for(trace.back(), plan.runner_algo,
+                                           plan.runner_model,
+                                           plan.runner_radix_bits)));
+  EXPECT_TRUE(records_afresh(
+      sort_spec_for(trace.back(), plan.algo, plan.model, plan.radix_bits)));
 }
 
 TEST(SortService, PoisonedJobsFailAloneWhileTheRestComplete) {
