@@ -14,13 +14,10 @@
 //                 default from DSMSORT_JOBS, else 1)
 //                 --kernel-jobs N (host threads per simulated rank inside
 //                 the kernel loops; 0 = all hardware threads, default 1)
-// Environment:    DSMSORT_ENGINE=coop|threads (host engine for the
-//                 simulated ranks, default coop)
-// The host settings (--jobs, --kernel-jobs, DSMSORT_ENGINE) change only
-// host wall-clock: every virtual time and table is byte-identical.
+// The host settings (--jobs, --kernel-jobs) change only host wall-clock:
+// every virtual time and table is byte-identical.
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -45,22 +42,10 @@ struct BenchEnv {
   std::uint64_t seed = 1;
   int jobs = 1;         // host threads for independent sweep cells
   int kernel_jobs = 1;  // host threads per simulated rank's kernel loops
-  SpmdEngine engine = SpmdEngine::kCooperative;
   std::string csv_dir;  // empty = no CSV output
 
   bool want_csv() const { return !csv_dir.empty(); }
 };
-
-/// DSMSORT_ENGINE: coop (or cooperative) | threads; unset or empty = coop.
-/// Anything else is an error naming the variable.
-inline SpmdEngine engine_from_env() {
-  const char* env = std::getenv("DSMSORT_ENGINE");
-  if (env == nullptr || *env == '\0') return SpmdEngine::kCooperative;
-  const std::string v(env);
-  if (v == "coop" || v == "cooperative") return SpmdEngine::kCooperative;
-  if (v == "threads") return SpmdEngine::kThreads;
-  throw Error("DSMSORT_ENGINE must be 'coop' or 'threads', got: " + v);
-}
 
 /// Read the common options from `args`, whose flags the caller has
 /// already checked; an option absent from `args` keeps its default.
@@ -77,7 +62,6 @@ inline BenchEnv read_env(const ArgParser& args,
       args.get_int("jobs", sim::default_jobs())));
   env.kernel_jobs =
       sim::resolve_jobs(static_cast<int>(args.get_int("kernel-jobs", 1)));
-  env.engine = engine_from_env();
   env.csv_dir = args.get("csv", "");
   return env;
 }
@@ -97,8 +81,7 @@ inline BenchEnv parse_env(int argc, char** argv,
 
 /// The host settings a harness runs with, for its banner.
 inline std::string host_settings(const BenchEnv& env) {
-  return std::string("engine: ") + engine_name(env.engine) +
-         "  kernel-jobs: " + std::to_string(env.kernel_jobs) + " (isa " +
+  return "kernel-jobs: " + std::to_string(env.kernel_jobs) + " (isa " +
          sort::kernel_isa_name() + ")  jobs: " + std::to_string(env.jobs);
 }
 
@@ -155,11 +138,10 @@ class BaselineCache {
   std::unordered_map<std::uint64_t, Entry> cache_;
 };
 
-/// Run one sort with the harness's seed and host settings (engine and
-/// kernel jobs), on the paper's page policy.
+/// Run one sort with the harness's seed and kernel jobs, on the paper's
+/// page policy.
 inline sort::SortResult run_spec(sort::SortSpec spec, const BenchEnv& env) {
   spec.seed = env.seed;
-  spec.engine = env.engine;
   spec.kernel_jobs = env.kernel_jobs;
   return sort::try_run_sort(spec).value();
 }

@@ -1,19 +1,15 @@
-// Host wall-clock benchmark for the execution engine and the host radix
-// kernels: times the Figure-3 radix sweep under the seed thread-per-rank
-// engine and the cooperative fiber engine, asserts the two produce
-// bit-identical virtual times, times the reference vs optimized kernel
-// backends with a per-kernel (histogram / permute / copy) split per
-// (n, radix_bits) cell, and writes the measurements to BENCH_host.json.
-//
-// Also times a barrier-bound configuration (small keys, 64 ranks) where
-// engine overhead — kernel barriers and context switches vs in-process
-// fiber swaps — dominates the charged work.
+// Host wall-clock benchmark for the simulated sweeps and the host radix
+// kernels: times one Figure-3 radix sweep, asserts its virtual times are
+// identical across a warm and a timed repetition, times the reference vs
+// optimized kernel backends with a per-kernel (histogram / permute / copy)
+// split per (n, radix_bits) cell, and writes the measurements to
+// BENCH_host.json.
 //
 // Options: the common set (--sizes/--procs/--radix/--seed/--jobs) plus
 //   --quick        small sizes + fewer reps (the ctest wiring uses this)
 //   --out PATH     where to write the JSON (default BENCH_host.json)
-//   --kernels-only skip the engine sweeps and barrier micro; run only the
-//                  kernel cells (what scripts/kernel_speed_gate.sh uses)
+//   --kernels-only skip the sweep; run only the kernel cells (what
+//                  scripts/kernel_speed_gate.sh uses)
 //   --calibrate    sweep the kernel tunables (staging cap, WC bucket
 //                  floor) on this host and print the best values for
 //                  the constants that set them, instead of
@@ -44,11 +40,10 @@ double now_s() {
       .count();
 }
 
-/// Run the fig3-style sweep (all four radix models per (n, p) cell) under
-/// one engine; returns wall seconds and appends every virtual time, in
-/// deterministic cell-major order, to `virt`.
-double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
-                   std::vector<double>& virt) {
+/// Run the fig3-style sweep (all four radix models per (n, p) cell);
+/// returns wall seconds and appends every virtual time, in deterministic
+/// cell-major order, to `virt`.
+double timed_sweep(const bench::BenchEnv& env, std::vector<double>& virt) {
   static constexpr sort::Model kModels[] = {
       sort::Model::kShmem, sort::Model::kCcSas, sort::Model::kMpi,
       sort::Model::kCcSasNew};
@@ -72,7 +67,6 @@ double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
           spec.n = cells[i].n;
           spec.radix_bits = env.radix_bits;
           spec.seed = env.seed;
-          spec.engine = engine;  // the engine under test, not env.engine
           spec.kernel_jobs = env.kernel_jobs;
           cell[m] = sort::try_run_sort(spec).value().elapsed_ns;
         }
@@ -83,25 +77,6 @@ double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
     virt.insert(virt.end(), cell.begin(), cell.end());
   }
   return wall;
-}
-
-/// Repeat a small high-processor-count sort where reconcile rounds, not
-/// charged compute, dominate host time.
-double timed_barrier_micro(std::uint64_t n, int procs, int reps,
-                           std::uint64_t seed, SpmdEngine engine) {
-  const double t0 = now_s();
-  for (int i = 0; i < reps; ++i) {
-    sort::SortSpec spec;
-    spec.algo = sort::Algo::kRadix;
-    spec.model = sort::Model::kShmem;
-    spec.nprocs = procs;
-    spec.n = n;
-    spec.radix_bits = 8;
-    spec.seed = seed;
-    spec.engine = engine;
-    (void)sort::try_run_sort(spec).value();
-  }
-  return now_s() - t0;
 }
 
 /// Wall time of one full sort split by kernel: counting sweeps (plus the
@@ -521,43 +496,24 @@ int main(int argc, char** argv) {
       bench::banner("Host kernel tunable calibration", env);
       return run_calibration(env, quick);
     }
-    bench::banner(kernels_only
-                      ? "Host wall-clock: radix kernel backends"
-                      : "Host wall-clock: cooperative engine vs "
-                        "thread-per-rank",
+    bench::banner(kernels_only ? "Host wall-clock: radix kernel backends"
+                               : "Host wall-clock: fig3 sweep and kernels",
                   env);
 
-    double wall_threads = 0, wall_coop = 0, sweep_speedup = 0;
-    double micro_threads = 0, micro_coop = 0, micro_speedup = 0;
-    const std::uint64_t micro_n = 65536;
-    const int micro_p = 64;
-    const int micro_reps = quick ? 5 : 20;
+    double sweep_wall = 0;
     if (!kernels_only) {
-      (void)timed_barrier_micro(micro_n, micro_p, 1, env.seed,
-                                SpmdEngine::kThreads);  // warm
-      micro_threads = timed_barrier_micro(micro_n, micro_p, micro_reps,
-                                          env.seed, SpmdEngine::kThreads);
-      micro_coop = timed_barrier_micro(micro_n, micro_p, micro_reps,
-                                       env.seed, SpmdEngine::kCooperative);
-      micro_speedup = micro_threads / micro_coop;
-
       // One size at a time: an untimed sweep warms the thread-local input
-      // cache and the per-size page-policy state, so both engines then
-      // time identical host conditions on the input the cache holds.
-      // (The barrier micro's 64K input is the quick sweep's first size.)
+      // cache and the per-size page-policy state, so the timed sweep runs
+      // on the input the cache holds.
       for (const auto n : env.sizes) {
         bench::BenchEnv one = env;
         one.sizes = {n};
-        std::vector<double> warm_virt, virt_threads, virt_coop;
-        (void)timed_sweep(one, SpmdEngine::kThreads, warm_virt);
-        wall_threads += timed_sweep(one, SpmdEngine::kThreads, virt_threads);
-        wall_coop += timed_sweep(one, SpmdEngine::kCooperative, virt_coop);
-        DSM_CHECK(virt_threads == virt_coop,
-                  "engines disagree on virtual times");
-        DSM_CHECK(virt_threads == warm_virt,
+        std::vector<double> warm_virt, virt;
+        (void)timed_sweep(one, warm_virt);
+        sweep_wall += timed_sweep(one, virt);
+        DSM_CHECK(virt == warm_virt,
                   "virtual times changed between repetitions");
       }
-      sweep_speedup = wall_threads / wall_coop;
     }
 
     // Kernel backends: per-(n, radix_bits) cells with a histogram /
@@ -613,15 +569,8 @@ int main(int argc, char** argv) {
     };
 
     if (!kernels_only) {
-      std::cout << "  fig3-style sweep: threads "
-                << fmt_fixed(wall_threads, 2) << "s  coop "
-                << fmt_fixed(wall_coop, 2) << "s  speedup "
-                << fmt_fixed(sweep_speedup, 2) << "x\n"
-                << "  barrier micro (64K keys, 64P, " << micro_reps
-                << " reps): threads " << fmt_fixed(micro_threads, 2)
-                << "s  coop " << fmt_fixed(micro_coop, 2) << "s  speedup "
-                << fmt_fixed(micro_speedup, 2) << "x\n"
-                << "  virtual times bit-identical across engines: yes\n";
+      std::cout << "  fig3-style sweep: " << fmt_fixed(sweep_wall, 2)
+                << "s (virtual times identical across repetitions)\n";
     }
     std::cout << "  kernel backends (reference -> optimized, best of "
               << kernel_reps << ", isa " << sort::kernel_isa_name()
@@ -665,7 +614,6 @@ int main(int argc, char** argv) {
        << "  \"host\": {\"hardware_threads\": "
        << std::thread::hardware_concurrency()
        << ", \"kernel_isa\": \"" << sort::kernel_isa_name()
-       << "\", \"default_engine\": \"" << engine_name(sort::SortSpec{}.engine)
        << "\"},\n"
        << "  \"config\": {\"sizes\": " << json_list(env.sizes)
        << ", \"procs\": " << json_list(env.procs)
@@ -675,15 +623,8 @@ int main(int argc, char** argv) {
        << "},\n"
        << "  \"sweep\": {\"description\": "
        << "\"fig3-style radix sweep, all four models per (n, p) cell\", "
-       << "\"threads_wall_s\": " << fmt_fixed(wall_threads, 3)
-       << ", \"coop_wall_s\": " << fmt_fixed(wall_coop, 3)
-       << ", \"speedup\": " << fmt_fixed(sweep_speedup, 3)
-       << ", \"virtual_times_identical\": true},\n"
-       << "  \"barrier_micro\": {\"n\": " << micro_n << ", \"procs\": "
-       << micro_p << ", \"reps\": " << micro_reps
-       << ", \"threads_wall_s\": " << fmt_fixed(micro_threads, 3)
-       << ", \"coop_wall_s\": " << fmt_fixed(micro_coop, 3)
-       << ", \"speedup\": " << fmt_fixed(micro_speedup, 3) << "},\n"
+       << "\"wall_s\": " << fmt_fixed(sweep_wall, 3)
+       << ", \"virtual_times_repeatable\": true},\n"
        << "  \"kernels\": {\"description\": \"host radix kernel backends, "
        << "uncharged full sorts, best of " << kernel_reps
        << " reps, gauss keys; backends sort byte-identically\",\n"
@@ -737,12 +678,10 @@ int main(int argc, char** argv) {
          << (i + 1 < algo_cells.size() ? "," : "") << "\n";
     }
     js << "    ]},\n"
-       << "  \"notes\": \"Sweep cells at the default sizes are dominated "
-       << "by the charged sort compute itself (the simulator executes "
-       << "real radix passes), so the engine speedup there is modest; "
-       << "barrier-bound configurations isolate the engine cost. On a "
-       << "single-core host the --jobs sweep pool adds nothing; on "
-       << "multi-core hosts the independent cells scale with --jobs.\"\n"
+       << "  \"notes\": \"The sweep runs each (n, p) cell's four radix "
+       << "models back to back, so they share one recorded LSD execution "
+       << "(DESIGN.md 5.3). Its independent cells scale with --jobs on a "
+       << "multi-core host; the committed BENCH_host.json runs --jobs 1.\"\n"
        << "}\n";
     const Status written = try_write_file_atomic(out_path, js.str());
     if (!written.ok()) throw Error(written);

@@ -1376,13 +1376,10 @@ int main(int argc, char** argv) {
         bench::read_env(args, quick ? s.sizes_quick : s.sizes_full,
                         quick ? s.procs_quick : s.procs_full);
     // A scenario without --jobs runs one service worker, whatever
-    // DSMSORT_JOBS says, and the service builds its own specs on the
-    // default engine, whatever DSMSORT_ENGINE says; the banner reports
-    // what runs.
+    // DSMSORT_JOBS says; the banner reports what runs.
     if (std::find(s.flags.begin(), s.flags.end(), "jobs") == s.flags.end()) {
       env.jobs = 1;
     }
-    env.engine = sort::SortSpec{}.engine;
     const std::string out_path = args.get("out", s.out);
     if (!args.has("replay")) bench::banner(s.title, env);
     const Status written =

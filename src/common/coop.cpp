@@ -1,8 +1,10 @@
 #include "common/coop.hpp"
 
+#include <sys/mman.h>
 #include <ucontext.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #endif
 
 #ifdef DSM_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -57,6 +60,58 @@ namespace {
 // untouched pages are never backed.
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
+// Stacks a thread keeps for its next team: one p = 64 team's worth.
+constexpr std::size_t kMaxCachedStacks = 64;
+
+// Fiber stacks are mapped from the kernel, not taken from the malloc
+// heap, and each thread keeps the stacks its finished teams hand back for
+// its next team. Taken from the heap, a p = 64 team's 16 MiB of stacks
+// grew the calling thread's arena, and once freed that span was carved
+// into the key arrays of later sorts, so the pages a process kept
+// resident depended on its allocation history: one service workload's
+// peak RSS read 15.6 to 24.7 MB across runs of the same job mix. A
+// cached stack keeps only the pages its deepest frame touched.
+class StackCache {
+ public:
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (void* s : free_) ::munmap(s, kFiberStackBytes);
+  }
+
+  char* take() {
+    void* s = nullptr;
+    if (free_.empty()) {
+      s = ::mmap(nullptr, kFiberStackBytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+      DSM_CHECK(s != MAP_FAILED, "cannot map a fiber stack");
+    } else {
+      s = free_.back();
+      free_.pop_back();
+#ifdef DSM_ASAN_FIBERS
+      // The previous team's frames may have left redzones poisoned.
+      __asan_unpoison_memory_region(s, kFiberStackBytes);
+#endif
+    }
+    return static_cast<char*>(s);
+  }
+
+  void give_back(char* s) {
+    if (free_.size() < kMaxCachedStacks) {
+      free_.push_back(s);
+    } else {
+      ::munmap(s, kFiberStackBytes);
+    }
+  }
+
+ private:
+  std::vector<void*> free_;
+};
+
+thread_local StackCache tl_stacks;
+
 const char kPoisonMsg[] = "barrier poisoned: a team member failed";
 
 }  // namespace
@@ -64,7 +119,7 @@ const char kPoisonMsg[] = "barrier poisoned: a team member failed";
 struct CoopScheduler::Impl {
   struct Fiber {
     ucontext_t ctx{};
-    std::unique_ptr<char[]> stack;
+    char* stack = nullptr;  // kFiberStackBytes from tl_stacks
     int rank = 0;
     enum class St { kIdle, kRunnable, kParked, kFinished } st = St::kIdle;
     std::uint64_t park_gen = 0;
@@ -80,11 +135,12 @@ struct CoopScheduler::Impl {
   explicit Impl(int np) : nprocs(np) {}
 
   ~Impl() {
-#ifdef DSM_TSAN_FIBERS
     for (Fiber& f : fibers) {
+      if (f.stack != nullptr) tl_stacks.give_back(f.stack);
+#ifdef DSM_TSAN_FIBERS
       if (f.tsan != nullptr) __tsan_destroy_fiber(f.tsan);
-    }
 #endif
+    }
   }
 
   void switch_to(ucontext_t* from, ucontext_t* to, void* to_tsan) {
@@ -101,8 +157,7 @@ struct CoopScheduler::Impl {
     if (f.st == Fiber::St::kParked) f.st = Fiber::St::kRunnable;
 #ifdef DSM_ASAN_FIBERS
     void* main_fake = nullptr;
-    __sanitizer_start_switch_fiber(&main_fake, f.stack.get(),
-                                   kFiberStackBytes);
+    __sanitizer_start_switch_fiber(&main_fake, f.stack, kFiberStackBytes);
 #endif
 #ifdef DSM_TSAN_FIBERS
     switch_to(&main_ctx, &f.ctx, f.tsan);
@@ -201,16 +256,14 @@ void CoopScheduler::poison() { impl_->poisoned = true; }
 
 bool CoopScheduler::poisoned() const { return impl_->poisoned; }
 
-int CoopScheduler::parties() const { return impl_->nprocs; }
-
 void CoopScheduler::run(const std::function<void(int)>& body) {
   Impl& s = *impl_;
   DSM_REQUIRE(static_cast<bool>(body), "SPMD run needs a body");
   DSM_REQUIRE(!s.active, "cooperative team is already running");
 
   if (s.nprocs == 1) {
-    // Same fast path as run_spmd: no fiber, plain call on this stack
-    // (arrive_and_wait completes inline for a team of one).
+    // Fast path: no fiber, plain call on this stack (arrive_and_wait
+    // completes inline for a team of one).
     body(0);
     return;
   }
@@ -220,8 +273,7 @@ void CoopScheduler::run(const std::function<void(int)>& body) {
     for (int r = 0; r < s.nprocs; ++r) {
       auto& f = s.fibers[static_cast<std::size_t>(r)];
       f.rank = r;
-      // Default-initialised: value-init would memset every stack.
-      f.stack.reset(new char[kFiberStackBytes]);
+      f.stack = tl_stacks.take();
 #ifdef DSM_TSAN_FIBERS
       f.tsan = __tsan_create_fiber(0);
 #endif
@@ -230,7 +282,7 @@ void CoopScheduler::run(const std::function<void(int)>& body) {
 
   for (auto& f : s.fibers) {
     DSM_CHECK(getcontext(&f.ctx) == 0, "getcontext failed");
-    f.ctx.uc_stack.ss_sp = f.stack.get();
+    f.ctx.uc_stack.ss_sp = f.stack;
     f.ctx.uc_stack.ss_size = kFiberStackBytes;
     f.ctx.uc_link = &s.main_ctx;
     makecontext(&f.ctx, &Impl::trampoline, 0);
@@ -269,8 +321,8 @@ void CoopScheduler::run(const std::function<void(int)>& body) {
     }
     if (next == nullptr) {
       // Every unfinished fiber is parked at a round that can never
-      // release (some ranks already finished): the thread engine would
-      // hang here. Poison so the parked stacks unwind, then report.
+      // release (some ranks already finished). Poison so the parked
+      // stacks unwind, then report.
       deadlock = true;
       s.poisoned = true;
       continue;
@@ -305,7 +357,7 @@ void CoopScheduler::arrive_and_wait(const std::function<void()>& completion) {
         completion();
       } catch (...) {
         // Leave the round unreleased: parked ranks observe the poison when
-        // the scheduler unwinds them. Mirrors CentralBarrier.
+        // the scheduler unwinds them.
         if (!s.poisoned) s.first_error = std::current_exception();
         s.poisoned = true;
         throw;

@@ -1,15 +1,16 @@
 // Cooperative SPMD scheduler: every rank is a stackful fiber (ucontext)
 // multiplexed on the calling thread.
 //
-// A rank runs uninterrupted until it arrives at a barrier; the last
-// arriver runs the completion inline and continues, everyone else parks
-// until the round releases. Because the engine is bulk-synchronous and
-// completions are pure functions over the rank-indexed deposits, the
-// resulting virtual times are bit-identical to the thread engine's — the
-// host just stops paying kernel context switches and condition-variable
-// wakeups for them.
+// The simulator runs the same body on every logical rank and synchronises
+// exclusively through barrier-with-completion collectives (see
+// sim::SimTeam::reconcile). A rank runs uninterrupted until it arrives at
+// a barrier; the last arriver runs the completion inline and continues,
+// everyone else parks until the round releases. The engine is
+// bulk-synchronous and completions are pure functions over the
+// rank-indexed deposits, so the host schedule cannot reach a virtual time;
+// the host pays fiber swaps, not kernel context switches, per round.
 //
-// Error semantics mirror run_spmd + CentralBarrier:
+// Error semantics:
 //  * a rank's exception poisons the team; ranks parked at the unreleased
 //    round (and any rank arriving later) throw
 //    "barrier poisoned: a team member failed";
@@ -23,25 +24,32 @@
 // atomics or locks are needed anywhere on the barrier path.
 #pragma once
 
+#include <functional>
 #include <memory>
-
-#include "common/team.hpp"
 
 namespace dsm {
 
-class CoopScheduler final : public SpmdExecutor {
+class CoopScheduler {
  public:
   explicit CoopScheduler(int nprocs);
-  ~CoopScheduler() override;
+  ~CoopScheduler();
 
   CoopScheduler(const CoopScheduler&) = delete;
   CoopScheduler& operator=(const CoopScheduler&) = delete;
 
-  void run(const std::function<void(int)>& body) override;
-  void arrive_and_wait(const std::function<void()>& completion) override;
-  void poison() override;
-  bool poisoned() const override;
-  int parties() const override;
+  /// Run `body(rank)` on every rank to completion (blocking). Rethrows the
+  /// error that poisoned the team, after every rank has unwound.
+  void run(const std::function<void(int)>& body);
+
+  /// Block until every rank arrives. The last arriver runs `completion`
+  /// (if nonempty) before anyone is released; SPMD callers pass the same
+  /// logical completion from every rank. Throws Error once the team is
+  /// poisoned.
+  void arrive_and_wait(const std::function<void()>& completion);
+
+  /// Mark the team unusable; parked ranks then unwind with an Error.
+  void poison();
+  bool poisoned() const;
 
   struct Impl;  // public so the fiber trampoline (file-local) can see it
 

@@ -4,11 +4,9 @@
 
 namespace dsm::sim {
 
-SimTeam::SimTeam(int nprocs, const machine::MachineParams& params,
-                 SpmdEngine engine)
+SimTeam::SimTeam(int nprocs, const machine::MachineParams& params)
     : cost_(params, nprocs),
-      engine_(engine),
-      exec_(make_spmd_executor(engine, nprocs)),
+      sched_(nprocs),
       clocks_(static_cast<std::size_t>(nprocs)),
       phase_logs_(static_cast<std::size_t>(nprocs)),
       trace_logs_(static_cast<std::size_t>(nprocs)),
@@ -20,30 +18,30 @@ SimTeam::SimTeam(int nprocs, const machine::MachineParams& params,
 }
 
 void SimTeam::run(const std::function<void(ProcContext&)>& body) {
-  DSM_REQUIRE(!exec_->poisoned(),
+  DSM_REQUIRE(!sched_.poisoned(),
               "team was poisoned by an earlier failure; create a new team");
-  exec_->run([&](int rank) {
+  sched_.run([&](int rank) {
     ProcContext ctx(*this, rank,
-                    clocks_[static_cast<std::size_t>(rank)].value, cost_);
+                    clocks_[static_cast<std::size_t>(rank)], cost_);
     try {
       body(ctx);
     } catch (...) {
-      exec_->poison();  // wake any ranks parked in collectives
+      sched_.poison();  // wake any ranks parked in collectives
       throw;
     }
   });
 }
 
 void SimTeam::reset_clocks() {
-  for (auto& c : clocks_) c.value.reset();
-  for (auto& l : phase_logs_) l.value.clear();
-  for (auto& t : trace_logs_) t.value.clear();
+  for (auto& c : clocks_) c.reset();
+  for (auto& l : phase_logs_) l.clear();
+  for (auto& t : trace_logs_) t.clear();
   pending_quiescence_ns_ = 0;
 }
 
 const std::vector<TraceEvent>& SimTeam::trace_of(int rank) const {
   DSM_REQUIRE(rank >= 0 && rank < nprocs(), "rank out of range");
-  return trace_logs_[static_cast<std::size_t>(rank)].value.events();
+  return trace_logs_[static_cast<std::size_t>(rank)].events();
 }
 
 std::string SimTeam::trace_json() const {
@@ -61,7 +59,7 @@ void SimTeam::trace_event(int rank, TraceEvent::Kind kind, double start_ns,
                           double end_ns, std::uint64_t transfers,
                           std::uint64_t bytes) {
   if (!tracing_) return;
-  trace_logs_[static_cast<std::size_t>(rank)].value.record(
+  trace_logs_[static_cast<std::size_t>(rank)].record(
       TraceEvent{kind, start_ns, end_ns, transfers, bytes});
 }
 
@@ -72,16 +70,16 @@ void SimTeam::record_phase(int rank, std::string name) {
     // Fire before recording: an aborting hook (injected fault, deadline,
     // cancellation) leaves the log at the last completed phase.
     phase_hook_(rank, name.c_str(),
-                clocks_[r].value.breakdown().total_ns());
+                clocks_[r].breakdown().total_ns());
   }
-  phase_logs_[r].value.mark(std::move(name), clocks_[r].value.breakdown());
+  phase_logs_[r].mark(std::move(name), clocks_[r].breakdown());
 }
 
 std::vector<std::pair<std::string, Breakdown>> SimTeam::phases_of(
     int rank) const {
   DSM_REQUIRE(rank >= 0 && rank < nprocs(), "rank out of range");
   const auto r = static_cast<std::size_t>(rank);
-  return phase_logs_[r].value.totals(clocks_[r].value.breakdown());
+  return phase_logs_[r].totals(clocks_[r].breakdown());
 }
 
 std::vector<std::pair<std::string, Breakdown>> SimTeam::mean_phase_report()
@@ -94,12 +92,12 @@ std::vector<std::pair<std::string, Breakdown>> SimTeam::mean_phase_report()
 
 Breakdown SimTeam::breakdown_of(int rank) const {
   DSM_REQUIRE(rank >= 0 && rank < nprocs(), "rank out of range");
-  return clocks_[static_cast<std::size_t>(rank)].value.breakdown();
+  return clocks_[static_cast<std::size_t>(rank)].breakdown();
 }
 
 double SimTeam::elapsed_ns() const {
   double best = 0;
-  for (const auto& c : clocks_) best = std::max(best, c.value.now_ns());
+  for (const auto& c : clocks_) best = std::max(best, c.now_ns());
   return best;
 }
 

@@ -16,11 +16,9 @@
 //   * two_sided_epoch / get_epoch / put_epoch / scattered_write_epoch —
 //     apply the engines in epoch.hpp to the team's clocks.
 //
-// Ranks execute on a pluggable SpmdEngine (see common/team.hpp): the
-// default cooperative scheduler multiplexes them as fibers on the calling
-// thread; the thread engine runs one OS thread per rank. Virtual times are
-// bit-identical across engines — reconciliation functions are pure over
-// the rank-indexed deposits, so host scheduling cannot leak into results.
+// Ranks execute as fibers of a CoopScheduler (see common/coop.hpp) on the
+// calling thread. Reconciliation functions are pure over the rank-indexed
+// deposits, so the host schedule cannot leak into results.
 #pragma once
 
 #include <functional>
@@ -29,9 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "common/align.hpp"
+#include "common/coop.hpp"
 #include "common/error.hpp"
-#include "common/team.hpp"
 #include "machine/cost.hpp"
 #include "sim/clock.hpp"
 #include "sim/epoch.hpp"
@@ -43,12 +40,10 @@ namespace dsm::sim {
 
 class SimTeam {
  public:
-  SimTeam(int nprocs, const machine::MachineParams& params,
-          SpmdEngine engine = SpmdEngine::kCooperative);
+  SimTeam(int nprocs, const machine::MachineParams& params);
 
   int nprocs() const { return cost_.nprocs(); }
   const machine::CostModel& cost() const { return cost_; }
-  SpmdEngine engine() const { return engine_; }
 
   /// Run `body` on every rank (blocking). May be called multiple times;
   /// clocks accumulate across calls unless reset_clocks() is used.
@@ -67,8 +62,8 @@ class SimTeam {
   /// virtual time so far, before the mark is recorded. Throwing from the
   /// hook aborts the run like any rank failure (team poison). Used by the
   /// sort driver for fault injection, cooperative cancellation, and
-  /// virtual-time deadline enforcement. The hook must be safe to call
-  /// concurrently from different ranks under the thread engine.
+  /// virtual-time deadline enforcement. A team's ranks run one at a time
+  /// on one thread, so one team never calls the hook concurrently.
   using PhaseHook =
       std::function<void(int rank, const char* name, double virtual_ns)>;
   void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
@@ -101,11 +96,11 @@ class SimTeam {
   template <typename In, typename R, typename Fn>
   std::shared_ptr<const R> reconcile_shared(ProcContext& ctx, const In& in,
                                             Fn fn) {
-    deposits_[static_cast<std::size_t>(ctx.rank())].value = &in;
-    exec_->arrive_and_wait([&] {
+    deposits_[static_cast<std::size_t>(ctx.rank())] = &in;
+    sched_.arrive_and_wait([&] {
       std::vector<const In*> ins(static_cast<std::size_t>(nprocs()));
       for (std::size_t i = 0; i < ins.size(); ++i) {
-        ins[i] = static_cast<const In*>(deposits_[i].value);
+        ins[i] = static_cast<const In*>(deposits_[i]);
         DSM_CHECK(ins[i] != nullptr, "missing reconcile deposit");
       }
       result_ =
@@ -173,24 +168,22 @@ class SimTeam {
   void gather_epoch_inputs(std::span<const EpochIn* const> ins);
 
   machine::CostModel cost_;
-  const SpmdEngine engine_;
-  std::unique_ptr<SpmdExecutor> exec_;
+  CoopScheduler sched_;
   void trace_event(int rank, TraceEvent::Kind kind, double start_ns,
                    double end_ns, std::uint64_t transfers,
                    std::uint64_t bytes);
 
-  std::vector<Padded<CategoryClock>> clocks_;
+  std::vector<CategoryClock> clocks_;
   PhaseHook phase_hook_;
-  std::vector<Padded<PhaseLog>> phase_logs_;
-  std::vector<Padded<TraceLog>> trace_logs_;
+  std::vector<PhaseLog> phase_logs_;
+  std::vector<TraceLog> trace_logs_;
   bool tracing_ = false;
-  std::vector<Padded<const void*>> deposits_;
+  std::vector<const void*> deposits_;
   std::shared_ptr<const void> result_;
   double pending_quiescence_ns_ = 0;
 
   // Epoch-completion scratch, reused across rounds. Only the last arriver
-  // touches these, and rounds are totally ordered by the barrier, so no
-  // synchronisation is needed under either engine.
+  // touches these, and rounds are totally ordered by the barrier.
   std::vector<const std::vector<Transfer>*> scratch_transfers_;
   std::vector<const std::vector<ScatteredTraffic>*> scratch_traffic_;
   std::vector<double> scratch_entries_;

@@ -179,8 +179,8 @@ struct RadixWorkspace {
 };
 
 /// The calling host thread's lazily-created workspace. Sort entry points
-/// called without a workspace borrow this; it is safe under the
-/// cooperative fiber engine too because no kernel yields mid-call (the
+/// called without a workspace borrow this; it is safe although the
+/// ranks are fibers on one thread because no kernel yields mid-call (the
 /// borrow never spans a reconcile point).
 RadixWorkspace& tls_radix_workspace();
 

@@ -34,7 +34,7 @@ void checkpoint(const SortSpec& spec, const char* site, double virtual_ns) {
 
 /// Arm tracing and the per-phase hook on a freshly built team. The hook
 /// fires on rank 0's phase marks only: one deterministic stream of sites
-/// regardless of engine or host schedule.
+/// regardless of the host schedule.
 void arm_team(const SortSpec& spec, sim::SimTeam& team) {
   if (!spec.trace_json_path.empty()) team.enable_tracing();
   if (spec.hooks.on_site || spec.hooks.cancel != nullptr) {
@@ -156,7 +156,7 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
 /// Radix sort under any model: one shared record, then the model's charge
 /// program on a fresh team.
 SortResult run_radix(const SortSpec& spec, const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, spec.engine);
+  sim::SimTeam team(spec.nprocs, mp);
   arm_team(spec, team);
   const std::shared_ptr<const LsdRecord> rec =
       record_for<LsdRecord>(spec, record_lsd);
@@ -200,7 +200,7 @@ SortResult run_radix(const SortSpec& spec, const machine::MachineParams& mp) {
 /// then the model's charge program on a fresh team. Every model reports
 /// one run per rank.
 SortResult run_sample(const SortSpec& spec, const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp, spec.engine);
+  sim::SimTeam team(spec.nprocs, mp);
   arm_team(spec, team);
   const std::shared_ptr<const SampleRecord> rec =
       record_for<SampleRecord>(spec, record_sample);

@@ -24,7 +24,6 @@
 
 #include "common/cli.hpp"
 #include "common/status.hpp"
-#include "common/team.hpp"
 #include "keys/distributions.hpp"
 #include "keys/record.hpp"
 #include "machine/params.hpp"
@@ -132,17 +131,13 @@ struct SortSpec {
   /// paper used for this data-set size.
   std::optional<machine::MachineParams> machine;
 
-  // Host settings. These three fields decide how the host runs the
+  // Host settings. These two fields decide how the host runs the
   // sort, with one piece of process-global state: the retained records
   // (sort::shared_record, DESIGN.md §5.3) decide whether a sort executes
   // or charges a record another sort of the same input made;
   // sort::release_retained_records() drops one input's and
   // sort::clear_retained_records() all of them. None of them changes the
   // sorted output, a virtual time or replay JSON (DESIGN.md §9).
-
-  /// Host execution engine for the simulated ranks: cooperative fibers on
-  /// the calling thread, or one OS thread per rank.
-  SpmdEngine engine = SpmdEngine::kCooperative;
 
   /// Host kernel backend for the radix histogram/permute loops;
   /// kReference (the seed loops) is the yardstick tests compare against.

@@ -1,13 +1,13 @@
 // Cooperative scheduler: SPMD contract, barrier-with-completion semantics,
-// and — the part that differs most from the thread engine — error
-// unwinding: a mid-rank exception must poison the team, unwind every
-// fiber stack (destructors run), and leave the scheduler refusing reuse
-// exactly like a poisoned thread-engine barrier.
+// and error unwinding: a mid-rank exception must poison the team, unwind
+// every fiber stack (destructors run), and leave the scheduler refusing
+// reuse.
 #include "common/coop.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -142,8 +142,8 @@ TEST(CoopScheduler, DetectsDeadlockWhenRanksDesynchronise) {
   try {
     s.run([&](int r) {
       const Sentinel guard(&destroyed);
-      // Rank 3 skips the barrier and finishes; the rest would wait
-      // forever on a thread engine.
+      // Rank 3 skips the barrier and finishes; the rest can never be
+      // released.
       if (r != 3) s.arrive_and_wait({});
     });
     FAIL() << "expected throw";
@@ -153,27 +153,24 @@ TEST(CoopScheduler, DetectsDeadlockWhenRanksDesynchronise) {
   EXPECT_EQ(destroyed, 4);
 }
 
-// The poisoned-team contract must not depend on the engine: both
-// executors refuse further barrier rounds with the same error.
-TEST(CoopScheduler, PoisonedTeamRefusesReuseOnBothEngines) {
-  for (const SpmdEngine e : {SpmdEngine::kThreads, SpmdEngine::kCooperative}) {
-    const auto exec = make_spmd_executor(e, 4);
-    exec->poison();
-    EXPECT_TRUE(exec->poisoned());
-    std::atomic<int> entered{0};  // thread engine runs ranks concurrently
-    try {
-      exec->run([&](int) {
-        entered.fetch_add(1);
-        exec->arrive_and_wait({});
-      });
-      FAIL() << "expected throw for engine " << engine_name(e);
-    } catch (const Error& err) {
-      EXPECT_NE(std::string(err.what()).find("barrier poisoned"),
-                std::string::npos)
-          << engine_name(e);
-    }
-    EXPECT_EQ(entered.load(), 4) << engine_name(e);
+// A poisoned team refuses further barrier rounds: every rank enters its
+// body and the first barrier throws.
+TEST(CoopScheduler, PoisonedTeamRefusesReuse) {
+  CoopScheduler s(4);
+  s.poison();
+  EXPECT_TRUE(s.poisoned());
+  int entered = 0;
+  try {
+    s.run([&](int) {
+      ++entered;
+      s.arrive_and_wait({});
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("barrier poisoned"),
+              std::string::npos);
   }
+  EXPECT_EQ(entered, 4);
 }
 
 TEST(CoopScheduler, StressManyRanksManyRounds) {
@@ -188,11 +185,29 @@ TEST(CoopScheduler, StressManyRanksManyRounds) {
   EXPECT_EQ(sum, 50ull * (63ull * 64ull / 2ull));
 }
 
+// A thread hands the stacks of finished teams to its next team; teams
+// alive at once on one thread, together past what the thread keeps, must
+// still run every rank on a stack of its own.
+TEST(CoopScheduler, TeamsAliveTogetherNeverShareAStack) {
+  { CoopScheduler warm(64); warm.run([](int) {}); }  // fill the cache
+  CoopScheduler a(48);
+  CoopScheduler b(48);
+  std::set<std::uintptr_t> frames;
+  const auto record = [&](int) {
+    frames.insert(reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)));
+  };
+  a.run(record);
+  b.run(record);
+  ASSERT_EQ(frames.size(), 96u);
+  for (auto it = std::next(frames.begin()); it != frames.end(); ++it) {
+    EXPECT_GE(*it - *std::prev(it), 4096u) << "two ranks on one stack";
+  }
+}
+
 TEST(CoopScheduler, RejectsBadArguments) {
   EXPECT_THROW(CoopScheduler(0), Error);
   CoopScheduler s(2);
   EXPECT_THROW(s.run({}), Error);
-  EXPECT_EQ(s.parties(), 2);
 }
 
 }  // namespace

@@ -112,12 +112,9 @@ std::vector<SortSpec> golden_grid() {
   return grid;
 }
 
-std::uint64_t grid_digest(SpmdEngine engine) {
+std::uint64_t digest_of(const std::vector<SortSpec>& grid) {
   Digest d;
-  for (SortSpec spec : golden_grid()) {
-    spec.engine = engine;
-    d.result(try_run_sort(spec).value());
-  }
+  for (const SortSpec& spec : grid) d.result(try_run_sort(spec).value());
   return d.h;
 }
 
@@ -167,15 +164,6 @@ std::vector<SortSpec> menu_golden_grid() {
     }
   }
   return grid;
-}
-
-std::uint64_t menu_grid_digest(SpmdEngine engine) {
-  Digest d;
-  for (SortSpec spec : menu_golden_grid()) {
-    spec.engine = engine;
-    d.result(try_run_sort(spec).value());
-  }
-  return d.h;
 }
 
 /// The CC-SAS sibling of the radix grid: radix sort under CC-SAS (direct
@@ -246,15 +234,6 @@ std::vector<SortSpec> ccsas_radix_golden_grid() {
   return grid;
 }
 
-std::uint64_t ccsas_radix_grid_digest(SpmdEngine engine) {
-  Digest d;
-  for (SortSpec spec : ccsas_radix_golden_grid()) {
-    spec.engine = engine;
-    d.result(try_run_sort(spec).value());
-  }
-  return d.h;
-}
-
 /// The sample skeleton's own ablations: sample, MSD and merge local sorts
 /// under CC-SAS, MPI and SHMEM with 1, 7 and 512 samples per rank, and
 /// under CC-SAS splitter groups of 1, 5 and 64 ranks (the group size
@@ -305,48 +284,20 @@ std::vector<SortSpec> sample_skeleton_golden_grid() {
   return grid;
 }
 
-std::uint64_t sample_skeleton_grid_digest(SpmdEngine engine) {
-  Digest d;
-  for (SortSpec spec : sample_skeleton_golden_grid()) {
-    spec.engine = engine;
-    d.result(try_run_sort(spec).value());
-  }
-  return d.h;
-}
-
 TEST(VirtualTimeGolden, CooperativeEngine) {
-  EXPECT_EQ(grid_digest(SpmdEngine::kCooperative), kGoldenDigest);
-}
-
-TEST(VirtualTimeGolden, ThreadEngine) {
-  EXPECT_EQ(grid_digest(SpmdEngine::kThreads), kGoldenDigest);
+  EXPECT_EQ(digest_of(golden_grid()), kGoldenDigest);
 }
 
 TEST(VirtualTimeGoldenMsdMerge, CooperativeEngine) {
-  EXPECT_EQ(menu_grid_digest(SpmdEngine::kCooperative), kMenuGoldenDigest);
-}
-
-TEST(VirtualTimeGoldenMsdMerge, ThreadEngine) {
-  EXPECT_EQ(menu_grid_digest(SpmdEngine::kThreads), kMenuGoldenDigest);
+  EXPECT_EQ(digest_of(menu_golden_grid()), kMenuGoldenDigest);
 }
 
 TEST(VirtualTimeGoldenRadixCcSas, CooperativeEngine) {
-  EXPECT_EQ(ccsas_radix_grid_digest(SpmdEngine::kCooperative),
-            kCcSasRadixGoldenDigest);
-}
-
-TEST(VirtualTimeGoldenRadixCcSas, ThreadEngine) {
-  EXPECT_EQ(ccsas_radix_grid_digest(SpmdEngine::kThreads),
-            kCcSasRadixGoldenDigest);
+  EXPECT_EQ(digest_of(ccsas_radix_golden_grid()), kCcSasRadixGoldenDigest);
 }
 
 TEST(VirtualTimeGoldenSampleSkeleton, CooperativeEngine) {
-  EXPECT_EQ(sample_skeleton_grid_digest(SpmdEngine::kCooperative),
-            kSampleSkeletonGoldenDigest);
-}
-
-TEST(VirtualTimeGoldenSampleSkeleton, ThreadEngine) {
-  EXPECT_EQ(sample_skeleton_grid_digest(SpmdEngine::kThreads),
+  EXPECT_EQ(digest_of(sample_skeleton_golden_grid()),
             kSampleSkeletonGoldenDigest);
 }
 

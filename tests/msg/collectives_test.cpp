@@ -3,7 +3,6 @@
 // charging, and misuse rejection.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 
 #include "common/prng.hpp"
@@ -218,38 +217,35 @@ TEST(Alltoallv, RandomisedRoundTrip) {
 }
 
 TEST(AllgatherReduce, ReducerRunsOncePerCallAndEveryRankSharesTheResult) {
-  for (const SpmdEngine engine :
-       {SpmdEngine::kCooperative, SpmdEngine::kThreads}) {
-    constexpr int kProcs = 6;
-    constexpr int kCalls = 3;
-    sim::SimTeam team(kProcs, origin(), engine);
-    Communicator comm(team, Impl::kDirect);
-    std::atomic<int> reductions{0};
-    std::vector<std::vector<const std::uint64_t*>> seen(
-        kCalls, std::vector<const std::uint64_t*>(kProcs));
-    std::vector<std::vector<std::uint64_t>> values(
-        kCalls, std::vector<std::uint64_t>(kProcs));
-    team.run([&](sim::ProcContext& ctx) {
-      for (int call = 0; call < kCalls; ++call) {
-        const std::vector<int> mine{ctx.rank(), call};
-        const auto sum = comm.allgather_reduce<int, std::uint64_t>(
-            ctx, mine, [&](sim::Blocks<int> blocks) {
-              ++reductions;
-              std::uint64_t s = 0;
-              for (const auto& b : blocks) s += 10 * b[0] + b[1];
-              return s;
-            });
-        seen[call][ctx.rank()] = sum.get();
-        values[call][ctx.rank()] = *sum;
-      }
-    });
-    EXPECT_EQ(reductions.load(), kCalls) << engine_name(engine);
+  constexpr int kProcs = 6;
+  constexpr int kCalls = 3;
+  sim::SimTeam team(kProcs, origin());
+  Communicator comm(team, Impl::kDirect);
+  int reductions = 0;
+  std::vector<std::vector<const std::uint64_t*>> seen(
+      kCalls, std::vector<const std::uint64_t*>(kProcs));
+  std::vector<std::vector<std::uint64_t>> values(
+      kCalls, std::vector<std::uint64_t>(kProcs));
+  team.run([&](sim::ProcContext& ctx) {
     for (int call = 0; call < kCalls; ++call) {
-      for (int r = 0; r < kProcs; ++r) {
-        EXPECT_EQ(seen[call][r], seen[call][0]) << engine_name(engine);
-        EXPECT_EQ(values[call][r],
-                  static_cast<std::uint64_t>(10 * 15 + kProcs * call));
-      }
+      const std::vector<int> mine{ctx.rank(), call};
+      const auto sum = comm.allgather_reduce<int, std::uint64_t>(
+          ctx, mine, [&](sim::Blocks<int> blocks) {
+            ++reductions;
+            std::uint64_t s = 0;
+            for (const auto& b : blocks) s += 10 * b[0] + b[1];
+            return s;
+          });
+      seen[call][ctx.rank()] = sum.get();
+      values[call][ctx.rank()] = *sum;
+    }
+  });
+  EXPECT_EQ(reductions, kCalls);
+  for (int call = 0; call < kCalls; ++call) {
+    for (int r = 0; r < kProcs; ++r) {
+      EXPECT_EQ(seen[call][r], seen[call][0]);
+      EXPECT_EQ(values[call][r],
+                static_cast<std::uint64_t>(10 * 15 + kProcs * call));
     }
   }
 }

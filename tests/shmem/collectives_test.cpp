@@ -2,7 +2,6 @@
 // collect, sum_to_all).
 #include <gtest/gtest.h>
 
-#include <atomic>
 
 #include "shmem/shmem.hpp"
 #include "sim/team.hpp"
@@ -102,38 +101,35 @@ TEST(SumToAll, MismatchedSizesRejected) {
 }
 
 TEST(FcollectReduce, ReducerRunsOncePerCallAndEveryPeSharesTheResult) {
-  for (const SpmdEngine engine :
-       {SpmdEngine::kCooperative, SpmdEngine::kThreads}) {
-    constexpr int kPes = 5;
-    constexpr int kCalls = 3;
-    sim::SimTeam team(kPes, origin(), engine);
-    SymmetricHeap heap(kPes, 256);
-    Shmem sh(team, heap);
-    std::atomic<int> reductions{0};
-    std::vector<std::vector<const std::vector<std::uint32_t>*>> seen(
-        kCalls, std::vector<const std::vector<std::uint32_t>*>(kPes));
-    std::vector<std::vector<std::uint32_t>> firsts(kCalls);
-    team.run([&](sim::ProcContext& ctx) {
-      for (int call = 0; call < kCalls; ++call) {
-        const std::vector<std::uint32_t> mine{
-            static_cast<std::uint32_t>(100 * call + ctx.rank())};
-        const auto all = sh.fcollect_reduce<std::uint32_t,
-                                            std::vector<std::uint32_t>>(
-            ctx, mine, [&](sim::Blocks<std::uint32_t> blocks) {
-              ++reductions;
-              return sim::concat_blocks<std::uint32_t>(blocks);
-            });
-        seen[call][ctx.rank()] = all.get();
-        if (ctx.rank() == 0) firsts[call] = *all;
-      }
-    });
-    EXPECT_EQ(reductions.load(), kCalls) << engine_name(engine);
+  constexpr int kPes = 5;
+  constexpr int kCalls = 3;
+  sim::SimTeam team(kPes, origin());
+  SymmetricHeap heap(kPes, 256);
+  Shmem sh(team, heap);
+  int reductions = 0;
+  std::vector<std::vector<const std::vector<std::uint32_t>*>> seen(
+      kCalls, std::vector<const std::vector<std::uint32_t>*>(kPes));
+  std::vector<std::vector<std::uint32_t>> firsts(kCalls);
+  team.run([&](sim::ProcContext& ctx) {
     for (int call = 0; call < kCalls; ++call) {
-      for (int r = 0; r < kPes; ++r) {
-        EXPECT_EQ(seen[call][r], seen[call][0]) << engine_name(engine);
-        EXPECT_EQ(firsts[call][static_cast<std::size_t>(r)],
-                  static_cast<std::uint32_t>(100 * call + r));
-      }
+      const std::vector<std::uint32_t> mine{
+          static_cast<std::uint32_t>(100 * call + ctx.rank())};
+      const auto all = sh.fcollect_reduce<std::uint32_t,
+                                          std::vector<std::uint32_t>>(
+          ctx, mine, [&](sim::Blocks<std::uint32_t> blocks) {
+            ++reductions;
+            return sim::concat_blocks<std::uint32_t>(blocks);
+          });
+      seen[call][ctx.rank()] = all.get();
+      if (ctx.rank() == 0) firsts[call] = *all;
+    }
+  });
+  EXPECT_EQ(reductions, kCalls);
+  for (int call = 0; call < kCalls; ++call) {
+    for (int r = 0; r < kPes; ++r) {
+      EXPECT_EQ(seen[call][r], seen[call][0]);
+      EXPECT_EQ(firsts[call][static_cast<std::size_t>(r)],
+                static_cast<std::uint32_t>(100 * call + r));
     }
   }
 }

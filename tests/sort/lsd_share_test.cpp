@@ -5,8 +5,8 @@
 // concurrently, after the retained record was dropped, or next to specs
 // that differ only in a field that must not share. A caller that fails —
 // its hook throws, or its cancel token fires — leaves every other
-// caller's result intact. The sorts run on the thread engine so the file
-// also runs in the TSan tier.
+// caller's result intact. The concurrent cases run models on separate
+// host threads, so the file also runs in the TSan tier.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,7 +36,6 @@ SortSpec base_spec(keys::RecordType record, keys::Dist dist) {
   spec.dist = dist;
   spec.record = record;
   spec.seed = 7;
-  spec.engine = SpmdEngine::kThreads;
   spec.keep_output = true;
   return spec;
 }

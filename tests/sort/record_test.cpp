@@ -313,16 +313,15 @@ void expect_same_breakdown(const sim::Breakdown& a, const sim::Breakdown& b,
   EXPECT_EQ(a.sync_ns, b.sync_ns) << where;
 }
 
-/// The kv32 matrix over every radix path x radix {8, 11} on one engine.
-/// 11 bits takes 3 passes, so the MPI and SHMEM sorts run their odd-pass
-/// copy-back. Each cell must verify, equal the stable sort of (key, input
-/// index), and charge bitwise what the u32 sort of the same keys charges.
-void expect_kv32_on_every_radix_path(SpmdEngine engine) {
+/// The kv32 matrix over every radix path x radix {8, 11}. 11 bits takes
+/// 3 passes, so the MPI and SHMEM sorts run their odd-pass copy-back. Each
+/// cell must verify, equal the stable sort of (key, input index), and
+/// charge bitwise what the u32 sort of the same keys charges.
+TEST(RecordSort, Kv32EveryRadixPathCooperativeEngine) {
   for (const RadixPath& path : kRadixPaths) {
     for (const int radix : {8, 11}) {
       SortSpec u32 = base_spec(Algo::kRadix, path.model, 20000);
       u32.radix_bits = radix;
-      u32.engine = engine;
       u32.ablations.mpi_chunk_messages = !path.coalesced;
       if (path.staged) u32.ablations.mpi_impl = msg::Impl::kStaged;
       u32.ablations.shmem_use_put = path.put;
@@ -363,16 +362,6 @@ void expect_kv32_on_every_radix_path(SpmdEngine engine) {
       }
     }
   }
-}
-
-TEST(RecordSort, Kv32EveryRadixPathCooperativeEngine) {
-  expect_kv32_on_every_radix_path(SpmdEngine::kCooperative);
-}
-
-// Also the tsan. tier's cell: under the thread engine the ranks write
-// disjoint ranges of the shared global payload lanes concurrently.
-TEST(RecordSort, Kv32EveryRadixPathThreadEngine) {
-  expect_kv32_on_every_radix_path(SpmdEngine::kThreads);
 }
 
 TEST(RecordSort, PayloadIndexWidthBoundsN) {

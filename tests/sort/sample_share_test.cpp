@@ -7,7 +7,8 @@
 // that must not share. Specs that differ only in the CC-SAS splitter
 // group size share one record. A caller that fails — its hook throws, or
 // its cancel token fires — leaves every other caller's result intact. The
-// sorts run on the thread engine so the file also runs in the TSan tier.
+// concurrent cases run models on separate host threads, so the file also
+// runs in the TSan tier.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,7 +40,6 @@ SortSpec base_spec(Algo algo, keys::RecordType record, keys::Dist dist) {
   spec.seed = 7;
   spec.ablations.sample_count = 16;
   spec.ablations.sample_group_size = 2;
-  spec.engine = SpmdEngine::kThreads;
   spec.keep_output = true;
   return spec;
 }
