@@ -42,15 +42,6 @@ Shmem::Shmem(sim::SimTeam& team, SymmetricHeap& heap)
               "heap PE count must match the team");
 }
 
-void Shmem::get_phase(sim::ProcContext& ctx, std::span<const GetOp> gets) {
-  for (const GetOp& g : gets) {
-    DSM_REQUIRE(g.src_offset + g.bytes <= heap_.segment_bytes(),
-                "get reads past the symmetric segment");
-    std::memcpy(g.dst, heap_.addr(g.src_pe, g.src_offset), g.bytes);
-  }
-  charge_get_phase(ctx, gets);
-}
-
 void Shmem::charge_get_phase(sim::ProcContext& ctx,
                              std::span<const GetOp> gets) {
   const int r = ctx.rank();
@@ -67,15 +58,6 @@ void Shmem::charge_get_phase(sim::ProcContext& ctx,
   team_.get_epoch(ctx, std::move(transfers),
                   sim::OneSidedConfig{
                       ctx.params().sw.shmem_get_overhead_ns});
-}
-
-void Shmem::put_phase(sim::ProcContext& ctx, std::span<const PutOp> puts) {
-  for (const PutOp& pt : puts) {
-    DSM_REQUIRE(pt.dst_offset + pt.bytes <= heap_.segment_bytes(),
-                "put writes past the symmetric segment");
-    std::memcpy(heap_.addr(pt.dst_pe, pt.dst_offset), pt.src, pt.bytes);
-  }
-  charge_put_phase(ctx, puts);
 }
 
 void Shmem::charge_put_phase(sim::ProcContext& ctx,

@@ -10,12 +10,12 @@
 //   * cheaper collectives and no per-pair slot back-pressure, which is why
 //     SHMEM beats MPI on the permutation-heavy radix sort.
 //
-// Gets/puts move real bytes; timing runs through the one-sided DES epochs
-// (per-source memory serialisation for gets, quiescence for puts).
+// Get and put phases are charged, not executed: timing runs through the
+// one-sided DES epochs (per-source memory serialisation for gets,
+// quiescence for puts).
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -82,20 +82,12 @@ class Shmem {
   int npes() const { return team_.nprocs(); }
   SymmetricHeap& heap() { return heap_; }
 
-  /// Execute a batch of blocking gets issued back-to-back by this PE
-  /// (collective: every PE must call, possibly with an empty batch).
-  /// Sources must be quiescent — callers barrier before the phase.
-  void get_phase(sim::ProcContext& ctx, std::span<const GetOp> gets);
-
-  /// Execute a batch of puts (collective). Delivery is guaranteed only
-  /// after the next barrier_all (quiescence), as in real SHMEM.
-  void put_phase(sim::ProcContext& ctx, std::span<const PutOp> puts);
-
-  /// The charge halves of get_phase() and put_phase(): they read only each
-  /// op's PE and `bytes` (the addresses may be null) and charge the phase
-  /// exactly as the moving calls do. Collective. Callers whose data
-  /// already sits at its destination (the radix charge programs,
-  /// DESIGN.md §5.3) call them directly.
+  /// Charge a batch of blocking gets issued back-to-back by this PE, or a
+  /// batch of puts whose delivery completes at the next barrier_all
+  /// (quiescence, as in real SHMEM). Collective: every PE must call,
+  /// possibly with an empty batch. They read only each op's PE and
+  /// `bytes` (the addresses may be null): the sorts' keys already sit at
+  /// their destinations in the record (DESIGN.md §5.3), so no data moves.
   void charge_get_phase(sim::ProcContext& ctx, std::span<const GetOp> gets);
   void charge_put_phase(sim::ProcContext& ctx, std::span<const PutOp> puts);
 

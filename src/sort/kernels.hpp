@@ -170,6 +170,8 @@ struct RadixWorkspace {
   std::vector<std::uint64_t> shard_cursor;  // threaded: [shard][bucket]
   std::vector<std::uint64_t> pay_cursor;    // paired sorts: cursor snapshot
                                             // for the payload mirror
+  ScratchVector<Key> sort_tmp;              // a local sort's key toggle
+  ScratchVector<keys::Payload> sort_pay_tmp;  // ... and its payload toggle
   ScratchVector<keys::KeyPayload32> pair_recs;  // stable_payload_mirror:
   ScratchVector<keys::KeyPayload32> pair_tmp;   // record lane + its tmp
   std::vector<Key> lis_tails;               // merge split: patience tails
@@ -183,6 +185,26 @@ struct RadixWorkspace {
 /// ranks are fibers on one thread because no kernel yields mid-call (the
 /// borrow never spans a reconcile point).
 RadixWorkspace& tls_radix_workspace();
+
+/// tls_radix_workspace() lent for one scope with kernel thread budget
+/// `jobs`; the budget it had before comes back when the scope ends, so a
+/// sort's kernel_jobs never leaks into later calls on the same thread.
+class ThreadWorkspace {
+ public:
+  explicit ThreadWorkspace(int jobs)
+      : ws_(tls_radix_workspace()), saved_jobs_(ws_.jobs) {
+    ws_.jobs = jobs;
+  }
+  ~ThreadWorkspace() { ws_.jobs = saved_jobs_; }
+  ThreadWorkspace(const ThreadWorkspace&) = delete;
+  ThreadWorkspace& operator=(const ThreadWorkspace&) = delete;
+
+  RadixWorkspace& get() const { return ws_; }
+
+ private:
+  RadixWorkspace& ws_;
+  int saved_jobs_;
+};
 
 /// Number of nonzero buckets.
 std::uint64_t count_active(std::span<const std::uint64_t> hist);

@@ -85,6 +85,13 @@ void for_each_piece(const sas::HomeMap& homes, std::uint64_t gpos,
   }
 }
 
+/// The calling thread's tally_scratch state (all-zero slots between
+/// calls), so concurrent record tasks never share one.
+TallyScratch& tls_tally_scratch() {
+  thread_local TallyScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 HistTable build_hist_table(sim::Blocks<std::uint64_t> hists) {
@@ -201,6 +208,7 @@ void tally_scatter(std::span<const Key> keys, int pass, int radix_bits,
 LsdRecord record_lsd(const SortSpec& spec, std::vector<Key> keys,
                      std::vector<keys::Payload> payloads) {
   const int p = spec.nprocs;
+  const auto pp = static_cast<std::size_t>(p);
   const int bits = spec.radix_bits;
   const KernelBackend be = spec.kernel_backend;
   const std::size_t buckets = std::size_t{1} << bits;
@@ -212,35 +220,37 @@ LsdRecord record_lsd(const SortSpec& spec, std::vector<Key> keys,
   LsdRecord rec;
   rec.homes = sas::HomeMap(n, p);
   const sas::HomeMap& homes = rec.homes;
-  const auto range = [&](const std::vector<Key>& v, int r) {
-    return std::span<const Key>(v).subspan(homes.begin_of(r),
-                                           homes.count_of(r));
+  // Ranks [r0, r1) of `v`.
+  const auto ranks = [&](const auto& v, int r0, int r1) {
+    return std::span(v).subspan(homes.begin_of(r0),
+                                homes.begin_of(r1) - homes.begin_of(r0));
   };
   rec.passes = radix_passes(bits);
   if (spec.ablations.detect_max_key) {
     Key global_max = 0;
     for (int r = 0; r < p; ++r) {
-      const std::span<const Key> mine = range(keys, r);
+      const std::span<const Key> mine = ranks(keys, r, r + 1);
       rec.max_of.push_back(*std::max_element(mine.begin(), mine.end()));
       global_max = std::max(global_max, rec.max_of.back());
     }
     rec.passes = radix_passes_for_max(bits, global_max);
   }
+  // The permute runs in rank-aligned groups of at least a DRAM-bound
+  // footprint each, so every group takes the same kernel path the whole
+  // array would; smaller groups cost more than they overlap.
+  const int groups = static_cast<int>(std::clamp<std::size_t>(
+      n / (kWcMinFootprintBytes / sizeof(Key)), 1, pp));
 
   // Per-rank counts of the pass, [rank * buckets + b].
-  const std::size_t cells = static_cast<std::size_t>(p) * buckets;
+  const std::size_t cells = pp * buckets;
   std::vector<std::uint64_t> hists(cells), run_starts(cells);
   std::vector<std::span<const std::uint64_t>> blocks;
   for (int r = 0; r < p; ++r) {
     blocks.emplace_back(hists.data() + static_cast<std::size_t>(r) * buckets,
                         buckets);
   }
-  std::vector<std::uint64_t> cursor(buckets), mirror(paired ? buckets : 0);
   std::vector<Key> tmp(n);
   std::vector<keys::Payload> pay_tmp(payloads.size());
-  TallyScratch scratch;
-  RadixWorkspace ws;
-  ws.jobs = spec.kernel_jobs;
   rec.pass.resize(static_cast<std::size_t>(rec.passes));
   for (int pass = 0; pass < rec.passes; ++pass) {
     if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
@@ -248,43 +258,58 @@ LsdRecord record_lsd(const SortSpec& spec, std::vector<Key> keys,
                                     std::to_string(pass)));
     }
     LsdRecord::Pass& rp = rec.pass[static_cast<std::size_t>(pass)];
-    rp.ranks.resize(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      const std::size_t off = static_cast<std::size_t>(r) * buckets;
-      LsdRecord::RankPass& mine = rp.ranks[static_cast<std::size_t>(r)];
+    rp.ranks.resize(pp);
+    record_tasks(pp, [&](std::size_t r) {
+      const std::size_t off = r * buckets;
+      LsdRecord::RankPass& mine = rp.ranks[r];
       const std::span<std::uint64_t> starts(run_starts.data() + off, buckets);
+      const ThreadWorkspace ws(spec.kernel_jobs);
       mine.active = histogram_runs_kernel(
-          be, range(keys, r), pass, bits,
-          std::span<std::uint64_t>(hists.data() + off, buckets), starts, ws);
-      for (const std::uint64_t s : starts) mine.runs += s;
-    }
+          be, ranks(keys, static_cast<int>(r), static_cast<int>(r) + 1), pass,
+          bits, std::span<std::uint64_t>(hists.data() + off, buckets), starts,
+          ws.get());
+      for (const std::uint64_t st : starts) mine.runs += st;
+    });
     rp.table = build_hist_table(sim::Blocks<std::uint64_t>(blocks));
-    for (int r = 0; r < p; ++r) {
-      const std::size_t off = static_cast<std::size_t>(r) * buckets;
-      tally_scatter(range(keys, r), pass, bits, homes, r,
+    record_tasks(pp, [&](std::size_t r) {
+      const std::size_t off = r * buckets;
+      const int rank = static_cast<int>(r);
+      tally_scatter(ranks(keys, rank, rank + 1), pass, bits, homes, rank,
                     std::span<const std::uint64_t>(rp.table.starts)
                         .subspan(off, buckets),
-                    blocks[static_cast<std::size_t>(r)],
+                    blocks[r],
                     std::span<const std::uint64_t>(run_starts)
                         .subspan(off, buckets),
-                    rp.ranks[static_cast<std::size_t>(r)].tally, scratch);
-    }
-    // Row 0 of the table holds the global bucket starts. Within a bucket
-    // the ranks' keys land in rank order, so one stable scatter of the
-    // whole array from there places every rank's keys where its model's
-    // route does.
-    std::copy_n(rp.table.starts.begin(), buckets, cursor.begin());
-    std::uint64_t active = 0;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      if (rp.table.start(p, b) != cursor[b]) ++active;
-    }
-    if (paired) mirror = cursor;
-    (void)permute_kernel(be, keys, tmp, pass, bits, cursor, active, ws);
+                    rp.ranks[r].tally, tls_tally_scratch());
+    });
+    // Within a bucket the ranks' keys land in rank order, so a stable
+    // scatter of ranks [r0, r1) from their first row, start(r0, .),
+    // fills exactly [start(r0, b), start(r1, b)) of every bucket b: the
+    // groups write disjoint ranges, and together they place every rank's
+    // keys where its model's route does.
+    record_tasks(static_cast<std::size_t>(groups), [&](std::size_t g) {
+      const int r0 = static_cast<int>(g * pp / static_cast<std::size_t>(groups));
+      const int r1 =
+          static_cast<int>((g + 1) * pp / static_cast<std::size_t>(groups));
+      const ThreadWorkspace tw(spec.kernel_jobs);
+      RadixWorkspace& ws = tw.get();
+      ws.prepare(bits);
+      const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
+      std::uint64_t active = 0;
+      for (std::size_t b = 0; b < buckets; ++b) {
+        cursor[b] = rp.table.start(r0, b);
+        if (rp.table.start(r1, b) != cursor[b]) ++active;
+      }
+      if (paired) ws.pay_cursor.assign(cursor.begin(), cursor.end());
+      const std::span<const Key> in = ranks(keys, r0, r1);
+      (void)permute_kernel(be, in, tmp, pass, bits, cursor, active, ws);
+      if (paired) {
+        payload_mirror_scatter(in, ranks(payloads, r0, r1), pay_tmp, pass,
+                               bits, ws.pay_cursor);
+      }
+    });
     keys.swap(tmp);
-    if (paired) {
-      payload_mirror_scatter(tmp, payloads, pay_tmp, pass, bits, mirror);
-      payloads.swap(pay_tmp);
-    }
+    if (paired) payloads.swap(pay_tmp);
   }
   rec.keys = std::move(keys);
   rec.payloads = std::move(payloads);

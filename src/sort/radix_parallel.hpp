@@ -8,8 +8,9 @@
 //   * the record (record_lsd): one model-independent host execution of
 //     the LSD passes over the whole array. Per pass it counts each rank's
 //     range, builds the global HistTable, derives each rank's CC-SAS
-//     scatter tally, and moves all n keys in one stable scatter from the
-//     global bucket starts, which lands rank r's k-th bucket-b key exactly
+//     scatter tally, and moves all n keys in a stable scatter from the
+//     table's rows (in rank-aligned groups that the sorts waiting for the
+//     record help run), which lands rank r's k-th bucket-b key exactly
 //     where every model's route lands it. A kv32 payload lane replays the
 //     same scatter, uncharged (DESIGN.md §11);
 //   * one charge program per model (radix_ccsas / radix_mpi /

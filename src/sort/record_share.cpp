@@ -1,7 +1,9 @@
 #include "sort/record_share.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <iterator>
 #include <mutex>
 #include <tuple>
@@ -28,15 +30,58 @@ auto record_key(const SortSpec& s) {
 }
 using RecordKey = decltype(record_key(std::declval<const SortSpec&>()));
 
+std::function<void()> g_task_hook;  // detail::set_record_task_hook
+
+/// One record_tasks batch, published on its build's slot. It lives on the
+/// builder's stack: the builder unpublishes it and waits for `helpers` to
+/// reach zero before it returns.
+struct TaskBatch {
+  TaskBatch(std::size_t n, const std::function<void(std::size_t)>& t)
+      : count(n), task(t), errors(n) {}
+  const std::size_t count;
+  const std::function<void(std::size_t)>& task;
+  std::atomic<std::size_t> next{0};  // the lowest unclaimed index
+  std::atomic<bool> failed{false};   // a task threw: claim no more
+  std::vector<std::exception_ptr> errors;  // [index], by its runner
+  int helpers = 0;  // waiters inside the batch; guarded by the slot's mu
+
+  /// Whether a task is left to claim.
+  bool open() const {
+    return !failed && next < count;
+  }
+
+  /// Claim and run tasks until none is left. `own` is a waiter's cancel
+  /// token, polled before each claim: false when it fired.
+  bool work(const CancelToken* own) {
+    for (;;) {
+      if (own != nullptr && own->cancelled()) return false;
+      if (failed) return true;
+      const std::size_t i = next++;
+      if (i >= count) return true;
+      try {
+        if (g_task_hook) g_task_hook();
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        failed = true;
+      }
+    }
+  }
+};
+
 /// One record being built or built, and the sorts waiting for it.
 struct RecordSlot {
   explicit RecordSlot(RecordKey k) : key(std::move(k)) {}
   const RecordKey key;
   std::mutex mu;
-  std::condition_variable done_cv;
-  bool done = false;                    // guarded by mu
-  std::shared_ptr<const void> rec;      // null after a failed build
+  std::condition_variable cv;         // done, a batch published or left
+  bool done = false;                  // guarded by mu
+  std::shared_ptr<const void> rec;    // null after a failed build
+  TaskBatch* batch = nullptr;         // guarded by mu; the open batch
 };
+
+/// The slot whose record this thread is building, if any.
+thread_local RecordSlot* t_building = nullptr;
 
 /// How often a sort waiting for another caller's build polls its own
 /// cancel token.
@@ -54,10 +99,39 @@ void settle(RecordSlot& slot, std::shared_ptr<const void> rec) {
     slot.rec = std::move(rec);
     slot.done = true;
   }
-  slot.done_cv.notify_all();
+  slot.cv.notify_all();
 }
 
 }  // namespace
+
+void record_tasks(std::size_t count,
+                  const std::function<void(std::size_t)>& task) {
+  RecordSlot* const slot = t_building;
+  if (slot == nullptr || count < 2) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  TaskBatch batch(count, task);
+  {
+    const std::lock_guard<std::mutex> lock(slot->mu);
+    DSM_REQUIRE(slot->batch == nullptr, "record tasks cannot nest");
+    slot->batch = &batch;
+  }
+  slot->cv.notify_all();
+  (void)batch.work(nullptr);
+  {
+    std::unique_lock<std::mutex> lock(slot->mu);
+    slot->batch = nullptr;
+    slot->cv.wait(lock, [&batch] { return batch.helpers == 0; });
+  }
+  for (const std::exception_ptr& e : batch.errors) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
+}
+
+void detail::set_record_task_hook(std::function<void()> hook) {
+  g_task_hook = std::move(hook);
+}
 
 std::shared_ptr<const void> detail::shared_record(
     RecordKind kind, const SortSpec& spec,
@@ -79,8 +153,11 @@ std::shared_ptr<const void> detail::shared_record(
     if (builder) {
       std::shared_ptr<const void> rec;
       try {
+        t_building = slot.get();
         rec = build();
+        t_building = nullptr;
       } catch (...) {
+        t_building = nullptr;
         {  // unpublish before the waiters wake, so they record afresh
           const std::lock_guard<std::mutex> lock(g_retained_mu);
           if (retained == slot) retained.reset();
@@ -91,15 +168,30 @@ std::shared_ptr<const void> detail::shared_record(
       settle(*slot, rec);
       return rec;
     }
-    // Wait for the builder, polling our own cancel token: a cancelled
-    // waiter leaves at once instead of after another caller's build.
+    // Wait for the builder and help with each batch it publishes,
+    // polling our own cancel token: a cancelled waiter leaves at once
+    // instead of after another caller's build.
     std::unique_lock<std::mutex> lock(slot->mu);
     while (!slot->done) {
       if (spec.hooks.cancel != nullptr && spec.hooks.cancel->cancelled()) {
         throw Error(Status::cancelled(
             "sort cancelled while waiting for its record"));
       }
-      slot->done_cv.wait_for(lock, kWaiterCancelPoll);
+      TaskBatch* const batch = slot->batch;
+      if (batch != nullptr && batch->open()) {
+        ++batch->helpers;
+        lock.unlock();
+        const bool stayed = batch->work(spec.hooks.cancel);
+        lock.lock();
+        --batch->helpers;
+        slot->cv.notify_all();
+        if (!stayed) {
+          throw Error(Status::cancelled(
+              "sort cancelled while helping to build its record"));
+        }
+        continue;
+      }
+      slot->cv.wait_for(lock, kWaiterCancelPoll);
     }
     if (slot->rec != nullptr) return slot->rec;
     // The build failed and was unpublished: start over.

@@ -53,11 +53,13 @@ std::shared_ptr<const void> shared_record(
 /// most recently started record until the next record of that kind
 /// starts; a record some sort still holds is never freed. A caller that
 /// finds its record still being built blocks until it is done, polling
-/// its own spec.hooks.cancel while it waits: a cancelled waiter throws
-/// kCancelled and leaves the build to its owner. A build that throws
-/// (cancellation, a failed allocation) is never shared: its builder gets
-/// the error, and its waiters start over. `build` runs on the calling
-/// thread, at most once per call.
+/// its own spec.hooks.cancel while it waits, and helps: it runs tasks of
+/// every batch the build publishes through record_tasks. A cancelled
+/// waiter throws kCancelled and leaves the build to its owner. A build
+/// that throws (cancellation, a failed allocation, a task that failed on
+/// any thread) is never shared: its builder gets the error, and its
+/// waiters start over. `build` runs on the calling thread, at most once
+/// per call.
 template <typename Rec>
 std::shared_ptr<const Rec> shared_record(const SortSpec& spec,
                                          const std::function<Rec()>& build) {
@@ -66,6 +68,28 @@ std::shared_ptr<const Rec> shared_record(const SortSpec& spec,
         return std::make_shared<const Rec>(build());
       }));
 }
+
+/// Run task(0), ..., task(count - 1), each exactly once, and return when
+/// all have run. Inside a shared_record build this publishes the tasks as
+/// one batch on the build's slot: the builder and every sort waiting for
+/// that record claim indices in ascending order, each task on the thread
+/// that claims it, so tasks must write disjoint state and take their
+/// scratch from their own thread. It returns once every claimed task has
+/// run and no waiter is still inside the batch, and rethrows the failure
+/// of the lowest-index task that threw; after a failure no further task
+/// starts. A waiter polls its own cancel token before each claim and
+/// leaves with kCancelled, so tasks poll the builder's spec themselves.
+/// Anywhere else — outside a build, on a waiter, or for a single task —
+/// it is a plain loop that stops at the first throw.
+void record_tasks(std::size_t count,
+                  const std::function<void(std::size_t)>& task);
+
+namespace detail {
+/// Test seam: `hook` runs on the claiming thread before every task of a
+/// published batch (not of a plain loop); empty removes it. Set it only
+/// while no record is being built.
+void set_record_task_hook(std::function<void()> hook);
+}  // namespace detail
 
 /// Drop the retained records of `spec`'s input — every kind, whatever its
 /// algorithm, radix size or settings: the specs that agree with `spec` on

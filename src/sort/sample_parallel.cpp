@@ -22,15 +22,15 @@ using Splitter = SampleRecord::Splitter;
 /// backend honors the same contracts (sorted result in `keys`, charges a
 /// pure function of the key sequence, a non-empty payload lane sorted
 /// with the keys and charged nothing), so the surrounding phases are
-/// untouched. `tmp_store` and `pay_tmp_store` are scratch, grown here and
-/// never zero-filled: every local sort writes its toggle buffers before
-/// reading them.
+/// untouched. The sort runs on the calling thread's workspace, whose
+/// toggle buffers grow here and are never zero-filled: every local sort
+/// writes them before reading them.
 void local_sort(ChargeLog& log, const SortSpec& spec, std::span<Key> keys,
-                ScratchVector<Key>& tmp_store, std::span<keys::Payload> pays,
-                ScratchVector<keys::Payload>& pay_tmp_store,
-                RadixWorkspace& ws) {
-  const std::span<Key> tmp = scratch_span(tmp_store, keys.size());
-  const PayloadLanes lanes{pays, scratch_span(pay_tmp_store, pays.size())};
+                std::span<keys::Payload> pays) {
+  const ThreadWorkspace tw(spec.kernel_jobs);
+  RadixWorkspace& ws = tw.get();
+  const std::span<Key> tmp = scratch_span(ws.sort_tmp, keys.size());
+  const PayloadLanes lanes{pays, scratch_span(ws.sort_pay_tmp, pays.size())};
   const KernelBackend be = spec.kernel_backend;
   switch (spec.algo) {
     case Algo::kMsdRadix:
@@ -197,24 +197,19 @@ SampleRecord record_sample(const SortSpec& spec, std::vector<Key> keys,
     return v.empty() ? std::span<keys::Payload>()
                      : std::span<keys::Payload>(v).subspan(begin, count);
   };
-  ScratchVector<Key> tmp;
-  ScratchVector<keys::Payload> pay_tmp;
-  RadixWorkspace ws;  // kernel scratch shared by every local sort
-  ws.jobs = spec.kernel_jobs;
 
   // Local sort 1 of every rank's block, and its samples.
   rec.sort1.resize(pp);
   rec.samples.resize(pp * s);
-  for (int r = 0; r < p; ++r) {
+  record_tasks(pp, [&](std::size_t rr) {
+    const int r = static_cast<int>(rr);
     poll_cancel(spec, "local sort 1", r);
-    const auto rr = static_cast<std::size_t>(r);
     const std::span<Key> mine =
         std::span<Key>(keys).subspan(homes.begin_of(r), homes.count_of(r));
-    local_sort(rec.sort1[rr], spec, mine, tmp,
-               lane(payloads, homes.begin_of(r), homes.count_of(r)), pay_tmp,
-               ws);
+    local_sort(rec.sort1[rr], spec, mine,
+               lane(payloads, homes.begin_of(r), homes.count_of(r)));
     select_samples(mine, std::span<Key>(rec.samples).subspan(rr * s, s));
-  }
+  });
 
   // The splitters every model's collective hands back, and every rank's
   // sorted block cut at them.
@@ -222,14 +217,14 @@ SampleRecord record_sample(const SortSpec& spec, std::vector<Key> keys,
   for (int r = 0; r < p; ++r) blocks.push_back(rec.samples_of(r));
   rec.splitters = pick_splitters(blocks);
   rec.bounds.resize(pp * (pp + 1));
-  for (int r = 0; r < p; ++r) {
+  record_tasks(pp, [&](std::size_t rr) {
+    const int r = static_cast<int>(rr);
     cut_at_splitters(
         std::span<const Key>(keys).subspan(homes.begin_of(r),
                                            homes.count_of(r)),
         rec.splitters, r,
-        std::span<std::uint64_t>(rec.bounds)
-            .subspan(static_cast<std::size_t>(r) * (pp + 1), pp + 1));
-  }
+        std::span<std::uint64_t>(rec.bounds).subspan(rr * (pp + 1), pp + 1));
+  });
 
   // Every rank's received run, pulled in source-rank order.
   rec.run_begin.assign(pp + 1, 0);
@@ -241,16 +236,15 @@ SampleRecord record_sample(const SortSpec& spec, std::vector<Key> keys,
   }
   std::vector<Key> out(n);
   std::vector<keys::Payload> pay_out(paired ? n : 0);
-  for (int r = 0; r < p; ++r) {
-    const std::uint64_t begin = rec.run_begin[static_cast<std::size_t>(r)];
-    const std::uint64_t total =
-        rec.run_begin[static_cast<std::size_t>(r) + 1] - begin;
+  record_tasks(pp, [&](std::size_t rr) {
+    const int r = static_cast<int>(rr);
+    const std::uint64_t begin = rec.run_begin[rr];
+    const std::uint64_t total = rec.run_begin[rr + 1] - begin;
     std::uint64_t pos = begin;
     for (int j = 0; j < p; ++j) {
       const std::uint64_t cnt = rec.count(j, r);
       if (cnt == 0) continue;
-      const std::uint64_t src =
-          homes.begin_of(j) + rec.bounds_of(j)[static_cast<std::size_t>(r)];
+      const std::uint64_t src = homes.begin_of(j) + rec.bounds_of(j)[rr];
       exchange_copy(spec.kernel_backend, out.data() + pos, keys.data() + src,
                     cnt, total * sizeof(Key));
       if (paired) {
@@ -259,22 +253,21 @@ SampleRecord record_sample(const SortSpec& spec, std::vector<Key> keys,
       }
       pos += cnt;
     }
-  }
+  });
   // The input is spent: free it before local sort 2.
   std::vector<Key>().swap(keys);
   std::vector<keys::Payload>().swap(payloads);
 
   // Local sort 2 of every received run.
   rec.sort2.resize(pp);
-  for (int r = 0; r < p; ++r) {
-    poll_cancel(spec, "local sort 2", r);
-    const auto rr = static_cast<std::size_t>(r);
+  record_tasks(pp, [&](std::size_t rr) {
+    poll_cancel(spec, "local sort 2", static_cast<int>(rr));
     const std::uint64_t begin = rec.run_begin[rr];
     const std::uint64_t count = rec.run_begin[rr + 1] - begin;
     local_sort(rec.sort2[rr], spec,
-               std::span<Key>(out).subspan(begin, count), tmp,
-               lane(pay_out, begin, count), pay_tmp, ws);
-  }
+               std::span<Key>(out).subspan(begin, count),
+               lane(pay_out, begin, count));
+  });
   rec.keys = std::move(out);
   rec.payloads = std::move(pay_out);
   return rec;

@@ -5,7 +5,6 @@
 
 #include "msg/communicator.hpp"
 #include "sas/prefix_tree.hpp"
-#include "shmem/shmem.hpp"
 #include "sim/team.hpp"
 
 namespace dsm {
@@ -58,36 +57,6 @@ TEST(FailureInjection, MismatchedAllgatherBlocks) {
     std::vector<int> in(static_cast<std::size_t>(1 + ctx.rank() % 2));
     std::vector<int> out(6);
     comm.allgather<int>(ctx, in, out);
-  }),
-               Error);
-}
-
-TEST(FailureInjection, ShmemGetPastSegment) {
-  sim::SimTeam team(2, origin());
-  shmem::SymmetricHeap heap(2, 128);
-  shmem::Shmem sh(team, heap);
-  EXPECT_THROW(team.run([&](sim::ProcContext& ctx) {
-    std::byte buf[64];
-    std::vector<shmem::GetOp> gets;
-    if (ctx.rank() == 0) {
-      gets.push_back(shmem::GetOp{buf, 1, 100, 64});  // 100+64 > 128
-    }
-    sh.get_phase(ctx, gets);
-  }),
-               Error);
-}
-
-TEST(FailureInjection, ShmemPutPastSegment) {
-  sim::SimTeam team(2, origin());
-  shmem::SymmetricHeap heap(2, 128);
-  shmem::Shmem sh(team, heap);
-  const std::byte buf[64] = {};
-  EXPECT_THROW(team.run([&](sim::ProcContext& ctx) {
-    std::vector<shmem::PutOp> puts;
-    if (ctx.rank() == 1) {
-      puts.push_back(shmem::PutOp{buf, 0, 96, 64});
-    }
-    sh.put_phase(ctx, puts);
   }),
                Error);
 }

@@ -42,72 +42,32 @@ TEST(SymmetricHeap, BadPeOrOffsetRejected) {
   EXPECT_THROW(SymmetricHeap(0, 128), Error);
 }
 
-TEST(Shmem, GetPhaseMovesData) {
+TEST(Shmem, GetPhaseChargesRmem) {
   sim::SimTeam team(4, origin());
-  SymmetricHeap heap(4, 1 << 12);
+  SymmetricHeap heap(4, 64);
   Shmem sh(team, heap);
-  const auto off = heap.alloc<std::uint32_t>(16);
-  for (int pe = 0; pe < 4; ++pe) {
-    for (int i = 0; i < 16; ++i) {
-      heap.at<std::uint32_t>(pe, off)[i] =
-          static_cast<std::uint32_t>(pe * 100 + i);
-    }
-  }
-  std::vector<std::vector<std::uint32_t>> got(4, std::vector<std::uint32_t>(4));
   team.run([&](sim::ProcContext& ctx) {
-    const int r = ctx.rank();
-    // Get word r from every other PE.
+    // Get one word from every PE, the own one a local copy.
     std::vector<GetOp> gets;
-    for (int src = 0; src < 4; ++src) {
-      gets.push_back(GetOp{
-          reinterpret_cast<std::byte*>(&got[r][static_cast<std::size_t>(src)]),
-          src, off + static_cast<std::uint64_t>(r) * 4, 4});
-    }
-    sh.get_phase(ctx, gets);
+    for (int src = 0; src < 4; ++src) gets.push_back(GetOp{nullptr, src, 0, 4});
+    sh.charge_get_phase(ctx, gets);
   });
-  for (int r = 0; r < 4; ++r) {
-    for (int src = 0; src < 4; ++src) {
-      EXPECT_EQ(got[r][src], static_cast<std::uint32_t>(src * 100 + r));
-    }
-  }
   // Remote gets charged RMEM.
   EXPECT_GT(team.breakdown_of(0).rmem_ns, 0.0);
 }
 
-TEST(Shmem, PutPhaseMovesData) {
+TEST(Shmem, PutPhaseChargesRmem) {
   sim::SimTeam team(4, origin());
-  SymmetricHeap heap(4, 1 << 12);
+  SymmetricHeap heap(4, 64);
   Shmem sh(team, heap);
-  const auto off = heap.alloc<std::uint32_t>(4);
   team.run([&](sim::ProcContext& ctx) {
-    const int r = ctx.rank();
-    const auto val = static_cast<std::uint32_t>(1000 + r);
     std::vector<PutOp> puts;
-    for (int dst = 0; dst < 4; ++dst) {
-      puts.push_back(PutOp{reinterpret_cast<const std::byte*>(&val), dst,
-                           off + static_cast<std::uint64_t>(r) * 4, 4});
-    }
-    sh.put_phase(ctx, puts);
+    for (int dst = 0; dst < 4; ++dst) puts.push_back(PutOp{nullptr, dst, 0, 4});
+    sh.charge_put_phase(ctx, puts);
     sh.barrier_all(ctx);
   });
-  for (int pe = 0; pe < 4; ++pe) {
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(heap.at<std::uint32_t>(pe, off)[s],
-                static_cast<std::uint32_t>(1000 + s));
-    }
-  }
-}
-
-TEST(Shmem, GetOutOfSegmentRejected) {
-  sim::SimTeam team(2, origin());
-  SymmetricHeap heap(2, 256);
-  Shmem sh(team, heap);
-  EXPECT_THROW(team.run([&](sim::ProcContext& ctx) {
-    std::byte buf[8];
-    std::vector<GetOp> gets{GetOp{buf, 1 - ctx.rank(), 255, 8}};
-    sh.get_phase(ctx, gets);
-  }),
-               Error);
+  // Remote puts charged RMEM.
+  EXPECT_GT(team.breakdown_of(0).rmem_ns, 0.0);
 }
 
 TEST(Shmem, FcollectGathersByPe) {
